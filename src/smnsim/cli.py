@@ -9,7 +9,8 @@ Subcommands::
     smnsim statemachine trace --conditions T1,T3,...
 
 Exit status: 0 on success, 1 when a run violates an invariant or the input
-data is invalid, 2 on usage errors.
+data is invalid, 2 on usage errors. Topology keys that are accepted but not
+used are named in one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import sys
 
 from .addressing import AddressError, TreeShape
-from .config import ConfigError, load_scenario, load_topology
+from .config import ConfigError, TopologyConfig, load_scenario, load_topology
 from .device_model import DeviceState, DeviceStatus, TransferCondition, step
 from .device_tree import TreeError, build_tree
 from .event_pipeline import EventLineError, parse_event_line
@@ -35,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     sim.add_argument("--out", required=True, help="directory for report files")
     sim.add_argument("--debug", action="store_true", help="check invariants every tick")
-    sim.add_argument("--threaded", action="store_true", help="one worker per node")
 
     tree = sub.add_parser("tree", help="embedding structure utilities")
     tree_sub = tree.add_subparsers(dest="tree_cmd", required=True)
@@ -59,12 +59,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_topology(path: str) -> TopologyConfig:
+    topology = load_topology(path)
+    if topology.ignored_keys:
+        print(f"{path}: ignored keys: {', '.join(topology.ignored_keys)}", file=sys.stderr)
+    return topology
+
+
 def _cmd_simulate(args) -> int:
-    topology = load_topology(args.topology)
+    topology = _load_topology(args.topology)
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
-    sim = Simulation(topology, scenario, debug=args.debug, threaded=args.threaded)
+    sim = Simulation(topology, scenario, debug=args.debug)
     report = sim.run()
     report.write(args.out)
     print(f"wrote report files to {args.out}")
@@ -86,7 +93,7 @@ def _cmd_tree(args) -> int:
 
 def _cmd_correlate(args) -> int:
     if args.config:
-        topology = load_topology(args.config)
+        topology = _load_topology(args.config)
         shape, settings, assets = topology.shape, topology.pipeline, topology.assets
     else:
         shape = TreeShape(depth=args.depth, max_degree=args.degree)

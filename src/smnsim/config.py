@@ -36,11 +36,11 @@ from dataclasses import dataclass, field
 from .addressing import AddressError, NodeAddress, TreeShape
 from .device_model import DeviceKind
 from .event_pipeline import (
+    _KIND_BY_NAME,
     AssetDb,
     AssetRecord,
     ClassificationMap,
     FilterRule,
-    SimilarityWeights,
 )
 from .node_runtime import HeartbeatConfig, PipelineSettings
 
@@ -52,8 +52,6 @@ class ConfigError(Exception):
         super().__init__(message)
         self.line_no = line_no
 
-
-_KIND_BY_NAME = {k.value: k for k in DeviceKind}
 
 _HB_KEYS = (
     "network_test_interval",
@@ -84,6 +82,8 @@ class TopologyConfig:
     mapping: ClassificationMap
     assets: AssetDb
     counterplan_dir: str | None = None
+    #: accepted keys the simulator does not use, in file order
+    ignored_keys: list[str] = field(default_factory=list)
 
 
 def _split_kv(line: str, line_no: int) -> tuple[str, str]:
@@ -98,13 +98,6 @@ def _int(value: str, line_no: int) -> int:
         return int(value)
     except ValueError:
         raise ConfigError(f"not an integer: {value!r}", line_no) from None
-
-
-def _float(value: str, line_no: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"not a number: {value!r}", line_no) from None
 
 
 def _vuln_set(text: str) -> frozenset[str]:
@@ -207,7 +200,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         raise ConfigError("[tree] section with depth and degree is required")
     shape = TreeShape(depth=depth, max_degree=degree)
 
-    pipeline = _build_pipeline(pipeline_kv)
+    pipeline, ignored_keys = _build_pipeline(pipeline_kv)
     nodes: dict[NodeAddress, NodeDecl] = {}
     for addr_text, kv, line_no in node_sections:
         try:
@@ -275,12 +268,12 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         mapping=ClassificationMap(rules=mapping_rules, strict=strict_classes),
         assets=assets,
         counterplan_dir=counterplan_dir,
+        ignored_keys=ignored_keys,
     )
 
 
 _PIPELINE_INT_KEYS = {
     "validation_threshold",
-    "time_horizon",
     "window_ticks",
     "portscan_threshold",
     "grace",
@@ -290,23 +283,22 @@ _PIPELINE_INT_KEYS = {
 }
 
 
-def _build_pipeline(kv: dict[str, str]) -> PipelineSettings:
+#: Cross-device clustering keys: still accepted, but no node clusters.
+_IGNORED_PIPELINE_KEYS = {"similarity_weights", "merge_threshold", "time_horizon"}
+
+
+def _build_pipeline(kv: dict[str, str]) -> tuple[PipelineSettings, list[str]]:
+    """Settings from the ``[pipeline]`` keys, and the ignored keys given."""
     settings = PipelineSettings()
+    ignored = []
     for key, value in kv.items():
-        if key == "similarity_weights":
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) != 5:
-                raise ConfigError("similarity_weights needs 5 comma-separated values")
-            settings.weights = SimilarityWeights(*(float(p) for p in parts))
-        elif key == "merge_threshold":
-            settings.merge_threshold = float(value)
-        elif key == "time_horizon":
-            settings.horizon = int(value)
+        if key in _IGNORED_PIPELINE_KEYS:
+            ignored.append(key)
         elif key in _PIPELINE_INT_KEYS:
             setattr(settings, key, int(value))
         else:
             raise ConfigError(f"unknown pipeline key {key!r}")
-    return settings
+    return settings, ignored
 
 
 def load_topology(path: str) -> TopologyConfig:

@@ -10,8 +10,7 @@ states remember which waiting substate to return to.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .addressing import NodeAddress
@@ -184,11 +183,8 @@ class DeviceDescriptor:
     endpoint_ip: str = ""
     asset_value: int = 1
     vulnerability_ids: frozenset[str] = frozenset()
-    event_capacity: int = 32
-    latest_events: deque = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.asset_value <= 5:
             raise ValueError(f"asset_value must be in 1..5, got {self.asset_value}")
         self.vulnerability_ids = frozenset(self.vulnerability_ids)
-        self.latest_events = deque(maxlen=self.event_capacity)

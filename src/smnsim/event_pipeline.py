@@ -2,8 +2,9 @@
 
 Device agents filter raw events, translate them into a uniform record and
 merge repeats; management nodes then rate the records against the asset
-database, drop the lowest, and cluster what remains across device types by
-weighted feature similarity. Connection begin/end markers sorted out of
+database and drop the lowest before session correlation. Cross-device
+clustering by weighted feature similarity is kept as a library stage that
+no node runs. Connection begin/end markers sorted out of
 firewall traffic are sacred throughout: they delimit sessions, so no stage
 may merge or drop them.
 

@@ -2,11 +2,12 @@
 
 A management node keeps a live tree of its subordinates (devices and child
 management nodes alike), drives their state machines from heartbeat traffic,
-pushes device events through validation, clustering and session correlation,
-splices child topology reports into its own view, and executes or forwards
-commands. A device agent mirrors the managed-device side: it emits
-heartbeats and scripted events (filtered, normalized and aggregated before
-leaving the device) and answers policy and vulnerability commands.
+rates device events against the asset database and correlates the kept ones
+into session alerts, splices child topology reports into its own view, and
+executes or forwards commands. A device agent mirrors the managed-device
+side: it emits heartbeats and scripted events (filtered, normalized and
+aggregated before leaving the device) and answers policy and vulnerability
+commands.
 
 Everything a node does is visible as log lines:
 
@@ -50,10 +51,8 @@ from .event_pipeline import (
     ConnectionMarker,
     EventLineError,
     FilterRule,
-    CrossDeviceAggregator,
     Normalizer,
     RawDeviceEvent,
-    SimilarityWeights,
     aggregate_single_device,
     filter_event,
     format_event_line,
@@ -100,9 +99,6 @@ class PipelineSettings:
     """Node-level tunables for event handling and reporting."""
 
     validation_threshold: int = 5
-    weights: SimilarityWeights = SimilarityWeights()
-    merge_threshold: float = 0.7
-    horizon: int = 300
     window_ticks: int = 10
     portscan_threshold: int = 10
     grace: int = 60
@@ -129,7 +125,6 @@ class CoordinationEntry:
     """A case escalated to this node for coordination."""
 
     owner: NodeAddress
-    classification: str
     containment: str
 
 
@@ -139,7 +134,63 @@ _COMMAND_CONDS = {
 }
 
 
-class SmnNode:
+def _parse_command(text: str) -> tuple[str, str, tuple[TransferCondition, ...] | None]:
+    """Kind, command id and (received, finished) conditions of a command
+    payload ``<kind> <cmd-id>\n<body>``; the body is opaque."""
+    kind, _, cmd_id = text.partition("\n")[0].partition(" ")
+    return kind, cmd_id, _COMMAND_CONDS.get(kind)
+
+
+def _in_window(windows: list[tuple[int, int]], now: int) -> bool:
+    return any(start <= now < end for start, end in windows)
+
+
+class _Node:
+    """What management nodes and device agents share: an address, a status,
+    the log lines they leave for the harness and their silence windows."""
+
+    def __init__(self, address: NodeAddress) -> None:
+        self.address = address
+        self.status = DeviceStatus(DeviceState.RUNNING_OK)
+        self.lines: list[str] = []
+        self.silences: list[tuple[int, int]] = []
+
+    def _log(self, now: int, action: str, detail: str = "") -> None:
+        line = f"NODE {self.address} {now} {action}"
+        if detail:
+            line += f" {detail}"
+        self.lines.append(line)
+
+    def drain_lines(self) -> list[str]:
+        lines, self.lines = self.lines, []
+        return lines
+
+    def silence(self, start: int, end: int) -> None:
+        self.silences.append((start, end))
+
+    def silenced(self, now: int) -> bool:
+        return _in_window(self.silences, now)
+
+    def _apply_cond(self, holder, cond: TransferCondition, now: int) -> bool:
+        """Step ``holder.status`` (this node or a tracked child) by ``cond``
+        and log the change; True when the state changed."""
+        old = holder.status.state
+        holder.status, applied = step(holder.status, cond)
+        if not applied or holder.status.state is old:
+            return False
+        self._log(
+            now,
+            "STATE",
+            f"{holder.address} {cond.value} {old.value}->{holder.status.state.value}",
+        )
+        self._state_changed(holder)
+        return True
+
+    def _state_changed(self, holder) -> None:
+        """Called after ``_apply_cond`` changed ``holder``'s state."""
+
+
+class SmnNode(_Node):
     """One security management node."""
 
     def __init__(
@@ -153,7 +204,7 @@ class SmnNode:
         counterplans: CounterplanStore | None = None,
         label: str = "",
     ) -> None:
-        self.address = address
+        super().__init__(address)
         self.shape = shape
         self.parent = parent
         self.settings = settings or PipelineSettings()
@@ -169,12 +220,10 @@ class SmnNode:
             ),
         )
         self.children: dict[NodeAddress, ChildRecord] = {}
-        self.status = DeviceStatus(DeviceState.RUNNING_OK)
         s = self.settings
         self.engine = CorrelationEngine(
             str(address), CorrelationConfig(grace=s.grace, connect_ttl=s.connect_ttl)
         )
-        self.aggregator = CrossDeviceAggregator(s.weights, s.merge_threshold, s.horizon)
         self.assets = assets or AssetDb()
         self.counterplans = counterplans or CounterplanStore()
         self.cases: dict[str, ResponseCase] = {}
@@ -182,22 +231,13 @@ class SmnNode:
         self.case_counter = 0
         self.pending_commands: dict[str, str] = {}
         self.command_counter = 0
-        self.lines: list[str] = []
         self.changesets: list[ChangeSet] = []
         self.session_lines: list[str] = []
         self.last_record: SessionRecord | None = None
         self.events_received = 0  # non-marker events
-        self.markers_received = 0
         self.events_dropped = 0
-        self.silences: list[tuple[int, int]] = []
 
     # -- bookkeeping -------------------------------------------------------
-
-    def silence(self, start: int, end: int) -> None:
-        self.silences.append((start, end))
-
-    def silenced(self, now: int) -> bool:
-        return any(start <= now < end for start, end in self.silences)
 
     def add_child(
         self,
@@ -220,48 +260,15 @@ class SmnNode:
             )
         )
 
-    def _log(self, now: int, action: str, detail: str = "") -> None:
-        line = f"NODE {self.address} {now} {action}"
-        if detail:
-            line += f" {detail}"
-        self.lines.append(line)
-
     def _case_line(self, case_id: str, now: int, actor: object, action: str) -> None:
         self.lines.append(er.format_case_line(case_id, now, str(actor), action))
-
-    def drain_lines(self) -> list[str]:
-        lines, self.lines = self.lines, []
-        return lines
 
     def drain_changesets(self) -> list[ChangeSet]:
         out, self.changesets = self.changesets, []
         return out
 
-    def _apply_child_cond(
-        self, child: ChildRecord, cond: TransferCondition, now: int
-    ) -> bool:
-        old = child.status.state
-        child.status, applied = step(child.status, cond)
-        if not applied or child.status.state is old:
-            return False
-        self._log(
-            now,
-            "STATE",
-            f"{child.address} {cond.value} {old.value}->{child.status.state.value}",
-        )
-        rec = self.virtual_view.set_state(child.address, child.status.state)
-        self.changesets.append((rec,))
-        return True
-
-    def _apply_self_cond(self, cond: TransferCondition, now: int) -> None:
-        old = self.status.state
-        self.status, applied = step(self.status, cond)
-        if not applied or self.status.state is old:
-            return
-        self._log(
-            now, "STATE", f"{self.address} {cond.value} {old.value}->{self.status.state.value}"
-        )
-        rec = self.virtual_view.set_state(self.address, self.status.state)
+    def _state_changed(self, holder) -> None:
+        rec = self.virtual_view.set_state(holder.address, holder.status.state)
         self.changesets.append((rec,))
 
     def _emit_report(self, now: int) -> list[Frame]:
@@ -290,13 +297,13 @@ class SmnNode:
                 self._log(now, "UNKNOWN", f"{frame.src} {mt.name}")
                 return []
             if mt is MsgType.NETWORK_TEST:
-                self._apply_child_cond(child, _T.T1, now)
+                self._apply_cond(child, _T.T1, now)
                 child.net_deadline = now + child.hb.network_test_timeout
                 return []
             if mt is MsgType.DEVICE_STATE_PKG:
-                self._apply_child_cond(child, _T.T3, now)
+                self._apply_cond(child, _T.T3, now)
                 abnormal = frame.text() == "abnormal"
-                self._apply_child_cond(child, _T.T5 if abnormal else _T.T6, now)
+                self._apply_cond(child, _T.T5 if abnormal else _T.T6, now)
                 child.pkg_deadline = now + child.hb.state_pkg_timeout
                 return []
             if mt is MsgType.DEVICE_EVENT:
@@ -318,26 +325,22 @@ class SmnNode:
         return []
 
     def _on_device_event(self, child: ChildRecord, frame: Frame, now: int) -> list[Frame]:
-        self._apply_child_cond(child, _T.T7, now)
+        self._apply_cond(child, _T.T7, now)
         out: list[Frame] = []
         try:
             ev = parse_event_line(frame.text(), self.shape)
         except EventLineError as exc:
             self._log(now, "BADEVENT", str(exc))
-            self._apply_child_cond(child, _T.T8, now)
+            self._apply_cond(child, _T.T8, now)
             return out
         if ev.connection_marker is ConnectionMarker.NONE:
             self.events_received += 1
-        else:
-            self.markers_received += 1
         kept = validate([ev], self.assets, self.settings.validation_threshold)
         if not kept:
             self.events_dropped += 1
             self._log(now, "DROP", ev.event_id)
         else:
-            ev, score = kept[0]
-            self.aggregator.add(ev, score)
-            for action in self.engine.on_event(ev, now):
+            for action in self.engine.on_event(kept[0][0], now):
                 self.last_record = action.record
                 if action.kind == "ending":
                     line = format_session_line(action.record)
@@ -347,7 +350,7 @@ class SmnNode:
                         out.append(
                             self.builder.build(MsgType.SESSION_ALERT, self.parent, now, line)
                         )
-        self._apply_child_cond(child, _T.T8, now)
+        self._apply_cond(child, _T.T8, now)
         return out
 
     def _on_topology_report(self, child: ChildRecord, frame: Frame, now: int) -> list[Frame]:
@@ -368,15 +371,11 @@ class SmnNode:
         return [self.builder.build(MsgType.SESSION_ALERT, self.parent, now, line)]
 
     def _on_command(self, frame: Frame, now: int) -> list[Frame]:
-        head, _, _body = frame.text().partition("\n")
-        kind, _, cmd_id = head.partition(" ")
-        conds = _COMMAND_CONDS.get(kind)
+        kind, cmd_id, conds = _parse_command(frame.text())
         if conds is not None:
-            cond_in, cond_out = conds
-            self._apply_self_cond(cond_in, now)
-            # command bodies are opaque; execution is immediate for a
-            # management node
-            self._apply_self_cond(cond_out, now)
+            # execution is immediate for a management node
+            self._apply_cond(self, conds[0], now)
+            self._apply_cond(self, conds[1], now)
         self._log(now, "CMD", f"{cmd_id} {kind}")
         return [self.builder.build(MsgType.COMMAND_ACK, frame.src, now, cmd_id)]
 
@@ -490,11 +489,9 @@ class SmnNode:
         parts = head.split(" ")
         sub = parts[0]
         if sub == "escalate" and len(parts) >= 4:
-            case_id, owner_text, classification = parts[1], parts[2], parts[3]
+            case_id, owner_text = parts[1], parts[2]
             self.coordinated[case_id] = CoordinationEntry(
-                owner=NodeAddress.parse(owner_text, self.shape),
-                classification=classification,
-                containment=doc,
+                owner=NodeAddress.parse(owner_text, self.shape), containment=doc
             )
             self._log(now, "COORD", case_id)
             return []
@@ -546,10 +543,10 @@ class SmnNode:
         out: list[Frame] = []
         for child in sorted(self.children.values(), key=lambda c: c.address.segments):
             if now >= child.pkg_deadline:
-                self._apply_child_cond(child, _T.T4, now)
+                self._apply_cond(child, _T.T4, now)
                 child.pkg_deadline = now + child.hb.state_pkg_timeout
             if now >= child.net_deadline:
-                changed = self._apply_child_cond(child, _T.T2, now)
+                changed = self._apply_cond(child, _T.T2, now)
                 child.net_deadline = now + child.hb.network_test_timeout
                 if (
                     changed
@@ -575,13 +572,7 @@ class SmnNode:
         return out
 
 
-@dataclass
-class ScheduledEvent:
-    at: int
-    raw: RawDeviceEvent
-
-
-class DeviceAgent:
+class DeviceAgent(_Node):
     """Simulated managed device: heartbeats, scripted events, command acks."""
 
     def __init__(
@@ -594,8 +585,8 @@ class DeviceAgent:
         filter_rules: list[FilterRule] | None = None,
         mapping: ClassificationMap | None = None,
     ) -> None:
+        super().__init__(descriptor.address)
         self.descriptor = descriptor
-        self.address = descriptor.address
         self.shape = shape
         self.parent = parent
         self.hb = hb or HeartbeatConfig()
@@ -603,25 +594,9 @@ class DeviceAgent:
         self.filter_rules = filter_rules or []
         self.normalizer = Normalizer(mapping or ClassificationMap())
         self.builder = FrameBuilder(self.address)
-        self.status = DeviceStatus(DeviceState.RUNNING_OK)
         self.buffer: list[RawDeviceEvent] = []
-        self.silences: list[tuple[int, int]] = []
         self.abnormal_windows: list[tuple[int, int]] = []
         self.pending_acks: list[tuple[int, str, TransferCondition, NodeAddress]] = []
-        self.lines: list[str] = []
-
-    def _log(self, now: int, action: str, detail: str = "") -> None:
-        line = f"NODE {self.address} {now} {action}"
-        if detail:
-            line += f" {detail}"
-        self.lines.append(line)
-
-    def drain_lines(self) -> list[str]:
-        lines, self.lines = self.lines, []
-        return lines
-
-    def silence(self, start: int, end: int) -> None:
-        self.silences.append((start, end))
 
     def mark_abnormal(self, start: int, end: int) -> None:
         self.abnormal_windows.append((start, end))
@@ -629,42 +604,26 @@ class DeviceAgent:
     def inject(self, raw: RawDeviceEvent) -> None:
         self.buffer.append(raw)
 
-    def _in_window(self, windows: list[tuple[int, int]], now: int) -> bool:
-        return any(start <= now < end for start, end in windows)
-
-    def _apply_cond(self, cond: TransferCondition, now: int) -> None:
-        old = self.status.state
-        self.status, applied = step(self.status, cond)
-        if applied and self.status.state is not old:
-            self._log(
-                now,
-                "STATE",
-                f"{self.address} {cond.value} {old.value}->{self.status.state.value}",
-            )
-
     def on_frame(self, frame: Frame, now: int) -> list[Frame]:
         if frame.msg_type is not MsgType.COMMAND:
             return []
-        head, _, _body = frame.text().partition("\n")
-        kind, _, cmd_id = head.partition(" ")
-        conds = _COMMAND_CONDS.get(kind)
+        _kind, cmd_id, conds = _parse_command(frame.text())
         if conds is None:
             return [self.builder.build(MsgType.COMMAND_ACK, frame.src, now, cmd_id)]
-        cond_in, cond_out = conds
-        self._apply_cond(cond_in, now)
+        self._apply_cond(self, conds[0], now)
         self.pending_acks.append(
-            (now + self.settings.command_delay, cmd_id, cond_out, frame.src)
+            (now + self.settings.command_delay, cmd_id, conds[1], frame.src)
         )
         return []
 
     def step(self, now: int) -> list[Frame]:
-        if self._in_window(self.silences, now):
+        if self.silenced(now):
             return []
         out: list[Frame] = []
         still: list[tuple[int, str, TransferCondition, NodeAddress]] = []
         for due, cmd_id, cond_out, reply_to in self.pending_acks:
             if due <= now:
-                self._apply_cond(cond_out, now)
+                self._apply_cond(self, cond_out, now)
                 self._log(now, "CMD", f"{cmd_id} done")
                 out.append(self.builder.build(MsgType.COMMAND_ACK, reply_to, now, cmd_id))
             else:
@@ -673,7 +632,7 @@ class DeviceAgent:
         if now % self.hb.network_test_interval == 0:
             out.append(self.builder.build(MsgType.NETWORK_TEST, self.parent, now))
         if now % self.hb.state_pkg_interval == 0:
-            abnormal = self._in_window(self.abnormal_windows, now)
+            abnormal = _in_window(self.abnormal_windows, now)
             out.append(
                 self.builder.build(
                     MsgType.DEVICE_STATE_PKG,
@@ -698,7 +657,6 @@ class DeviceAgent:
         )
         frames = []
         for ev in aggregated:
-            self.descriptor.latest_events.append(ev)
             frames.append(
                 self.builder.build(
                     MsgType.DEVICE_EVENT, self.parent, now, format_event_line(ev)

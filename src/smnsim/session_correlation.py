@@ -26,7 +26,6 @@ from .event_pipeline import ConnectionMarker, NormalizedEvent
 
 class SessionStatus(Enum):
     OPEN = "open"
-    ENDED = "ended"
     DESTROY_PENDING = "destroy-pending"
 
 
@@ -129,7 +128,6 @@ class CorrelationEngine:
         self.config = config or CorrelationConfig()
         self.store = SessionStore()
         self.conn_queue = ConnectionQueue()
-        self.archived: list[SessionAlert] = []
         # accounting: every non-marker event lands in exactly one bucket
         self.joined_events = 0
         self.independent_events = 0
@@ -248,7 +246,8 @@ class CorrelationEngine:
         return []
 
     def sweep(self, now: int) -> list[SessionAlert]:
-        """Archive pending alerts past their deadline; expire stale connects."""
+        """Remove and return pending alerts past their deadline; expire
+        stale connects."""
         done = [
             a
             for a in self.store.alerts
@@ -258,7 +257,6 @@ class CorrelationEngine:
         ]
         for alert in done:
             self.store.alerts.remove(alert)
-            self.archived.append(alert)
         self.conn_queue.entries = [
             e
             for e in self.conn_queue.entries

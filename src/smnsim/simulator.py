@@ -1,18 +1,16 @@
 """Deterministic scenario runner.
 
 One tick is one global delivery step. Per tick the harness applies scenario
-directives, lets every node drain its mailbox and act (in address order, or
-concurrently in threaded mode with the same merge order), injects the
-collected outbound frames, replays the root's change sets onto the console
-mirror, and advances the network one hop. Identical inputs and seed give
-byte-identical reports.
+directives, lets every node drain its mailbox and act in address order,
+injects the collected outbound frames, replays the root's change sets onto
+the console mirror, and advances the network one hop. Identical inputs and
+seed give byte-identical reports.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .addressing import NodeAddress
@@ -23,7 +21,12 @@ from .emergency_response import CounterplanStore, ResponseError
 from .event_pipeline import AssetDb, NormalizedEvent, RawDeviceEvent, validate
 from .messaging import Frame, LinkTable, SimNetwork
 from .node_runtime import DeviceAgent, PipelineSettings, SmnNode
-from .session_correlation import CorrelationConfig, CorrelationEngine, format_session_line
+from .session_correlation import (
+    CorrelationConfig,
+    CorrelationEngine,
+    SessionStatus,
+    format_session_line,
+)
 
 
 class InvariantViolation(Exception):
@@ -76,12 +79,10 @@ class Simulation:
         topology: TopologyConfig,
         scenario: ScenarioScript,
         debug: bool = False,
-        threaded: bool = False,
     ) -> None:
         self.topology = topology
         self.scenario = scenario
         self.debug = debug
-        self.threaded = threaded
         self.shape = topology.shape
         self.rng = random.Random(scenario.seed)
         self._tick = 0
@@ -151,8 +152,12 @@ class Simulation:
                 addr = self._addr(d.args["device"], d.line_no)
                 if addr not in self.agents:
                     raise ConfigError(f"emit target {addr} is not a device", d.line_no)
-            elif d.op in ("silence", "abnormal"):
+            elif d.op == "silence":
                 self._addr(d.args["node"], d.line_no)
+            elif d.op == "abnormal":
+                addr = self._addr(d.args["node"], d.line_no)
+                if addr not in self.agents:
+                    raise ConfigError(f"abnormal target {addr} is not a device", d.line_no)
             elif d.op == "command":
                 self._addr(d.args["target"], d.line_no)
             elif d.op == "inject-loss":
@@ -186,15 +191,10 @@ class Simulation:
                 self._do_emit(d, tick)
             elif d.op == "silence":
                 node = self._addr(d.args["node"])
-                until = int(d.args["until"])
-                if node in self.agents:
-                    self.agents[node].silence(tick, until)
-                else:
-                    self._silence_smn(node, tick, until)
+                (self.smns.get(node) or self.agents[node]).silence(tick, int(d.args["until"]))
             elif d.op == "abnormal":
                 node = self._addr(d.args["node"])
-                if node in self.agents:
-                    self.agents[node].mark_abnormal(tick, int(d.args["until"]))
+                self.agents[node].mark_abnormal(tick, int(d.args["until"]))
             elif d.op == "command":
                 target = self._addr(d.args["target"])
                 _, frames = self.root.dispatch_command(
@@ -232,9 +232,6 @@ class Simulation:
                 detail=d.args.get("detail", ""),
             )
         )
-
-    def _silence_smn(self, node: NodeAddress, start: int, end: int) -> None:
-        self.smns[node].silence(start, end)
 
     def _do_respond(self, d, tick: int, outbound: list[Frame]) -> None:
         action = d.args["action"]
@@ -292,44 +289,27 @@ class Simulation:
 
     def run(self) -> RunReport:
         end_tick = self.scenario.last_tick + self.scenario.drain
-        executor = (
-            ThreadPoolExecutor(max_workers=max(1, len(self.order)))
-            if self.threaded
-            else None
-        )
-        try:
-            for tick in range(end_tick + 1):
-                self._tick = tick
-                outbound: list[Frame] = []
-                self._apply_directives(tick, outbound)
-                if executor is not None:
-                    futures = [
-                        executor.submit(self._process_node, addr, tick)
-                        for addr in self.order
-                    ]
-                    for future in futures:
-                        outbound.extend(future.result())
-                else:
-                    for addr in self.order:
-                        outbound.extend(self._process_node(addr, tick))
-                for addr in self.order:
-                    node = self.smns.get(addr) or self.agents[addr]
-                    self.collected.extend(node.drain_lines())
-                for frame in outbound:
-                    self.network.send(frame)
-                for changes in self.root.drain_changesets():
-                    self.mirror.apply_changeset(changes)
-                if self.debug:
-                    self._check_mirror()
-                for addr in self.smns:
-                    if addr != self.root.address:
-                        self.smns[addr].drain_changesets()
-                self.network.step()
-                if self.debug:
-                    self._check_invariants()
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
+        for tick in range(end_tick + 1):
+            self._tick = tick
+            outbound: list[Frame] = []
+            self._apply_directives(tick, outbound)
+            for addr in self.order:
+                outbound.extend(self._process_node(addr, tick))
+            for addr in self.order:
+                node = self.smns.get(addr) or self.agents[addr]
+                self.collected.extend(node.drain_lines())
+            for frame in outbound:
+                self.network.send(frame)
+            for changes in self.root.drain_changesets():
+                self.mirror.apply_changeset(changes)
+            if self.debug:
+                self._check_mirror()
+            for addr in self.smns:
+                if addr != self.root.address:
+                    self.smns[addr].drain_changesets()
+            self.network.step()
+            if self.debug:
+                self._check_invariants()
         return self._report()
 
     def _check_mirror(self) -> None:
@@ -373,10 +353,6 @@ class Simulation:
 def _split_endpoint(text: str) -> tuple[str, int]:
     ip, _, port = text.partition(":")
     return ip, int(port) if port else 0
-
-
-def run(topology: TopologyConfig, scenario: ScenarioScript, **kwargs) -> RunReport:
-    return Simulation(topology, scenario, **kwargs).run()
 
 
 def run_correlate(

@@ -125,12 +125,8 @@ def test_descriptor_bounds():
         address=NodeAddress((1, 1, 1), shape),
         kind=DeviceKind.FIREWALL,
         asset_value=3,
-        event_capacity=2,
     )
-    d.latest_events.append("a")
-    d.latest_events.append("b")
-    d.latest_events.append("c")
-    assert list(d.latest_events) == ["b", "c"]
+    assert d.asset_value == 3
     with pytest.raises(ValueError):
         DeviceDescriptor(
             address=NodeAddress((1, 1, 1), shape), kind=DeviceKind.IDS, asset_value=9

@@ -1,0 +1,70 @@
+from pathlib import Path
+
+import pytest
+
+from smnsim import cli
+from smnsim.config import ConfigError, load_topology, parse_scenario, parse_topology
+from smnsim.simulator import Simulation
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "demo"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+REPORT_FILES = [
+    "cases.txt",
+    "deadletters.txt",
+    "mirror.txt",
+    "nodes.txt",
+    "sessions.txt",
+    "tree.txt",
+]
+
+
+@pytest.mark.parametrize("debug", [False, True])
+@pytest.mark.parametrize("scenario", ["attack", "heartbeat", "respond"])
+def test_demo_reports_match_golden(scenario, debug, tmp_path):
+    argv = [
+        "simulate",
+        "--topology", str(DEMO / "topology.cfg"),
+        "--scenario", str(DEMO / f"{scenario}.scn"),
+        "--out", str(tmp_path),
+    ]
+    assert cli.main(argv + ["--debug"] if debug else argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == REPORT_FILES
+    for name in REPORT_FILES:
+        want = (GOLDEN / scenario / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == want, f"{scenario}/{name}"
+
+
+ROOT_DEVICES_TOPOLOGY = """\
+[tree]
+depth = 3
+degree = 4
+
+[node 1.0.0]
+kind = SMN
+
+[node 1.1.0]
+kind = Firewall
+ip = 10.0.1.1
+
+[node 1.2.0]
+kind = IDS
+ip = 10.0.1.2
+"""
+
+
+def test_session_open_at_root_is_reported():
+    scenario = parse_scenario(
+        "drain = 60\n"
+        "at 20 emit 1.1.0 class=fw.connect src=10.0.0.9:4242 dst=10.0.1.5:80\n"
+        "at 25 emit 1.2.0 class=sig.1 src=10.0.0.9:4242 dst=10.0.1.5:80 sev=5\n"
+    )
+    report = Simulation(parse_topology(ROOT_DEVICES_TOPOLOGY), scenario).run()
+    assert report.sessions == ["SESSION 1.0.0#1 10.0.0.9:4242 10.0.1.5:80 20 open 1 [1.2.0-1]"]
+
+
+def test_abnormal_on_management_node_rejected():
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    Simulation(topology, parse_scenario("at 5 abnormal 1.1.1 until 10\n"))
+    with pytest.raises(ConfigError, match="line 1: abnormal target 1.1.0 is not a device"):
+        Simulation(topology, parse_scenario("at 5 abnormal 1.1.0 until 10\n"))
