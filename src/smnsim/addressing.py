@@ -8,7 +8,7 @@ locate a node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class AddressError(ValueError):
@@ -61,7 +61,7 @@ class TreeShape:
             raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeAddress:
     """A validated address: one segment per level, zero-padded tail.
 
@@ -71,6 +71,7 @@ class NodeAddress:
 
     segments: tuple[int, ...]
     shape: TreeShape
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -93,6 +94,21 @@ class NodeAddress:
                 )
             if seg == 0:
                 seen_zero = True
+        # Addresses key every routing and tree lookup; hash them once.
+        shape = self.shape
+        object.__setattr__(self, "_hash", hash((segs, shape.depth, shape.max_degree)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.segments == other.segments and (
+            self.shape is other.shape or self.shape == other.shape
+        )
 
     @classmethod
     def parse(cls, text: str, shape: TreeShape) -> "NodeAddress":

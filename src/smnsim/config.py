@@ -127,7 +127,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
     shape: TreeShape | None = None
     depth = degree = None
     hb_defaults: dict[str, int] = {}
-    pipeline_kv: dict[str, str] = {}
+    pipeline_kv: dict[str, tuple[str, int]] = {}
     node_sections: list[tuple[str, dict[str, str], int]] = []
     filter_rules: list[FilterRule] = []
     mapping_rules: dict[tuple[DeviceKind, str], str] = {}
@@ -163,7 +163,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
                 raise ConfigError(f"unknown heartbeat key {key!r}", line_no)
             hb_defaults[key] = _int(value, line_no)
         elif section == "pipeline":
-            pipeline_kv[key] = value
+            pipeline_kv[key] = (value, line_no)
         elif section.startswith("node "):
             assert current_node is not None
             current_node[key] = value
@@ -287,15 +287,18 @@ _PIPELINE_INT_KEYS = {
 _IGNORED_PIPELINE_KEYS = {"similarity_weights", "merge_threshold", "time_horizon"}
 
 
-def _build_pipeline(kv: dict[str, str]) -> tuple[PipelineSettings, list[str]]:
-    """Settings from the ``[pipeline]`` keys, and the ignored keys given."""
+def _build_pipeline(
+    kv: dict[str, tuple[str, int]]
+) -> tuple[PipelineSettings, list[str]]:
+    """Settings from the ``[pipeline]`` keys (value and line number), and
+    the ignored keys given."""
     settings = PipelineSettings()
     ignored = []
-    for key, value in kv.items():
+    for key, (value, line_no) in kv.items():
         if key in _IGNORED_PIPELINE_KEYS:
             ignored.append(key)
         elif key in _PIPELINE_INT_KEYS:
-            setattr(settings, key, int(value))
+            setattr(settings, key, _int(value, line_no))
         else:
             raise ConfigError(f"unknown pipeline key {key!r}")
     return settings, ignored

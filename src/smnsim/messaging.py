@@ -222,15 +222,17 @@ class LinkTable:
 
     @classmethod
     def from_addresses(cls, addresses: list[NodeAddress]) -> "LinkTable":
-        present = set(addresses)
-        entries: dict[NodeAddress, Links] = {}
-        for addr in addresses:
-            parent = addr.parent()
-            if parent is not None and parent not in present:
+        parents = {addr: addr.parent() for addr in addresses}
+        children: dict[NodeAddress, set[NodeAddress]] = {a: set() for a in parents}
+        for addr, parent in parents.items():
+            if parent is None:
+                continue
+            if parent not in children:
                 raise ValueError(f"{addr} declared without its parent {parent}")
-            children = frozenset(a for a in present if a.parent() == addr)
-            entries[addr] = Links(parent=parent, children=children)
-        return cls(entries)
+            children[parent].add(addr)
+        return cls(
+            {a: Links(parent=p, children=frozenset(children[a])) for a, p in parents.items()}
+        )
 
     def __contains__(self, addr: NodeAddress) -> bool:
         return addr in self.entries
@@ -303,7 +305,12 @@ class SimNetwork:
     def __init__(self, links: LinkTable, loss_hook=None) -> None:
         self.links = links
         self.loss_hook = loss_hook
+        #: every node in address order; a node's index here is its slot
+        self.order = sorted(links, key=lambda a: a.segments)
+        self.slots = {addr: slot for slot, addr in enumerate(self.order)}
         self.mailboxes: dict[NodeAddress, Mailbox] = {a: Mailbox() for a in links}
+        #: slots whose mailbox a step filled; the reader empties the set
+        self.arrived: set[int] = set()
         self.transit: list[tuple[NodeAddress, Frame]] = []
         self.dead_letters: list[DeadLetter] = []
         self.dropped = 0
@@ -320,15 +327,15 @@ class SimNetwork:
                 self.dead_letters.append(DeadLetter(frame, str(exc)))
                 continue
             if hop is None:
-                self.mailboxes[at].push(frame)
-                continue
-            if self.loss_hook is not None and self.loss_hook(frame, at, hop):
+                hop = at
+            elif self.loss_hook is not None and self.loss_hook(frame, at, hop):
                 self.dropped += 1
                 continue
-            if hop == frame.dst:
-                self.mailboxes[hop].push(frame)
-            else:
+            elif hop != frame.dst:
                 self.transit.append((hop, frame))
+                continue
+            self.mailboxes[hop].push(frame)
+            self.arrived.add(self.slots[hop])
 
     def poll(self, addr: NodeAddress) -> Frame | None:
         return self.mailboxes[addr].pop()

@@ -251,6 +251,9 @@ class SmnNode(_Node):
         record.net_deadline = hb.network_test_timeout
         record.pkg_deadline = hb.state_pkg_timeout
         self.children[address] = record
+        # on_tick visits children in address order, which fixes the order of
+        # their STATE lines
+        self.children = dict(sorted(self.children.items(), key=lambda kv: kv[0].segments))
         self.virtual_view.add_device(
             DeviceNodeRecord(
                 address=address,
@@ -541,7 +544,7 @@ class SmnNode(_Node):
 
     def on_tick(self, now: int) -> list[Frame]:
         out: list[Frame] = []
-        for child in sorted(self.children.values(), key=lambda c: c.address.segments):
+        for child in self.children.values():
             if now >= child.pkg_deadline:
                 self._apply_cond(child, _T.T4, now)
                 child.pkg_deadline = now + child.hb.state_pkg_timeout
@@ -615,6 +618,20 @@ class DeviceAgent(_Node):
             (now + self.settings.command_delay, cmd_id, conds[1], frame.src)
         )
         return []
+
+    def next_wake(self, now: int) -> int:
+        """The first tick after ``now`` at which ``step`` can act, given no new
+        frame or event: the next heartbeat, the next window flush while events
+        wait, or the earliest pending ack (the next tick for an ack overdue
+        because the device is silenced)."""
+        net, pkg = self.hb.network_test_interval, self.hb.state_pkg_interval
+        wake = min(now - now % net + net, now - now % pkg + pkg)
+        if self.buffer:
+            window = self.settings.window_ticks
+            wake = min(wake, now - now % window + window)
+        for due, *_ in self.pending_acks:
+            wake = min(wake, max(due, now + 1))
+        return wake
 
     def step(self, now: int) -> list[Frame]:
         if self.silenced(now):

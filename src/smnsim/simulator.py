@@ -1,10 +1,15 @@
 """Deterministic scenario runner.
 
 One tick is one global delivery step. Per tick the harness applies scenario
-directives, lets every node drain its mailbox and act in address order,
-injects the collected outbound frames, replays the root's change sets onto
-the console mirror, and advances the network one hop. Identical inputs and
-seed give byte-identical reports.
+directives and lets the nodes that are due or addressed drain their mailbox
+and act, in address order: every management node (its child deadlines and
+correlation sweep run each tick), each device agent a frame arrived for,
+and each device agent whose own timers fall due, as kept on a timing wheel
+from ``DeviceAgent.next_wake``. A device agent skipped on a tick has
+nothing to do on it. The harness then injects the collected outbound
+frames, replays the root's change sets onto the console mirror, and
+advances the network one hop. Identical inputs and seed give byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -129,9 +134,19 @@ class Simulation:
             if parent is not None:
                 self.smns[parent].add_child(addr, decl.kind, decl.label, decl.hb)
 
-        self.order = sorted(topology.nodes, key=lambda a: a.segments)
         self.links = LinkTable.from_addresses(list(topology.nodes))
         self.network = SimNetwork(self.links, loss_hook=self._lossy)
+        self.order = self.network.order
+        self._nodes = [self.smns.get(a) or self.agents[a] for a in self.order]
+        self._smn_slots = frozenset(
+            slot for slot, addr in enumerate(self.order) if addr in self.smns
+        )
+        # The timing wheel: tick -> slots of the device agents due then, and
+        # per slot the tick it is filed under. Every agent acts at tick 0.
+        self._wake = [0] * len(self.order)
+        self._wheel: dict[int, set[int]] = {
+            0: {slot for slot in range(len(self.order)) if slot not in self._smn_slots}
+        }
         self.root = self.smns[topology.root]
         self.mirror = AddressedDeviceTree(
             shape=self.shape,
@@ -147,25 +162,50 @@ class Simulation:
     # -- setup helpers -----------------------------------------------------
 
     def _validate_directives(self) -> None:
+        """Parse every directive's values once before the run, so a bad value
+        is a ConfigError here and never a traceback mid-run. The values are
+        parsed again when applied: keeping them would hold a parsed copy of
+        every emit for the whole run."""
         for d in self.scenario.directives:
-            if d.op == "emit":
-                addr = self._addr(d.args["device"], d.line_no)
-                if addr not in self.agents:
-                    raise ConfigError(f"emit target {addr} is not a device", d.line_no)
-            elif d.op == "silence":
-                self._addr(d.args["node"], d.line_no)
-            elif d.op == "abnormal":
-                addr = self._addr(d.args["node"], d.line_no)
-                if addr not in self.agents:
-                    raise ConfigError(f"abnormal target {addr} is not a device", d.line_no)
-            elif d.op == "command":
-                self._addr(d.args["target"], d.line_no)
-            elif d.op == "inject-loss":
-                self._addr(d.args["from"], d.line_no)
-                self._addr(d.args["to"], d.line_no)
-            elif d.op == "respond":
-                if d.args["action"] == "launch" and "owner" not in d.args:
-                    raise ConfigError("respond launch needs owner=", d.line_no)
+            self._parse_values(d)
+
+    def _parse_values(self, d):
+        """What ``_apply_directives`` needs of directive ``d``, checked."""
+        args, line_no = d.args, d.line_no
+        if d.op == "emit":
+            addr = self._addr(args["device"], line_no)
+            if addr not in self.agents:
+                raise ConfigError(f"emit target {addr} is not a device", line_no)
+            severity = _number(int, args.get("sev", "1"), "sev", line_no)
+            if not 1 <= severity <= 5:
+                raise ConfigError(f"sev {severity} outside 1..5", line_no)
+            return (
+                addr,
+                *_endpoint(args["src"], "src", line_no),
+                *_endpoint(args["dst"], "dst", line_no),
+                severity,
+            )
+        if d.op in ("silence", "abnormal"):
+            addr = self._addr(args["node"], line_no)
+            if d.op == "abnormal" and addr not in self.agents:
+                raise ConfigError(f"abnormal target {addr} is not a device", line_no)
+            return addr, _number(int, args["until"], "until", line_no)
+        if d.op == "command":
+            target = self._addr(args["target"], line_no)
+            if not self.root.address.is_ancestor(target):
+                raise ConfigError(f"command target {target} is not below the root", line_no)
+            return target
+        if d.op == "inject-loss":
+            return _LossWindow(
+                src=self._addr(args["from"], line_no),
+                dst=self._addr(args["to"], line_no),
+                start=d.tick,
+                end=_number(int, args["until"], "until", line_no),
+                rate=_number(float, args["rate"], "rate", line_no),
+            )
+        if d.op == "respond" and args["action"] == "launch" and "owner" not in args:
+            raise ConfigError("respond launch needs owner=", line_no)
+        return None
 
     def _addr(self, text: str, line_no: int | None = None) -> NodeAddress:
         try:
@@ -186,41 +226,32 @@ class Simulation:
     # -- directives --------------------------------------------------------
 
     def _apply_directives(self, tick: int, outbound: list[Frame]) -> None:
-        for d in self._by_tick.get(tick, []):
+        for d in self._by_tick.get(tick, ()):
+            values = self._parse_values(d)
             if d.op == "emit":
-                self._do_emit(d, tick)
+                self._do_emit(d, values, tick)
             elif d.op == "silence":
-                node = self._addr(d.args["node"])
-                (self.smns.get(node) or self.agents[node]).silence(tick, int(d.args["until"]))
+                node, until = values
+                (self.smns.get(node) or self.agents[node]).silence(tick, until)
             elif d.op == "abnormal":
-                node = self._addr(d.args["node"])
-                self.agents[node].mark_abnormal(tick, int(d.args["until"]))
+                node, until = values
+                self.agents[node].mark_abnormal(tick, until)
             elif d.op == "command":
-                target = self._addr(d.args["target"])
                 _, frames = self.root.dispatch_command(
-                    target, d.args["kind"], "scripted", tick
+                    values, d.args["kind"], "scripted", tick
                 )
                 outbound.extend(frames)
             elif d.op == "respond":
                 self._do_respond(d, tick, outbound)
             elif d.op == "inject-loss":
-                self.loss_windows.append(
-                    _LossWindow(
-                        src=self._addr(d.args["from"]),
-                        dst=self._addr(d.args["to"]),
-                        start=tick,
-                        end=int(d.args["until"]),
-                        rate=float(d.args["rate"]),
-                    )
-                )
+                self.loss_windows.append(values)
 
-    def _do_emit(self, d, tick: int) -> None:
-        agent = self.agents[self._addr(d.args["device"])]
-        src_ip, src_port = _split_endpoint(d.args["src"])
-        dst_ip, dst_port = _split_endpoint(d.args["dst"])
+    def _do_emit(self, d, values, tick: int) -> None:
+        addr, src_ip, src_port, dst_ip, dst_port, severity = values
+        agent = self.agents[addr]
         agent.inject(
             RawDeviceEvent(
-                device_address=agent.address,
+                device_address=addr,
                 device_kind=agent.descriptor.kind,
                 native_class=d.args["class"],
                 timestamp=tick,
@@ -228,10 +259,13 @@ class Simulation:
                 src_port=src_port,
                 dst_ip=dst_ip,
                 dst_port=dst_port,
-                severity=int(d.args.get("sev", "1")),
+                severity=severity,
                 detail=d.args.get("detail", ""),
             )
         )
+        # the agent may be filed under this very tick, which must stand
+        slot = self.network.slots[addr]
+        self._schedule(slot, min(self._wake[slot], agent.next_wake(tick)))
 
     def _do_respond(self, d, tick: int, outbound: list[Frame]) -> None:
         action = d.args["action"]
@@ -269,22 +303,34 @@ class Simulation:
 
     # -- the loop ----------------------------------------------------------
 
-    def _process_node(self, addr: NodeAddress, tick: int) -> list[Frame]:
-        node = self.smns.get(addr) or self.agents[addr]
+    def _schedule(self, slot: int, tick: int) -> None:
+        """File the device agent in ``slot`` under ``tick`` alone."""
+        filed = self._wake[slot]
+        if filed == tick:
+            return
+        bucket = self._wheel.get(filed)
+        if bucket is not None:
+            bucket.discard(slot)
+        self._wheel.setdefault(tick, set()).add(slot)
+        self._wake[slot] = tick
+
+    def _run_node(self, slot: int, tick: int, addressed: bool) -> list[Frame]:
+        node = self._nodes[slot]
         out: list[Frame] = []
-        while True:
+        if addressed:
+            addr = self.order[slot]
             frame = self.network.poll(addr)
-            if frame is None:
-                break
-            out.extend(node.on_frame(frame, tick))
-        if addr in self.smns:
-            smn = self.smns[addr]
-            ticked = smn.on_tick(tick)
-            if smn.silenced(tick):
+            while frame is not None:
+                out.extend(node.on_frame(frame, tick))
+                frame = self.network.poll(addr)
+        if slot in self._smn_slots:
+            ticked = node.on_tick(tick)
+            if node.silenced(tick):
                 return []
             out.extend(ticked)
         else:
-            out.extend(self.agents[addr].step(tick))
+            out.extend(node.step(tick))
+            self._schedule(slot, node.next_wake(tick))
         return out
 
     def run(self) -> RunReport:
@@ -293,11 +339,11 @@ class Simulation:
             self._tick = tick
             outbound: list[Frame] = []
             self._apply_directives(tick, outbound)
-            for addr in self.order:
-                outbound.extend(self._process_node(addr, tick))
-            for addr in self.order:
-                node = self.smns.get(addr) or self.agents[addr]
-                self.collected.extend(node.drain_lines())
+            arrived, self.network.arrived = self.network.arrived, set()
+            due = self._wheel.pop(tick, ())
+            for slot in sorted(self._smn_slots.union(due, arrived)):
+                outbound.extend(self._run_node(slot, tick, slot in arrived))
+                self.collected.extend(self._nodes[slot].drain_lines())
             for frame in outbound:
                 self.network.send(frame)
             for changes in self.root.drain_changesets():
@@ -350,9 +396,21 @@ class Simulation:
         )
 
 
-def _split_endpoint(text: str) -> tuple[str, int]:
+def _number(convert, text: str, name: str, line_no: int):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigError(f"{name} is not a number: {text!r}", line_no) from None
+
+
+def _endpoint(text: str, name: str, line_no: int) -> tuple[str, int]:
     ip, _, port = text.partition(":")
-    return ip, int(port) if port else 0
+    if not port:
+        return ip, 0
+    number = _number(int, port, f"{name} port", line_no)
+    if not 0 <= number <= 65535:
+        raise ConfigError(f"{name} port {number} outside 0..65535", line_no)
+    return ip, number
 
 
 def run_correlate(

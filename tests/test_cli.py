@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from smnsim import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,3 +100,38 @@ def test_ignored_clustering_keys_are_named_and_change_nothing(tmp_path, capsys):
     )
     for golden in (GOLDEN / "attack").iterdir():
         assert (out / golden.name).read_bytes() == golden.read_bytes()
+
+
+def test_simulate_non_integer_pipeline_value(tmp_path, capsys):
+    text = (DEMO / "topology.cfg").read_text().replace("grace = 60", "grace = sixty")
+    topology = tmp_path / "topology.cfg"
+    topology.write_text(text)
+    assert cli.main(simulate_argv(topology, tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "config error: line 18: not an integer: 'sixty'\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "directive, message",
+    [
+        ("at 5 silence 1.1.1 until soon", "until is not a number: 'soon'"),
+        ("at 5 inject-loss 1.1.0->1.0.0 until 9 rate=half", "rate is not a number: 'half'"),
+        (
+            "at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:99999 dst=10.0.1.5:80",
+            "src port 99999 outside 0..65535",
+        ),
+        ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:80 sev=high",
+         "sev is not a number: 'high'"),
+        ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:80 sev=9",
+         "sev 9 outside 1..5"),
+        ("at 5 command policy 1.0.0", "command target 1.0.0 is not below the root"),
+    ],
+)
+def test_simulate_bad_directive_value_fails_before_the_run(directive, message, tmp_path, capsys):
+    scenario = tmp_path / "bad.scn"
+    scenario.write_text("drain = 10\nat 1 silence 1.1.2 until 3\n" + directive + "\n")
+    argv = simulate_argv(DEMO / "topology.cfg", tmp_path / "out")
+    argv[argv.index("--scenario") + 1] = str(scenario)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: line 3: {message}\n"
+    assert not (tmp_path / "out").exists()

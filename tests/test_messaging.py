@@ -9,6 +9,7 @@ from smnsim.messaging import (
     BadVersion,
     Frame,
     FrameBuilder,
+    Links,
     LinkTable,
     Mailbox,
     MsgType,
@@ -134,6 +135,18 @@ def links():
     return LinkTable.from_addresses([A(t) for t in TREE])
 
 
+def test_link_table_entries(links):
+    assert links.entries[A("1.0.0.0")] == Links(
+        parent=None, children=frozenset({A("1.1.0.0"), A("1.2.0.0")})
+    )
+    assert links.entries[A("1.2.2.0")] == Links(
+        parent=A("1.2.0.0"), children=frozenset({A("1.2.2.1")})
+    )
+    assert links.entries[A("1.2.2.1")].children == frozenset()
+    with pytest.raises(ValueError, match="1.2.2.1 declared without its parent 1.2.2.0"):
+        LinkTable.from_addresses([A(t) for t in TREE if t != "1.2.2.0"])
+
+
 def test_next_hop_climbs_toward_common_ancestor(links):
     assert next_hop(A("1.1.1.0"), A("1.2.0.0"), links) == A("1.1.0.0")
 
@@ -202,7 +215,18 @@ def test_network_direct_link_delivers_next_step(links):
     net.send(f)
     assert net.poll(A("1.1.0.0")) is None
     net.step()
+    assert net.arrived == {net.slots[A("1.1.0.0")]}
+    assert net.order[net.slots[A("1.1.0.0")]] == A("1.1.0.0")
     assert net.poll(A("1.1.0.0")) == f
+
+
+def test_network_frame_to_self_arrives_next_step(links):
+    net = SimNetwork(links)
+    f = frame(src="1.2.2.1", dst="1.2.2.1", payload=b"")
+    net.send(f)
+    net.step()
+    assert net.arrived == {net.slots[A("1.2.2.1")]}
+    assert net.poll(A("1.2.2.1")) == f
 
 
 def test_network_multi_hop(links):
@@ -249,3 +273,4 @@ def test_network_loss_hook_drops(links):
     assert net.poll(A("1.1.0.0")) is None
     assert net.dropped == 1
     assert net.in_flight() == 0
+    assert net.arrived == set()

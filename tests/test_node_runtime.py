@@ -387,3 +387,35 @@ def test_agent_abnormal_window_flags_state_pkg():
     frames = agent.step(24)
     pkg = [f for f in frames if f.msg_type is MsgType.DEVICE_STATE_PKG]
     assert pkg and pkg[0].text() == "normal"
+
+
+def test_agent_next_wake_covers_heartbeats_window_and_acks():
+    agent = make_agent()  # network test every 5, state package every 8, window 10
+    assert agent.next_wake(0) == 5
+    assert agent.next_wake(5) == 8
+    assert agent.next_wake(17) == 20
+    agent.inject(raw(agent, "fw.deny", t=11))
+    agent.hb = HeartbeatConfig(network_test_interval=7, state_pkg_interval=9)
+    assert agent.next_wake(11) == 14  # next network test
+    assert agent.next_wake(18) == 20  # the window flush comes first
+    b = FrameBuilder(A("1.0.0"))
+    agent.on_frame(b.build(MsgType.COMMAND, A("1.1.1"), 10, "policy c!1\nbody"), 18)
+    assert agent.next_wake(18) == 20
+    agent.settings.command_delay = 1
+    agent.on_frame(b.build(MsgType.COMMAND, A("1.1.1"), 10, "policy c!2\nbody"), 18)
+    assert agent.next_wake(18) == 19
+    agent.silence(19, 30)
+    agent.step(22)  # silenced: the acks stay pending, overdue
+    assert agent.next_wake(22) == 23
+
+
+def test_children_tick_in_address_order_whatever_order_they_were_added():
+    node = make_smn(children=[
+        ("1.1.3", DeviceKind.IDS), ("1.1.1", DeviceKind.FIREWALL), ("1.1.2", DeviceKind.SMN),
+    ])
+    assert list(node.children) == [A("1.1.1"), A("1.1.2"), A("1.1.3")]
+    for child in ("1.1.3", "1.1.1", "1.1.2"):
+        _bring_online(node, child)
+    node.drain_lines()
+    node.on_tick(28)  # every state package deadline falls due at once
+    assert [line.split()[4] for line in node.drain_lines()] == ["1.1.1", "1.1.2", "1.1.3"]

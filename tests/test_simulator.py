@@ -20,7 +20,7 @@ REPORT_FILES = [
 
 
 @pytest.mark.parametrize("debug", [False, True])
-@pytest.mark.parametrize("scenario", ["attack", "heartbeat", "respond"])
+@pytest.mark.parametrize("scenario", ["attack", "devices", "heartbeat", "respond"])
 def test_demo_reports_match_golden(scenario, debug, tmp_path):
     argv = [
         "simulate",
