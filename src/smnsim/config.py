@@ -93,11 +93,19 @@ def _split_kv(line: str, line_no: int) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def _int(value: str, line_no: int) -> int:
+def _int(
+    value: str, line_no: int, key: str = "", low: int | None = None, high: int | None = None
+) -> int:
+    """``value`` as an integer, of at least ``low`` and at most ``high`` where
+    given; ``key`` names the value in the error."""
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise ConfigError(f"not an integer: {value!r}", line_no) from None
+    if (low is not None and number < low) or (high is not None and number > high):
+        span = f">= {low}" if high is None else f"{low}..{high}"
+        raise ConfigError(f"{key} must be {span}, got {number}", line_no)
+    return number
 
 
 def _vuln_set(text: str) -> frozenset[str]:
@@ -153,15 +161,15 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         key, value = _split_kv(line, line_no)
         if section == "tree":
             if key == "depth":
-                depth = _int(value, line_no)
+                depth = _int(value, line_no, key, low=1)
             elif key == "degree":
-                degree = _int(value, line_no)
+                degree = _int(value, line_no, key, low=1)
             else:
                 raise ConfigError(f"unknown tree key {key!r}", line_no)
         elif section == "heartbeat":
             if key not in _HB_KEYS:
                 raise ConfigError(f"unknown heartbeat key {key!r}", line_no)
-            hb_defaults[key] = _int(value, line_no)
+            hb_defaults[key] = _int(value, line_no, key, low=1)
         elif section == "pipeline":
             pipeline_kv[key] = (value, line_no)
         elif section.startswith("node "):
@@ -184,7 +192,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
             mapping_rules[(kind, parts[1])] = value
         elif section == "assets":
             fields = value.split(None, 1)
-            asset_value = _int(fields[0], line_no)
+            asset_value = _int(fields[0], line_no, "asset value", 1, 5)
             vulns = _vuln_set(fields[1]) if len(fields) > 1 else frozenset()
             asset_entries[key] = (asset_value, vulns)
         elif section == "vulnmap":
@@ -216,7 +224,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         hb_kv = dict(hb_defaults)
         for hb_key in _HB_KEYS:
             if hb_key in kv:
-                hb_kv[hb_key] = _int(kv[hb_key], line_no)
+                hb_kv[hb_key] = _int(kv[hb_key], line_no, hb_key, low=1)
         try:
             hb = HeartbeatConfig(**hb_kv)
         except ValueError as exc:
@@ -226,7 +234,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
             kind=kind,
             label=kv.get("label", ""),
             ip=kv.get("ip", ""),
-            asset_value=_int(kv.get("asset_value", "1"), line_no),
+            asset_value=_int(kv.get("asset_value", "1"), line_no, "asset_value", 1, 5),
             vulnerability_ids=_vuln_set(kv.get("vulnerabilities", "")),
             hb=hb,
         )
@@ -282,6 +290,10 @@ _PIPELINE_INT_KEYS = {
     "command_delay",
 }
 
+#: Least values: a run takes each tick modulo the two intervals, and
+#: ``validate`` refuses a negative threshold.
+_PIPELINE_MINIMA = {"validation_threshold": 0, "window_ticks": 1, "report_interval": 1}
+
 
 #: Cross-device clustering keys: still accepted, but no node clusters.
 _IGNORED_PIPELINE_KEYS = {"similarity_weights", "merge_threshold", "time_horizon"}
@@ -298,7 +310,7 @@ def _build_pipeline(
         if key in _IGNORED_PIPELINE_KEYS:
             ignored.append(key)
         elif key in _PIPELINE_INT_KEYS:
-            setattr(settings, key, _int(value, line_no))
+            setattr(settings, key, _int(value, line_no, key, _PIPELINE_MINIMA.get(key)))
         else:
             raise ConfigError(f"unknown pipeline key {key!r}")
     return settings, ignored

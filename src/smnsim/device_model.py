@@ -51,16 +51,6 @@ LEAF_STATES = frozenset(
     }
 )
 
-ONLINE_STATES = frozenset(
-    {
-        DeviceState.RUNNING_OK,
-        DeviceState.RUNNING_ABNORMAL,
-        DeviceState.HANDLING_ALERT,
-        DeviceState.HANDLING_POLICY,
-        DeviceState.HANDLING_VULN,
-    }
-)
-
 WAITING_STATES = frozenset({DeviceState.RUNNING_OK, DeviceState.RUNNING_ABNORMAL})
 
 
@@ -77,15 +67,6 @@ class TransferCondition(Enum):
     T10 = "T10"  # policy handling finished
     T11 = "T11"  # vulnerability command received
     T12 = "T12"  # vulnerability handling finished
-
-
-def is_leaf(state: DeviceState) -> bool:
-    return state in LEAF_STATES
-
-
-def is_online(state: DeviceState) -> bool:
-    """True for every online state, including the composite codes."""
-    return state.value.startswith("S2")
 
 
 @dataclass(frozen=True)
@@ -105,10 +86,6 @@ class DeviceStatus:
 def initial_status() -> DeviceStatus:
     """Devices are assumed network-disconnected until a test package arrives."""
     return DeviceStatus(DeviceState.NET_DOWN, DeviceState.RUNNING_OK)
-
-
-def initial_state() -> DeviceState:
-    return DeviceState.NET_DOWN
 
 
 _S = DeviceState
@@ -163,14 +140,6 @@ def step(status: DeviceStatus, cond: TransferCondition) -> tuple[DeviceStatus, b
     assert isinstance(target, DeviceState)
     resume = status.state if cond in _ENTER_BUSY else status.resume
     return DeviceStatus(target, resume), True
-
-
-def transition(state: DeviceState, cond: TransferCondition) -> DeviceState:
-    """Successor of a bare leaf state, using the default resume substate."""
-    if state not in LEAF_STATES:
-        raise ValueError(f"{state} is not a leaf state")
-    nxt, _ = step(DeviceStatus(state), cond)
-    return nxt.state
 
 
 @dataclass

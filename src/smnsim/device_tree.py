@@ -11,10 +11,12 @@ with no whitespace anywhere. Parsing and serialization are exact inverses
 over canonical text, which is what makes subtree splicing between levels
 testable byte-for-byte.
 
-Mutations produce ChangeSets; replaying a ChangeSet against a mirror copy
-keeps user view and virtual view structurally equal. Subtree splicing
-(assemble) and pruning (disassemble) ship the affected subtree in embedding
-form, so the mirror runs the very same algorithm.
+Once a run starts, a management node changes its view in three ways: a
+state update, subtree splicing (assemble) and pruning (disassemble). Each
+returns the change records that replay it on a mirror copy, which keeps user
+view and virtual view structurally equal; assemble ships the spliced subtree
+in embedding form, so the mirror runs the very same algorithm. ``add_device``
+only builds a view before the run and records nothing.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ class NotFound(TreeError):
     pass
 
 
-class CannotDeleteRoot(TreeError):
-    pass
-
-
 class AssemblingNodeMissing(TreeError):
     pass
 
@@ -80,47 +78,29 @@ class DeviceNodeRecord:
 
     ``kind`` is None for nodes learned from the wire: the embedding text
     carries only address and state, so a leaf's kind is not locally known.
-    Nodes with children are always management nodes.
+    Nodes with children are always management nodes. ``children`` maps each
+    child's segment to the child, in embedding order.
     """
 
     address: NodeAddress
     state: DeviceState
     kind: DeviceKind | None = None
     label: str = ""
-    children: list["DeviceNodeRecord"] = field(default_factory=list)
-    _index: dict[int, "DeviceNodeRecord"] = field(default_factory=dict, repr=False)
+    children: dict[int, "DeviceNodeRecord"] = field(default_factory=dict)
 
     @property
     def segment(self) -> int:
         """This node's number under its parent."""
         return self.address.segments[self.address.level - 1]
 
-    def attach(self, child: "DeviceNodeRecord") -> None:
-        self.children.append(child)
-        self._index[child.segment] = child
-
-    def detach(self, child: "DeviceNodeRecord") -> None:
-        self.children.remove(child)
-        del self._index[child.segment]
-
-    def replace_child(self, old: "DeviceNodeRecord", new: "DeviceNodeRecord") -> None:
-        self.children[self.children.index(old)] = new
-        del self._index[old.segment]
-        self._index[new.segment] = new
-
-    def reindex(self) -> None:
-        self._index = {c.segment: c for c in self.children}
-
 
 @dataclass(frozen=True)
 class ChangeRecord:
     """One replayable mutation of a device tree."""
 
-    op: str  # full | assemble | disassemble | add | update | delete
+    op: str  # update | assemble | disassemble
     address: NodeAddress | None = None
     state: DeviceState | None = None
-    kind: DeviceKind | None = None
-    label: str = ""
     embedding: str | None = None
 
 
@@ -129,7 +109,7 @@ ChangeSet = tuple[ChangeRecord, ...]
 
 def serialize_node(node: DeviceNodeRecord) -> str:
     parts = [f"[{node.address}:{node.state.value}"]
-    for child in node.children:
+    for child in node.children.values():
         parts.append(":")
         parts.append(serialize_node(child))
     parts.append("]")
@@ -143,7 +123,9 @@ def structurally_equal(a: DeviceNodeRecord, b: DeviceNodeRecord) -> bool:
         return False
     if len(a.children) != len(b.children):
         return False
-    return all(structurally_equal(x, y) for x, y in zip(a.children, b.children))
+    return all(
+        structurally_equal(x, y) for x, y in zip(a.children.values(), b.children.values())
+    )
 
 
 def _parse_node(text: str, pos: int, shape: TreeShape) -> tuple[DeviceNodeRecord, int]:
@@ -176,9 +158,9 @@ def _parse_node(text: str, pos: int, shape: TreeShape) -> tuple[DeviceNodeRecord
             raise AddressInconsistent(
                 f"{child.address} is not a tree child of {address}"
             )
-        if child.segment in node._index:
+        if child.segment in node.children:
             raise DuplicateChild(f"duplicate child {child.address} under {address}")
-        node.attach(child)
+        node.children[child.segment] = child
     if pos >= len(text) or text[pos] != "]":
         raise EmbeddingSyntaxError("expected ']'", pos)
     if node.children:
@@ -215,51 +197,25 @@ class AddressedDeviceTree:
         while stack:
             node = stack.pop()
             out.append(node)
-            stack.extend(reversed(node.children))
+            stack.extend(reversed(node.children.values()))
         return out
 
     def addresses(self) -> set[NodeAddress]:
         return {n.address for n in self.nodes()}
 
     def find(self, addr: NodeAddress) -> DeviceNodeRecord | None:
-        node, _ = self.find_instrumented(addr)
+        """The node at ``addr`` by segment descent, or None."""
+        root_level = self.root.address.level
+        if addr.segments[:root_level] != self.root.address.segments[:root_level]:
+            return None
+        node = self.root
+        for seg in addr.segments[root_level : addr.level]:
+            node = node.children.get(seg)
+            if node is None:
+                return None
         return node
 
-    def find_instrumented(
-        self, addr: NodeAddress, scan: bool = False
-    ) -> tuple[DeviceNodeRecord | None, int]:
-        """Segment descent with a visit counter.
-
-        With indexed children each level costs one visit; with ``scan`` the
-        children list is searched linearly, costing up to the tree degree
-        per level.
-        """
-        root_level = self.root.address.level
-        target_level = addr.level
-        visits = 1
-        if addr.segments[:root_level] != self.root.address.segments[:root_level]:
-            return None, visits
-        node = self.root
-        if target_level < root_level:
-            return None, visits
-        for lvl in range(root_level, target_level):
-            seg = addr.segments[lvl]
-            if scan:
-                nxt = None
-                for child in node.children:
-                    visits += 1
-                    if child.segment == seg:
-                        nxt = child
-                        break
-            else:
-                nxt = node._index.get(seg)
-                visits += 1 if nxt is not None else 0
-            if nxt is None:
-                return None, visits
-            node = nxt
-        return node, visits
-
-    def add_device(self, record: DeviceNodeRecord) -> ChangeRecord:
+    def add_device(self, record: DeviceNodeRecord) -> None:
         parent_addr = record.address.parent()
         if parent_addr is None:
             raise ParentMissing(f"{record.address} has no parent address")
@@ -272,27 +228,9 @@ class AddressedDeviceTree:
             parent.kind = DeviceKind.SMN
         elif parent.kind is not DeviceKind.SMN:
             raise ParentNotSMN(f"parent {parent_addr} is not a management node")
-        if record.segment in parent._index:
+        if record.segment in parent.children:
             raise DuplicateAddress(f"{record.address} already present")
-        parent.attach(record)
-        return ChangeRecord(
-            op="add",
-            address=record.address,
-            state=record.state,
-            kind=record.kind,
-            label=record.label,
-        )
-
-    def delete_device(self, addr: NodeAddress) -> ChangeRecord:
-        if addr == self.root.address:
-            raise CannotDeleteRoot(f"{addr} is the tree root")
-        node = self.find(addr)
-        if node is None:
-            raise NotFound(f"{addr} not in tree")
-        parent = self.find(addr.parent())
-        assert parent is not None
-        parent.detach(node)
-        return ChangeRecord(op="delete", address=addr)
+        parent.children[record.segment] = record
 
     def set_state(self, addr: NodeAddress, state: DeviceState) -> ChangeRecord:
         node = self.find(addr)
@@ -306,7 +244,7 @@ class AddressedDeviceTree:
 
         The subtree root's address names the assembling node, which must
         already exist; the incoming subtree takes the stub's position in its
-        parent's child list, so repeated report/splice cycles keep the
+        parent's children, so repeated report/splice cycles keep the
         serialization stable.
         """
         subtree = build_tree(embedding, self.shape)
@@ -324,7 +262,7 @@ class AddressedDeviceTree:
         else:
             parent = self.find(new_root.address.parent())
             assert parent is not None
-            parent.replace_child(assembling, new_root)
+            parent.children[new_root.segment] = new_root
         return (ChangeRecord(op="assemble", embedding=serialize_node(new_root)),)
 
     def disassemble(self, addr: NodeAddress, offline_state: DeviceState) -> ChangeSet:
@@ -335,11 +273,7 @@ class AddressedDeviceTree:
             raise NotFound(f"{addr} not in tree")
         node.state = offline_state
         node.children.clear()
-        node._index.clear()
         return (ChangeRecord(op="disassemble", address=addr, state=offline_state),)
-
-    def full_snapshot(self) -> ChangeSet:
-        return (ChangeRecord(op="full", embedding=self.serialize()),)
 
     def apply_changeset(self, changes: ChangeSet) -> None:
         """Replay changes produced against another copy of this tree."""
@@ -352,28 +286,15 @@ class AddressedDeviceTree:
                 raise StaleChangeSet(f"cannot apply {rec.op}: {exc}") from exc
 
     def _apply_one(self, rec: ChangeRecord) -> None:
-        if rec.op == "full":
-            assert rec.embedding is not None
-            self.root = build_tree(rec.embedding, self.shape).root
+        if rec.op == "update":
+            assert rec.address is not None and rec.state is not None
+            self.set_state(rec.address, rec.state)
         elif rec.op == "assemble":
             assert rec.embedding is not None
             self.assemble(rec.embedding)
         elif rec.op == "disassemble":
             assert rec.address is not None and rec.state is not None
             self.disassemble(rec.address, rec.state)
-        elif rec.op == "add":
-            assert rec.address is not None and rec.state is not None
-            self.add_device(
-                DeviceNodeRecord(
-                    address=rec.address, state=rec.state, kind=rec.kind, label=rec.label
-                )
-            )
-        elif rec.op == "update":
-            assert rec.address is not None and rec.state is not None
-            self.set_state(rec.address, rec.state)
-        elif rec.op == "delete":
-            assert rec.address is not None
-            self.delete_device(rec.address)
         else:
             raise StaleChangeSet(f"unknown change op {rec.op!r}")
 
@@ -388,17 +309,9 @@ class AddressedDeviceTree:
             seen.add(node.address)
             if node.children and node.kind is not DeviceKind.SMN:
                 raise ParentNotSMN(f"{node.address} has children but kind {node.kind}")
-            segs = set()
-            for child in node.children:
-                if child.address.parent() != node.address:
+            for seg, child in node.children.items():
+                if child.address.parent() != node.address or child.segment != seg:
                     raise AddressInconsistent(
-                        f"{child.address} filed under {node.address}"
+                        f"{child.address} filed under {node.address} as {seg}"
                     )
-                if child.segment in segs:
-                    raise DuplicateChild(f"duplicate segment under {node.address}")
-                segs.add(child.segment)
-                if node._index.get(child.segment) is not child:
-                    raise TreeError(f"child index stale under {node.address}")
-            if len(node._index) != len(node.children):
-                raise TreeError(f"child index size mismatch under {node.address}")
-            stack.extend(node.children)
+            stack.extend(node.children.values())

@@ -6,14 +6,8 @@ contains the destination, otherwise up toward the common ancestor. Each node
 owns a mailbox ordered by priority, FIFO within a priority, so response
 coordination overtakes bulk telemetry.
 
-Wire layout (all integers big-endian)::
-
-    total_len(4) version(1) msg_type(1) priority(1)
-    src_len(1) src dst_len(1) dst seq(4) sent_at(8)
-    payload_len(4) payload
-
-``total_len`` counts the whole frame including itself. Addresses travel in
-their canonical dotted form.
+Frames stay Python objects end to end: ``SimNetwork`` moves them hop by hop
+and nothing encodes them to bytes. A frame's payload holds UTF-8 text.
 """
 
 from __future__ import annotations
@@ -22,35 +16,11 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 
-from .addressing import AddressError, NodeAddress, TreeShape
+from .addressing import NodeAddress
 
 
-class FrameError(Exception):
-    pass
-
-
-class PayloadTooLarge(FrameError):
-    pass
-
-
-class TruncatedFrame(FrameError):
-    pass
-
-
-class BadVersion(FrameError):
-    pass
-
-
-class UnknownMsgType(FrameError):
-    pass
-
-
-class TrailingBytes(FrameError):
-    pass
-
-
-class Unroutable(FrameError):
-    pass
+class Unroutable(Exception):
+    """No tree link leads from a node toward a frame's destination."""
 
 
 class MsgType(Enum):
@@ -75,9 +45,6 @@ DEFAULT_PRIORITY = {
     MsgType.NETWORK_TEST: 3,
 }
 
-PROTOCOL_VERSION = 1
-MAX_PAYLOAD = 2**24
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -88,7 +55,6 @@ class Frame:
     seq: int
     sent_at: int
     payload: bytes = b""
-    version: int = PROTOCOL_VERSION
 
     def __post_init__(self) -> None:
         if not 0 <= self.priority <= 3:
@@ -113,7 +79,6 @@ class FrameBuilder:
         dst: NodeAddress,
         sent_at: int,
         payload: bytes | str = b"",
-        priority: int | None = None,
     ) -> Frame:
         seq = self._seq.get(msg_type, 0) + 1
         self._seq[msg_type] = seq
@@ -121,87 +86,13 @@ class FrameBuilder:
             payload = payload.encode("utf-8")
         return Frame(
             msg_type=msg_type,
-            priority=DEFAULT_PRIORITY[msg_type] if priority is None else priority,
+            priority=DEFAULT_PRIORITY[msg_type],
             src=self.src,
             dst=dst,
             seq=seq,
             sent_at=sent_at,
             payload=payload,
         )
-
-
-def _addr_bytes(addr: NodeAddress) -> bytes:
-    text = str(addr).encode("ascii")
-    if len(text) > 255:
-        raise FrameError(f"address too long: {addr}")
-    return bytes([len(text)]) + text
-
-
-def encode_frame(frame: Frame) -> bytes:
-    if len(frame.payload) > MAX_PAYLOAD:
-        raise PayloadTooLarge(f"payload of {len(frame.payload)} bytes")
-    body = bytes([frame.version, frame.msg_type.value, frame.priority])
-    body += _addr_bytes(frame.src)
-    body += _addr_bytes(frame.dst)
-    body += frame.seq.to_bytes(4, "big")
-    body += frame.sent_at.to_bytes(8, "big")
-    body += len(frame.payload).to_bytes(4, "big")
-    body += frame.payload
-    return (4 + len(body)).to_bytes(4, "big") + body
-
-
-class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedFrame(f"needed {n} bytes at offset {self.pos}")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def take_int(self, n: int) -> int:
-        return int.from_bytes(self.take(n), "big")
-
-
-def decode_frame(data: bytes, shape: TreeShape) -> Frame:
-    reader = _Reader(data)
-    total = reader.take_int(4)
-    if total > len(data):
-        raise TruncatedFrame(f"frame claims {total} bytes, have {len(data)}")
-    if total < len(data):
-        raise TrailingBytes(f"{len(data) - total} bytes after frame end")
-    version = reader.take_int(1)
-    if version != PROTOCOL_VERSION:
-        raise BadVersion(f"version {version}")
-    type_code = reader.take_int(1)
-    try:
-        msg_type = MsgType(type_code)
-    except ValueError as exc:
-        raise UnknownMsgType(f"message type code {type_code}") from exc
-    priority = reader.take_int(1)
-    try:
-        src = NodeAddress.parse(reader.take(reader.take_int(1)).decode("ascii"), shape)
-        dst = NodeAddress.parse(reader.take(reader.take_int(1)).decode("ascii"), shape)
-    except (AddressError, UnicodeDecodeError) as exc:
-        raise TruncatedFrame(f"bad address field: {exc}") from exc
-    seq = reader.take_int(4)
-    sent_at = reader.take_int(8)
-    payload = reader.take(reader.take_int(4))
-    if reader.pos != total:
-        raise TruncatedFrame("frame length does not match fields")
-    return Frame(
-        msg_type=msg_type,
-        priority=priority,
-        src=src,
-        dst=dst,
-        seq=seq,
-        sent_at=sent_at,
-        payload=payload,
-        version=version,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +230,3 @@ class SimNetwork:
 
     def poll(self, addr: NodeAddress) -> Frame | None:
         return self.mailboxes[addr].pop()
-
-    def pending(self, addr: NodeAddress) -> int:
-        return len(self.mailboxes[addr])
-
-    def in_flight(self) -> int:
-        return len(self.transit) + sum(len(m) for m in self.mailboxes.values())

@@ -229,7 +229,8 @@ class SmnNode(_Node):
         self.cases: dict[str, ResponseCase] = {}
         self.coordinated: dict[str, CoordinationEntry] = {}
         self.case_counter = 0
-        self.pending_commands: dict[str, str] = {}
+        #: ids of the commands sent and not yet acked
+        self.pending_commands: set[str] = set()
         self.command_counter = 0
         self.changesets: list[ChangeSet] = []
         self.session_lines: list[str] = []
@@ -319,7 +320,7 @@ class SmnNode(_Node):
         if mt is MsgType.COMMAND_ACK:
             cmd_id = frame.text()
             if cmd_id in self.pending_commands:
-                self.pending_commands[cmd_id] = "acked"
+                self.pending_commands.discard(cmd_id)
                 self._log(now, "ACK", f"{cmd_id} {frame.src}")
             return []
         if mt is MsgType.RESPONSE_COORD:
@@ -391,7 +392,7 @@ class SmnNode(_Node):
             raise TargetNotInSubtree(f"{target} not below {self.address}")
         self.command_counter += 1
         cmd_id = f"{self.address}!{self.command_counter}"
-        self.pending_commands[cmd_id] = "sent"
+        self.pending_commands.add(cmd_id)
         self._log(now, "COMMAND", f"{cmd_id} {kind} {target}")
         frame = self.builder.build(
             MsgType.COMMAND, target, now, f"{kind} {cmd_id}\n{body}"
@@ -612,6 +613,10 @@ class DeviceAgent(_Node):
             return []
         _kind, cmd_id, conds = _parse_command(frame.text())
         if conds is None:
+            # a silenced device answers nothing, as a silenced management
+            # node does
+            if self.silenced(now):
+                return []
             return [self.builder.build(MsgType.COMMAND_ACK, frame.src, now, cmd_id)]
         self._apply_cond(self, conds[0], now)
         self.pending_acks.append(

@@ -189,19 +189,22 @@ class Simulation:
             addr = self._addr(args["node"], line_no)
             if d.op == "abnormal" and addr not in self.agents:
                 raise ConfigError(f"abnormal target {addr} is not a device", line_no)
-            return addr, _number(int, args["until"], "until", line_no)
+            return addr, _until(d)
         if d.op == "command":
             target = self._addr(args["target"], line_no)
             if not self.root.address.is_ancestor(target):
                 raise ConfigError(f"command target {target} is not below the root", line_no)
             return target
         if d.op == "inject-loss":
+            rate = _number(float, args["rate"], "rate", line_no)
+            if not 0 < rate <= 1:
+                raise ConfigError(f"rate {args['rate']} outside (0, 1]", line_no)
             return _LossWindow(
                 src=self._addr(args["from"], line_no),
                 dst=self._addr(args["to"], line_no),
                 start=d.tick,
-                end=_number(int, args["until"], "until", line_no),
-                rate=_number(float, args["rate"], "rate", line_no),
+                end=_until(d),
+                rate=rate,
             )
         if d.op == "respond" and args["action"] == "launch" and "owner" not in args:
             raise ConfigError("respond launch needs owner=", line_no)
@@ -401,6 +404,14 @@ def _number(convert, text: str, name: str, line_no: int):
         return convert(text)
     except ValueError:
         raise ConfigError(f"{name} is not a number: {text!r}", line_no) from None
+
+
+def _until(d) -> int:
+    """The end tick of window directive ``d``, which must come after its start."""
+    until = _number(int, d.args["until"], "until", d.line_no)
+    if until <= d.tick:
+        raise ConfigError(f"until {until} is not after tick {d.tick}", d.line_no)
+    return until
 
 
 def _endpoint(text: str, name: str, line_no: int) -> tuple[str, int]:

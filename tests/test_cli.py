@@ -1,6 +1,10 @@
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smnsim import cli
 
@@ -28,6 +32,10 @@ def simulate_argv(topology, out, *extra):
         "--out", str(out),
         *extra,
     ]
+
+
+def demo_topology_text() -> str:
+    return (DEMO / "topology.cfg").read_text().replace("dir = plans", f"dir = {DEMO / 'plans'}")
 
 
 def test_tree_parse_and_serialize(capsys):
@@ -82,14 +90,13 @@ def test_simulate_threaded_is_usage_error(tmp_path, capsys):
 
 
 def test_ignored_clustering_keys_are_named_and_change_nothing(tmp_path, capsys):
-    text = (DEMO / "topology.cfg").read_text()
-    text = text.replace(
+    text = demo_topology_text().replace(
         "validation_threshold = 5\n",
         "validation_threshold = 5\n"
         "similarity_weights = 0.25,0.25,0.15,0.25,0.10\n"
         "merge_threshold = 0.7\n"
         "time_horizon = 300\n",
-    ).replace("dir = plans", f"dir = {DEMO / 'plans'}")
+    )
     topology = tmp_path / "topology.cfg"
     topology.write_text(text)
     out = tmp_path / "out"
@@ -125,6 +132,11 @@ def test_simulate_non_integer_pipeline_value(tmp_path, capsys):
         ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:80 sev=9",
          "sev 9 outside 1..5"),
         ("at 5 command policy 1.0.0", "command target 1.0.0 is not below the root"),
+        ("at 5 silence 1.1.1 until 5", "until 5 is not after tick 5"),
+        ("at 5 abnormal 1.1.1 until 2", "until 2 is not after tick 5"),
+        ("at 5 inject-loss 1.1.0->1.0.0 until 4", "until 4 is not after tick 5"),
+        ("at 5 inject-loss 1.1.0->1.0.0 until 9 rate=7", "rate 7 outside (0, 1]"),
+        ("at 5 inject-loss 1.1.0->1.0.0 until 9 rate=0", "rate 0 outside (0, 1]"),
     ],
 )
 def test_simulate_bad_directive_value_fails_before_the_run(directive, message, tmp_path, capsys):
@@ -135,3 +147,95 @@ def test_simulate_bad_directive_value_fails_before_the_run(directive, message, t
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"config error: line 3: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# A key inside a [node] section is reported at the section's line.
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("asset_value = 4", "asset_value = 9", 39, "asset_value must be 1..5, got 9"),
+        ("ip = 10.0.2.3", "asset_value = 0", 57, "asset_value must be 1..5, got 0"),
+        ("network_test_interval = 5", "network_test_interval = 0", 9,
+         "network_test_interval must be >= 1, got 0"),
+        ("window_ticks = 10", "window_ticks = 0", 16, "window_ticks must be >= 1, got 0"),
+        ("report_interval = 50", "report_interval = 0", 20,
+         "report_interval must be >= 1, got 0"),
+        ("validation_threshold = 5", "validation_threshold = -1", 15,
+         "validation_threshold must be >= 0, got -1"),
+        ("depth = 3", "depth = 0", 5, "depth must be >= 1, got 0"),
+    ],
+)
+def test_simulate_bad_topology_value_names_its_line(old, new, line, message, tmp_path, capsys):
+    text = demo_topology_text()
+    assert text.count(old) == 1
+    topology = tmp_path / "topology.cfg"
+    topology.write_text(text.replace(old, new))
+    assert cli.main(simulate_argv(topology, tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"config error: line {line}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+FUZZ_SCENARIO = """\
+seed = 3
+drain = 20
+at 2 emit 1.1.1 class=fw.connect src=10.0.0.9:4242 dst=10.0.1.5:80 sev=1
+at 4 emit 1.1.2 class=sig.2001 src=10.0.0.9:4242 dst=10.0.1.5:80 sev=5
+at 5 silence 1.2.1 until 12
+at 6 abnormal 1.1.3 until 15
+at 7 command policy 1.2.1
+at 8 inject-loss 1.2.2->1.2.0 until 14 rate=0.5
+at 16 respond launch w1 owner=1.1.0
+at 17 respond escalate w1
+"""
+VALUE = re.compile(r"[\w.]+")
+#: ticks and the drain set how long a run lasts, so they stay at most 20
+RUN_LENGTH = re.compile(r"^(?:at |drain = )([\w.]+)", re.M)
+TOKENS = st.text(
+    st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")), min_size=1, max_size=8
+)
+
+
+def _short(token: str) -> bool:
+    try:
+        return int(token) <= 20
+    except ValueError:
+        return True
+
+
+def replace_one_value(text: str, data) -> str:
+    spans = [m.span() for m in VALUE.finditer(text)]
+    start, end = data.draw(st.sampled_from(spans))
+    if (start, end) in {m.span(1) for m in RUN_LENGTH.finditer(text)}:
+        value = st.one_of(st.integers(-5, 20).map(str), TOKENS.filter(_short))
+    else:
+        # values near zero are where most bounds sit
+        value = st.one_of(st.integers(-2, 2).map(str), st.integers().map(str), TOKENS)
+    return text[:start] + data.draw(value) + text[end:]
+
+
+def run_simulate(topology_text: str, scenario_text: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        topology, scenario = Path(tmp, "t.cfg"), Path(tmp, "s.scn")
+        topology.write_text(topology_text, encoding="utf-8")
+        scenario.write_text(scenario_text, encoding="utf-8")
+        return cli.main([
+            "simulate", "--topology", str(topology), "--scenario", str(scenario),
+            "--out", str(Path(tmp, "out")),
+        ])
+
+
+def test_fuzz_inputs_run_as_given():
+    assert run_simulate(demo_topology_text(), FUZZ_SCENARIO) == 0
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_fuzz_one_value_exits_cleanly(data):
+    """One value of the topology or of the scenario replaced by an arbitrary
+    integer or token: the run exits 0, 1 or 2, never with a traceback."""
+    topology, scenario = demo_topology_text(), FUZZ_SCENARIO
+    if data.draw(st.booleans()):
+        topology = replace_one_value(topology, data)
+    else:
+        scenario = replace_one_value(scenario, data)
+    assert run_simulate(topology, scenario) in (0, 1, 2)

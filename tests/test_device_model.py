@@ -11,12 +11,8 @@ from smnsim.device_model import (
     DeviceState,
     DeviceStatus,
     TransferCondition,
-    initial_state,
     initial_status,
-    is_leaf,
-    is_online,
     step,
-    transition,
 )
 from smnsim.addressing import NodeAddress, TreeShape
 
@@ -25,19 +21,21 @@ T = TransferCondition
 
 
 def test_transition_examples():
-    assert transition(S.RUNNING_OK, T.T7) is S.HANDLING_ALERT
-    assert transition(S.HANDLING_ALERT, T.T8) is S.RUNNING_OK
-    assert transition(S.RUNNING_OK, T.T5) is S.RUNNING_ABNORMAL
-    assert transition(S.NET_DOWN, T.T2) is S.NET_DOWN
+    def successor(state, cond):
+        return step(DeviceStatus(state), cond)[0].state
+
+    assert successor(S.RUNNING_OK, T.T7) is S.HANDLING_ALERT
+    assert successor(S.HANDLING_ALERT, T.T8) is S.RUNNING_OK
+    assert successor(S.RUNNING_OK, T.T5) is S.RUNNING_ABNORMAL
+    assert successor(S.NET_DOWN, T.T2) is S.NET_DOWN
 
 
 def test_transition_rejects_composite_state():
     with pytest.raises(ValueError):
-        transition(S.ONLINE, T.T1)
+        DeviceStatus(S.ONLINE)
 
 
 def test_initial_state():
-    assert initial_state() is S.NET_DOWN
     status = initial_status()
     assert status.state is S.NET_DOWN
     # heartbeat sequence brings a node online only after T1 then T3
@@ -50,12 +48,6 @@ def test_initial_state():
 def test_t3_only_applies_from_unreachable():
     status, applied = step(DeviceStatus(S.NET_DOWN), T.T3)
     assert not applied and status.state is S.NET_DOWN
-
-
-def test_is_online():
-    assert is_online(S.RUNNING_OK)
-    assert not is_online(S.UNREACHABLE)
-    assert is_online(S.HANDLING_POLICY)
 
 
 def test_busy_states_resume_where_they_left():
@@ -115,7 +107,7 @@ def test_every_leaf_reachable_from_initial_state():
 
 def test_no_arrow_outside_named_conditions():
     for state, cond in TRANSITION_TABLE:
-        assert is_leaf(state)
+        assert state in LEAF_STATES
         assert cond in TransferCondition
 
 

@@ -9,7 +9,6 @@ from smnsim.device_model import DeviceKind, DeviceState
 from smnsim.device_tree import (
     AddressInconsistent,
     AssemblingNodeMissing,
-    CannotDeleteRoot,
     DeviceNodeRecord,
     DuplicateAddress,
     DuplicateChild,
@@ -116,15 +115,6 @@ def test_find_present_nodes(twelve):
     assert twelve.find(A("1.1.2.1")) is None
 
 
-def test_find_visit_budget(twelve):
-    node, visits = twelve.find_instrumented(A("1.1.1.2"))
-    assert node is not None
-    assert visits <= A("1.1.1.2").level
-    node, visits = twelve.find_instrumented(A("1.1.1.2"), scan=True)
-    assert node is not None
-    assert visits <= A("1.1.1.2").level * SHAPE.max_degree
-
-
 def test_subtree_serialization_is_substring(twelve):
     sub = twelve.find(A("1.2.0.0"))
     from smnsim.device_tree import serialize_node
@@ -153,23 +143,6 @@ def test_add_device_rejects_non_smn_parent(twelve):
 def test_add_device_rejects_duplicates(twelve):
     with pytest.raises(DuplicateAddress):
         twelve.add_device(DeviceNodeRecord(address=A("1.1.1.2"), state=DeviceState.NET_DOWN))
-
-
-def test_delete_device_removes_subtree(twelve):
-    twelve.delete_device(A("1.2.2.0"))
-    remaining = {str(a) for a in twelve.addresses()}
-    assert {"1.2.2.0", "1.2.2.1", "1.2.2.2"}.isdisjoint(remaining)
-    twelve.validate()
-
-
-def test_delete_root_rejected(twelve):
-    with pytest.raises(CannotDeleteRoot):
-        twelve.delete_device(A("1.0.0.0"))
-
-
-def test_delete_absent_rejected(twelve):
-    with pytest.raises(NotFound):
-        twelve.delete_device(A("1.1.2.3"))
 
 
 # -- assemble / disassemble ---------------------------------------------------
@@ -201,8 +174,8 @@ def test_assemble_is_idempotent_on_equal_input():
 def test_assemble_keeps_child_position():
     tree = stub_main_tree()
     tree.assemble("[1.1.0.0:S211:[1.1.1.0:S211]]")
-    first_child = tree.root.children[0]
-    assert first_child.address == A("1.1.0.0")
+    first, second = tree.root.children.values()
+    assert (first.address, second.address) == (A("1.1.0.0"), A("1.2.0.0"))
 
 
 def test_assemble_unknown_root_rejected():
@@ -271,16 +244,13 @@ def test_changeset_mirror_disassemble(twelve):
     assert mirror.serialize() == twelve.serialize()
 
 
-def test_changeset_mirror_add_update_delete(twelve):
+def test_changeset_mirror_update(twelve):
     mirror = mirror_of(twelve)
-    changes = [
-        twelve.add_device(
-            DeviceNodeRecord(address=A("1.1.2.1"), state=DeviceState.NET_DOWN)
-        ),
+    changes = (
         twelve.set_state(A("1.1.1.1"), DeviceState.HANDLING_ALERT),
-        twelve.delete_device(A("1.2.2.0")),
-    ]
-    mirror.apply_changeset(tuple(changes))
+        twelve.set_state(A("1.2.2.0"), DeviceState.UNREACHABLE),
+    )
+    mirror.apply_changeset(changes)
     assert mirror.serialize() == twelve.serialize()
 
 
@@ -297,13 +267,15 @@ def test_stale_changeset_detected(twelve):
         twelve.apply_changeset(
             (ChangeRecord(op="update", address=A("1.3.0.0"), state=DeviceState.NET_DOWN),)
         )
+    with pytest.raises(StaleChangeSet, match="unknown change op 'full'"):
+        twelve.apply_changeset((ChangeRecord(op="full", embedding=twelve.serialize()),))
 
 
 # -- randomized round trips ---------------------------------------------------
 
 
 @given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_random_tree_round_trip(seed):
     rng = random.Random(seed)
     tree = random_tree(rng, depth=rng.randint(1, 6), degree=rng.randint(1, 5))
@@ -313,7 +285,7 @@ def test_random_tree_round_trip(seed):
 
 
 @given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_random_disassemble_assemble_round_trip(seed):
     from smnsim.device_tree import serialize_node
 

@@ -194,7 +194,7 @@ def test_aggregate_never_merges_markers():
 
 
 @given(st.lists(st.integers(min_value=0, max_value=100), max_size=30))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_aggregate_conserves_counts(times):
     events = [ev(eid=f"e{i}", t=t) for i, t in enumerate(times)]
     out = aggregate_single_device(events, window_ticks=10)
@@ -293,7 +293,7 @@ def test_similarity_zero_weights_rejected():
     st.sampled_from(["10.0.0.1", "10.0.0.2"]),
     st.sampled_from(["dos.synflood", "dos.smurf", "exploit.attempt"]),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_similarity_symmetric_and_bounded(ta, tb, sa, sb, cls):
     a = ev(t=ta, src=sa, cls=cls)
     b = ev(t=tb, src=sb)
@@ -353,7 +353,7 @@ def test_event_line_fixed_attribute_order():
     st.integers(min_value=0, max_value=65535),
     st.sampled_from(["dos.synflood", "recon.portscan", "unknown"]),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_event_line_round_trip_random(t, sev, port, cls):
     a = ev(t=t, sev=sev, dport=port, cls=cls)
     assert parse_event_line(format_event_line(a), SHAPE) == a

@@ -260,7 +260,7 @@ def test_dispatch_command_routes_and_acks():
     cmd_id, frames = root.dispatch_command(A("1.1.1"), "policy", "tighten", 40)
     assert cmd_id == "1.0.0!1"
     assert len(frames) == 1 and frames[0].dst == A("1.1.1")
-    assert root.pending_commands[cmd_id] == "sent"
+    assert root.pending_commands == {cmd_id}
 
     agent = DeviceAgent(
         descriptor=DeviceDescriptor(address=A("1.1.1"), kind=DeviceKind.FIREWALL),
@@ -278,7 +278,8 @@ def test_dispatch_command_routes_and_acks():
     assert agent.status.state is DeviceState.RUNNING_OK
 
     root.on_frame(acks[0], 50)
-    assert root.pending_commands[cmd_id] == "acked"
+    assert root.pending_commands == set()
+    assert root.lines[-1] == f"NODE 1.0.0 50 ACK {cmd_id} 1.1.1"
 
 
 def test_vulnerability_command_traverses_s24():

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from reference_loop import ReferenceSimulation
 from smnsim import cli
 from smnsim.config import ConfigError, load_topology, parse_scenario, parse_topology
 from smnsim.simulator import Simulation
@@ -68,3 +69,14 @@ def test_abnormal_on_management_node_rejected():
     Simulation(topology, parse_scenario("at 5 abnormal 1.1.1 until 10\n"))
     with pytest.raises(ConfigError, match="line 1: abnormal target 1.1.0 is not a device"):
         Simulation(topology, parse_scenario("at 5 abnormal 1.1.0 until 10\n"))
+
+
+@pytest.mark.parametrize("loop", [Simulation, ReferenceSimulation])
+def test_silenced_device_answers_no_command(loop):
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    scenario = parse_scenario(
+        "drain = 60\nat 10 silence 1.1.1 until 60\nat 12 command reboot 1.1.1\n"
+    )
+    lines = loop(topology, scenario).run().node_lines
+    assert "NODE 1.0.0 12 COMMAND 1.0.0!1 reboot 1.1.1" in lines
+    assert [l for l in lines if " ACK " in l and int(l.split()[2]) < 60] == []

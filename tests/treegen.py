@@ -36,7 +36,7 @@ def random_tree(rng: random.Random, depth: int, degree: int, max_nodes: int = 40
         parent = rng.choice(nodes)
         if parent.address.level >= depth:
             continue
-        free = [k for k in range(1, degree + 1) if k not in parent._index]
+        free = [k for k in range(1, degree + 1) if k not in parent.children]
         if not free:
             continue
         child = DeviceNodeRecord(
