@@ -60,12 +60,13 @@ _HB_KEYS = (
     "state_pkg_timeout",
 )
 
+_NODE_KEYS = {"kind", "ip", "asset_value", "vulnerabilities", *_HB_KEYS}
+
 
 @dataclass
 class NodeDecl:
     address: NodeAddress
     kind: DeviceKind
-    label: str = ""
     ip: str = ""
     asset_value: int = 1
     vulnerability_ids: frozenset[str] = frozenset()
@@ -139,10 +140,10 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
     node_sections: list[tuple[str, dict[str, str], int]] = []
     filter_rules: list[FilterRule] = []
     mapping_rules: dict[tuple[DeviceKind, str], str] = {}
-    strict_classes = False
     asset_entries: dict[str, tuple[int, frozenset[str]]] = {}
     class_vulns: dict[str, frozenset[str]] = {}
     counterplan_dir: str | None = None
+    ignored_keys: list[str] = []
 
     section = ""
     current_node: dict[str, str] | None = None
@@ -171,18 +172,23 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
                 raise ConfigError(f"unknown heartbeat key {key!r}", line_no)
             hb_defaults[key] = _int(value, line_no, key, low=1)
         elif section == "pipeline":
-            pipeline_kv[key] = (value, line_no)
+            if key in _IGNORED_PIPELINE_KEYS:
+                _ignore(ignored_keys, key)
+            else:
+                pipeline_kv[key] = (value, line_no)
         elif section.startswith("node "):
             assert current_node is not None
-            current_node[key] = value
+            if key == "label":
+                _ignore(ignored_keys, key)
+            elif key not in _NODE_KEYS:
+                raise ConfigError(f"unknown node key {key!r}", line_no)
+            else:
+                current_node[key] = value
         elif section == "filter":
             if key != "drop":
                 raise ConfigError(f"unknown filter key {key!r}", line_no)
             filter_rules.append(_parse_filter_rule(value, line_no))
         elif section == "classify":
-            if key == "strict":
-                strict_classes = value.lower() in ("1", "true", "yes")
-                continue
             parts = key.split()
             if len(parts) != 2:
                 raise ConfigError(f"expected '<Kind> <native> = <class>'", line_no)
@@ -208,7 +214,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         raise ConfigError("[tree] section with depth and degree is required")
     shape = TreeShape(depth=depth, max_degree=degree)
 
-    pipeline, ignored_keys = _build_pipeline(pipeline_kv)
+    pipeline = _build_pipeline(pipeline_kv)
     nodes: dict[NodeAddress, NodeDecl] = {}
     for addr_text, kv, line_no in node_sections:
         try:
@@ -232,7 +238,6 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         nodes[address] = NodeDecl(
             address=address,
             kind=kind,
-            label=kv.get("label", ""),
             ip=kv.get("ip", ""),
             asset_value=_int(kv.get("asset_value", "1"), line_no, "asset_value", 1, 5),
             vulnerability_ids=_vuln_set(kv.get("vulnerabilities", "")),
@@ -273,7 +278,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         root=root,
         pipeline=pipeline,
         filter_rules=filter_rules,
-        mapping=ClassificationMap(rules=mapping_rules, strict=strict_classes),
+        mapping=ClassificationMap(rules=mapping_rules),
         assets=assets,
         counterplan_dir=counterplan_dir,
         ignored_keys=ignored_keys,
@@ -299,21 +304,20 @@ _PIPELINE_MINIMA = {"validation_threshold": 0, "window_ticks": 1, "report_interv
 _IGNORED_PIPELINE_KEYS = {"similarity_weights", "merge_threshold", "time_horizon"}
 
 
-def _build_pipeline(
-    kv: dict[str, tuple[str, int]]
-) -> tuple[PipelineSettings, list[str]]:
-    """Settings from the ``[pipeline]`` keys (value and line number), and
-    the ignored keys given."""
+def _ignore(ignored: list[str], key: str) -> None:
+    """Name an accepted but unused key once, in file order."""
+    if key not in ignored:
+        ignored.append(key)
+
+
+def _build_pipeline(kv: dict[str, tuple[str, int]]) -> PipelineSettings:
+    """Settings from the ``[pipeline]`` keys (value and line number)."""
     settings = PipelineSettings()
-    ignored = []
     for key, (value, line_no) in kv.items():
-        if key in _IGNORED_PIPELINE_KEYS:
-            ignored.append(key)
-        elif key in _PIPELINE_INT_KEYS:
-            setattr(settings, key, _int(value, line_no, key, _PIPELINE_MINIMA.get(key)))
-        else:
+        if key not in _PIPELINE_INT_KEYS:
             raise ConfigError(f"unknown pipeline key {key!r}")
-    return settings, ignored
+        setattr(settings, key, _int(value, line_no, key, _PIPELINE_MINIMA.get(key)))
+    return settings
 
 
 def load_topology(path: str) -> TopologyConfig:
@@ -345,6 +349,14 @@ class ScenarioScript:
 
 
 _DIRECTIVE_OPS = {"emit", "silence", "abnormal", "command", "respond", "inject-loss"}
+
+#: The fields each respond action takes; launch and enlist require the first.
+_RESPOND_FIELDS = {
+    "launch": ("owner",),
+    "escalate": (),
+    "enlist": ("targets",),
+    "advance": ("actor", "note"),
+}
 
 
 def parse_scenario(text: str) -> ScenarioScript:
@@ -384,7 +396,7 @@ def _parse_directive_args(op: str, rest: list[str], line_no: int) -> dict[str, s
         args["device"] = rest[0]
         for token in rest[1:]:
             k, _, v = token.partition("=")
-            if k not in ("class", "src", "dst", "sev", "detail"):
+            if k not in ("class", "src", "dst", "sev"):
                 raise ConfigError(f"unknown emit field {k!r}", line_no)
             args[k] = v
         for required in ("class", "src", "dst"):
@@ -403,11 +415,19 @@ def _parse_directive_args(op: str, rest: list[str], line_no: int) -> dict[str, s
     elif op == "respond":
         if len(rest) < 2:
             raise ConfigError("respond form: respond <action> <handle> [k=v...]", line_no)
-        args["action"] = rest[0]
+        action = rest[0]
+        fields = _RESPOND_FIELDS.get(action)
+        if fields is None:
+            raise ConfigError(f"unknown respond action {action!r}", line_no)
+        args["action"] = action
         args["handle"] = rest[1]
         for token in rest[2:]:
             k, _, v = token.partition("=")
+            if k not in fields:
+                raise ConfigError(f"unknown respond {action} field {k!r}", line_no)
             args[k] = v
+        if action in ("launch", "enlist") and fields[0] not in args:
+            raise ConfigError(f"respond {action} needs {fields[0]}=", line_no)
     elif op == "inject-loss":
         if len(rest) < 3 or "->" not in rest[0] or rest[1] != "until":
             raise ConfigError(

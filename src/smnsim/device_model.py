@@ -1,19 +1,18 @@
 """Static and dynamic device abstractions.
 
-Statically a device is one of six kinds plus a descriptor record; dynamically
-it runs a ten-state machine driven by twelve transfer conditions. Offline
-splits into network-down / unreachable, online into waiting (normal or
-abnormal) and three busy states for alert, policy and vulnerability handling.
-A concrete device always sits in one of the seven leaf states; the busy
-states remember which waiting substate to return to.
+Statically a device is one of six kinds; its address, IP, asset value and
+vulnerabilities are held once, by the topology's node declaration and the
+asset database. Dynamically it runs a ten-state machine driven by twelve
+transfer conditions. Offline splits into network-down / unreachable, online
+into waiting (normal or abnormal) and three busy states for alert, policy and
+vulnerability handling. A concrete device always sits in one of the seven
+leaf states; the busy states remember which waiting substate to return to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-from .addressing import NodeAddress
 
 
 class DeviceKind(Enum):
@@ -140,20 +139,3 @@ def step(status: DeviceStatus, cond: TransferCondition) -> tuple[DeviceStatus, b
     assert isinstance(target, DeviceState)
     resume = status.state if cond in _ENTER_BUSY else status.resume
     return DeviceStatus(target, resume), True
-
-
-@dataclass
-class DeviceDescriptor:
-    """Static attributes of one managed device."""
-
-    address: NodeAddress
-    kind: DeviceKind
-    name: str = ""
-    endpoint_ip: str = ""
-    asset_value: int = 1
-    vulnerability_ids: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.asset_value <= 5:
-            raise ValueError(f"asset_value must be in 1..5, got {self.asset_value}")
-        self.vulnerability_ids = frozenset(self.vulnerability_ids)

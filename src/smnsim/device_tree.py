@@ -85,7 +85,6 @@ class DeviceNodeRecord:
     address: NodeAddress
     state: DeviceState
     kind: DeviceKind | None = None
-    label: str = ""
     children: dict[int, "DeviceNodeRecord"] = field(default_factory=dict)
 
     @property
@@ -117,8 +116,8 @@ def serialize_node(node: DeviceNodeRecord) -> str:
 
 
 def structurally_equal(a: DeviceNodeRecord, b: DeviceNodeRecord) -> bool:
-    """Equality over addresses, states and child order; kind and label are
-    display attributes not carried by the embedding text."""
+    """Equality over addresses, states and child order; kind is not carried
+    by the embedding text."""
     if a.address != b.address or a.state != b.state:
         return False
     if len(a.children) != len(b.children):
@@ -255,8 +254,6 @@ class AddressedDeviceTree:
         # Wire-built nodes carry no kind; keep what the stub knew.
         if new_root.kind is None:
             new_root.kind = assembling.kind
-        if not new_root.label:
-            new_root.label = assembling.label
         if assembling is self.root:
             self.root = new_root
         else:

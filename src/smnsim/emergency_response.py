@@ -10,6 +10,10 @@ automatic; each phase advance is an explicit operator action by the owning
 node or, after escalation, its coordinator. Enlisted participants must
 confirm receipt of the containment advisory before the case may move past
 Containment.
+
+A case holds only what its rules read: phase, owner, coordinator,
+participants and confirmations. Each step a node takes on a case is
+recorded once, as the ``CASE`` line the node logs.
 """
 
 from __future__ import annotations
@@ -144,7 +148,6 @@ def _parse_plan(text: str, event_class: str) -> dict[str, str]:
 @dataclass
 class ResponseCase:
     case_id: str
-    trigger_id: str
     classification: str
     plan: Counterplan
     phase: ResponsePhase
@@ -152,32 +155,18 @@ class ResponseCase:
     coordinator: NodeAddress | None = None
     participants: set[NodeAddress] = field(default_factory=set)
     confirmed: set[NodeAddress] = field(default_factory=set)
-    log: list[tuple[int, str, str, str]] = field(default_factory=list)
-
-    def record(self, tick: int, actor: str, action: str, detail: str = "") -> None:
-        self.log.append((tick, actor, action, detail))
 
 
 def launch(
-    trigger_id: str,
-    classification: str,
-    store: CounterplanStore,
-    owner: NodeAddress,
-    case_id: str,
-    now: int,
+    classification: str, store: CounterplanStore, owner: NodeAddress, case_id: str
 ) -> ResponseCase:
-    plan = store.resolve(classification)
-    case = ResponseCase(
+    return ResponseCase(
         case_id=case_id,
-        trigger_id=trigger_id,
         classification=classification,
-        plan=plan,
+        plan=store.resolve(classification),
         phase=ResponsePhase.IDENTIFICATION,
         owner=owner,
     )
-    case.record(now, str(owner), "launch", trigger_id)
-    case.record(now, str(owner), "plan-resolved", plan.event_class)
-    return case
 
 
 def _authorized(case: ResponseCase, actor: NodeAddress) -> bool:
@@ -186,7 +175,7 @@ def _authorized(case: ResponseCase, actor: NodeAddress) -> bool:
     )
 
 
-def advance(case: ResponseCase, actor: NodeAddress, now: int, note: str = "") -> None:
+def advance(case: ResponseCase, actor: NodeAddress) -> None:
     """Move the case one phase forward; Recovery closes it."""
     if case.phase is ResponsePhase.CLOSED:
         raise AlreadyClosed(case.case_id)
@@ -198,27 +187,20 @@ def advance(case: ResponseCase, actor: NodeAddress, now: int, note: str = "") ->
             raise ParticipantsUnconfirmed(
                 f"{len(waiting)} participant(s) have not confirmed the advisory"
             )
-    nxt = PHASE_ORDER[PHASE_ORDER.index(case.phase) + 1]
-    case.phase = nxt
-    case.record(now, str(actor), "advance", nxt.value)
+    case.phase = PHASE_ORDER[PHASE_ORDER.index(case.phase) + 1]
 
 
-def escalate(case: ResponseCase, now: int) -> NodeAddress:
+def escalate(case: ResponseCase) -> NodeAddress:
     """Hand advance authority to the owner's parent node. Idempotent."""
     parent = case.owner.parent()
     if parent is None:
         raise NoParent(f"{case.owner} has no parent to escalate to")
-    if case.coordinator != parent:
-        case.coordinator = parent
-        case.record(now, str(case.owner), "escalate", str(parent))
+    case.coordinator = parent
     return parent
 
 
 def enlist(
-    case: ResponseCase,
-    actor: NodeAddress,
-    targets: list[NodeAddress],
-    now: int,
+    case: ResponseCase, actor: NodeAddress, targets: list[NodeAddress]
 ) -> list[NodeAddress]:
     """Add cooperating nodes; the coordinator alone may do this, and only
     within its own subtree. Returns the newly added participants."""
@@ -232,14 +214,7 @@ def enlist(
         if target not in case.participants:
             case.participants.add(target)
             added.append(target)
-            case.record(now, str(actor), "enlist", str(target))
     return added
-
-
-def confirm(case: ResponseCase, participant: NodeAddress, now: int) -> None:
-    """Record a participant's advisory acknowledgment."""
-    case.confirmed.add(participant)
-    case.record(now, str(participant), "confirm", "")
 
 
 def format_case_line(case_id: str, tick: int, actor: str, action: str) -> str:

@@ -32,10 +32,6 @@ class PipelineError(Exception):
     pass
 
 
-class UnknownClass(PipelineError):
-    pass
-
-
 class ZeroWeights(PipelineError):
     pass
 
@@ -68,7 +64,6 @@ class RawDeviceEvent:
     src_port: int = 0
     dst_port: int = 0
     severity: int = 1
-    detail: str = ""
 
     def __post_init__(self) -> None:
         _check_port(self.src_port, "src_port")
@@ -132,7 +127,7 @@ class AssetDb:
 
 
 #: Native classes that must always reach the correlation stage.
-DEFAULT_PROTECTED_CLASSES = frozenset({"fw.connect", "fw.disconnect"})
+PROTECTED_CLASSES = frozenset({"fw.connect", "fw.disconnect"})
 
 
 @dataclass(frozen=True)
@@ -161,13 +156,9 @@ class FilterRule:
         return True
 
 
-def filter_event(
-    ev: RawDeviceEvent,
-    rules: list[FilterRule],
-    protected_classes: frozenset[str] = DEFAULT_PROTECTED_CLASSES,
-) -> bool:
+def filter_event(ev: RawDeviceEvent, rules: list[FilterRule]) -> bool:
     """True to keep the event, False to drop it."""
-    if ev.native_class in protected_classes:
+    if ev.native_class in PROTECTED_CLASSES:
         return True
     return not any(rule.matches(ev) for rule in rules)
 
@@ -184,10 +175,10 @@ _MARKER_BY_NATIVE = {
 
 @dataclass
 class ClassificationMap:
-    """Translates (device kind, native class) to the canonical taxonomy."""
+    """Translates (device kind, native class) to the canonical taxonomy;
+    an unmapped class other than a connection marker is ``unknown``."""
 
     rules: dict[tuple[DeviceKind, str], str] = field(default_factory=dict)
-    strict: bool = False
 
     def resolve(self, kind: DeviceKind, native_class: str) -> str:
         mapped = self.rules.get((kind, native_class))
@@ -195,8 +186,6 @@ class ClassificationMap:
             return mapped
         if native_class in _MARKER_BY_NATIVE:
             return native_class
-        if self.strict:
-            raise UnknownClass(f"no mapping for {kind.value}/{native_class}")
         return "unknown"
 
 
@@ -220,19 +209,6 @@ def normalize(ev: RawDeviceEvent, mapping: ClassificationMap, seq: int) -> Norma
         count=1,
         connection_marker=marker,
     )
-
-
-class Normalizer:
-    """Stateful wrapper keeping one sequence counter per device."""
-
-    def __init__(self, mapping: ClassificationMap) -> None:
-        self.mapping = mapping
-        self._seq: dict[NodeAddress, int] = {}
-
-    def normalize(self, ev: RawDeviceEvent) -> NormalizedEvent:
-        seq = self._seq.get(ev.device_address, 0) + 1
-        self._seq[ev.device_address] = seq
-        return normalize(ev, self.mapping, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +422,6 @@ class CrossDeviceAggregator:
         alert = MetaAlert(member_event_ids=[ev.event_id], representative=ev, score=score)
         self.alerts.append(alert)
         return alert
-
-
-def aggregate_cross_device(
-    events: list[tuple[NormalizedEvent, int]],
-    weights: SimilarityWeights = SimilarityWeights(),
-    merge_threshold: float = 0.7,
-    horizon: int = DEFAULT_TIME_HORIZON,
-) -> list[MetaAlert]:
-    agg = CrossDeviceAggregator(weights, merge_threshold, horizon)
-    for ev, score in events:
-        agg.add(ev, score)
-    return agg.alerts
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ owns a mailbox ordered by priority, FIFO within a priority, so response
 coordination overtakes bulk telemetry.
 
 Frames stay Python objects end to end: ``SimNetwork`` moves them hop by hop
-and nothing encodes them to bytes. A frame's payload holds UTF-8 text.
+and nothing encodes them to bytes. A frame's payload is text, and its
+priority follows from its message type alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class MsgType(Enum):
     RESPONSE_COORD = 8
 
 
-DEFAULT_PRIORITY = {
+#: Mailbox order by message type: lower pops first.
+PRIORITY = {
     MsgType.RESPONSE_COORD: 0,
     MsgType.COMMAND: 1,
     MsgType.COMMAND_ACK: 1,
@@ -49,21 +51,13 @@ DEFAULT_PRIORITY = {
 @dataclass(frozen=True)
 class Frame:
     msg_type: MsgType
-    priority: int
     src: NodeAddress
     dst: NodeAddress
     seq: int
-    sent_at: int
-    payload: bytes = b""
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.priority <= 3:
-            raise ValueError(f"priority {self.priority} outside 0..3")
-        if self.seq < 0 or self.sent_at < 0:
-            raise ValueError("seq and sent_at must be non-negative")
+    payload: str = ""
 
     def text(self) -> str:
-        return self.payload.decode("utf-8")
+        return self.payload
 
 
 class FrameBuilder:
@@ -73,63 +67,36 @@ class FrameBuilder:
         self.src = src
         self._seq: dict[MsgType, int] = {}
 
-    def build(
-        self,
-        msg_type: MsgType,
-        dst: NodeAddress,
-        sent_at: int,
-        payload: bytes | str = b"",
-    ) -> Frame:
+    def build(self, msg_type: MsgType, dst: NodeAddress, payload: str = "") -> Frame:
         seq = self._seq.get(msg_type, 0) + 1
         self._seq[msg_type] = seq
-        if isinstance(payload, str):
-            payload = payload.encode("utf-8")
-        return Frame(
-            msg_type=msg_type,
-            priority=DEFAULT_PRIORITY[msg_type],
-            src=self.src,
-            dst=dst,
-            seq=seq,
-            sent_at=sent_at,
-            payload=payload,
-        )
+        return Frame(msg_type=msg_type, src=self.src, dst=dst, seq=seq, payload=payload)
 
 
 # ---------------------------------------------------------------------------
 # Routing
 
 
-@dataclass(frozen=True)
-class Links:
-    parent: NodeAddress | None
-    children: frozenset[NodeAddress]
-
-
 class LinkTable:
-    """Tree links: every node knows its parent and children, nothing else."""
+    """Tree links: every node knows its parent; a node's children are the
+    declared nodes whose parent it is."""
 
-    def __init__(self, entries: dict[NodeAddress, Links]) -> None:
-        self.entries = entries
+    def __init__(self, parents: dict[NodeAddress, NodeAddress | None]) -> None:
+        self.parents = parents
 
     @classmethod
     def from_addresses(cls, addresses: list[NodeAddress]) -> "LinkTable":
         parents = {addr: addr.parent() for addr in addresses}
-        children: dict[NodeAddress, set[NodeAddress]] = {a: set() for a in parents}
         for addr, parent in parents.items():
-            if parent is None:
-                continue
-            if parent not in children:
+            if parent is not None and parent not in parents:
                 raise ValueError(f"{addr} declared without its parent {parent}")
-            children[parent].add(addr)
-        return cls(
-            {a: Links(parent=p, children=frozenset(children[a])) for a, p in parents.items()}
-        )
+        return cls(parents)
 
     def __contains__(self, addr: NodeAddress) -> bool:
-        return addr in self.entries
+        return addr in self.parents
 
     def __iter__(self):
-        return iter(self.entries)
+        return iter(self.parents)
 
 
 def next_hop(
@@ -141,11 +108,12 @@ def next_hop(
     if current == dst:
         return None
     if current.is_ancestor(dst):
+        # the child's parent is ``current`` by construction
         child = current.child(dst.segments[current.level])
-        if child not in links.entries[current].children:
+        if child not in links.parents:
             raise Unroutable(f"{dst} not reachable below {current}")
         return child
-    parent = links.entries[current].parent
+    parent = links.parents[current]
     if parent is None:
         raise Unroutable(f"{dst} not in tree below root {current}")
     return parent
@@ -163,7 +131,7 @@ class Mailbox:
         self._counter = 0
 
     def push(self, frame: Frame) -> None:
-        heapq.heappush(self._heap, (frame.priority, self._counter, frame))
+        heapq.heappush(self._heap, (PRIORITY[frame.msg_type], self._counter, frame))
         self._counter += 1
 
     def pop(self) -> Frame | None:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from . import emergency_response as er
 from .addressing import AddressError, NodeAddress, TreeShape
 from .device_model import (
-    DeviceDescriptor,
     DeviceKind,
     DeviceState,
     DeviceStatus,
@@ -51,11 +50,11 @@ from .event_pipeline import (
     ConnectionMarker,
     EventLineError,
     FilterRule,
-    Normalizer,
     RawDeviceEvent,
     aggregate_single_device,
     filter_event,
     format_event_line,
+    normalize,
     parse_event_line,
     validate,
 )
@@ -113,7 +112,6 @@ class ChildRecord:
 
     address: NodeAddress
     kind: DeviceKind
-    label: str
     hb: HeartbeatConfig
     status: DeviceStatus = field(default_factory=initial_status)
     net_deadline: int = 0
@@ -202,7 +200,6 @@ class SmnNode(_Node):
         hb: HeartbeatConfig | None = None,
         assets: AssetDb | None = None,
         counterplans: CounterplanStore | None = None,
-        label: str = "",
     ) -> None:
         super().__init__(address)
         self.shape = shape
@@ -213,10 +210,7 @@ class SmnNode(_Node):
         self.virtual_view = AddressedDeviceTree(
             shape=shape,
             root=DeviceNodeRecord(
-                address=address,
-                state=DeviceState.RUNNING_OK,
-                kind=DeviceKind.SMN,
-                label=label,
+                address=address, state=DeviceState.RUNNING_OK, kind=DeviceKind.SMN
             ),
         )
         self.children: dict[NodeAddress, ChildRecord] = {}
@@ -232,6 +226,8 @@ class SmnNode(_Node):
         #: ids of the commands sent and not yet acked
         self.pending_commands: set[str] = set()
         self.command_counter = 0
+        #: the view's changes for the console mirror, which replays the
+        #: root's view alone, so only the root records them
         self.changesets: list[ChangeSet] = []
         self.session_lines: list[str] = []
         self.last_record: SessionRecord | None = None
@@ -241,14 +237,10 @@ class SmnNode(_Node):
     # -- bookkeeping -------------------------------------------------------
 
     def add_child(
-        self,
-        address: NodeAddress,
-        kind: DeviceKind,
-        label: str = "",
-        hb: HeartbeatConfig | None = None,
+        self, address: NodeAddress, kind: DeviceKind, hb: HeartbeatConfig | None = None
     ) -> None:
         hb = hb or HeartbeatConfig()
-        record = ChildRecord(address=address, kind=kind, label=label, hb=hb)
+        record = ChildRecord(address=address, kind=kind, hb=hb)
         record.net_deadline = hb.network_test_timeout
         record.pkg_deadline = hb.state_pkg_timeout
         self.children[address] = record
@@ -256,12 +248,7 @@ class SmnNode(_Node):
         # their STATE lines
         self.children = dict(sorted(self.children.items(), key=lambda kv: kv[0].segments))
         self.virtual_view.add_device(
-            DeviceNodeRecord(
-                address=address,
-                state=record.status.state,
-                kind=kind,
-                label=label,
-            )
+            DeviceNodeRecord(address=address, state=record.status.state, kind=kind)
         )
 
     def _case_line(self, case_id: str, now: int, actor: object, action: str) -> None:
@@ -271,18 +258,19 @@ class SmnNode(_Node):
         out, self.changesets = self.changesets, []
         return out
 
+    def _record(self, changes: ChangeSet) -> None:
+        if self.parent is None:
+            self.changesets.append(changes)
+
     def _state_changed(self, holder) -> None:
-        rec = self.virtual_view.set_state(holder.address, holder.status.state)
-        self.changesets.append((rec,))
+        self._record((self.virtual_view.set_state(holder.address, holder.status.state),))
 
     def _emit_report(self, now: int) -> list[Frame]:
         if self.parent is None:
             return []
         self._log(now, "REPORT", "")
         return [
-            self.builder.build(
-                MsgType.TOPOLOGY_REPORT, self.parent, now, self.virtual_view.serialize()
-            )
+            self.builder.build(MsgType.TOPOLOGY_REPORT, self.parent, self.virtual_view.serialize())
         ]
 
     # -- frame handling ----------------------------------------------------
@@ -314,7 +302,7 @@ class SmnNode(_Node):
                 return self._on_device_event(child, frame, now)
             if mt is MsgType.TOPOLOGY_REPORT:
                 return self._on_topology_report(child, frame, now)
-            return self._on_session_alert(frame, now)
+            return self._on_session_alert(frame)
         if mt is MsgType.COMMAND:
             return self._on_command(frame, now)
         if mt is MsgType.COMMAND_ACK:
@@ -352,7 +340,7 @@ class SmnNode(_Node):
                     self._log(now, "ALERT", action.record.session_id)
                     if self.parent is not None:
                         out.append(
-                            self.builder.build(MsgType.SESSION_ALERT, self.parent, now, line)
+                            self.builder.build(MsgType.SESSION_ALERT, self.parent, line)
                         )
         self._apply_cond(child, _T.T8, now)
         return out
@@ -363,16 +351,16 @@ class SmnNode(_Node):
         except (TreeError, AddressError) as exc:
             self._log(now, "BADREPORT", f"{frame.src} {exc}")
             return []
-        self.changesets.append(changes)
+        self._record(changes)
         self._log(now, "ASSEMBLE", str(frame.src))
         return self._emit_report(now)
 
-    def _on_session_alert(self, frame: Frame, now: int) -> list[Frame]:
+    def _on_session_alert(self, frame: Frame) -> list[Frame]:
         line = frame.text()
         self.session_lines.append(line)
         if self.parent is None:
             return []
-        return [self.builder.build(MsgType.SESSION_ALERT, self.parent, now, line)]
+        return [self.builder.build(MsgType.SESSION_ALERT, self.parent, line)]
 
     def _on_command(self, frame: Frame, now: int) -> list[Frame]:
         kind, cmd_id, conds = _parse_command(frame.text())
@@ -381,7 +369,7 @@ class SmnNode(_Node):
             self._apply_cond(self, conds[0], now)
             self._apply_cond(self, conds[1], now)
         self._log(now, "CMD", f"{cmd_id} {kind}")
-        return [self.builder.build(MsgType.COMMAND_ACK, frame.src, now, cmd_id)]
+        return [self.builder.build(MsgType.COMMAND_ACK, frame.src, cmd_id)]
 
     # -- commands ----------------------------------------------------------
 
@@ -394,9 +382,7 @@ class SmnNode(_Node):
         cmd_id = f"{self.address}!{self.command_counter}"
         self.pending_commands.add(cmd_id)
         self._log(now, "COMMAND", f"{cmd_id} {kind} {target}")
-        frame = self.builder.build(
-            MsgType.COMMAND, target, now, f"{kind} {cmd_id}\n{body}"
-        )
+        frame = self.builder.build(MsgType.COMMAND, target, f"{kind} {cmd_id}\n{body}")
         return cmd_id, [frame]
 
     # -- emergency response ------------------------------------------------
@@ -407,27 +393,20 @@ class SmnNode(_Node):
             raise ResponseError(f"{self.address} has no alert to respond to")
         self.case_counter += 1
         case_id = f"{self.address}#c{self.case_counter}"
-        case = er.launch(
-            record.session_id,
-            record.top_classification,
-            self.counterplans,
-            self.address,
-            case_id,
-            now,
-        )
+        case = er.launch(record.top_classification, self.counterplans, self.address, case_id)
         self.cases[case_id] = case
         self._case_line(case_id, now, self.address, "launch")
         return case
 
     def respond_escalate(self, case_id: str, now: int) -> list[Frame]:
         case = self.cases[case_id]
-        coordinator = er.escalate(case, now)
+        coordinator = er.escalate(case)
         self._case_line(case_id, now, self.address, "escalate")
         payload = (
             f"escalate {case_id} {self.address} {case.classification}\n"
             f"{case.plan.containment}"
         )
-        return [self.builder.build(MsgType.RESPONSE_COORD, coordinator, now, payload)]
+        return [self.builder.build(MsgType.RESPONSE_COORD, coordinator, payload)]
 
     def respond_enlist(
         self, case_id: str, targets: list[NodeAddress], now: int
@@ -445,7 +424,6 @@ class SmnNode(_Node):
                 self.builder.build(
                     MsgType.RESPONSE_COORD,
                     target,
-                    now,
                     f"advisory {case_id} {entry.owner}\n{entry.containment}",
                 )
             )
@@ -454,7 +432,6 @@ class SmnNode(_Node):
             self.builder.build(
                 MsgType.RESPONSE_COORD,
                 entry.owner,
-                now,
                 f"enlisted {case_id} {targets_text}",
             )
         )
@@ -463,7 +440,7 @@ class SmnNode(_Node):
     def respond_advance(self, case_id: str, note: str, now: int) -> list[Frame]:
         case = self.cases.get(case_id)
         if case is not None:
-            self._advance_local(case, self.address, note, now)
+            self._advance_local(case, self.address, now)
             return []
         entry = self.coordinated.get(case_id)
         if entry is not None:
@@ -471,21 +448,17 @@ class SmnNode(_Node):
                 self.builder.build(
                     MsgType.RESPONSE_COORD,
                     entry.owner,
-                    now,
                     f"advance {case_id} {self.address} {note}",
                 )
             ]
         self._log(now, "RESPOND-ERROR", f"unknown case {case_id}")
         return []
 
-    def _advance_local(
-        self, case: ResponseCase, actor: NodeAddress, note: str, now: int
-    ) -> None:
+    def _advance_local(self, case: ResponseCase, actor: NodeAddress, now: int) -> None:
         try:
-            er.advance(case, actor, now, note)
+            er.advance(case, actor)
             self._case_line(case.case_id, now, actor, f"advance:{case.phase.value}")
-        except ResponseError as exc:
-            case.record(now, str(actor), "advance-rejected", str(exc))
+        except ResponseError:
             self._case_line(case.case_id, now, actor, "advance-rejected")
 
     def _on_response_coord(self, frame: Frame, now: int) -> list[Frame]:
@@ -505,7 +478,7 @@ class SmnNode(_Node):
             owner = NodeAddress.parse(owner_text, self.shape)
             return [
                 self.builder.build(
-                    MsgType.RESPONSE_COORD, owner, now, f"confirm {case_id} {self.address}"
+                    MsgType.RESPONSE_COORD, owner, f"confirm {case_id} {self.address}"
                 )
             ]
         if sub == "confirm" and len(parts) >= 3:
@@ -513,7 +486,7 @@ class SmnNode(_Node):
             case = self.cases.get(case_id)
             if case is not None:
                 participant = NodeAddress.parse(participant_text, self.shape)
-                er.confirm(case, participant, now)
+                case.confirmed.add(participant)
                 self._case_line(case_id, now, participant, "confirm")
             return []
         if sub == "enlisted" and len(parts) >= 3:
@@ -524,7 +497,7 @@ class SmnNode(_Node):
                     NodeAddress.parse(t, self.shape) for t in targets_text.split(",")
                 ]
                 try:
-                    added = er.enlist(case, frame.src, targets, now)
+                    added = er.enlist(case, frame.src, targets)
                 except ResponseError as exc:
                     self._log(now, "RESPOND-ERROR", str(exc))
                     return []
@@ -533,10 +506,9 @@ class SmnNode(_Node):
             return []
         if sub == "advance" and len(parts) >= 3:
             case_id, actor_text = parts[1], parts[2]
-            note = " ".join(parts[3:])
             case = self.cases.get(case_id)
             if case is not None:
-                self._advance_local(case, NodeAddress.parse(actor_text, self.shape), note, now)
+                self._advance_local(case, NodeAddress.parse(actor_text, self.shape), now)
             return []
         self._log(now, "RESPOND-ERROR", f"bad coordination message {head!r}")
         return []
@@ -557,18 +529,17 @@ class SmnNode(_Node):
                     and child.status.state is DeviceState.NET_DOWN
                     and child.kind is DeviceKind.SMN
                 ):
-                    changes = self.virtual_view.disassemble(
-                        child.address, DeviceState.NET_DOWN
+                    self._record(
+                        self.virtual_view.disassemble(child.address, DeviceState.NET_DOWN)
                     )
-                    self.changesets.append(changes)
                     self._log(now, "DISASSEMBLE", str(child.address))
                     out.extend(self._emit_report(now))
         if self.parent is not None:
             if now % self.hb.network_test_interval == 0:
-                out.append(self.builder.build(MsgType.NETWORK_TEST, self.parent, now))
+                out.append(self.builder.build(MsgType.NETWORK_TEST, self.parent))
             if now % self.hb.state_pkg_interval == 0:
                 out.append(
-                    self.builder.build(MsgType.DEVICE_STATE_PKG, self.parent, now, "normal")
+                    self.builder.build(MsgType.DEVICE_STATE_PKG, self.parent, "normal")
                 )
             if now % self.settings.report_interval == 0:
                 out.extend(self._emit_report(now))
@@ -581,22 +552,23 @@ class DeviceAgent(_Node):
 
     def __init__(
         self,
-        descriptor: DeviceDescriptor,
-        shape: TreeShape,
+        address: NodeAddress,
+        kind: DeviceKind,
         parent: NodeAddress,
         hb: HeartbeatConfig | None = None,
         settings: PipelineSettings | None = None,
         filter_rules: list[FilterRule] | None = None,
         mapping: ClassificationMap | None = None,
     ) -> None:
-        super().__init__(descriptor.address)
-        self.descriptor = descriptor
-        self.shape = shape
+        super().__init__(address)
+        self.kind = kind
         self.parent = parent
         self.hb = hb or HeartbeatConfig()
         self.settings = settings or PipelineSettings()
         self.filter_rules = filter_rules or []
-        self.normalizer = Normalizer(mapping or ClassificationMap())
+        self.mapping = mapping or ClassificationMap()
+        #: events this device has normalized; the last one's id ends in it
+        self.event_seq = 0
         self.builder = FrameBuilder(self.address)
         self.buffer: list[RawDeviceEvent] = []
         self.abnormal_windows: list[tuple[int, int]] = []
@@ -617,7 +589,7 @@ class DeviceAgent(_Node):
             # node does
             if self.silenced(now):
                 return []
-            return [self.builder.build(MsgType.COMMAND_ACK, frame.src, now, cmd_id)]
+            return [self.builder.build(MsgType.COMMAND_ACK, frame.src, cmd_id)]
         self._apply_cond(self, conds[0], now)
         self.pending_acks.append(
             (now + self.settings.command_delay, cmd_id, conds[1], frame.src)
@@ -647,19 +619,18 @@ class DeviceAgent(_Node):
             if due <= now:
                 self._apply_cond(self, cond_out, now)
                 self._log(now, "CMD", f"{cmd_id} done")
-                out.append(self.builder.build(MsgType.COMMAND_ACK, reply_to, now, cmd_id))
+                out.append(self.builder.build(MsgType.COMMAND_ACK, reply_to, cmd_id))
             else:
                 still.append((due, cmd_id, cond_out, reply_to))
         self.pending_acks = still
         if now % self.hb.network_test_interval == 0:
-            out.append(self.builder.build(MsgType.NETWORK_TEST, self.parent, now))
+            out.append(self.builder.build(MsgType.NETWORK_TEST, self.parent))
         if now % self.hb.state_pkg_interval == 0:
             abnormal = _in_window(self.abnormal_windows, now)
             out.append(
                 self.builder.build(
                     MsgType.DEVICE_STATE_PKG,
                     self.parent,
-                    now,
                     "abnormal" if abnormal else "normal",
                 )
             )
@@ -667,21 +638,22 @@ class DeviceAgent(_Node):
             ready = [e for e in self.buffer if e.timestamp < now]
             if ready:
                 self.buffer = [e for e in self.buffer if e.timestamp >= now]
-                out.extend(self._flush(ready, now))
+                out.extend(self._flush(ready))
         return out
 
-    def _flush(self, ready: list[RawDeviceEvent], now: int) -> list[Frame]:
+    def _flush(self, ready: list[RawDeviceEvent]) -> list[Frame]:
         kept = [e for e in ready if filter_event(e, self.filter_rules)]
         kept.sort(key=lambda e: e.timestamp)
-        normalized = [self.normalizer.normalize(e) for e in kept]
+        normalized = [
+            normalize(e, self.mapping, self.event_seq + n) for n, e in enumerate(kept, 1)
+        ]
+        self.event_seq += len(kept)
         aggregated = aggregate_single_device(
             normalized, self.settings.window_ticks, self.settings.portscan_threshold
         )
         frames = []
         for ev in aggregated:
             frames.append(
-                self.builder.build(
-                    MsgType.DEVICE_EVENT, self.parent, now, format_event_line(ev)
-                )
+                self.builder.build(MsgType.DEVICE_EVENT, self.parent, format_event_line(ev))
             )
         return frames

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .addressing import NodeAddress
 from .config import ConfigError, ScenarioScript, TopologyConfig
-from .device_model import DeviceDescriptor, DeviceKind
+from .device_model import DeviceKind
 from .device_tree import AddressedDeviceTree, build_tree
 from .emergency_response import CounterplanStore, ResponseError
 from .event_pipeline import AssetDb, NormalizedEvent, RawDeviceEvent, validate
@@ -109,20 +109,11 @@ class Simulation:
                     hb=decl.hb,
                     assets=topology.assets,
                     counterplans=counterplans,
-                    label=decl.label,
                 )
             else:
-                descriptor = DeviceDescriptor(
+                self.agents[addr] = DeviceAgent(
                     address=addr,
                     kind=decl.kind,
-                    name=decl.label,
-                    endpoint_ip=decl.ip,
-                    asset_value=decl.asset_value,
-                    vulnerability_ids=decl.vulnerability_ids,
-                )
-                self.agents[addr] = DeviceAgent(
-                    descriptor=descriptor,
-                    shape=self.shape,
                     parent=addr.parent(),
                     hb=decl.hb,
                     settings=topology.pipeline,
@@ -132,7 +123,7 @@ class Simulation:
         for addr, decl in topology.nodes.items():
             parent = addr.parent()
             if parent is not None:
-                self.smns[parent].add_child(addr, decl.kind, decl.label, decl.hb)
+                self.smns[parent].add_child(addr, decl.kind, decl.hb)
 
         self.links = LinkTable.from_addresses(list(topology.nodes))
         self.network = SimNetwork(self.links, loss_hook=self._lossy)
@@ -165,9 +156,18 @@ class Simulation:
         """Parse every directive's values once before the run, so a bad value
         is a ConfigError here and never a traceback mid-run. The values are
         parsed again when applied: keeping them would hold a parsed copy of
-        every emit for the whole run."""
+        every emit for the whole run. A respond action other than launch
+        must name a handle that an earlier launch binds."""
+        launched: set[str] = set()
         for d in self.scenario.directives:
             self._parse_values(d)
+            if d.op != "respond":
+                continue
+            handle = d.args["handle"]
+            if d.args["action"] == "launch":
+                launched.add(handle)
+            elif handle not in launched:
+                raise ConfigError(f"no earlier respond launch binds {handle!r}", d.line_no)
 
     def _parse_values(self, d):
         """What ``_apply_directives`` needs of directive ``d``, checked."""
@@ -206,8 +206,23 @@ class Simulation:
                 end=_until(d),
                 rate=rate,
             )
-        if d.op == "respond" and args["action"] == "launch" and "owner" not in args:
-            raise ConfigError("respond launch needs owner=", line_no)
+        if d.op == "respond":
+            return self._respond_nodes(d)
+        return None
+
+    def _respond_nodes(self, d):
+        """The nodes respond directive ``d`` names: the owner of a launch,
+        the targets of an enlist, the actor of an advance; None when the
+        case's own nodes act."""
+        args, line_no = d.args, d.line_no
+        if "targets" in args:
+            return [self._addr(t, line_no) for t in args["targets"].split(",")]
+        for name in ("owner", "actor"):
+            if name in args:
+                addr = self._addr(args[name], line_no)
+                if addr not in self.smns:
+                    raise ConfigError(f"respond {name} {addr} is not a management node", line_no)
+                return addr
         return None
 
     def _addr(self, text: str, line_no: int | None = None) -> NodeAddress:
@@ -245,7 +260,7 @@ class Simulation:
                 )
                 outbound.extend(frames)
             elif d.op == "respond":
-                self._do_respond(d, tick, outbound)
+                self._do_respond(d, values, tick, outbound)
             elif d.op == "inject-loss":
                 self.loss_windows.append(values)
 
@@ -255,7 +270,7 @@ class Simulation:
         agent.inject(
             RawDeviceEvent(
                 device_address=addr,
-                device_kind=agent.descriptor.kind,
+                device_kind=agent.kind,
                 native_class=d.args["class"],
                 timestamp=tick,
                 src_ip=src_ip,
@@ -263,44 +278,35 @@ class Simulation:
                 dst_ip=dst_ip,
                 dst_port=dst_port,
                 severity=severity,
-                detail=d.args.get("detail", ""),
             )
         )
         # the agent may be filed under this very tick, which must stand
         slot = self.network.slots[addr]
         self._schedule(slot, min(self._wake[slot], agent.next_wake(tick)))
 
-    def _do_respond(self, d, tick: int, outbound: list[Frame]) -> None:
+    def _do_respond(self, d, values, tick: int, outbound: list[Frame]) -> None:
         action = d.args["action"]
         handle = d.args["handle"]
         try:
             if action == "launch":
-                owner = self._addr(d.args["owner"], d.line_no)
-                case = self.smns[owner].respond_launch(tick)
-                self.handles[handle] = (owner, case.case_id)
+                case = self.smns[values].respond_launch(tick)
+                self.handles[handle] = (values, case.case_id)
+                return
+            if handle not in self.handles:
+                self.root._log(tick, "RESPOND-ERROR", f"{handle} has no case: its launch failed")
                 return
             owner, case_id = self.handles[handle]
             owner_node = self.smns[owner]
             if action == "escalate":
                 outbound.extend(owner_node.respond_escalate(case_id, tick))
             elif action == "enlist":
-                targets = [
-                    self._addr(t, d.line_no) for t in d.args["targets"].split(",")
-                ]
                 case = owner_node.cases[case_id]
                 actor = case.coordinator if case.coordinator is not None else owner
-                actor_node = self.smns[actor]
-                outbound.extend(actor_node.respond_enlist(case_id, targets, tick))
-            elif action == "advance":
-                actor = self._addr(d.args.get("actor", str(owner)), d.line_no)
-                note = d.args.get("note", "")
-                outbound.extend(
-                    self.smns[actor].respond_advance(case_id, note, tick)
-                )
+                outbound.extend(self.smns[actor].respond_enlist(case_id, values, tick))
             else:
-                raise ConfigError(f"unknown respond action {action!r}", d.line_no)
-        except KeyError:
-            raise ConfigError(f"unknown case handle {handle!r}", d.line_no) from None
+                actor = owner if values is None else values
+                note = d.args.get("note", "")
+                outbound.extend(self.smns[actor].respond_advance(case_id, note, tick))
         except ResponseError as exc:
             self.root._log(tick, "RESPOND-ERROR", str(exc))
 
@@ -353,9 +359,6 @@ class Simulation:
                 self.mirror.apply_changeset(changes)
             if self.debug:
                 self._check_mirror()
-            for addr in self.smns:
-                if addr != self.root.address:
-                    self.smns[addr].drain_changesets()
             self.network.step()
             if self.debug:
                 self._check_invariants()

@@ -97,13 +97,15 @@ def test_ignored_clustering_keys_are_named_and_change_nothing(tmp_path, capsys):
         "merge_threshold = 0.7\n"
         "time_horizon = 300\n",
     )
+    for role in ("hq", "site-a"):
+        text = text.replace(f"# {role}\n", f"label = {role}\n")
     topology = tmp_path / "topology.cfg"
     topology.write_text(text)
     out = tmp_path / "out"
     assert cli.main(simulate_argv(topology, out)) == 0
     err = capsys.readouterr().err
     assert err == (
-        f"{topology}: ignored keys: similarity_weights, merge_threshold, time_horizon\n"
+        f"{topology}: ignored keys: similarity_weights, merge_threshold, time_horizon, label\n"
     )
     for golden in (GOLDEN / "attack").iterdir():
         assert (out / golden.name).read_bytes() == golden.read_bytes()
@@ -131,12 +133,22 @@ def test_simulate_non_integer_pipeline_value(tmp_path, capsys):
          "sev is not a number: 'high'"),
         ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:80 sev=9",
          "sev 9 outside 1..5"),
+        ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:80 detail=x",
+         "unknown emit field 'detail'"),
         ("at 5 command policy 1.0.0", "command target 1.0.0 is not below the root"),
         ("at 5 silence 1.1.1 until 5", "until 5 is not after tick 5"),
         ("at 5 abnormal 1.1.1 until 2", "until 2 is not after tick 5"),
         ("at 5 inject-loss 1.1.0->1.0.0 until 4", "until 4 is not after tick 5"),
         ("at 5 inject-loss 1.1.0->1.0.0 until 9 rate=7", "rate 7 outside (0, 1]"),
         ("at 5 inject-loss 1.1.0->1.0.0 until 9 rate=0", "rate 0 outside (0, 1]"),
+        ("at 5 respond dance w1", "unknown respond action 'dance'"),
+        ("at 5 respond launch w1 owner=1.1.0 ownr=1.1.0",
+         "unknown respond launch field 'ownr'"),
+        ("at 5 respond launch w1 owner=1.1.1", "respond owner 1.1.1 is not a management node"),
+        ("at 5 respond advance w1 actor=1.2.1", "respond actor 1.2.1 is not a management node"),
+        ("at 5 respond enlist w1", "respond enlist needs targets="),
+        ("at 5 respond enlist w1 targets=1.2.0,1.3.0", "unknown node 1.3.0"),
+        ("at 5 respond escalate w1", "no earlier respond launch binds 'w1'"),
     ],
 )
 def test_simulate_bad_directive_value_fails_before_the_run(directive, message, tmp_path, capsys):
@@ -163,6 +175,10 @@ def test_simulate_bad_directive_value_fails_before_the_run(directive, message, t
         ("validation_threshold = 5", "validation_threshold = -1", 15,
          "validation_threshold must be >= 0, got -1"),
         ("depth = 3", "depth = 0", 5, "depth must be >= 1, got 0"),
+        # keys the simulator does not know name their own line
+        ("asset_value = 4", "asset_vlaue = 4", 42, "unknown node key 'asset_vlaue'"),
+        ("[classify]\n", "[classify]\nstrict = true\n", 65,
+         "expected '<Kind> <native> = <class>'"),
     ],
 )
 def test_simulate_bad_topology_value_names_its_line(old, new, line, message, tmp_path, capsys):

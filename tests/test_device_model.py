@@ -6,15 +6,12 @@ import pytest
 from smnsim.device_model import (
     LEAF_STATES,
     TRANSITION_TABLE,
-    DeviceDescriptor,
-    DeviceKind,
     DeviceState,
     DeviceStatus,
     TransferCondition,
     initial_status,
     step,
 )
-from smnsim.addressing import NodeAddress, TreeShape
 
 S = DeviceState
 T = TransferCondition
@@ -110,16 +107,3 @@ def test_no_arrow_outside_named_conditions():
         assert state in LEAF_STATES
         assert cond in TransferCondition
 
-
-def test_descriptor_bounds():
-    shape = TreeShape(depth=3, max_degree=3)
-    d = DeviceDescriptor(
-        address=NodeAddress((1, 1, 1), shape),
-        kind=DeviceKind.FIREWALL,
-        asset_value=3,
-    )
-    assert d.asset_value == 3
-    with pytest.raises(ValueError):
-        DeviceDescriptor(
-            address=NodeAddress((1, 1, 1), shape), kind=DeviceKind.IDS, asset_value=9
-        )

@@ -9,14 +9,12 @@ from smnsim.event_pipeline import (
     AssetRecord,
     ClassificationMap,
     ConnectionMarker,
+    CrossDeviceAggregator,
     FilterRule,
     NormalizedEvent,
-    Normalizer,
     RawDeviceEvent,
     SimilarityWeights,
-    UnknownClass,
     ZeroWeights,
-    aggregate_cross_device,
     aggregate_single_device,
     filter_event,
     format_event_line,
@@ -26,6 +24,8 @@ from smnsim.event_pipeline import (
     similarity,
     validate,
 )
+from smnsim.messaging import MsgType
+from smnsim.node_runtime import DeviceAgent
 
 SHAPE = TreeShape(depth=3, max_degree=4)
 FW = NodeAddress.parse("1.1.1", SHAPE)
@@ -130,17 +130,22 @@ def test_normalize_lenient_default():
     assert out.severity == 4
 
 
-def test_normalize_strict_raises():
-    with pytest.raises(UnknownClass):
-        normalize(raw(native="weird.thing"), ClassificationMap(strict=True), 1)
-
-
 def test_normalizer_sequences_per_device():
-    n = Normalizer(ClassificationMap())
-    a = n.normalize(raw(addr=IDS))
-    b = n.normalize(raw(addr=IDS))
-    c = n.normalize(raw(addr=FW, kind=DeviceKind.FIREWALL))
-    assert (a.event_id, b.event_id, c.event_id) == ("1.1.2-1", "1.1.2-2", "1.1.1-1")
+    """Each device agent numbers the events it normalizes, across flushes."""
+    site = NodeAddress.parse("1.1.0", SHAPE)
+    ids_agent = DeviceAgent(IDS, DeviceKind.IDS, site)
+    fw_agent = DeviceAgent(FW, DeviceKind.FIREWALL, site)
+
+    def flush(agent, now, *targets):
+        for dst in targets:
+            agent.inject(raw(addr=agent.address, kind=agent.kind, t=now - 1, dst=dst))
+        frames = [f for f in agent.step(now) if f.msg_type is MsgType.DEVICE_EVENT]
+        return [parse_event_line(f.text(), SHAPE).event_id for f in frames]
+
+    # one window flushes every ten ticks; each device numbers its own events
+    assert flush(ids_agent, 10, "10.0.0.2", "10.0.0.3") == ["1.1.2-1", "1.1.2-2"]
+    assert flush(ids_agent, 20, "10.0.0.4") == ["1.1.2-3"]
+    assert flush(fw_agent, 10, "10.0.0.2") == ["1.1.1-1"]
 
 
 def test_marker_requires_firewall_analyzer():
@@ -310,7 +315,9 @@ def test_cross_device_clusters_similar_events():
     fw = ev(eid="f1", cls="exploit.attempt", t=100, dport=80, kind=DeviceKind.FIREWALL, addr=FW)
     ids = ev(eid="i1", cls="exploit.attempt", t=100, dport=445, addr=IDS)
     assert similarity(fw, ids) == pytest.approx(0.85)
-    alerts = aggregate_cross_device([(fw, 6), (ids, 40)], merge_threshold=0.7)
+    agg = CrossDeviceAggregator(merge_threshold=0.7)
+    assert agg.add(fw, 6) is agg.add(ids, 40)
+    alerts = agg.alerts
     assert len(alerts) == 1
     assert alerts[0].member_event_ids == ["f1", "i1"]
     assert alerts[0].score == 40
@@ -320,12 +327,13 @@ def test_cross_device_clusters_similar_events():
 def test_cross_device_unrelated_events_stay_apart():
     a = ev(eid="a", src="10.0.0.1", dst="10.0.0.2", dport=80, cls="dos.synflood", t=0)
     b = ev(eid="b", src="10.1.1.1", dst="10.1.1.2", dport=443, cls="exploit.attempt", t=400)
-    alerts = aggregate_cross_device([(a, 5), (b, 5)])
-    assert len(alerts) == 2
+    agg = CrossDeviceAggregator()
+    assert agg.add(a, 5) is not agg.add(b, 5)
+    assert len(agg.alerts) == 2
 
 
 def test_cross_device_empty_input():
-    assert aggregate_cross_device([]) == []
+    assert CrossDeviceAggregator().alerts == []
 
 
 # -- event line format -------------------------------------------------------------

@@ -6,7 +6,6 @@ from smnsim.addressing import NodeAddress, TreeShape
 from smnsim.messaging import (
     Frame,
     FrameBuilder,
-    Links,
     LinkTable,
     Mailbox,
     MsgType,
@@ -22,33 +21,18 @@ def A(text):
     return NodeAddress.parse(text, SHAPE)
 
 
-def frame(
-    msg_type=MsgType.DEVICE_EVENT,
-    priority=3,
-    src="1.1.1.1",
-    dst="1.1.1.0",
-    seq=1,
-    sent_at=10,
-    payload=b"hello",
-):
-    return Frame(
-        msg_type=msg_type,
-        priority=priority,
-        src=A(src),
-        dst=A(dst),
-        seq=seq,
-        sent_at=sent_at,
-        payload=payload,
-    )
+def frame(msg_type=MsgType.DEVICE_EVENT, src="1.1.1.1", dst="1.1.1.0", seq=1):
+    return Frame(msg_type=msg_type, src=A(src), dst=A(dst), seq=seq)
 
 
 def test_builder_sequences_per_type():
     b = FrameBuilder(A("1.1.0.0"))
-    f1 = b.build(MsgType.NETWORK_TEST, A("1.0.0.0"), 5)
-    f2 = b.build(MsgType.NETWORK_TEST, A("1.0.0.0"), 6)
-    f3 = b.build(MsgType.DEVICE_EVENT, A("1.0.0.0"), 6, "x")
+    f1 = b.build(MsgType.NETWORK_TEST, A("1.0.0.0"))
+    f2 = b.build(MsgType.NETWORK_TEST, A("1.0.0.0"))
+    f3 = b.build(MsgType.DEVICE_EVENT, A("1.0.0.0"), "x")
     assert (f1.seq, f2.seq, f3.seq) == (1, 2, 1)
-    assert f1.priority == 3
+    assert (f1.text(), f3.text()) == ("", "x")
+    assert f3 == Frame(MsgType.DEVICE_EVENT, A("1.1.0.0"), A("1.0.0.0"), 1, "x")
 
 
 # -- routing --------------------------------------------------------------------
@@ -63,13 +47,9 @@ def links():
 
 
 def test_link_table_entries(links):
-    assert links.entries[A("1.0.0.0")] == Links(
-        parent=None, children=frozenset({A("1.1.0.0"), A("1.2.0.0")})
-    )
-    assert links.entries[A("1.2.2.0")] == Links(
-        parent=A("1.2.0.0"), children=frozenset({A("1.2.2.1")})
-    )
-    assert links.entries[A("1.2.2.1")].children == frozenset()
+    assert links.parents == {A(t): A(t).parent() for t in TREE}
+    assert links.parents[A("1.0.0.0")] is None
+    assert A("1.2.2.1") in links and A("1.3.0.0") not in links
     with pytest.raises(ValueError, match="1.2.2.1 declared without its parent 1.2.2.0"):
         LinkTable.from_addresses([A(t) for t in TREE if t != "1.2.2.0"])
 
@@ -89,6 +69,9 @@ def test_next_hop_deliver(links):
 def test_next_hop_unroutable_outside_tree(links):
     with pytest.raises(Unroutable):
         next_hop(A("1.0.0.0"), A("1.3.0.0"), links)
+    # below a declared node, toward an undeclared child
+    with pytest.raises(Unroutable, match="1.1.3.0 not reachable below 1.1.0.0"):
+        next_hop(A("1.1.0.0"), A("1.1.3.0"), links)
 
 
 def route(links, src, dst):
@@ -124,9 +107,9 @@ def test_route_matches_ancestor_chain_oracle(links):
 
 def test_mailbox_priority_then_fifo():
     box = Mailbox()
-    low1 = frame(msg_type=MsgType.DEVICE_EVENT, priority=2, seq=1)
-    low2 = frame(msg_type=MsgType.DEVICE_EVENT, priority=2, seq=2)
-    urgent = frame(msg_type=MsgType.RESPONSE_COORD, priority=0, seq=1)
+    low1 = frame(msg_type=MsgType.DEVICE_EVENT, seq=1)
+    low2 = frame(msg_type=MsgType.DEVICE_EVENT, seq=2)
+    urgent = frame(msg_type=MsgType.RESPONSE_COORD, seq=1)
     box.push(low1)
     box.push(low2)
     box.push(urgent)
@@ -138,7 +121,7 @@ def test_mailbox_priority_then_fifo():
 
 def test_network_direct_link_delivers_next_step(links):
     net = SimNetwork(links)
-    f = frame(src="1.1.1.0", dst="1.1.0.0", payload=b"")
+    f = frame(src="1.1.1.0", dst="1.1.0.0")
     net.send(f)
     assert net.poll(A("1.1.0.0")) is None
     net.step()
@@ -149,7 +132,7 @@ def test_network_direct_link_delivers_next_step(links):
 
 def test_network_frame_to_self_arrives_next_step(links):
     net = SimNetwork(links)
-    f = frame(src="1.2.2.1", dst="1.2.2.1", payload=b"")
+    f = frame(src="1.2.2.1", dst="1.2.2.1")
     net.send(f)
     net.step()
     assert net.arrived == {net.slots[A("1.2.2.1")]}
@@ -158,7 +141,7 @@ def test_network_frame_to_self_arrives_next_step(links):
 
 def test_network_multi_hop(links):
     net = SimNetwork(links)
-    f = frame(src="1.1.1.0", dst="1.2.2.1", payload=b"")
+    f = frame(src="1.1.1.0", dst="1.2.2.1")
     net.send(f)
     hops = 0
     while net.poll(A("1.2.2.1")) is None:
@@ -171,7 +154,7 @@ def test_network_multi_hop(links):
 
 def test_network_per_stream_fifo(links):
     net = SimNetwork(links)
-    frames = [frame(src="1.1.1.0", dst="1.0.0.0", seq=i, payload=b"") for i in range(1, 6)]
+    frames = [frame(src="1.1.1.0", dst="1.0.0.0", seq=i) for i in range(1, 6)]
     for f in frames:
         net.send(f)
     for _ in range(3):
@@ -184,7 +167,7 @@ def test_network_per_stream_fifo(links):
 
 def test_network_dead_letter_for_unknown_destination(links):
     net = SimNetwork(links)
-    f = frame(src="1.0.0.0", dst="1.3.0.0", payload=b"")
+    f = frame(src="1.0.0.0", dst="1.3.0.0")
     net.send(f)
     net.step()
     assert len(net.dead_letters) == 1
@@ -194,7 +177,7 @@ def test_network_dead_letter_for_unknown_destination(links):
 def test_network_loss_hook_drops(links):
     drop_all = lambda f, at, hop: True
     net = SimNetwork(links, loss_hook=drop_all)
-    net.send(frame(src="1.1.1.0", dst="1.1.0.0", payload=b""))
+    net.send(frame(src="1.1.1.0", dst="1.1.0.0"))
     for _ in range(5):
         net.step()
     assert net.poll(A("1.1.0.0")) is None

@@ -1,7 +1,7 @@
 import pytest
 
 from smnsim.addressing import NodeAddress, TreeShape
-from smnsim.device_model import DeviceDescriptor, DeviceKind, DeviceState
+from smnsim.device_model import DeviceKind, DeviceState
 from smnsim.event_pipeline import (
     AssetDb,
     AssetRecord,
@@ -81,9 +81,9 @@ def child_builder(addr="1.1.1"):
 def test_state_pkg_brings_offline_child_online():
     node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL)])
     b = child_builder()
-    node.on_frame(b.build(MsgType.NETWORK_TEST, node.address, 5), 6)
+    node.on_frame(b.build(MsgType.NETWORK_TEST, node.address), 6)
     assert node.children[A("1.1.1")].status.state is DeviceState.UNREACHABLE
-    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, 8, "normal"), 9)
+    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, "normal"), 9)
     assert node.children[A("1.1.1")].status.state is DeviceState.RUNNING_OK
     assert node.virtual_view.find(A("1.1.1")).state is DeviceState.RUNNING_OK
 
@@ -91,17 +91,17 @@ def test_state_pkg_brings_offline_child_online():
 def test_abnormal_state_pkg_drives_t5_t6():
     node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL)])
     b = child_builder()
-    node.on_frame(b.build(MsgType.NETWORK_TEST, node.address, 5), 6)
-    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, 8, "abnormal"), 9)
+    node.on_frame(b.build(MsgType.NETWORK_TEST, node.address), 6)
+    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, "abnormal"), 9)
     assert node.children[A("1.1.1")].status.state is DeviceState.RUNNING_ABNORMAL
-    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, 16, "normal"), 17)
+    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, "normal"), 17)
     assert node.children[A("1.1.1")].status.state is DeviceState.RUNNING_OK
 
 
 def _bring_online(node, child="1.1.1", now=5):
     b = child_builder(child)
-    node.on_frame(b.build(MsgType.NETWORK_TEST, node.address, now), now + 1)
-    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, now + 2, "normal"), now + 3)
+    node.on_frame(b.build(MsgType.NETWORK_TEST, node.address), now + 1)
+    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, "normal"), now + 3)
 
 
 def test_silent_child_degrades_then_disconnects():
@@ -134,7 +134,7 @@ def test_silent_child_smn_is_disassembled_with_report():
 def test_unknown_child_frame_logged_and_dropped():
     node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL)])
     stranger = FrameBuilder(A("1.1.2"))
-    out = node.on_frame(stranger.build(MsgType.NETWORK_TEST, node.address, 5), 6)
+    out = node.on_frame(stranger.build(MsgType.NETWORK_TEST, node.address), 6)
     assert out == []
     assert any("UNKNOWN 1.1.2" in line for line in node.lines)
 
@@ -146,19 +146,19 @@ def test_connect_then_event_forwards_session_alert():
     node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL), ("1.1.2", DeviceKind.IDS)])
     fw, ids = child_builder("1.1.1"), child_builder("1.1.2")
     out = node.on_frame(
-        fw.build(MsgType.DEVICE_EVENT, node.address, 21,
+        fw.build(MsgType.DEVICE_EVENT, node.address,
                  ev_line(cls="fw.connect", t=20, conn=ConnectionMarker.CONNECT)),
         21,
     )
     assert out == []
     out = node.on_frame(
-        ids.build(MsgType.DEVICE_EVENT, node.address, 31,
+        ids.build(MsgType.DEVICE_EVENT, node.address,
                   ev_line(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30)),
         31,
     )
     assert out == []  # update emissions stay local
     out = node.on_frame(
-        fw.build(MsgType.DEVICE_EVENT, node.address, 41,
+        fw.build(MsgType.DEVICE_EVENT, node.address,
                  ev_line(eid="1.1.1-2", cls="fw.disconnect", t=40,
                          conn=ConnectionMarker.DISCONNECT)),
         41,
@@ -174,10 +174,10 @@ def test_connect_then_event_forwards_session_alert():
 def test_child_passes_through_handling_alert_state():
     node = make_smn(children=[("1.1.2", DeviceKind.IDS)])
     b = child_builder("1.1.2")
-    node.on_frame(b.build(MsgType.NETWORK_TEST, node.address, 5), 6)
-    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, 8, "normal"), 9)
+    node.on_frame(b.build(MsgType.NETWORK_TEST, node.address), 6)
+    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, "normal"), 9)
     node.on_frame(
-        b.build(MsgType.DEVICE_EVENT, node.address, 31,
+        b.build(MsgType.DEVICE_EVENT, node.address,
                 ev_line(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30)),
         31,
     )
@@ -191,7 +191,7 @@ def test_low_scoring_event_dropped_and_accounted():
     node = make_smn(children=[("1.1.2", DeviceKind.IDS)])
     b = child_builder("1.1.2")
     node.on_frame(
-        b.build(MsgType.DEVICE_EVENT, node.address, 31,
+        b.build(MsgType.DEVICE_EVENT, node.address,
                 ev_line(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS,
                         t=30, dst="10.9.9.9", sev=1)),
         31,
@@ -211,7 +211,7 @@ def test_event_accounting_adds_up():
         ev_line(eid="1.1.2-3", analyzer="1.1.2", kind=DeviceKind.IDS, t=32),
     ]
     for i, line in enumerate(lines):
-        node.on_frame(b.build(MsgType.DEVICE_EVENT, node.address, 33 + i, line), 33 + i)
+        node.on_frame(b.build(MsgType.DEVICE_EVENT, node.address, line), 33 + i)
     assert node.events_received == 3
     accounted = (
         node.events_dropped + node.engine.joined_events + node.engine.independent_events
@@ -226,18 +226,32 @@ def test_child_report_assembles_and_propagates():
     node = make_smn(children=[("1.1.1", DeviceKind.SMN)])
     b = child_builder("1.1.1")
     embedding = "[1.1.1:S211]"
-    out = node.on_frame(b.build(MsgType.TOPOLOGY_REPORT, node.address, 10, embedding), 11)
+    out = node.on_frame(b.build(MsgType.TOPOLOGY_REPORT, node.address, embedding), 11)
     assert node.virtual_view.find(A("1.1.1")).state is DeviceState.RUNNING_OK
     assert [f.msg_type for f in out] == [MsgType.TOPOLOGY_REPORT]
     assert out[0].dst == A("1.0.0")
     assert out[0].text() == node.virtual_view.serialize()
 
 
+def test_only_the_root_records_change_sets():
+    """The console mirror replays the root's view alone."""
+    root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
+    site = make_smn(children=[("1.1.1", DeviceKind.FIREWALL)])
+    _bring_online(root, "1.1.0")
+    _bring_online(site)
+    assert site.drain_changesets() == []
+    changes = [rec for changeset in root.drain_changesets() for rec in changeset]
+    assert [(rec.op, str(rec.address), rec.state) for rec in changes] == [
+        ("update", "1.1.0", DeviceState.UNREACHABLE),
+        ("update", "1.1.0", DeviceState.RUNNING_OK),
+    ]
+
+
 def test_root_smn_report_reaches_no_parent():
     root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
     b = child_builder("1.1.0")
     out = root.on_frame(
-        b.build(MsgType.TOPOLOGY_REPORT, root.address, 10, "[1.1.0:S211:[1.1.1:S211]]"), 11
+        b.build(MsgType.TOPOLOGY_REPORT, root.address, "[1.1.0:S211:[1.1.1:S211]]"), 11
     )
     assert out == []
     assert root.virtual_view.find(A("1.1.1")) is not None
@@ -263,8 +277,8 @@ def test_dispatch_command_routes_and_acks():
     assert root.pending_commands == {cmd_id}
 
     agent = DeviceAgent(
-        descriptor=DeviceDescriptor(address=A("1.1.1"), kind=DeviceKind.FIREWALL),
-        shape=SHAPE,
+        address=A("1.1.1"),
+        kind=DeviceKind.FIREWALL,
         parent=A("1.1.0"),
         hb=HB,
         settings=PipelineSettings(command_delay=3),
@@ -284,14 +298,14 @@ def test_dispatch_command_routes_and_acks():
 
 def test_vulnerability_command_traverses_s24():
     agent = DeviceAgent(
-        descriptor=DeviceDescriptor(address=A("1.1.1"), kind=DeviceKind.FIREWALL),
-        shape=SHAPE,
+        address=A("1.1.1"),
+        kind=DeviceKind.FIREWALL,
         parent=A("1.1.0"),
         hb=HB,
         settings=PipelineSettings(command_delay=1),
     )
     b = FrameBuilder(A("1.0.0"))
-    agent.on_frame(b.build(MsgType.COMMAND, A("1.1.1"), 10, "vulnerability c!1\nscan"), 11)
+    agent.on_frame(b.build(MsgType.COMMAND, A("1.1.1"), "vulnerability c!1\nscan"), 11)
     assert agent.status.state is DeviceState.HANDLING_VULN
     agent.step(12)
     assert agent.status.state is DeviceState.RUNNING_OK
@@ -308,7 +322,7 @@ def test_dispatch_outside_subtree_rejected():
 def test_smn_handles_command_itself():
     node = make_smn(addr="1.1.0", parent="1.0.0")
     b = FrameBuilder(A("1.0.0"))
-    out = node.on_frame(b.build(MsgType.COMMAND, A("1.1.0"), 10, "policy c!9\nbody"), 11)
+    out = node.on_frame(b.build(MsgType.COMMAND, A("1.1.0"), "policy c!9\nbody"), 11)
     assert [f.msg_type for f in out] == [MsgType.COMMAND_ACK]
     joined = " ".join(node.lines)
     assert "T9 S211->S23" in joined and "T10 S23->S211" in joined
@@ -319,8 +333,8 @@ def test_smn_handles_command_itself():
 
 def make_agent(kind=DeviceKind.FIREWALL, addr="1.1.1"):
     return DeviceAgent(
-        descriptor=DeviceDescriptor(address=A(addr), kind=kind),
-        shape=SHAPE,
+        address=A(addr),
+        kind=kind,
         parent=A("1.1.0"),
         hb=HB,
         settings=PipelineSettings(window_ticks=10, portscan_threshold=10),
@@ -332,7 +346,7 @@ def raw(agent, native, t, dport=80, sev=2, src="10.0.0.9", dst="10.0.1.5"):
 
     return RawDeviceEvent(
         device_address=agent.address,
-        device_kind=agent.descriptor.kind,
+        device_kind=agent.kind,
         native_class=native,
         timestamp=t,
         src_ip=src,
@@ -400,10 +414,10 @@ def test_agent_next_wake_covers_heartbeats_window_and_acks():
     assert agent.next_wake(11) == 14  # next network test
     assert agent.next_wake(18) == 20  # the window flush comes first
     b = FrameBuilder(A("1.0.0"))
-    agent.on_frame(b.build(MsgType.COMMAND, A("1.1.1"), 10, "policy c!1\nbody"), 18)
+    agent.on_frame(b.build(MsgType.COMMAND, A("1.1.1"), "policy c!1\nbody"), 18)
     assert agent.next_wake(18) == 20
     agent.settings.command_delay = 1
-    agent.on_frame(b.build(MsgType.COMMAND, A("1.1.1"), 10, "policy c!2\nbody"), 18)
+    agent.on_frame(b.build(MsgType.COMMAND, A("1.1.1"), "policy c!2\nbody"), 18)
     assert agent.next_wake(18) == 19
     agent.silence(19, 30)
     agent.step(22)  # silenced: the acks stay pending, overdue

@@ -80,3 +80,24 @@ def test_silenced_device_answers_no_command(loop):
     lines = loop(topology, scenario).run().node_lines
     assert "NODE 1.0.0 12 COMMAND 1.0.0!1 reboot 1.1.1" in lines
     assert [l for l in lines if " ACK " in l and int(l.split()[2]) < 60] == []
+
+
+def test_actions_on_a_failed_launch_are_logged_and_the_run_goes_on():
+    """The launch at tick 9 fails: the emitted events leave their devices only
+    at the tick-10 window flush, so 1.1.0 has no alert yet."""
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    scenario = parse_scenario(
+        "drain = 30\n"
+        "at 2 emit 1.1.1 class=fw.connect src=10.0.0.9:4242 dst=10.0.1.5:80\n"
+        "at 4 emit 1.1.2 class=sig.2001 src=10.0.0.9:4242 dst=10.0.1.5:80 sev=5\n"
+        "at 9 respond launch w1 owner=1.1.0\n"
+        "at 10 respond escalate w1\n"
+    )
+    report = Simulation(topology, scenario).run()
+    assert [l for l in report.node_lines if "RESPOND-ERROR" in l] == [
+        "NODE 1.0.0 9 RESPOND-ERROR 1.1.0 has no alert to respond to",
+        "NODE 1.0.0 10 RESPOND-ERROR w1 has no case: its launch failed",
+    ]
+    assert report.case_lines == []
+    # the run went on: the events reach 1.1.0 at tick 11
+    assert "NODE 1.1.0 11 STATE 1.1.2 T7 S211->S22" in report.node_lines
