@@ -26,12 +26,16 @@ A scenario file is a time-ordered directive list::
     at 40 command policy 1.1.1
     at 90 respond launch w1 owner=1.1.0
     at 30 inject-loss 1.1.0->1.0.0 until 80 rate=1.0
+
+Each ``at`` line parses to one typed directive (``Emit``, ``Window``,
+``Command``, ``Respond``, ``InjectLoss``) with its numbers parsed and
+bounded; node addresses stay text for the simulator to resolve.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .addressing import AddressError, NodeAddress, TreeShape
 from .device_model import DeviceKind
@@ -50,15 +54,9 @@ class ConfigError(Exception):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
-        self.line_no = line_no
 
 
-_HB_KEYS = (
-    "network_test_interval",
-    "state_pkg_interval",
-    "network_test_timeout",
-    "state_pkg_timeout",
-)
+_HB_KEYS = tuple(f.name for f in fields(HeartbeatConfig))
 
 _NODE_KEYS = {"kind", "ip", "asset_value", "vulnerabilities", *_HB_KEYS}
 
@@ -113,23 +111,23 @@ def _vuln_set(text: str) -> frozenset[str]:
     return frozenset(v.strip() for v in text.split(",") if v.strip())
 
 
-def _parse_filter_rule(value: str, line_no: int) -> FilterRule:
-    kind = native = src = dst = None
-    for token in value.split():
+def _key_values(tokens: list[str], known: tuple, what: str, line_no: int) -> dict[str, str]:
+    """``k=v`` tokens as a dict; a key outside ``known`` is an error."""
+    given: dict[str, str] = {}
+    for token in tokens:
         k, _, v = token.partition("=")
-        if k == "kind":
-            kind = _KIND_BY_NAME.get(v)
-            if kind is None:
-                raise ConfigError(f"unknown device kind {v!r}", line_no)
-        elif k == "class":
-            native = v
-        elif k == "src":
-            src = v
-        elif k == "dst":
-            dst = v
-        else:
-            raise ConfigError(f"unknown filter field {k!r}", line_no)
-    return FilterRule(device_kind=kind, native_class=native, src_ip=src, dst_ip=dst)
+        if k not in known:
+            raise ConfigError(f"unknown {what} field {k!r}", line_no)
+        given[k] = v
+    return given
+
+
+def _parse_filter_rule(value: str, line_no: int) -> FilterRule:
+    given = _key_values(value.split(), ("kind", "class", "src", "dst"), "filter", line_no)
+    kind = _KIND_BY_NAME.get(given.get("kind"))
+    if kind is None and "kind" in given:
+        raise ConfigError(f"unknown device kind {given['kind']!r}", line_no)
+    return FilterRule(kind, given.get("class"), given.get("src"), given.get("dst"))
 
 
 def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
@@ -144,6 +142,8 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
     class_vulns: dict[str, frozenset[str]] = {}
     counterplan_dir: str | None = None
     ignored_keys: list[str] = []
+    #: (section, key) of each key given in a section that takes it once
+    seen: set[tuple[str, str]] = set()
 
     section = ""
     current_node: dict[str, str] | None = None
@@ -160,6 +160,10 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
                 current_node = None
             continue
         key, value = _split_kv(line, line_no)
+        if section in ("tree", "heartbeat", "pipeline") or current_node is not None:
+            if (section, key) in seen:
+                raise ConfigError(f"key {key!r} given twice in [{section}]", line_no)
+            seen.add((section, key))
         if section == "tree":
             if key == "depth":
                 depth = _int(value, line_no, key, low=1)
@@ -197,9 +201,9 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
                 raise ConfigError(f"unknown device kind {parts[0]!r}", line_no)
             mapping_rules[(kind, parts[1])] = value
         elif section == "assets":
-            fields = value.split(None, 1)
-            asset_value = _int(fields[0], line_no, "asset value", 1, 5)
-            vulns = _vuln_set(fields[1]) if len(fields) > 1 else frozenset()
+            entry = value.split(None, 1)
+            asset_value = _int(entry[0], line_no, "asset value", 1, 5)
+            vulns = _vuln_set(entry[1]) if len(entry) > 1 else frozenset()
             asset_entries[key] = (asset_value, vulns)
         elif section == "vulnmap":
             class_vulns[key] = _vuln_set(value)
@@ -285,15 +289,8 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
     )
 
 
-_PIPELINE_INT_KEYS = {
-    "validation_threshold",
-    "window_ticks",
-    "portscan_threshold",
-    "grace",
-    "connect_ttl",
-    "report_interval",
-    "command_delay",
-}
+#: every field of PipelineSettings is an integer
+_PIPELINE_KEYS = {f.name for f in fields(PipelineSettings)}
 
 #: Least values: a run takes each tick modulo the two intervals, and
 #: ``validate`` refuses a negative threshold.
@@ -314,8 +311,8 @@ def _build_pipeline(kv: dict[str, tuple[str, int]]) -> PipelineSettings:
     """Settings from the ``[pipeline]`` keys (value and line number)."""
     settings = PipelineSettings()
     for key, (value, line_no) in kv.items():
-        if key not in _PIPELINE_INT_KEYS:
-            raise ConfigError(f"unknown pipeline key {key!r}")
+        if key not in _PIPELINE_KEYS:
+            raise ConfigError(f"unknown pipeline key {key!r}", line_no)
         setattr(settings, key, _int(value, line_no, key, _PIPELINE_MINIMA.get(key)))
     return settings
 
@@ -329,12 +326,62 @@ def load_topology(path: str) -> TopologyConfig:
 # Scenarios
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Directive:
     tick: int
-    op: str
-    args: dict[str, str]
     line_no: int
+
+
+@dataclass(slots=True)
+class Emit(Directive):
+    """``emit <device> class=C src=IP[:PORT] dst=IP[:PORT] [sev=N]``"""
+
+    device: str
+    native_class: str
+    src_ip: str
+    src_port: int
+    dst_ip: str
+    dst_port: int
+    severity: int
+
+
+@dataclass(slots=True)
+class Window(Directive):
+    """``silence <node> until T`` or ``abnormal <device> until T``"""
+
+    node: str
+    until: int
+    abnormal: bool
+
+
+@dataclass(slots=True)
+class Command(Directive):
+    """``command <kind> <target>``"""
+
+    kind: str
+    target: str
+
+
+@dataclass(slots=True)
+class Respond(Directive):
+    """``respond <action> <handle> [owner=N] [targets=N,...] [actor=N] [note=T]``"""
+
+    action: str
+    handle: str
+    owner: str = ""
+    targets: tuple[str, ...] = ()
+    actor: str = ""
+    note: str = ""
+
+
+@dataclass(slots=True)
+class InjectLoss(Directive):
+    """``inject-loss <from>-><to> until T [rate=R]``"""
+
+    src: str
+    dst: str
+    until: int
+    rate: float
 
 
 @dataclass
@@ -348,8 +395,6 @@ class ScenarioScript:
         return self.directives[-1].tick if self.directives else 0
 
 
-_DIRECTIVE_OPS = {"emit", "silence", "abnormal", "command", "respond", "inject-loss"}
-
 #: The fields each respond action takes; launch and enlist require the first.
 _RESPOND_FIELDS = {
     "launch": ("owner",),
@@ -360,6 +405,7 @@ _RESPOND_FIELDS = {
 
 
 def parse_scenario(text: str) -> ScenarioScript:
+    """``text``'s directives, each value that needs no topology parsed and bounded."""
     script = ScenarioScript()
     last_tick = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -381,70 +427,84 @@ def parse_scenario(text: str) -> ScenarioScript:
             raise ConfigError("directives must be time-ordered", line_no)
         last_tick = tick
         op = parts[2] if len(parts) > 2 else ""
-        if op not in _DIRECTIVE_OPS:
-            raise ConfigError(f"unknown directive {op!r}", line_no)
-        args = _parse_directive_args(op, parts[3:], line_no)
-        script.directives.append(Directive(tick=tick, op=op, args=args, line_no=line_no))
+        script.directives.append(_parse_directive(op, parts[3:], tick, line_no))
     return script
 
 
-def _parse_directive_args(op: str, rest: list[str], line_no: int) -> dict[str, str]:
-    args: dict[str, str] = {}
+def _parse_directive(op: str, rest: list[str], tick: int, line_no: int) -> Directive:
     if op == "emit":
         if not rest:
             raise ConfigError("emit needs a device address", line_no)
-        args["device"] = rest[0]
-        for token in rest[1:]:
-            k, _, v = token.partition("=")
-            if k not in ("class", "src", "dst", "sev"):
-                raise ConfigError(f"unknown emit field {k!r}", line_no)
-            args[k] = v
+        given = _key_values(rest[1:], ("class", "src", "dst", "sev"), "emit", line_no)
         for required in ("class", "src", "dst"):
-            if required not in args:
+            if required not in given:
                 raise ConfigError(f"emit missing {required}=", line_no)
-    elif op in ("silence", "abnormal"):
+        severity = _number(int, given.get("sev", "1"), "sev", line_no)
+        if not 1 <= severity <= 5:
+            raise ConfigError(f"sev {severity} outside 1..5", line_no)
+        src = _endpoint(given["src"], "src", line_no)
+        dst = _endpoint(given["dst"], "dst", line_no)
+        return Emit(tick, line_no, rest[0], given["class"], *src, *dst, severity)
+    if op in ("silence", "abnormal"):
         if len(rest) != 3 or rest[1] != "until":
             raise ConfigError(f"{op} form: {op} <node> until <tick>", line_no)
-        args["node"] = rest[0]
-        args["until"] = rest[2]
-    elif op == "command":
+        return Window(tick, line_no, rest[0], _until(rest[2], tick, line_no), op == "abnormal")
+    if op == "command":
         if len(rest) != 2:
             raise ConfigError("command form: command <kind> <target>", line_no)
-        args["kind"] = rest[0]
-        args["target"] = rest[1]
-    elif op == "respond":
+        return Command(tick, line_no, rest[0], rest[1])
+    if op == "respond":
         if len(rest) < 2:
             raise ConfigError("respond form: respond <action> <handle> [k=v...]", line_no)
         action = rest[0]
-        fields = _RESPOND_FIELDS.get(action)
-        if fields is None:
+        known = _RESPOND_FIELDS.get(action)
+        if known is None:
             raise ConfigError(f"unknown respond action {action!r}", line_no)
-        args["action"] = action
-        args["handle"] = rest[1]
-        for token in rest[2:]:
-            k, _, v = token.partition("=")
-            if k not in fields:
-                raise ConfigError(f"unknown respond {action} field {k!r}", line_no)
-            args[k] = v
-        if action in ("launch", "enlist") and fields[0] not in args:
-            raise ConfigError(f"respond {action} needs {fields[0]}=", line_no)
-    elif op == "inject-loss":
-        if len(rest) < 3 or "->" not in rest[0] or rest[1] != "until":
-            raise ConfigError(
-                "inject-loss form: inject-loss <from>-><to> until <tick> [rate=R]",
-                line_no,
-            )
-        src, _, dst = rest[0].partition("->")
-        args["from"] = src
-        args["to"] = dst
-        args["until"] = rest[2]
-        args["rate"] = "1.0"
-        for token in rest[3:]:
-            k, _, v = token.partition("=")
-            if k != "rate":
-                raise ConfigError(f"unknown inject-loss field {k!r}", line_no)
-            args["rate"] = v
-    return args
+        given = _key_values(rest[2:], known, f"respond {action}", line_no)
+        if action in ("launch", "enlist") and known[0] not in given:
+            raise ConfigError(f"respond {action} needs {known[0]}=", line_no)
+        if "targets" in given:
+            given["targets"] = tuple(given["targets"].split(","))
+        return Respond(tick, line_no, action, rest[1], **given)
+    if op != "inject-loss":
+        raise ConfigError(f"unknown directive {op!r}", line_no)
+    if len(rest) < 3 or "->" not in rest[0] or rest[1] != "until":
+        raise ConfigError(
+            "inject-loss form: inject-loss <from>-><to> until <tick> [rate=R]",
+            line_no,
+        )
+    src, _, dst = rest[0].partition("->")
+    rate_text = _key_values(rest[3:], ("rate",), "inject-loss", line_no).get("rate", "1.0")
+    rate = _number(float, rate_text, "rate", line_no)
+    if not 0 < rate <= 1:
+        raise ConfigError(f"rate {rate_text} outside (0, 1]", line_no)
+    until = _until(rest[2], tick, line_no)
+    return InjectLoss(tick, line_no, src, dst, until, rate)
+
+
+def _number(convert, text: str, name: str, line_no: int):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigError(f"{name} is not a number: {text!r}", line_no) from None
+
+
+def _until(text: str, tick: int, line_no: int) -> int:
+    """The end tick of a window that starts at ``tick``, which it must follow."""
+    until = _number(int, text, "until", line_no)
+    if until <= tick:
+        raise ConfigError(f"until {until} is not after tick {tick}", line_no)
+    return until
+
+
+def _endpoint(text: str, name: str, line_no: int) -> tuple[str, int]:
+    ip, _, port = text.partition(":")
+    if not port:
+        return ip, 0
+    number = _number(int, port, f"{name} port", line_no)
+    if not 0 <= number <= 65535:
+        raise ConfigError(f"{name} port {number} outside 0..65535", line_no)
+    return ip, number
 
 
 def load_scenario(path: str) -> ScenarioScript:

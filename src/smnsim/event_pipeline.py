@@ -8,14 +8,15 @@ no node runs. Connection begin/end markers sorted out of
 firewall traffic are sacred throughout: they delimit sessions, so no stage
 may merge or drop them.
 
-Uniform records cross process boundaries as one XML element per line with a
-fixed attribute order, e.g.::
+Inside a run, uniform records travel in ``DEVICE_EVENT`` frames as objects.
+Their one text form, the ``smnsim correlate`` input, is one XML element per
+line modelled on IDMEF (RFC 4765), with a fixed attribute order, e.g.::
 
     <event id="1.1.1-4" analyzer="1.1.1" kind="Firewall" time="20"
            class="fw.connect" src="10.0.0.9" sport="4242" dst="10.0.1.5"
            dport="80" sev="1" count="1" conn="connect"/>
 
-(shown wrapped; the wire form is a single line).
+(shown wrapped; in the file it is a single line).
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ owns a mailbox ordered by priority, FIFO within a priority, so response
 coordination overtakes bulk telemetry.
 
 Frames stay Python objects end to end: ``SimNetwork`` moves them hop by hop
-and nothing encodes them to bytes. A frame's payload is text, and its
+and nothing encodes them to bytes. A frame's payload is text, except that a
+``DEVICE_EVENT``'s payload is the ``NormalizedEvent`` itself. A frame's
 priority follows from its message type alone.
 """
 
@@ -18,6 +19,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .addressing import NodeAddress
+from .event_pipeline import NormalizedEvent
+
+Payload = str | NormalizedEvent
 
 
 class Unroutable(Exception):
@@ -54,9 +58,9 @@ class Frame:
     src: NodeAddress
     dst: NodeAddress
     seq: int
-    payload: str = ""
+    payload: Payload = ""
 
-    def text(self) -> str:
+    def text(self) -> Payload:
         return self.payload
 
 
@@ -67,7 +71,7 @@ class FrameBuilder:
         self.src = src
         self._seq: dict[MsgType, int] = {}
 
-    def build(self, msg_type: MsgType, dst: NodeAddress, payload: str = "") -> Frame:
+    def build(self, msg_type: MsgType, dst: NodeAddress, payload: Payload = "") -> Frame:
         seq = self._seq.get(msg_type, 0) + 1
         self._seq[msg_type] = seq
         return Frame(msg_type=msg_type, src=self.src, dst=dst, seq=seq, payload=payload)

@@ -48,14 +48,12 @@ from .event_pipeline import (
     AssetDb,
     ClassificationMap,
     ConnectionMarker,
-    EventLineError,
     FilterRule,
+    NormalizedEvent,
     RawDeviceEvent,
     aggregate_single_device,
     filter_event,
-    format_event_line,
     normalize,
-    parse_event_line,
     validate,
 )
 from .messaging import Frame, FrameBuilder, MsgType
@@ -319,12 +317,7 @@ class SmnNode(_Node):
     def _on_device_event(self, child: ChildRecord, frame: Frame, now: int) -> list[Frame]:
         self._apply_cond(child, _T.T7, now)
         out: list[Frame] = []
-        try:
-            ev = parse_event_line(frame.text(), self.shape)
-        except EventLineError as exc:
-            self._log(now, "BADEVENT", str(exc))
-            self._apply_cond(child, _T.T8, now)
-            return out
+        ev: NormalizedEvent = frame.payload
         if ev.connection_marker is ConnectionMarker.NONE:
             self.events_received += 1
         kept = validate([ev], self.assets, self.settings.validation_threshold)
@@ -651,9 +644,4 @@ class DeviceAgent(_Node):
         aggregated = aggregate_single_device(
             normalized, self.settings.window_ticks, self.settings.portscan_threshold
         )
-        frames = []
-        for ev in aggregated:
-            frames.append(
-                self.builder.build(MsgType.DEVICE_EVENT, self.parent, format_event_line(ev))
-            )
-        return frames
+        return [self.builder.build(MsgType.DEVICE_EVENT, self.parent, ev) for ev in aggregated]

@@ -147,6 +147,14 @@ class CorrelationEngine:
             severities=tuple(e.severity for e in alert.event_queue),
         )
 
+    def open_session_lines(self) -> list[str]:
+        """The session lines of the alerts still open, in store order."""
+        return [
+            format_session_line(self.snapshot(alert))
+            for alert in self.store.alerts
+            if alert.status is SessionStatus.OPEN
+        ]
+
     def _new_id(self) -> str:
         sid = f"{self.owner}#{self.store.next_id}"
         self.store.next_id += 1

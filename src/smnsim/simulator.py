@@ -19,19 +19,24 @@ import random
 from dataclasses import dataclass, field
 
 from .addressing import NodeAddress
-from .config import ConfigError, ScenarioScript, TopologyConfig
+from .config import (
+    Command,
+    ConfigError,
+    Directive,
+    Emit,
+    InjectLoss,
+    Respond,
+    ScenarioScript,
+    TopologyConfig,
+    Window,
+)
 from .device_model import DeviceKind
 from .device_tree import AddressedDeviceTree, build_tree
 from .emergency_response import CounterplanStore, ResponseError
 from .event_pipeline import AssetDb, NormalizedEvent, RawDeviceEvent, validate
 from .messaging import Frame, LinkTable, SimNetwork
 from .node_runtime import DeviceAgent, PipelineSettings, SmnNode
-from .session_correlation import (
-    CorrelationConfig,
-    CorrelationEngine,
-    SessionStatus,
-    format_session_line,
-)
+from .session_correlation import CorrelationConfig, CorrelationEngine, format_session_line
 
 
 class InvariantViolation(Exception):
@@ -69,15 +74,6 @@ class RunReport:
                 fh.write(content)
 
 
-@dataclass
-class _LossWindow:
-    src: NodeAddress
-    dst: NodeAddress
-    start: int
-    end: int
-    rate: float
-
-
 class Simulation:
     def __init__(
         self,
@@ -91,7 +87,8 @@ class Simulation:
         self.shape = topology.shape
         self.rng = random.Random(scenario.seed)
         self._tick = 0
-        self.loss_windows: list[_LossWindow] = []
+        #: (from, to, start, end, rate) of each loss window begun so far
+        self.loss_windows: list[tuple[NodeAddress, NodeAddress, int, int, float]] = []
 
         counterplans = CounterplanStore()
         if topology.counterplan_dir:
@@ -144,169 +141,142 @@ class Simulation:
             root=build_tree(self.root.virtual_view.serialize(), self.shape).root,
         )
         self.handles: dict[str, tuple[NodeAddress, str]] = {}
+        #: each address text the scenario names, resolved once
+        self.addresses: dict[str, NodeAddress] = {}
         self.collected: list[str] = []
-        self._by_tick: dict[int, list] = {}
-        for d in scenario.directives:
-            self._by_tick.setdefault(d.tick, []).append(d)
+        self._by_tick: dict[int, list[Directive]] = {}
         self._validate_directives()
 
     # -- setup helpers -----------------------------------------------------
 
     def _validate_directives(self) -> None:
-        """Parse every directive's values once before the run, so a bad value
-        is a ConfigError here and never a traceback mid-run. The values are
-        parsed again when applied: keeping them would hold a parsed copy of
-        every emit for the whole run. A respond action other than launch
-        must name a handle that an earlier launch binds."""
+        """Check what each directive names against the topology, so a bad
+        address is a ConfigError here, never a traceback mid-run, and file the
+        directives by tick. A respond action other than launch must name a
+        handle that an earlier launch binds."""
         launched: set[str] = set()
         for d in self.scenario.directives:
-            self._parse_values(d)
-            if d.op != "respond":
-                continue
-            handle = d.args["handle"]
-            if d.args["action"] == "launch":
-                launched.add(handle)
-            elif handle not in launched:
-                raise ConfigError(f"no earlier respond launch binds {handle!r}", d.line_no)
+            self._by_tick.setdefault(d.tick, []).append(d)
+            line_no = d.line_no
+            if isinstance(d, Emit):
+                addr = self._addr(d.device, line_no)
+                if addr not in self.agents:
+                    raise ConfigError(f"emit target {addr} is not a device", line_no)
+            elif isinstance(d, Window):
+                addr = self._addr(d.node, line_no)
+                if d.abnormal and addr not in self.agents:
+                    raise ConfigError(f"abnormal target {addr} is not a device", line_no)
+            elif isinstance(d, Command):
+                target = self._addr(d.target, line_no)
+                if not self.root.address.is_ancestor(target):
+                    raise ConfigError(f"command target {target} is not below the root", line_no)
+            elif isinstance(d, InjectLoss):
+                self._addr(d.src, line_no)
+                self._addr(d.dst, line_no)
+            else:
+                for text in d.targets:
+                    self._addr(text, line_no)
+                for name, text in (("owner", d.owner), ("actor", d.actor)):
+                    if not text:
+                        continue
+                    addr = self._addr(text, line_no)
+                    if addr not in self.smns:
+                        raise ConfigError(
+                            f"respond {name} {addr} is not a management node", line_no
+                        )
+                if d.action == "launch":
+                    launched.add(d.handle)
+                elif d.handle not in launched:
+                    raise ConfigError(f"no earlier respond launch binds {d.handle!r}", line_no)
 
-    def _parse_values(self, d):
-        """What ``_apply_directives`` needs of directive ``d``, checked."""
-        args, line_no = d.args, d.line_no
-        if d.op == "emit":
-            addr = self._addr(args["device"], line_no)
-            if addr not in self.agents:
-                raise ConfigError(f"emit target {addr} is not a device", line_no)
-            severity = _number(int, args.get("sev", "1"), "sev", line_no)
-            if not 1 <= severity <= 5:
-                raise ConfigError(f"sev {severity} outside 1..5", line_no)
-            return (
-                addr,
-                *_endpoint(args["src"], "src", line_no),
-                *_endpoint(args["dst"], "dst", line_no),
-                severity,
-            )
-        if d.op in ("silence", "abnormal"):
-            addr = self._addr(args["node"], line_no)
-            if d.op == "abnormal" and addr not in self.agents:
-                raise ConfigError(f"abnormal target {addr} is not a device", line_no)
-            return addr, _until(d)
-        if d.op == "command":
-            target = self._addr(args["target"], line_no)
-            if not self.root.address.is_ancestor(target):
-                raise ConfigError(f"command target {target} is not below the root", line_no)
-            return target
-        if d.op == "inject-loss":
-            rate = _number(float, args["rate"], "rate", line_no)
-            if not 0 < rate <= 1:
-                raise ConfigError(f"rate {args['rate']} outside (0, 1]", line_no)
-            return _LossWindow(
-                src=self._addr(args["from"], line_no),
-                dst=self._addr(args["to"], line_no),
-                start=d.tick,
-                end=_until(d),
-                rate=rate,
-            )
-        if d.op == "respond":
-            return self._respond_nodes(d)
-        return None
-
-    def _respond_nodes(self, d):
-        """The nodes respond directive ``d`` names: the owner of a launch,
-        the targets of an enlist, the actor of an advance; None when the
-        case's own nodes act."""
-        args, line_no = d.args, d.line_no
-        if "targets" in args:
-            return [self._addr(t, line_no) for t in args["targets"].split(",")]
-        for name in ("owner", "actor"):
-            if name in args:
-                addr = self._addr(args[name], line_no)
-                if addr not in self.smns:
-                    raise ConfigError(f"respond {name} {addr} is not a management node", line_no)
-                return addr
-        return None
-
-    def _addr(self, text: str, line_no: int | None = None) -> NodeAddress:
+    def _addr(self, text: str, line_no: int) -> NodeAddress:
+        """The declared node ``text`` names, parsed once per distinct text."""
+        addr = self.addresses.get(text)
+        if addr is not None:
+            return addr
         try:
             addr = NodeAddress.parse(text, self.shape)
         except Exception as exc:
             raise ConfigError(f"bad address {text!r}: {exc}", line_no) from exc
         if addr not in self.topology.nodes:
             raise ConfigError(f"unknown node {text}", line_no)
+        self.addresses[text] = addr
         return addr
 
     def _lossy(self, frame: Frame, at: NodeAddress, hop: NodeAddress) -> bool:
-        for w in self.loss_windows:
-            if w.src == at and w.dst == hop and w.start <= self._tick < w.end:
-                if w.rate >= 1.0 or self.rng.random() < w.rate:
+        for src, dst, start, end, rate in self.loss_windows:
+            if src == at and dst == hop and start <= self._tick < end:
+                if rate >= 1.0 or self.rng.random() < rate:
                     return True
         return False
 
     # -- directives --------------------------------------------------------
 
     def _apply_directives(self, tick: int, outbound: list[Frame]) -> None:
+        addresses = self.addresses
         for d in self._by_tick.get(tick, ()):
-            values = self._parse_values(d)
-            if d.op == "emit":
-                self._do_emit(d, values, tick)
-            elif d.op == "silence":
-                node, until = values
-                (self.smns.get(node) or self.agents[node]).silence(tick, until)
-            elif d.op == "abnormal":
-                node, until = values
-                self.agents[node].mark_abnormal(tick, until)
-            elif d.op == "command":
+            if isinstance(d, Emit):
+                self._do_emit(d, tick)
+            elif isinstance(d, Window):
+                node = addresses[d.node]
+                if d.abnormal:
+                    self.agents[node].mark_abnormal(tick, d.until)
+                else:
+                    (self.smns.get(node) or self.agents[node]).silence(tick, d.until)
+            elif isinstance(d, Command):
                 _, frames = self.root.dispatch_command(
-                    values, d.args["kind"], "scripted", tick
+                    addresses[d.target], d.kind, "scripted", tick
                 )
                 outbound.extend(frames)
-            elif d.op == "respond":
-                self._do_respond(d, values, tick, outbound)
-            elif d.op == "inject-loss":
-                self.loss_windows.append(values)
+            elif isinstance(d, Respond):
+                self._do_respond(d, tick, outbound)
+            else:
+                self.loss_windows.append(
+                    (addresses[d.src], addresses[d.dst], tick, d.until, d.rate)
+                )
 
-    def _do_emit(self, d, values, tick: int) -> None:
-        addr, src_ip, src_port, dst_ip, dst_port, severity = values
+    def _do_emit(self, d: Emit, tick: int) -> None:
+        addr = self.addresses[d.device]
         agent = self.agents[addr]
         agent.inject(
             RawDeviceEvent(
                 device_address=addr,
                 device_kind=agent.kind,
-                native_class=d.args["class"],
+                native_class=d.native_class,
                 timestamp=tick,
-                src_ip=src_ip,
-                src_port=src_port,
-                dst_ip=dst_ip,
-                dst_port=dst_port,
-                severity=severity,
+                src_ip=d.src_ip,
+                src_port=d.src_port,
+                dst_ip=d.dst_ip,
+                dst_port=d.dst_port,
+                severity=d.severity,
             )
         )
         # the agent may be filed under this very tick, which must stand
         slot = self.network.slots[addr]
         self._schedule(slot, min(self._wake[slot], agent.next_wake(tick)))
 
-    def _do_respond(self, d, values, tick: int, outbound: list[Frame]) -> None:
-        action = d.args["action"]
-        handle = d.args["handle"]
+    def _do_respond(self, d: Respond, tick: int, outbound: list[Frame]) -> None:
         try:
-            if action == "launch":
-                case = self.smns[values].respond_launch(tick)
-                self.handles[handle] = (values, case.case_id)
+            if d.action == "launch":
+                owner = self.addresses[d.owner]
+                case = self.smns[owner].respond_launch(tick)
+                self.handles[d.handle] = (owner, case.case_id)
                 return
-            if handle not in self.handles:
-                self.root._log(tick, "RESPOND-ERROR", f"{handle} has no case: its launch failed")
+            if d.handle not in self.handles:
+                self.root._log(tick, "RESPOND-ERROR", f"{d.handle} has no case: its launch failed")
                 return
-            owner, case_id = self.handles[handle]
+            owner, case_id = self.handles[d.handle]
             owner_node = self.smns[owner]
-            if action == "escalate":
+            if d.action == "escalate":
                 outbound.extend(owner_node.respond_escalate(case_id, tick))
-            elif action == "enlist":
+            elif d.action == "enlist":
                 case = owner_node.cases[case_id]
                 actor = case.coordinator if case.coordinator is not None else owner
-                outbound.extend(self.smns[actor].respond_enlist(case_id, values, tick))
+                targets = [self.addresses[t] for t in d.targets]
+                outbound.extend(self.smns[actor].respond_enlist(case_id, targets, tick))
             else:
-                actor = owner if values is None else values
-                note = d.args.get("note", "")
-                outbound.extend(self.smns[actor].respond_advance(case_id, note, tick))
+                actor = self.addresses[d.actor] if d.actor else owner
+                outbound.extend(self.smns[actor].respond_advance(case_id, d.note, tick))
         except ResponseError as exc:
             self.root._log(tick, "RESPOND-ERROR", str(exc))
 
@@ -388,43 +358,14 @@ class Simulation:
                 )
 
     def _report(self) -> RunReport:
-        sessions = list(self.root.session_lines)
-        for alert in self.root.engine.store.alerts:
-            if alert.status is SessionStatus.OPEN:
-                sessions.append(format_session_line(self.root.engine.snapshot(alert)))
         return RunReport(
-            sessions=sessions,
+            sessions=self.root.session_lines + self.root.engine.open_session_lines(),
             tree_text=self.root.virtual_view.serialize(),
             mirror_text=self.mirror.serialize(),
             node_lines=[l for l in self.collected if l.startswith("NODE ")],
             case_lines=[l for l in self.collected if l.startswith("CASE ")],
             dead_letters=[dl.line() for dl in self.network.dead_letters],
         )
-
-
-def _number(convert, text: str, name: str, line_no: int):
-    try:
-        return convert(text)
-    except ValueError:
-        raise ConfigError(f"{name} is not a number: {text!r}", line_no) from None
-
-
-def _until(d) -> int:
-    """The end tick of window directive ``d``, which must come after its start."""
-    until = _number(int, d.args["until"], "until", d.line_no)
-    if until <= d.tick:
-        raise ConfigError(f"until {until} is not after tick {d.tick}", d.line_no)
-    return until
-
-
-def _endpoint(text: str, name: str, line_no: int) -> tuple[str, int]:
-    ip, _, port = text.partition(":")
-    if not port:
-        return ip, 0
-    number = _number(int, port, f"{name} port", line_no)
-    if not 0 <= number <= 65535:
-        raise ConfigError(f"{name} port {number} outside 0..65535", line_no)
-    return ip, number
 
 
 def run_correlate(
@@ -449,7 +390,4 @@ def run_correlate(
         for action in engine.on_event(kept[0][0], now):
             if action.kind == "ending":
                 lines.append(format_session_line(action.record))
-    for alert in engine.store.alerts:
-        if alert.status is SessionStatus.OPEN:
-            lines.append(format_session_line(engine.snapshot(alert)))
-    return lines
+    return lines + engine.open_session_lines()

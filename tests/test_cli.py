@@ -79,7 +79,7 @@ def test_simulate_unknown_topology_key(tmp_path, capsys):
     topology = tmp_path / "topology.cfg"
     topology.write_text("[tree]\ndepth = 3\ndegree = 4\n\n[pipeline]\nbogus = 1\n")
     assert cli.main(simulate_argv(topology, tmp_path / "out")) == 2
-    assert capsys.readouterr().err == "config error: unknown pipeline key 'bogus'\n"
+    assert capsys.readouterr().err == "config error: line 6: unknown pipeline key 'bogus'\n"
 
 
 def test_simulate_threaded_is_usage_error(tmp_path, capsys):
@@ -179,6 +179,15 @@ def test_simulate_bad_directive_value_fails_before_the_run(directive, message, t
         ("asset_value = 4", "asset_vlaue = 4", 42, "unknown node key 'asset_vlaue'"),
         ("[classify]\n", "[classify]\nstrict = true\n", 65,
          "expected '<Kind> <native> = <class>'"),
+        # so does the second of two values for one key
+        ("depth = 3", "depth = 3\ndepth = 4", 6, "key 'depth' given twice in [tree]"),
+        ("state_pkg_timeout = 20", "state_pkg_timeout = 20\nstate_pkg_timeout = 21", 13,
+         "key 'state_pkg_timeout' given twice in [heartbeat]"),
+        ("grace = 60", "grace = 60\ngrace = 61", 19, "key 'grace' given twice in [pipeline]"),
+        ("ip = 10.0.1.5", "ip = 10.0.1.5\nip = 10.0.1.6", 42,
+         "key 'ip' given twice in [node 1.1.3]"),
+        ("command_delay = 3", "command_delay = 3\n[pipeline]\ngrace = 61", 23,
+         "key 'grace' given twice in [pipeline]"),
     ],
 )
 def test_simulate_bad_topology_value_names_its_line(old, new, line, message, tmp_path, capsys):

@@ -140,7 +140,7 @@ def test_normalizer_sequences_per_device():
         for dst in targets:
             agent.inject(raw(addr=agent.address, kind=agent.kind, t=now - 1, dst=dst))
         frames = [f for f in agent.step(now) if f.msg_type is MsgType.DEVICE_EVENT]
-        return [parse_event_line(f.text(), SHAPE).event_id for f in frames]
+        return [f.payload.event_id for f in frames]
 
     # one window flushes every ten ticks; each device numbers its own events
     assert flush(ids_agent, 10, "10.0.0.2", "10.0.0.3") == ["1.1.2-1", "1.1.2-2"]

@@ -8,7 +8,6 @@ from smnsim.event_pipeline import (
     ClassificationMap,
     ConnectionMarker,
     NormalizedEvent,
-    format_event_line,
 )
 from smnsim.messaging import FrameBuilder, MsgType
 from smnsim.node_runtime import (
@@ -52,22 +51,20 @@ def make_smn(addr="1.1.0", parent="1.0.0", children=(), **kwargs):
     return node
 
 
-def ev_line(eid="1.1.1-1", cls="exploit.attempt", t=10, src="10.0.0.9", dst="10.0.1.5",
-            sev=3, conn=ConnectionMarker.NONE, kind=DeviceKind.FIREWALL, analyzer="1.1.1"):
-    return format_event_line(
-        NormalizedEvent(
-            event_id=eid,
-            analyzer_address=A(analyzer),
-            analyzer_kind=kind,
-            create_time=t,
-            classification=cls,
-            src_ip=src,
-            src_port=4242,
-            dst_ip=dst,
-            dst_port=80,
-            severity=sev,
-            connection_marker=conn,
-        )
+def event(eid="1.1.1-1", cls="exploit.attempt", t=10, src="10.0.0.9", dst="10.0.1.5",
+          sev=3, conn=ConnectionMarker.NONE, kind=DeviceKind.FIREWALL, analyzer="1.1.1"):
+    return NormalizedEvent(
+        event_id=eid,
+        analyzer_address=A(analyzer),
+        analyzer_kind=kind,
+        create_time=t,
+        classification=cls,
+        src_ip=src,
+        src_port=4242,
+        dst_ip=dst,
+        dst_port=80,
+        severity=sev,
+        connection_marker=conn,
     )
 
 
@@ -147,20 +144,20 @@ def test_connect_then_event_forwards_session_alert():
     fw, ids = child_builder("1.1.1"), child_builder("1.1.2")
     out = node.on_frame(
         fw.build(MsgType.DEVICE_EVENT, node.address,
-                 ev_line(cls="fw.connect", t=20, conn=ConnectionMarker.CONNECT)),
+                 event(cls="fw.connect", t=20, conn=ConnectionMarker.CONNECT)),
         21,
     )
     assert out == []
     out = node.on_frame(
         ids.build(MsgType.DEVICE_EVENT, node.address,
-                  ev_line(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30)),
+                  event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30)),
         31,
     )
     assert out == []  # update emissions stay local
     out = node.on_frame(
         fw.build(MsgType.DEVICE_EVENT, node.address,
-                 ev_line(eid="1.1.1-2", cls="fw.disconnect", t=40,
-                         conn=ConnectionMarker.DISCONNECT)),
+                 event(eid="1.1.1-2", cls="fw.disconnect", t=40,
+                       conn=ConnectionMarker.DISCONNECT)),
         41,
     )
     assert len(out) == 1
@@ -178,7 +175,7 @@ def test_child_passes_through_handling_alert_state():
     node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, "normal"), 9)
     node.on_frame(
         b.build(MsgType.DEVICE_EVENT, node.address,
-                ev_line(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30)),
+                event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30)),
         31,
     )
     joined = " ".join(node.lines)
@@ -192,8 +189,8 @@ def test_low_scoring_event_dropped_and_accounted():
     b = child_builder("1.1.2")
     node.on_frame(
         b.build(MsgType.DEVICE_EVENT, node.address,
-                ev_line(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS,
-                        t=30, dst="10.9.9.9", sev=1)),
+                event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS,
+                      t=30, dst="10.9.9.9", sev=1)),
         31,
     )
     assert node.events_received == 1
@@ -205,13 +202,13 @@ def test_low_scoring_event_dropped_and_accounted():
 def test_event_accounting_adds_up():
     node = make_smn(children=[("1.1.2", DeviceKind.IDS)])
     b = child_builder("1.1.2")
-    lines = [
-        ev_line(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30),
-        ev_line(eid="1.1.2-2", analyzer="1.1.2", kind=DeviceKind.IDS, t=31, dst="10.9.9.9", sev=1),
-        ev_line(eid="1.1.2-3", analyzer="1.1.2", kind=DeviceKind.IDS, t=32),
+    events = [
+        event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30),
+        event(eid="1.1.2-2", analyzer="1.1.2", kind=DeviceKind.IDS, t=31, dst="10.9.9.9", sev=1),
+        event(eid="1.1.2-3", analyzer="1.1.2", kind=DeviceKind.IDS, t=32),
     ]
-    for i, line in enumerate(lines):
-        node.on_frame(b.build(MsgType.DEVICE_EVENT, node.address, line), 33 + i)
+    for i, ev in enumerate(events):
+        node.on_frame(b.build(MsgType.DEVICE_EVENT, node.address, ev), 33 + i)
     assert node.events_received == 3
     accounted = (
         node.events_dropped + node.engine.joined_events + node.engine.independent_events
@@ -363,8 +360,8 @@ def test_agent_aggregates_portscan_burst():
         agent.inject(raw(agent, "fw.deny", t=22, dport=i + 1))
     frames = [f for f in agent.step(30) if f.msg_type is MsgType.DEVICE_EVENT]
     assert len(frames) == 1
-    assert 'class="recon.portscan"' in frames[0].text()
-    assert 'count="12"' in frames[0].text()
+    assert frames[0].payload.classification == "recon.portscan"
+    assert frames[0].payload.count == 12
 
 
 def test_agent_idle_tick_heartbeats_only():
@@ -381,7 +378,7 @@ def test_agent_window_holds_current_tick_events():
     assert frames == []  # flushes with the next window
     frames = [f for f in agent.step(40) if f.msg_type is MsgType.DEVICE_EVENT]
     assert len(frames) == 1
-    assert 'conn="connect"' in frames[0].text()
+    assert frames[0].payload.connection_marker is ConnectionMarker.CONNECT
 
 
 def test_agent_silence_mutes_everything():

@@ -36,6 +36,17 @@ def test_demo_reports_match_golden(scenario, debug, tmp_path):
         assert (tmp_path / name).read_bytes() == want, f"{scenario}/{name}"
 
 
+def test_emitted_source_reaches_the_report_as_written():
+    """Events stay objects from device to report, so a source with a quote in
+    it is not cut at the quote, as the event line's attribute syntax cuts it."""
+    odd = '10.0.0.99"x:4444'
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    text = (DEMO / "attack.scn").read_text().replace("10.0.0.99:4444", odd)
+    report = Simulation(topology, parse_scenario(text)).run()
+    want = (GOLDEN / "attack" / "sessions.txt").read_text().replace("10.0.0.99:4444", odd)
+    assert report.files()["sessions.txt"] == want
+
+
 ROOT_DEVICES_TOPOLOGY = """\
 [tree]
 depth = 3
