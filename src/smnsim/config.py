@@ -130,6 +130,11 @@ def _parse_filter_rule(value: str, line_no: int) -> FilterRule:
     return FilterRule(kind, given.get("class"), given.get("src"), given.get("dst"))
 
 
+#: Sections whose keys may each be given once; ``[classify]`` compares its
+#: parsed (kind, native) keys instead, and ``[filter] drop`` repeats.
+_ONCE_SECTIONS = ("tree", "heartbeat", "pipeline", "assets", "vulnmap")
+
+
 def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
     shape: TreeShape | None = None
     depth = degree = None
@@ -160,7 +165,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
                 current_node = None
             continue
         key, value = _split_kv(line, line_no)
-        if section in ("tree", "heartbeat", "pipeline") or current_node is not None:
+        if section in _ONCE_SECTIONS or current_node is not None:
             if (section, key) in seen:
                 raise ConfigError(f"key {key!r} given twice in [{section}]", line_no)
             seen.add((section, key))
@@ -199,6 +204,8 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
             kind = _KIND_BY_NAME.get(parts[0])
             if kind is None:
                 raise ConfigError(f"unknown device kind {parts[0]!r}", line_no)
+            if (kind, parts[1]) in mapping_rules:
+                raise ConfigError(f"key {key!r} given twice in [{section}]", line_no)
             mapping_rules[(kind, parts[1])] = value
         elif section == "assets":
             entry = value.split(None, 1)

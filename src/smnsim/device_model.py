@@ -122,6 +122,15 @@ TRANSITION_TABLE: dict[tuple[DeviceState, TransferCondition], object] = {
     (_S.HANDLING_VULN, _T.T12): _RESUME,
 }
 
+#: Per state, the conditions with an arrow out of it, both by ``_value_``:
+#: lets a caller skip ``step`` for a pair without one, as most heartbeats
+#: are, without the Python-level ``Enum.__hash__`` a member-keyed lookup
+#: pays.
+ARROWS_FROM: dict[str, frozenset[str]] = {
+    state._value_: frozenset(c._value_ for s, c in TRANSITION_TABLE if s is state)
+    for state in DeviceState
+}
+
 
 def step(status: DeviceStatus, cond: TransferCondition) -> tuple[DeviceStatus, bool]:
     """Apply one condition.

@@ -448,14 +448,31 @@ _EVENT_ATTRS = (
 
 _KIND_BY_NAME = {k.value: k for k in DeviceKind}
 
+#: What an attribute value escapes, ``&`` first so no escape is escaped twice.
+_ESCAPES = (("&", "&amp;"), ('"', "&quot;"), ("<", "&lt;"), (">", "&gt;"))
+
+
+def _escape(text: str) -> str:
+    for char, entity in _ESCAPES:
+        text = text.replace(char, entity)
+    return text
+
+
+def _unescape(text: str) -> str:
+    for char, entity in reversed(_ESCAPES):
+        text = text.replace(entity, char)
+    return text
+
 
 def format_event_line(ev: NormalizedEvent) -> str:
+    """The event as one line; the text fields escape ``&``, ``"``, ``<`` and
+    ``>`` as XML does, so any event reads back as itself."""
     return (
-        f'<event id="{ev.event_id}" analyzer="{ev.analyzer_address}" '
+        f'<event id="{_escape(ev.event_id)}" analyzer="{ev.analyzer_address}" '
         f'kind="{ev.analyzer_kind.value}" time="{ev.create_time}" '
-        f'class="{ev.classification}" src="{ev.src_ip}" sport="{ev.src_port}" '
-        f'dst="{ev.dst_ip}" dport="{ev.dst_port}" sev="{ev.severity}" '
-        f'count="{ev.count}" conn="{ev.connection_marker.value}"/>'
+        f'class="{_escape(ev.classification)}" src="{_escape(ev.src_ip)}" '
+        f'sport="{ev.src_port}" dst="{_escape(ev.dst_ip)}" dport="{ev.dst_port}" '
+        f'sev="{ev.severity}" count="{ev.count}" conn="{ev.connection_marker.value}"/>'
     )
 
 
@@ -464,6 +481,8 @@ def parse_event_line(line: str, shape: TreeShape) -> NormalizedEvent:
     if m is None:
         raise EventLineError(f"not an event line: {line!r}")
     attrs = dict(_ATTR_RE.findall(m.group(1)))
+    if "&" in line:
+        attrs = {name: _unescape(value) for name, value in attrs.items()}
     missing = [a for a in _EVENT_ATTRS if a not in attrs]
     if missing:
         raise EventLineError(f"missing attributes {missing} in {line!r}")

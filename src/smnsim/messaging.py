@@ -39,20 +39,21 @@ class MsgType(Enum):
     RESPONSE_COORD = 8
 
 
-#: Mailbox order by message type: lower pops first.
+#: Mailbox order by message type, keyed by its value (an int hashes in C,
+#: an ``Enum`` member in Python): lower pops first.
 PRIORITY = {
-    MsgType.RESPONSE_COORD: 0,
-    MsgType.COMMAND: 1,
-    MsgType.COMMAND_ACK: 1,
-    MsgType.SESSION_ALERT: 2,
-    MsgType.TOPOLOGY_REPORT: 2,
-    MsgType.DEVICE_EVENT: 3,
-    MsgType.DEVICE_STATE_PKG: 3,
-    MsgType.NETWORK_TEST: 3,
+    MsgType.RESPONSE_COORD.value: 0,
+    MsgType.COMMAND.value: 1,
+    MsgType.COMMAND_ACK.value: 1,
+    MsgType.SESSION_ALERT.value: 2,
+    MsgType.TOPOLOGY_REPORT.value: 2,
+    MsgType.DEVICE_EVENT.value: 3,
+    MsgType.DEVICE_STATE_PKG.value: 3,
+    MsgType.NETWORK_TEST.value: 3,
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Frame:
     msg_type: MsgType
     src: NodeAddress
@@ -69,11 +70,13 @@ class FrameBuilder:
 
     def __init__(self, src: NodeAddress) -> None:
         self.src = src
-        self._seq: dict[MsgType, int] = {}
+        #: by message type value, as ``PRIORITY`` is keyed
+        self._seq: dict[int, int] = {}
 
     def build(self, msg_type: MsgType, dst: NodeAddress, payload: Payload = "") -> Frame:
-        seq = self._seq.get(msg_type, 0) + 1
-        self._seq[msg_type] = seq
+        key = msg_type._value_
+        seq = self._seq.get(key, 0) + 1
+        self._seq[key] = seq
         return Frame(msg_type=msg_type, src=self.src, dst=dst, seq=seq, payload=payload)
 
 
@@ -90,10 +93,17 @@ class LinkTable:
 
     @classmethod
     def from_addresses(cls, addresses: list[NodeAddress]) -> "LinkTable":
-        parents = {addr: addr.parent() for addr in addresses}
-        for addr, parent in parents.items():
-            if parent is not None and parent not in parents:
-                raise ValueError(f"{addr} declared without its parent {parent}")
+        """The links of ``addresses``; each parent is the declared address
+        object itself, so a frame built for a parent routes by identity."""
+        declared = {addr: addr for addr in addresses}
+        parents: dict[NodeAddress, NodeAddress | None] = {}
+        for addr in addresses:
+            parent = addr.parent()
+            if parent is not None:
+                if parent not in declared:
+                    raise ValueError(f"{addr} declared without its parent {parent}")
+                parent = declared[parent]
+            parents[addr] = parent
         return cls(parents)
 
     def __contains__(self, addr: NodeAddress) -> bool:
@@ -135,7 +145,7 @@ class Mailbox:
         self._counter = 0
 
     def push(self, frame: Frame) -> None:
-        heapq.heappush(self._heap, (PRIORITY[frame.msg_type], self._counter, frame))
+        heapq.heappush(self._heap, (PRIORITY[frame.msg_type._value_], self._counter, frame))
         self._counter += 1
 
     def pop(self) -> Frame | None:
@@ -162,7 +172,9 @@ class SimNetwork:
 
     Delivery is reliable and in order per sender stream unless the optional
     loss hook drops a frame on a specific hop, which is how heartbeat
-    timeout paths get exercised.
+    timeout paths get exercised. The hook is called as ``loss_hook(frame,
+    at, hop, now)``, where ``now`` counts the steps taken before this one: a
+    harness that steps once per tick reads it as the tick.
     """
 
     def __init__(self, links: LinkTable, loss_hook=None) -> None:
@@ -177,28 +189,37 @@ class SimNetwork:
         self.transit: list[tuple[NodeAddress, Frame]] = []
         self.dead_letters: list[DeadLetter] = []
         self.dropped = 0
+        #: steps taken so far
+        self.now = 0
 
     def send(self, frame: Frame) -> None:
         self.transit.append((frame.src, frame))
 
     def step(self) -> None:
         moving, self.transit = self.transit, []
+        parents, lossy, now = self.links.parents, self.loss_hook, self.now
         for at, frame in moving:
-            try:
-                hop = next_hop(at, frame.dst, self.links)
-            except Unroutable as exc:
-                self.dead_letters.append(DeadLetter(frame, str(exc)))
-                continue
+            dst = frame.dst
+            if dst is parents.get(at):
+                # one hop up to the parent, as every heartbeat goes
+                hop = dst
+            else:
+                try:
+                    hop = next_hop(at, dst, self.links)
+                except Unroutable as exc:
+                    self.dead_letters.append(DeadLetter(frame, str(exc)))
+                    continue
             if hop is None:
                 hop = at
-            elif self.loss_hook is not None and self.loss_hook(frame, at, hop):
+            elif lossy is not None and lossy(frame, at, hop, now):
                 self.dropped += 1
                 continue
-            elif hop != frame.dst:
+            elif hop is not dst and hop != dst:
                 self.transit.append((hop, frame))
                 continue
             self.mailboxes[hop].push(frame)
             self.arrived.add(self.slots[hop])
+        self.now = now + 1
 
     def poll(self, addr: NodeAddress) -> Frame | None:
         return self.mailboxes[addr].pop()

@@ -9,6 +9,11 @@ side: it emits heartbeats and scripted events (filtered, normalized and
 aggregated before leaving the device) and answers policy and vulnerability
 commands.
 
+Neither kind of node needs its clock run on every tick. ``next_wake`` names
+the first tick at which a node's clock (``SmnNode.on_tick``,
+``DeviceAgent.step``) can act when no frame arrives, so a harness runs a node
+then, or when a frame arrives for it, and lets it sleep in between.
+
 Everything a node does is visible as log lines:
 
     NODE <addr> <tick> <action> <detail>
@@ -19,11 +24,13 @@ which the scenario harness collects into golden-comparable reports.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from . import emergency_response as er
 from .addressing import AddressError, NodeAddress, TreeShape
 from .device_model import (
+    ARROWS_FROM,
     DeviceKind,
     DeviceState,
     DeviceStatus,
@@ -65,6 +72,9 @@ from .session_correlation import (
 )
 
 _T = TransferCondition
+
+#: A wake tick past the end of any run.
+NEVER = sys.maxsize
 
 
 class TargetNotInSubtree(Exception):
@@ -138,6 +148,8 @@ def _parse_command(text: str) -> tuple[str, str, tuple[TransferCondition, ...] |
 
 
 def _in_window(windows: list[tuple[int, int]], now: int) -> bool:
+    if not windows:
+        return False
     return any(start <= now < end for start, end in windows)
 
 
@@ -171,8 +183,10 @@ class _Node:
         """Step ``holder.status`` (this node or a tracked child) by ``cond``
         and log the change; True when the state changed."""
         old = holder.status.state
-        holder.status, applied = step(holder.status, cond)
-        if not applied or holder.status.state is old:
+        if cond._value_ not in ARROWS_FROM[old._value_]:
+            return False
+        holder.status = step(holder.status, cond)[0]
+        if holder.status.state is old:
             return False
         self._log(
             now,
@@ -538,6 +552,25 @@ class SmnNode(_Node):
                 out.extend(self._emit_report(now))
         self.engine.sweep(now)
         return out
+
+    def next_wake(self, now: int) -> int:
+        """The first tick after ``now`` at which ``on_tick`` can act, given no
+        new frame: the earliest child deadline and, below the root, the next
+        network test, state package or topology report; ``NEVER`` for a root
+        without children. The correlation sweep sets no wake: it only removes
+        what the next ``on_event`` must not see, so a harness that lets the
+        node sleep sweeps to ``now - 1`` before handing it the next frame."""
+        wake = NEVER
+        for child in self.children.values():
+            wake = min(wake, child.pkg_deadline, child.net_deadline)
+        if self.parent is not None:
+            for every in (
+                self.hb.network_test_interval,
+                self.hb.state_pkg_interval,
+                self.settings.report_interval,
+            ):
+                wake = min(wake, now - now % every + every)
+        return wake
 
 
 class DeviceAgent(_Node):

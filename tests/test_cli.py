@@ -188,6 +188,16 @@ def test_simulate_bad_directive_value_fails_before_the_run(directive, message, t
          "key 'ip' given twice in [node 1.1.3]"),
         ("command_delay = 3", "command_delay = 3\n[pipeline]\ngrace = 61", 23,
          "key 'grace' given twice in [pipeline]"),
+        ("[counterplans]", "[assets]\n10.0.0.1 = 2\n10.0.0.1 = 5\n[counterplans]", 74,
+         "key '10.0.0.1' given twice in [assets]"),
+        ("[counterplans]", "[assets]\n10.0.0.1 = 2\n[assets]\n10.0.0.1 = 5\n[counterplans]", 75,
+         "key '10.0.0.1' given twice in [assets]"),
+        ("exploit.attempt = CVE-2014-7", "exploit.attempt = CVE-2014-7\nexploit.attempt = CVE-1",
+         71, "key 'exploit.attempt' given twice in [vulnmap]"),
+        # [classify] compares the (kind, native) pair, not the text
+        ("Firewall fw.deny = access.denied",
+         "Firewall fw.deny = access.denied\nFirewall  fw.deny = access.other", 68,
+         "key 'Firewall  fw.deny' given twice in [classify]"),
     ],
 )
 def test_simulate_bad_topology_value_names_its_line(old, new, line, message, tmp_path, capsys):

@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 
 from smnsim.device_model import (
+    ARROWS_FROM,
     LEAF_STATES,
     TRANSITION_TABLE,
     DeviceState,
@@ -107,3 +108,12 @@ def test_no_arrow_outside_named_conditions():
         assert state in LEAF_STATES
         assert cond in TransferCondition
 
+
+
+def test_arrows_from_agrees_with_step():
+    """The table callers check before ``step`` names exactly the pairs that
+    ``step`` applies."""
+    for state in [s for s in DeviceState if s in LEAF_STATES]:
+        for cond in TransferCondition:
+            applied = step(DeviceStatus(state), cond)[1]
+            assert (cond.value in ARROWS_FROM[state.value]) == applied, (state, cond)

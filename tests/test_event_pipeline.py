@@ -365,3 +365,14 @@ def test_event_line_fixed_attribute_order():
 def test_event_line_round_trip_random(t, sev, port, cls):
     a = ev(t=t, sev=sev, dport=port, cls=cls)
     assert parse_event_line(format_event_line(a), SHAPE) == a
+
+
+#: text with every character the line format escapes, and entity look-alikes
+MARKUP = st.text(alphabet='a1.&"<>;/=lt', max_size=12)
+
+
+@given(MARKUP, MARKUP, MARKUP, MARKUP)
+@settings(max_examples=200)
+def test_event_line_round_trip_escapes_markup(eid, cls, src, dst):
+    a = ev(eid=eid, cls=cls, src=src, dst=dst)
+    assert parse_event_line(format_event_line(a), SHAPE) == a

@@ -175,7 +175,7 @@ def test_network_dead_letter_for_unknown_destination(links):
 
 
 def test_network_loss_hook_drops(links):
-    drop_all = lambda f, at, hop: True
+    drop_all = lambda f, at, hop, now: True
     net = SimNetwork(links, loss_hook=drop_all)
     net.send(frame(src="1.1.1.0", dst="1.1.0.0"))
     for _ in range(5):
@@ -184,3 +184,27 @@ def test_network_loss_hook_drops(links):
     assert net.dropped == 1
     assert net.transit == []
     assert net.arrived == set()
+
+
+def test_link_table_parents_are_the_declared_addresses():
+    declared = {t: A(t) for t in TREE}
+    links = LinkTable.from_addresses(list(declared.values()))
+    for addr, parent in links.parents.items():
+        assert parent is None or parent is declared[str(parent)]
+
+
+def test_loss_hook_sees_each_hop_and_the_step_count():
+    """A frame to the declared parent takes the one-hop path; any other goes
+    hop by hop; the hook sees both, with the number of steps taken before."""
+    declared = {t: A(t) for t in TREE}
+    links = LinkTable.from_addresses(list(declared.values()))
+    seen = []
+    net = SimNetwork(links, loss_hook=lambda f, at, hop, now: seen.append((f.seq, str(hop), now)))
+    up = FrameBuilder(declared["1.1.1.0"]).build(MsgType.NETWORK_TEST, declared["1.1.0.0"])
+    net.send(up)
+    net.send(frame(src="1.1.1.0", dst="1.2.0.0", seq=2))
+    for _ in range(4):
+        net.step()
+    assert seen == [(1, "1.1.0.0", 0), (2, "1.1.0.0", 0), (2, "1.0.0.0", 1), (2, "1.2.0.0", 2)]
+    assert net.poll(A("1.1.0.0")) is up
+    assert net.poll(A("1.2.0.0")).seq == 2

@@ -11,6 +11,7 @@ from smnsim.event_pipeline import (
 )
 from smnsim.messaging import FrameBuilder, MsgType
 from smnsim.node_runtime import (
+    NEVER,
     DeviceAgent,
     HeartbeatConfig,
     PipelineSettings,
@@ -261,6 +262,49 @@ def test_periodic_heartbeats_and_report_cadence():
     assert kinds == ["DEVICE_STATE_PKG", "NETWORK_TEST", "TOPOLOGY_REPORT"]
     assert node.on_tick(3) == []
     assert [f.msg_type for f in node.on_tick(5)] == [MsgType.NETWORK_TEST]
+
+
+# -- wake ticks ----------------------------------------------------------------------
+
+
+def test_smn_next_wake_is_the_earliest_child_deadline_or_own_send():
+    assert make_smn(addr="1.0.0", parent=None).next_wake(0) == NEVER
+    root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
+    assert root.next_wake(0) == 20  # the child's state package deadline
+    b = child_builder("1.1.0")
+    root.on_frame(b.build(MsgType.DEVICE_STATE_PKG, root.address, "normal"), 12)
+    assert root.next_wake(12) == 30  # now its network test deadline
+    # below the root: the next network test (5), state package (8) or report (13)
+    site = make_smn(settings=PipelineSettings(report_interval=13))
+    assert [site.next_wake(t) for t in (0, 5, 8, 10, 12, 13)] == [5, 8, 10, 13, 13, 15]
+
+
+def test_smn_on_tick_acts_exactly_at_next_wake():
+    """Ticked every tick, a node sends, logs or moves a deadline at the ticks
+    next_wake names and at no other."""
+    node = make_smn(
+        children=[("1.1.1", DeviceKind.FIREWALL), ("1.1.2", DeviceKind.SMN)],
+        settings=PipelineSettings(report_interval=13),
+    )
+    b = child_builder("1.1.1")
+
+    def state():
+        return [(c.status, c.net_deadline, c.pkg_deadline) for c in node.children.values()]
+
+    wake = 0
+    for t in range(150):
+        heard = t < 60  # 1.1.1 sends its heartbeats until tick 60
+        if heard and t % 5 == 1:
+            node.on_frame(b.build(MsgType.NETWORK_TEST, node.address), t)
+        if heard and t % 8 == 1:
+            node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, "normal"), t)
+        node.drain_lines()
+        before = state()
+        frames = node.on_tick(t)
+        acted = bool(frames or node.drain_lines()) or state() != before
+        assert acted == (t == wake), t
+        if acted or heard:
+            wake = node.next_wake(t)
 
 
 # -- commands ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import pytest
@@ -112,3 +113,19 @@ def test_actions_on_a_failed_launch_are_logged_and_the_run_goes_on():
     assert report.case_lines == []
     # the run went on: the events reach 1.1.0 at tick 11
     assert "NODE 1.1.0 11 STATE 1.1.2 T7 S211->S22" in report.node_lines
+
+
+def test_a_discarded_simulation_leaves_no_cycle_to_collect():
+    """Nothing a simulation holds refers back to it, the network's loss hook
+    included, so dropping a set-up or a finished run frees it at once."""
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    text = (DEMO / "respond.scn").read_text() + "at 150 inject-loss 1.1.0->1.0.0 until 170 rate=0.5\n"
+    gc.collect()
+    gc.disable()
+    try:
+        Simulation(topology, parse_scenario(text))
+        assert gc.collect() == 0
+        Simulation(topology, parse_scenario(text), debug=True).run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -18,6 +18,7 @@ CLASSES = (
     "fw.connect", "fw.disconnect", "fw.deny", "sig.2001", "sig.2002",
     "hm.login", "hm.heartbeat", "av.trojan", "scan.vuln",
 )
+SMNS = ("1.0.0",) + SITES
 SOURCES = ("10.0.0.9:4242", "10.0.0.99:4444")
 TARGETS = ("10.0.1.5", "10.0.2.2", "10.0.1.1")
 SCENARIOS = 150
@@ -25,48 +26,111 @@ SCENARIOS = 150
 
 def random_scenario(rng: random.Random) -> str:
     """Directives of every kind the agenda must wake a node for, or not."""
-    lines = [f"seed = {rng.randrange(1000)}", f"drain = {rng.randint(25, 90)}"]
+    head = [f"seed = {rng.randrange(1000)}", f"drain = {rng.randint(25, 90)}"]
+    lines: list[tuple[int, str]] = []
+    handles: list[str] = []
     for tick in sorted(rng.randrange(100) for _ in range(rng.randint(5, 30))):
         until = tick + rng.randint(1, 60)
         op = rng.choices(
-            ("emit", "silence", "abnormal", "command", "loss"), (8, 2, 1, 2, 1)
+            ("emit", "session", "silence", "abnormal", "command", "loss", "respond"),
+            (8, 2, 2, 1, 2, 1, 2),
         )[0]
-        if op == "emit":
+        if op == "session":
+            lines.extend(random_session(rng, tick))
+            continue
+        if op == "respond":
+            text = f"respond {random_respond(rng, handles)}"
+        elif op == "emit":
             port = rng.choice(("80", "22", str(rng.randint(1, 20))))
-            lines.append(
-                f"at {tick} emit {rng.choice(DEVICES)} class={rng.choice(CLASSES)} "
+            text = (
+                f"emit {rng.choice(DEVICES)} class={rng.choice(CLASSES)} "
                 f"src={rng.choice(SOURCES)} dst={rng.choice(TARGETS)}:{port} "
                 f"sev={rng.randint(1, 5)}"
             )
         elif op == "silence":
-            lines.append(f"at {tick} silence {rng.choice(DEVICES + SITES)} until {until}")
+            text = f"silence {rng.choice(DEVICES + SITES)} until {until}"
         elif op == "abnormal":
-            lines.append(f"at {tick} abnormal {rng.choice(DEVICES)} until {until}")
+            text = f"abnormal {rng.choice(DEVICES)} until {until}"
         elif op == "command":
             kind = rng.choice(("policy", "vulnerability", "reboot"))
-            lines.append(f"at {tick} command {kind} {rng.choice(DEVICES + SITES)}")
+            text = f"command {kind} {rng.choice(DEVICES + SITES)}"
         else:
             src, dst = rng.choice(LINKS)
             if rng.random() < 0.5:
                 src, dst = dst, src
             rate = rng.choice(("1.0", "0.5"))
-            lines.append(f"at {tick} inject-loss {src}->{dst} until {until} rate={rate}")
-    return "\n".join(lines) + "\n"
+            text = f"inject-loss {src}->{dst} until {until} rate={rate}"
+        lines.append((tick, f"at {tick} {text}"))
+    lines.sort(key=lambda line: line[0])  # stable: same-tick lines keep their order
+    return "\n".join(head + [text for _, text in lines]) + "\n"
+
+
+def random_session(rng: random.Random, tick: int) -> list[tuple[int, str]]:
+    """A connect at a site's firewall, a kept event on its endpoints from the
+    same site around the time a short ``connect_ttl`` expires the connect
+    (it opens an alert unless the connect has expired), and sometimes the
+    disconnect."""
+    site = rng.choice(SITES)[:3]
+    ends = f"src={rng.choice(SOURCES)} dst={rng.choice(TARGETS)}:80"
+    later = tick + rng.randint(15, 30)
+    lines = [
+        (tick, f"at {tick} emit {site}.1 class=fw.connect {ends} sev=1"),
+        (later, f"at {later} emit {site}.{rng.randint(1, 3)} class=sig.2001 {ends} sev=5"),
+    ]
+    if rng.random() < 0.5:
+        end = later + rng.randint(0, 20)
+        lines.append((end, f"at {end} emit {site}.1 class=fw.disconnect {ends} sev=1"))
+    return lines
+
+
+def random_respond(rng: random.Random, handles: list[str]) -> str:
+    """A respond action; most log at a management node when they run, and a
+    launch only succeeds once its owner has correlated an event."""
+    action = rng.choice(("launch", "escalate", "enlist", "advance")) if handles else "launch"
+    if action == "launch":
+        handles.append(f"w{len(handles) + 1}")
+        return f"launch {handles[-1]} owner={rng.choice(SMNS)}"
+    handle = rng.choice(handles[-2:])
+    if action == "escalate":
+        return f"escalate {handle}"
+    if action == "enlist":
+        return f"enlist {handle} targets={','.join(rng.sample(DEVICES + SITES, 2))}"
+    return f"advance {handle} actor={rng.choice(SMNS)} note=n{rng.randrange(9)}"
+
+
+def _edit(text: str, *pairs: tuple[str, str]) -> str:
+    for old, new in pairs:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
 
 
 @pytest.fixture(scope="module")
 def topologies():
-    """The demo topology, and the same with a flush window that is not a
-    multiple of a heartbeat interval, so flushes fall between heartbeats."""
+    """The demo topology; the same with a flush window that is not a multiple
+    of a heartbeat interval, so flushes fall between heartbeats; and that one
+    with alerts and connects that expire within a run, sparser heartbeats and
+    a report interval that is not a multiple of either heartbeat interval, so
+    expiries and reports fall on ticks no heartbeat wakes a management node
+    for."""
     text = TOPOLOGY.read_text()
-    odd = text.replace("window_ticks = 10", "window_ticks = 7")
-    assert odd != text
-    return [parse_topology(t, base_dir=str(TOPOLOGY.parent)) for t in (text, odd)]
+    odd = _edit(text, ("window_ticks = 10", "window_ticks = 7"))
+    short = _edit(
+        odd,
+        ("grace = 60", "grace = 9"),
+        ("connect_ttl = 600", "connect_ttl = 23"),
+        ("report_interval = 50", "report_interval = 13"),
+        ("network_test_interval = 5", "network_test_interval = 9"),
+        ("state_pkg_interval = 8", "state_pkg_interval = 14"),
+        ("network_test_timeout = 30", "network_test_timeout = 40"),
+        ("state_pkg_timeout = 20", "state_pkg_timeout = 31"),
+    )
+    return [parse_topology(t, base_dir=str(TOPOLOGY.parent)) for t in (text, odd, short)]
 
 
 @pytest.mark.parametrize("seed", range(SCENARIOS))
 def test_agenda_matches_reference_loop(seed, topologies):
-    topology = topologies[seed % 2]
+    topology = topologies[seed % 3]
     text = random_scenario(random.Random(seed))
     want = ReferenceSimulation(topology, parse_scenario(text), debug=True).run()
     have = Simulation(topology, parse_scenario(text), debug=True).run()
