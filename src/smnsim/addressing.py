@@ -4,11 +4,18 @@ Every node carries an address ``A1.A2...An`` with exactly one segment per
 tree level; zeros pad the tail. The address alone determines a node's
 level, parent chain and subtree, so no lookup table is ever needed to
 locate a node.
+
+Identity is equality: there is one ``NodeAddress`` object per address and
+tree shape, so two addresses are equal exactly when they are the same
+object, and hashing one costs what hashing any plain object does. An
+address is validated once, when first built, and keeps its text, level and
+parent from then on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 
 class AddressError(ValueError):
@@ -61,58 +68,100 @@ class TreeShape:
             raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
 
 
-@dataclass(frozen=True, slots=True)
 class NodeAddress:
     """A validated address: one segment per level, zero-padded tail.
 
     The root segment is always >= 1, every segment is bounded by the tree
     degree, and once a zero appears every later segment is zero too.
+
+    Addresses are hash-consed: ``NodeAddress(segments, shape)`` returns the
+    one object for its segments and shape, so equality and hashing are by
+    identity, both in C. An address is validated, and its text, level and
+    parent are derived, once, when its first construction interns it.
     """
+
+    __slots__ = ("segments", "shape", "level", "_text", "_parent")
 
     segments: tuple[int, ...]
     shape: TreeShape
-    _hash: int = field(init=False, repr=False, compare=False)
+    #: 1-based index of the last non-zero segment
+    level: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
-        segs = self.segments
-        if len(segs) != self.shape.depth:
-            raise WrongSegmentCount(
-                f"expected {self.shape.depth} segments, got {len(segs)}"
-            )
+    #: every address built so far, by (segments, depth, max_degree)
+    _interned: ClassVar[dict[tuple, "NodeAddress"]] = {}
+    #: every text ``parse`` accepted, by (text, depth, max_degree)
+    _parsed: ClassVar[dict[tuple, "NodeAddress"]] = {}
+
+    def __new__(cls, segments: tuple[int, ...], shape: TreeShape) -> "NodeAddress":
+        segments = tuple(segments)
+        key = (segments, shape.depth, shape.max_degree)
+        self = cls._interned.get(key)
+        if self is None:
+            self = cls._intern(key, segments, shape)
+        return self
+
+    def __init__(self, segments: tuple[int, ...], shape: TreeShape) -> None:
+        """Nothing to do: ``__new__`` returns a finished address. Python calls
+        this once per construction, so a tracer can count them here."""
+
+    @classmethod
+    def _intern(cls, key: tuple, segs: tuple[int, ...], shape: TreeShape) -> "NodeAddress":
+        """Validate a new address, derive what it keeps and file it under
+        ``key``. A failure raises before anything is filed."""
+        if len(segs) != shape.depth:
+            raise WrongSegmentCount(f"expected {shape.depth} segments, got {len(segs)}")
         if segs[0] < 1:
             raise SegmentOutOfRange("root segment must be >= 1")
-        seen_zero = False
+        level = 0
         for i, seg in enumerate(segs):
-            if seg < 0 or seg > self.shape.max_degree:
+            if seg < 0 or seg > shape.max_degree:
                 raise SegmentOutOfRange(
-                    f"segment {i + 1} is {seg}, allowed range 0..{self.shape.max_degree}"
+                    f"segment {i + 1} is {seg}, allowed range 0..{shape.max_degree}"
                 )
-            if seen_zero and seg != 0:
+            if seg == 0:
+                continue
+            if level < i:
                 raise ZeroSuffixViolation(
                     f"non-zero segment {seg} at position {i + 1} after a zero"
                 )
-            if seg == 0:
-                seen_zero = True
-        # Addresses key every routing and tree lookup; hash them once.
-        shape = self.shape
-        object.__setattr__(self, "_hash", hash((segs, shape.depth, shape.max_degree)))
+            level = i + 1
+        parent = None
+        if level > 1:
+            up = segs[: level - 1] + (0,) * (shape.depth - level + 1)
+            parent = cls(up, shape)
+        self = object.__new__(cls)
+        put = object.__setattr__
+        put(self, "segments", segs)
+        put(self, "shape", shape)
+        put(self, "level", level)
+        put(self, "_text", ".".join(map(str, segs)))
+        put(self, "_parent", parent)
+        cls._interned[key] = self
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    # identity hashing, in C; named here so that a tracer can wrap it
+    __hash__ = object.__hash__
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.segments == other.segments and (
-            self.shape is other.shape or self.shape == other.shape
-        )
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copies and unpickled addresses are the canonical object
+        return NodeAddress, (self.segments, self.shape)
+
+    def __repr__(self) -> str:
+        return f"NodeAddress(segments={self.segments!r}, shape={self.shape!r})"
 
     @classmethod
     def parse(cls, text: str, shape: TreeShape) -> "NodeAddress":
         """Parse a dotted-decimal address string against the given shape."""
+        key = (text, shape.depth, shape.max_degree)
+        addr = cls._parsed.get(key)
+        if addr is not None:
+            return addr
         parts = text.split(".")
         if len(parts) != shape.depth:
             raise WrongSegmentCount(
@@ -123,28 +172,15 @@ class NodeAddress:
             if not (part.isascii() and part.isdigit()):
                 raise NonNumericSegment(f"segment {part!r} in {text!r} is not a number")
             segments.append(int(part))
-        return cls(tuple(segments), shape)
+        addr = cls._parsed[key] = cls(tuple(segments), shape)
+        return addr
 
     def __str__(self) -> str:
-        return ".".join(str(s) for s in self.segments)
-
-    @property
-    def level(self) -> int:
-        """1-based index of the last non-zero segment."""
-        lvl = 0
-        for i, seg in enumerate(self.segments):
-            if seg != 0:
-                lvl = i + 1
-        return lvl
+        return self._text
 
     def parent(self) -> "NodeAddress | None":
         """The address one level up, or None for a level-1 node."""
-        lvl = self.level
-        if lvl == 1:
-            return None
-        segs = list(self.segments)
-        segs[lvl - 1] = 0
-        return NodeAddress(tuple(segs), self.shape)
+        return self._parent
 
     def child(self, k: int) -> "NodeAddress":
         """The k-th child address directly below this node."""
@@ -163,7 +199,7 @@ class NodeAddress:
         """True iff this address is a strict ancestor of ``other``."""
         if self.shape != other.shape:
             raise ShapeMismatch(f"{self.shape} vs {other.shape}")
-        if self.segments == other.segments:
+        if self is other:
             return False
         lvl = self.level
         return other.segments[:lvl] == self.segments[:lvl]

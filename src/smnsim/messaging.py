@@ -93,17 +93,11 @@ class LinkTable:
 
     @classmethod
     def from_addresses(cls, addresses: list[NodeAddress]) -> "LinkTable":
-        """The links of ``addresses``; each parent is the declared address
-        object itself, so a frame built for a parent routes by identity."""
-        declared = {addr: addr for addr in addresses}
-        parents: dict[NodeAddress, NodeAddress | None] = {}
-        for addr in addresses:
-            parent = addr.parent()
-            if parent is not None:
-                if parent not in declared:
-                    raise ValueError(f"{addr} declared without its parent {parent}")
-                parent = declared[parent]
-            parents[addr] = parent
+        """The links of ``addresses``; every parent must be declared too."""
+        parents = {addr: addr.parent() for addr in addresses}
+        for addr, parent in parents.items():
+            if parent is not None and parent not in parents:
+                raise ValueError(f"{addr} declared without its parent {parent}")
         return cls(parents)
 
     def __contains__(self, addr: NodeAddress) -> bool:
@@ -214,7 +208,7 @@ class SimNetwork:
             elif lossy is not None and lossy(frame, at, hop, now):
                 self.dropped += 1
                 continue
-            elif hop is not dst and hop != dst:
+            elif hop is not dst:
                 self.transit.append((hop, frame))
                 continue
             self.mailboxes[hop].push(frame)

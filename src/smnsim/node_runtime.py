@@ -625,30 +625,33 @@ class DeviceAgent(_Node):
     def next_wake(self, now: int) -> int:
         """The first tick after ``now`` at which ``step`` can act, given no new
         frame or event: the next heartbeat, the next window flush while events
-        wait, or the earliest pending ack (the next tick for an ack overdue
-        because the device is silenced)."""
+        wait, or the earliest pending ack."""
         net, pkg = self.hb.network_test_interval, self.hb.state_pkg_interval
         wake = min(now - now % net + net, now - now % pkg + pkg)
         if self.buffer:
             window = self.settings.window_ticks
             wake = min(wake, now - now % window + window)
         for due, *_ in self.pending_acks:
-            wake = min(wake, max(due, now + 1))
+            wake = min(wake, due)
         return wake
 
     def step(self, now: int) -> list[Frame]:
-        if self.silenced(now):
-            return []
+        silenced = self.silenced(now)
         out: list[Frame] = []
         still: list[tuple[int, str, TransferCondition, NodeAddress]] = []
         for due, cmd_id, cond_out, reply_to in self.pending_acks:
             if due <= now:
+                # a command completes on schedule; its ack is lost in a
+                # silence, as a silenced management node's is
                 self._apply_cond(self, cond_out, now)
                 self._log(now, "CMD", f"{cmd_id} done")
-                out.append(self.builder.build(MsgType.COMMAND_ACK, reply_to, cmd_id))
+                if not silenced:
+                    out.append(self.builder.build(MsgType.COMMAND_ACK, reply_to, cmd_id))
             else:
                 still.append((due, cmd_id, cond_out, reply_to))
         self.pending_acks = still
+        if silenced:
+            return []
         if now % self.hb.network_test_interval == 0:
             out.append(self.builder.build(MsgType.NETWORK_TEST, self.parent))
         if now % self.hb.state_pkg_interval == 0:

@@ -8,11 +8,11 @@ own timers fall due, as kept on a timing wheel from ``next_wake``
 node a ``command`` or ``respond`` directive logged on. A node skipped on a
 tick has nothing to do on it, management nodes included: before a
 management node takes its first frame of a visit its correlation engine is
-swept to the tick before, which leaves the store the next event meets as
-sweeping every tick would. The harness then injects the collected outbound
-frames, replays the root's change sets onto the console mirror, and
-advances the network one hop. Identical inputs and seed give byte-identical
-reports.
+swept to the tick before, unless the node ran on that tick and swept there
+already, which leaves the store the next event meets as sweeping every tick
+would. The harness then injects the collected outbound frames, replays the
+root's change sets onto the console mirror, and advances the network one
+hop. Identical inputs and seed give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -154,14 +154,14 @@ class Simulation:
         # the tick it is filed under. Every node acts at tick 0.
         self._wake = [0] * len(self.order)
         self._wheel: dict[int, set[int]] = {0: set(range(len(self.order)))}
+        #: per slot, the last tick the node ran at
+        self._last_run = [-1] * len(self.order)
         self.root = self.smns[topology.root]
         self.mirror = AddressedDeviceTree(
             shape=self.shape,
             root=build_tree(self.root.virtual_view.serialize(), self.shape).root,
         )
         self.handles: dict[str, tuple[NodeAddress, str]] = {}
-        #: each address text the scenario names, resolved once
-        self.addresses: dict[str, NodeAddress] = {}
         self.collected: list[str] = []
         self._by_tick: dict[int, list[Directive]] = {}
         self._validate_directives()
@@ -209,36 +209,35 @@ class Simulation:
                     raise ConfigError(f"no earlier respond launch binds {d.handle!r}", line_no)
 
     def _addr(self, text: str, line_no: int) -> NodeAddress:
-        """The declared node ``text`` names, parsed once per distinct text."""
-        addr = self.addresses.get(text)
-        if addr is not None:
-            return addr
+        """The declared node ``text`` names."""
         try:
             addr = NodeAddress.parse(text, self.shape)
         except Exception as exc:
             raise ConfigError(f"bad address {text!r}: {exc}", line_no) from exc
         if addr not in self.topology.nodes:
             raise ConfigError(f"unknown node {text}", line_no)
-        self.addresses[text] = addr
         return addr
+
+    def _node(self, text: str) -> NodeAddress:
+        """The node a directive names; ``_validate_directives`` checked it."""
+        return NodeAddress.parse(text, self.shape)
 
     # -- directives --------------------------------------------------------
 
     def _apply_directives(self, tick: int, outbound: list[Frame]) -> None:
-        addresses = self.addresses
         logged = False
         for d in self._by_tick.get(tick, ()):
             if isinstance(d, Emit):
                 self._do_emit(d, tick)
             elif isinstance(d, Window):
-                node = addresses[d.node]
+                node = self._node(d.node)
                 if d.abnormal:
                     self.agents[node].mark_abnormal(tick, d.until)
                 else:
                     (self.smns.get(node) or self.agents[node]).silence(tick, d.until)
             elif isinstance(d, Command):
                 _, frames = self.root.dispatch_command(
-                    addresses[d.target], d.kind, "scripted", tick
+                    self._node(d.target), d.kind, "scripted", tick
                 )
                 outbound.extend(frames)
                 logged = True
@@ -247,7 +246,7 @@ class Simulation:
                 logged = True
             else:
                 self.loss_windows.append(
-                    (addresses[d.src], addresses[d.dst], tick, d.until, d.rate)
+                    (self._node(d.src), self._node(d.dst), tick, d.until, d.rate)
                 )
         if logged:
             # a node leaves the lines a directive logged on it at its own
@@ -257,7 +256,7 @@ class Simulation:
                     self._schedule(slot, tick)
 
     def _do_emit(self, d: Emit, tick: int) -> None:
-        addr = self.addresses[d.device]
+        addr = self._node(d.device)
         agent = self.agents[addr]
         agent.inject(
             RawDeviceEvent(
@@ -279,7 +278,7 @@ class Simulation:
     def _do_respond(self, d: Respond, tick: int, outbound: list[Frame]) -> None:
         try:
             if d.action == "launch":
-                owner = self.addresses[d.owner]
+                owner = self._node(d.owner)
                 case = self.smns[owner].respond_launch(tick)
                 self.handles[d.handle] = (owner, case.case_id)
                 return
@@ -293,10 +292,10 @@ class Simulation:
             elif d.action == "enlist":
                 case = owner_node.cases[case_id]
                 actor = case.coordinator if case.coordinator is not None else owner
-                targets = [self.addresses[t] for t in d.targets]
+                targets = [self._node(t) for t in d.targets]
                 outbound.extend(self.smns[actor].respond_enlist(case_id, targets, tick))
             else:
-                actor = self.addresses[d.actor] if d.actor else owner
+                actor = self._node(d.actor) if d.actor else owner
                 outbound.extend(self.smns[actor].respond_advance(case_id, d.note, tick))
         except ResponseError as exc:
             self.root._log(tick, "RESPOND-ERROR", str(exc))
@@ -319,7 +318,8 @@ class Simulation:
         smn = slot in self._smn_slots
         out: list[Frame] = []
         if addressed:
-            if smn:
+            if smn and self._last_run[slot] != tick - 1:
+                # a run at tick - 1 ended in a sweep to tick - 1 already
                 node.engine.sweep(tick - 1)
             addr = self.order[slot]
             frame = self.network.poll(addr)
@@ -327,6 +327,7 @@ class Simulation:
                 out.extend(node.on_frame(frame, tick))
                 frame = self.network.poll(addr)
         ticked = node.on_tick(tick) if smn else node.step(tick)
+        self._last_run[slot] = tick
         self._schedule(slot, node.next_wake(tick))
         if smn and node.silenced(tick):
             return []

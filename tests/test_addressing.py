@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -176,3 +179,76 @@ def test_common_ancestor_matches_chain_walk(a, b):
 
     shared = [x for x in chain(a) if x in chain(b)]
     assert a.common_ancestor(b) == shared[0]
+
+
+# -- canonical addresses ----------------------------------------------------
+
+
+@given(addresses().map(lambda a: a.segments))
+def test_equal_segments_build_one_object(segs):
+    a = NodeAddress(segs, SHAPE4)
+    assert NodeAddress(tuple(segs), SHAPE4) is a
+    assert NodeAddress(list(segs), TreeShape(depth=4, max_degree=9)) is a
+
+
+@given(addresses())
+def test_parse_and_parent_return_the_canonical_object(a):
+    assert NodeAddress.parse(str(a), SHAPE4) is a
+    assert NodeAddress.parse(str(a), TreeShape(depth=4, max_degree=9)) is a
+    assert a.parent() is a.parent()
+
+
+@given(addresses())
+def test_text_is_the_dotted_segments(a):
+    assert str(a) == ".".join(map(str, a.segments))
+
+
+@given(addresses())
+def test_copies_are_the_canonical_object(a):
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+
+
+def test_addresses_of_other_shapes_are_other_objects():
+    a = NodeAddress.parse("1.2.0.0", SHAPE4)
+    b = NodeAddress.parse("1.2.0.0", TreeShape(depth=4, max_degree=3))
+    assert a is not b and a != b
+    assert a.shape == SHAPE4 and b.shape.max_degree == 3
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("1.2.3", WrongSegmentCount),
+        ("1.x.0.0", NonNumericSegment),
+        ("1.0.2.0", ZeroSuffixViolation),
+        ("0.0.0.0", SegmentOutOfRange),
+        ("1.2.4.0", SegmentOutOfRange),  # valid for SHAPE4, not for degree 3
+    ],
+)
+def test_a_failed_parse_is_not_cached(text, error):
+    NodeAddress.parse("1.2.4.0", SHAPE4)
+    shape = TreeShape(depth=4, max_degree=3)
+    for _ in range(2):
+        with pytest.raises(error):
+            NodeAddress.parse(text, shape)
+
+
+def test_a_failed_construction_is_not_cached():
+    for _ in range(2):
+        with pytest.raises(ZeroSuffixViolation):
+            addr(1, 0, 2, 0)
+        with pytest.raises(SegmentOutOfRange):
+            addr(1, 10, 0, 0)
+
+
+def test_addresses_are_immutable_and_keep_their_repr():
+    a = addr(1, 2, 0, 0)
+    with pytest.raises(AttributeError):
+        a.segments = (1, 3, 0, 0)
+    with pytest.raises(AttributeError):
+        a.level = 3
+    assert repr(a) == (
+        "NodeAddress(segments=(1, 2, 0, 0), shape=TreeShape(depth=4, max_degree=9))"
+    )

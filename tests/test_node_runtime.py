@@ -461,8 +461,13 @@ def test_agent_next_wake_covers_heartbeats_window_and_acks():
     agent.on_frame(b.build(MsgType.COMMAND, A("1.1.1"), "policy c!2\nbody"), 18)
     assert agent.next_wake(18) == 19
     agent.silence(19, 30)
-    agent.step(22)  # silenced: the acks stay pending, overdue
-    assert agent.next_wake(22) == 23
+    agent.drain_lines()
+    assert agent.step(22) == []  # silenced: both commands complete, their acks are lost
+    assert [line.split(" ", 3)[3] for line in agent.drain_lines()] == [
+        "STATE 1.1.1 T10 S23->S211", "CMD c!1 done", "CMD c!2 done",
+    ]
+    assert agent.pending_acks == []
+    assert agent.next_wake(22) == 27  # the next state package
 
 
 def test_children_tick_in_address_order_whatever_order_they_were_added():

@@ -6,6 +6,7 @@ import pytest
 from reference_loop import ReferenceSimulation
 from smnsim import cli
 from smnsim.config import ConfigError, load_topology, parse_scenario, parse_topology
+from smnsim.session_correlation import CorrelationEngine
 from smnsim.simulator import Simulation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +93,38 @@ def test_silenced_device_answers_no_command(loop):
     lines = loop(topology, scenario).run().node_lines
     assert "NODE 1.0.0 12 COMMAND 1.0.0!1 reboot 1.1.1" in lines
     assert [l for l in lines if " ACK " in l and int(l.split()[2]) < 60] == []
+
+
+@pytest.mark.parametrize("loop", [Simulation, ReferenceSimulation])
+def test_silenced_device_completes_a_command_and_loses_its_ack(loop):
+    """As a silenced management node does: the policy command reaches 1.1.1 at
+    tick 12 and completes at 15, inside the silence, so no ack reaches the root."""
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    scenario = parse_scenario(
+        "drain = 60\nat 10 command policy 1.1.1\nat 13 silence 1.1.1 until 40\n"
+    )
+    lines = loop(topology, scenario).run().node_lines
+    assert [l for l in lines if " CMD " in l] == ["NODE 1.1.1 15 CMD 1.0.0!1 done"]
+    assert [l for l in lines if " ACK " in l] == []
+
+
+def test_no_engine_is_swept_twice_in_a_row_at_the_same_tick(monkeypatch):
+    """A management node that ran at the tick before a frame arrives swept its
+    engine to that tick then, so the pre-frame sweep is not repeated."""
+    sweep = CorrelationEngine.sweep
+    last: dict[CorrelationEngine, int] = {}
+    repeats = []
+
+    def spy(engine, now):
+        if last.get(engine) == now:
+            repeats.append((engine.owner, now))
+        last[engine] = now
+        return sweep(engine, now)
+
+    monkeypatch.setattr(CorrelationEngine, "sweep", spy)
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    Simulation(topology, parse_scenario((DEMO / "attack.scn").read_text())).run()
+    assert last and repeats == []
 
 
 def test_actions_on_a_failed_launch_are_logged_and_the_run_goes_on():
