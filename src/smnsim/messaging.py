@@ -10,6 +10,11 @@ Frames stay Python objects end to end: ``SimNetwork`` moves them hop by hop
 and nothing encodes them to bytes. A frame's payload is text, except that a
 ``DEVICE_EVENT``'s payload is the ``NormalizedEvent`` itself. A frame's
 priority follows from its message type alone.
+
+Not every heartbeat becomes a frame. One that would only move a deadline at
+its parent is applied there when it is sent (``SmnNode.heard``, called by
+the simulator) and never enters the network; the simulator's docstring says
+why that is exact. Every other message travels as a frame.
 """
 
 from __future__ import annotations

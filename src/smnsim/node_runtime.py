@@ -14,6 +14,13 @@ the first tick at which a node's clock (``SmnNode.on_tick``,
 ``DeviceAgent.step``) can act when no frame arrives, so a harness runs a node
 then, or when a frame arrives for it, and lets it sleep in between.
 
+A management node hears a child's heartbeat in one of two ways. As a frame,
+through ``on_frame``. Or, when none of the heartbeat's conditions has an
+arrow from the child's state, so that it would only move a deadline,
+through ``heard``, which a harness calls when the heartbeat is sent, with
+the tick the frame would arrive at; the frame then never enters the
+network.
+
 Everything a node does is visible as log lines:
 
     NODE <addr> <tick> <action> <detail>
@@ -147,6 +154,29 @@ def _parse_command(text: str) -> tuple[str, str, tuple[TransferCondition, ...] |
     return kind, cmd_id, _COMMAND_CONDS.get(kind)
 
 
+_NET_TEST_CONDS = (_T.T1,)
+_NORMAL_PKG_CONDS = (_T.T3, _T.T6)
+_ABNORMAL_PKG_CONDS = (_T.T3, _T.T5)
+
+
+def _heartbeat_conds(frame: Frame) -> tuple[TransferCondition, ...]:
+    """The conditions a heartbeat ``frame`` applies to its sender's record at
+    the parent, in order: T1 for a network test; T3, then T5 or T6, for a
+    state package."""
+    if frame.msg_type is MsgType.NETWORK_TEST:
+        return _NET_TEST_CONDS
+    return _ABNORMAL_PKG_CONDS if frame.payload == "abnormal" else _NORMAL_PKG_CONDS
+
+
+def _renew(child: ChildRecord, msg_type: MsgType, now: int) -> None:
+    """Move the deadline that a heartbeat of ``msg_type`` heard at ``now``
+    renews."""
+    if msg_type is MsgType.NETWORK_TEST:
+        child.net_deadline = now + child.hb.network_test_timeout
+    else:
+        child.pkg_deadline = now + child.hb.state_pkg_timeout
+
+
 def _in_window(windows: list[tuple[int, int]], now: int) -> bool:
     if not windows:
         return False
@@ -235,8 +265,8 @@ class SmnNode(_Node):
         self.cases: dict[str, ResponseCase] = {}
         self.coordinated: dict[str, CoordinationEntry] = {}
         self.case_counter = 0
-        #: ids of the commands sent and not yet acked
-        self.pending_commands: set[str] = set()
+        #: ids of the commands sent and not yet acked, in issue order
+        self.pending_commands: dict[str, None] = {}
         self.command_counter = 0
         #: the view's changes for the console mirror, which replays the
         #: root's view alone, so only the root records them
@@ -300,15 +330,10 @@ class SmnNode(_Node):
             if child is None:
                 self._log(now, "UNKNOWN", f"{frame.src} {mt.name}")
                 return []
-            if mt is MsgType.NETWORK_TEST:
-                self._apply_cond(child, _T.T1, now)
-                child.net_deadline = now + child.hb.network_test_timeout
-                return []
-            if mt is MsgType.DEVICE_STATE_PKG:
-                self._apply_cond(child, _T.T3, now)
-                abnormal = frame.text() == "abnormal"
-                self._apply_cond(child, _T.T5 if abnormal else _T.T6, now)
-                child.pkg_deadline = now + child.hb.state_pkg_timeout
+            if mt is MsgType.NETWORK_TEST or mt is MsgType.DEVICE_STATE_PKG:
+                for cond in _heartbeat_conds(frame):
+                    self._apply_cond(child, cond, now)
+                _renew(child, mt, now)
                 return []
             if mt is MsgType.DEVICE_EVENT:
                 return self._on_device_event(child, frame, now)
@@ -320,13 +345,29 @@ class SmnNode(_Node):
         if mt is MsgType.COMMAND_ACK:
             cmd_id = frame.text()
             if cmd_id in self.pending_commands:
-                self.pending_commands.discard(cmd_id)
+                del self.pending_commands[cmd_id]
                 self._log(now, "ACK", f"{cmd_id} {frame.src}")
             return []
         if mt is MsgType.RESPONSE_COORD:
             return self._on_response_coord(frame, now)
         self._log(now, "UNKNOWN", f"{frame.src} {mt.name}")
         return []
+
+    def heard(self, frame: Frame, now: int) -> bool:
+        """Take the heartbeat ``frame`` (a network test or state package from
+        a child) as arriving at ``now`` when ``on_frame`` would only move its
+        deadline, because none of its conditions has an arrow from the
+        child's state: move that deadline and return True. Otherwise change
+        nothing and return False; the frame must then reach ``on_frame``."""
+        child = self.children.get(frame.src)
+        if child is None:
+            return False
+        arrows = ARROWS_FROM[child.status.state._value_]
+        for cond in _heartbeat_conds(frame):
+            if cond._value_ in arrows:
+                return False
+        _renew(child, frame.msg_type, now)
+        return True
 
     def _on_device_event(self, child: ChildRecord, frame: Frame, now: int) -> list[Frame]:
         self._apply_cond(child, _T.T7, now)
@@ -387,10 +428,16 @@ class SmnNode(_Node):
             raise TargetNotInSubtree(f"{target} not below {self.address}")
         self.command_counter += 1
         cmd_id = f"{self.address}!{self.command_counter}"
-        self.pending_commands.add(cmd_id)
+        self.pending_commands[cmd_id] = None
         self._log(now, "COMMAND", f"{cmd_id} {kind} {target}")
         frame = self.builder.build(MsgType.COMMAND, target, f"{kind} {cmd_id}\n{body}")
         return cmd_id, [frame]
+
+    def log_unacked(self, now: int) -> None:
+        """Log one ``UNACKED`` line per command still waiting for its ACK, in
+        issue order: the end of a run names the commands whose ACK was lost."""
+        for cmd_id in self.pending_commands:
+            self._log(now, "UNACKED", cmd_id)
 
     # -- emergency response ------------------------------------------------
 

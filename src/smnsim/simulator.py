@@ -13,6 +13,22 @@ already, which leaves the store the next event meets as sweeping every tick
 would. The harness then injects the collected outbound frames, replays the
 root's change sets onto the console mirror, and advances the network one
 hop. Identical inputs and seed give byte-identical reports.
+
+A heartbeat (network test or state package) that would change nothing at
+its parent but a deadline never enters the network: when it is sent, the
+parent takes it by ``SmnNode.heard`` as arriving at the next tick, as the
+frame would. That is exact. It lands after every node of the tick has run.
+Until the frame's turn in the parent's mailbox nothing touches that child's
+record: the frames before it there are acknowledgements, reports, alerts
+and frames from other children, and the child's own events follow its
+heartbeats. Deadlines only move later, so a parent filed on the timing
+wheel under an older deadline wakes, finds nothing due and files again. A
+heartbeat goes as a frame when one of its conditions has an arrow from the
+parent's record of the child, when a loss window covers its hop at the
+tick (it keeps its draw from the loss source), or when an earlier
+heartbeat of its sender at the tick went as one (a network test that brings
+a child from NET_DOWN to UNREACHABLE gives the state package after it an
+arrow).
 """
 
 from __future__ import annotations
@@ -37,7 +53,7 @@ from .device_model import DeviceKind
 from .device_tree import AddressedDeviceTree, build_tree
 from .emergency_response import CounterplanStore, ResponseError
 from .event_pipeline import AssetDb, NormalizedEvent, RawDeviceEvent, validate
-from .messaging import Frame, LinkTable, SimNetwork
+from .messaging import Frame, LinkTable, MsgType, SimNetwork
 from .node_runtime import DeviceAgent, PipelineSettings, SmnNode
 from .session_correlation import CorrelationConfig, CorrelationEngine, format_session_line
 
@@ -77,17 +93,31 @@ class RunReport:
                 fh.write(content)
 
 
-def _windowed_loss(windows: list[tuple[NodeAddress, NodeAddress, int, int, float]], rng):
+LossWindow = tuple[NodeAddress, NodeAddress, int, int, float]
+
+
+def _covering_rates(
+    windows: list[LossWindow], at: NodeAddress, hop: NodeAddress, now: int
+) -> list[float]:
+    """The rates of the ``windows`` (from, to, start, end, rate) that cover
+    the hop from ``at`` to ``hop`` at tick ``now``, in the order they began."""
+    return [
+        rate
+        for src, dst, start, end, rate in windows
+        if src == at and dst == hop and start <= now < end
+    ]
+
+
+def _windowed_loss(windows: list[LossWindow], rng):
     """A ``SimNetwork`` loss hook dropping a frame on a hop that one of
     ``windows`` covers at the step's tick, with that window's rate. It holds
     the windows and the random source, not the simulation, so no cycle keeps
     a discarded simulation alive until a full garbage collection."""
 
     def lossy(frame: Frame, at: NodeAddress, hop: NodeAddress, now: int) -> bool:
-        for src, dst, start, end, rate in windows:
-            if src == at and dst == hop and start <= now < end:
-                if rate >= 1.0 or rng.random() < rate:
-                    return True
+        for rate in _covering_rates(windows, at, hop, now):
+            if rate >= 1.0 or rng.random() < rate:
+                return True
         return False
 
     return lossy
@@ -105,7 +135,7 @@ class Simulation:
         self.debug = debug
         self.shape = topology.shape
         #: (from, to, start, end, rate) of each loss window begun so far
-        self.loss_windows: list[tuple[NodeAddress, NodeAddress, int, int, float]] = []
+        self.loss_windows: list[LossWindow] = []
 
         counterplans = CounterplanStore()
         if topology.counterplan_dir:
@@ -334,6 +364,24 @@ class Simulation:
         out.extend(ticked)
         return out
 
+    def _send(self, outbound: list[Frame], tick: int) -> None:
+        """Hand the tick's outbound frames to the network, except the
+        heartbeats their parent takes by ``SmnNode.heard`` as arriving at
+        ``tick + 1`` (see the module docstring for which and why)."""
+        send, windows, smns = self.network.send, self.loss_windows, self.smns
+        #: senders a heartbeat of which went as a frame at this tick
+        beating: set[NodeAddress] = set()
+        for frame in outbound:
+            msg_type = frame.msg_type
+            if msg_type is MsgType.NETWORK_TEST or msg_type is MsgType.DEVICE_STATE_PKG:
+                src, dst = frame.src, frame.dst
+                if src not in beating:
+                    covered = windows and _covering_rates(windows, src, dst, tick)
+                    if not covered and smns[dst].heard(frame, tick + 1):
+                        continue
+                    beating.add(src)
+            send(frame)
+
     def run(self) -> RunReport:
         end_tick = self.scenario.last_tick + self.scenario.drain
         for tick in range(end_tick + 1):
@@ -344,8 +392,7 @@ class Simulation:
             for slot in ran:
                 outbound.extend(self._run_node(slot, tick, slot in arrived))
                 self.collected.extend(self._nodes[slot].drain_lines())
-            for frame in outbound:
-                self.network.send(frame)
+            self._send(outbound, tick)
             changesets = self.root.drain_changesets()
             for changes in changesets:
                 self.mirror.apply_changeset(changes)
@@ -377,6 +424,11 @@ class Simulation:
                 self.mirror.validate()
         except Exception as exc:
             raise InvariantViolation(str(exc)) from exc
+        self._check_accounting()
+
+    def _check_accounting(self) -> None:
+        """Every management node accounts for each event it received as
+        dropped, joined to an alert or independent."""
         for smn in self.smns.values():
             engine = smn.engine
             accounted = (
@@ -388,6 +440,15 @@ class Simulation:
                 )
 
     def _report(self) -> RunReport:
+        """Check the event accounting, log the commands still waiting for
+        their ACK at the last tick, management nodes in address order, and
+        build the report."""
+        self._check_accounting()
+        end_tick = self.scenario.last_tick + self.scenario.drain
+        for slot in sorted(self._smn_slots):
+            node = self._nodes[slot]
+            node.log_unacked(end_tick)
+            self.collected.extend(node.drain_lines())
         return RunReport(
             sessions=self.root.session_lines + self.root.engine.open_session_lines(),
             tree_text=self.root.virtual_view.serialize(),

@@ -1,7 +1,13 @@
 import pytest
 
 from smnsim.addressing import NodeAddress, TreeShape
-from smnsim.device_model import DeviceKind, DeviceState
+from smnsim.device_model import (
+    LEAF_STATES,
+    WAITING_STATES,
+    DeviceKind,
+    DeviceState,
+    DeviceStatus,
+)
 from smnsim.event_pipeline import (
     AssetDb,
     AssetRecord,
@@ -135,6 +141,63 @@ def test_unknown_child_frame_logged_and_dropped():
     out = node.on_frame(stranger.build(MsgType.NETWORK_TEST, node.address), 6)
     assert out == []
     assert any("UNKNOWN 1.1.2" in line for line in node.lines)
+
+
+def _root_with_child_in(status):
+    """A root (so it records change sets) whose record and view of its one
+    child are in ``status``, with nothing logged or recorded yet."""
+    node = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.FIREWALL)])
+    node.children[A("1.1.0")].status = status
+    node.virtual_view.set_state(A("1.1.0"), status.state)
+    node.drain_changesets()
+    return node
+
+
+@pytest.mark.parametrize(
+    "payload", [None, "normal", "abnormal"], ids=["test", "normal-pkg", "abnormal-pkg"]
+)
+@pytest.mark.parametrize(
+    "status",
+    [
+        DeviceStatus(state, resume)
+        for state in sorted(LEAF_STATES, key=lambda s: s.value)
+        for resume in sorted(WAITING_STATES, key=lambda s: s.value)
+    ],
+    ids=lambda s: f"{s.state.value}-{s.resume.value}",
+)
+def test_heard_agrees_with_on_frame(status, payload):
+    """``heard`` takes a heartbeat exactly when ``on_frame`` would move only
+    its deadline: the same status and deadlines, no line, no change set."""
+    b = child_builder("1.1.0")
+    root = A("1.0.0")
+    frame = (
+        b.build(MsgType.NETWORK_TEST, root)
+        if payload is None
+        else b.build(MsgType.DEVICE_STATE_PKG, root, payload)
+    )
+    fast, slow = _root_with_child_in(status), _root_with_child_in(status)
+    taken = fast.heard(frame, 41)
+    assert slow.on_frame(frame, 41) == []
+    fast_child, slow_child = fast.children[A("1.1.0")], slow.children[A("1.1.0")]
+    assert fast.lines == [] and fast.drain_changesets() == []
+    if taken:
+        assert slow_child.status == status
+        assert slow.lines == [] and slow.drain_changesets() == []
+        assert (fast_child.net_deadline, fast_child.pkg_deadline) == (
+            slow_child.net_deadline,
+            slow_child.pkg_deadline,
+        )
+    else:
+        assert fast_child.status == status
+        assert (fast_child.net_deadline, fast_child.pkg_deadline) == (30, 20)
+        assert slow_child.status.state is not status.state
+
+
+def test_heard_declines_a_stranger():
+    node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL)])
+    stranger = FrameBuilder(A("1.1.2"))
+    assert not node.heard(stranger.build(MsgType.NETWORK_TEST, node.address), 6)
+    assert node.lines == []
 
 
 # -- device events through the pipeline ------------------------------------------
@@ -315,7 +378,7 @@ def test_dispatch_command_routes_and_acks():
     cmd_id, frames = root.dispatch_command(A("1.1.1"), "policy", "tighten", 40)
     assert cmd_id == "1.0.0!1"
     assert len(frames) == 1 and frames[0].dst == A("1.1.1")
-    assert root.pending_commands == {cmd_id}
+    assert list(root.pending_commands) == [cmd_id]
 
     agent = DeviceAgent(
         address=A("1.1.1"),
@@ -333,8 +396,20 @@ def test_dispatch_command_routes_and_acks():
     assert agent.status.state is DeviceState.RUNNING_OK
 
     root.on_frame(acks[0], 50)
-    assert root.pending_commands == set()
+    assert not root.pending_commands
     assert root.lines[-1] == f"NODE 1.0.0 50 ACK {cmd_id} 1.1.1"
+
+
+def test_unacked_commands_are_logged_in_issue_order():
+    root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
+    for t in (3, 4, 5):
+        root.dispatch_command(A("1.1.1"), "policy", "", t)
+    root.drain_lines()
+    ack = FrameBuilder(A("1.1.1")).build(MsgType.COMMAND_ACK, root.address, "1.0.0!2")
+    root.on_frame(ack, 9)
+    root.drain_lines()
+    root.log_unacked(99)
+    assert root.drain_lines() == ["NODE 1.0.0 99 UNACKED 1.0.0!1", "NODE 1.0.0 99 UNACKED 1.0.0!3"]
 
 
 def test_vulnerability_command_traverses_s24():

@@ -6,8 +6,10 @@ import pytest
 from reference_loop import ReferenceSimulation
 from smnsim import cli
 from smnsim.config import ConfigError, load_topology, parse_scenario, parse_topology
+from smnsim.messaging import MsgType
+from smnsim.node_runtime import SmnNode
 from smnsim.session_correlation import CorrelationEngine
-from smnsim.simulator import Simulation
+from smnsim.simulator import InvariantViolation, Simulation
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "demo"
@@ -22,20 +24,42 @@ REPORT_FILES = [
 ]
 
 
+GEN0 = GOLDEN / "gen0"
+#: topology, scenario and golden report directory of each golden run
+GOLDEN_RUNS = {
+    **{
+        name: (DEMO / "topology.cfg", DEMO / f"{name}.scn", GOLDEN / name)
+        for name in ("attack", "devices", "heartbeat", "respond")
+    },
+    # the benchmark's generated seed-0 tree of 91 nodes under the first 100
+    # ticks of its attack load (see the head of gen0/attack.scn)
+    "gen0": (GEN0 / "topology.cfg", GEN0 / "attack.scn", GEN0 / "attack"),
+}
+
+
 @pytest.mark.parametrize("debug", [False, True])
-@pytest.mark.parametrize("scenario", ["attack", "devices", "heartbeat", "respond"])
+@pytest.mark.parametrize("scenario", list(GOLDEN_RUNS))
 def test_demo_reports_match_golden(scenario, debug, tmp_path):
+    topology, script, golden = GOLDEN_RUNS[scenario]
     argv = [
         "simulate",
-        "--topology", str(DEMO / "topology.cfg"),
-        "--scenario", str(DEMO / f"{scenario}.scn"),
+        "--topology", str(topology),
+        "--scenario", str(script),
         "--out", str(tmp_path),
     ]
     assert cli.main(argv + ["--debug"] if debug else argv) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == REPORT_FILES
     for name in REPORT_FILES:
-        want = (GOLDEN / scenario / name).read_bytes()
+        want = (golden / name).read_bytes()
         assert (tmp_path / name).read_bytes() == want, f"{scenario}/{name}"
+
+
+def test_generated_load_matches_reference_loop():
+    topology = load_topology(str(GEN0 / "topology.cfg"))
+    files = ReferenceSimulation(
+        topology, parse_scenario((GEN0 / "attack.scn").read_text())
+    ).run().files()
+    assert files == {name: (GEN0 / "attack" / name).read_text() for name in REPORT_FILES}
 
 
 def test_emitted_source_reaches_the_report_as_written():
@@ -98,7 +122,8 @@ def test_silenced_device_answers_no_command(loop):
 @pytest.mark.parametrize("loop", [Simulation, ReferenceSimulation])
 def test_silenced_device_completes_a_command_and_loses_its_ack(loop):
     """As a silenced management node does: the policy command reaches 1.1.1 at
-    tick 12 and completes at 15, inside the silence, so no ack reaches the root."""
+    tick 12 and completes at 15, inside the silence, so no ack reaches the root,
+    which names the command at the end of the run."""
     topology = load_topology(str(DEMO / "topology.cfg"))
     scenario = parse_scenario(
         "drain = 60\nat 10 command policy 1.1.1\nat 13 silence 1.1.1 until 40\n"
@@ -106,6 +131,7 @@ def test_silenced_device_completes_a_command_and_loses_its_ack(loop):
     lines = loop(topology, scenario).run().node_lines
     assert [l for l in lines if " CMD " in l] == ["NODE 1.1.1 15 CMD 1.0.0!1 done"]
     assert [l for l in lines if " ACK " in l] == []
+    assert lines[-1] == "NODE 1.0.0 73 UNACKED 1.0.0!1"
 
 
 def test_no_engine_is_swept_twice_in_a_row_at_the_same_tick(monkeypatch):
@@ -162,3 +188,81 @@ def test_a_discarded_simulation_leaves_no_cycle_to_collect():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+HEARTBEATS = (MsgType.NETWORK_TEST, MsgType.DEVICE_STATE_PKG)
+
+
+def _spy_heartbeat_sends(sim: Simulation) -> list[tuple[int, str, MsgType]]:
+    """(tick, sender, type) of each heartbeat frame ``sim`` hands its network."""
+    sent = []
+    send = sim.network.send
+
+    def spy(frame):
+        if frame.msg_type in HEARTBEATS:
+            sent.append((sim.network.now, str(frame.src), frame.msg_type))
+        send(frame)
+
+    sim.network.send = spy
+    return sent
+
+
+def test_an_idle_run_sends_only_the_tick_0_heartbeats():
+    """At tick 0 every child is NET_DOWN at its parent, so its network test
+    changes a state and goes as a frame, and its state package after it;
+    later heartbeats change only a deadline and never become frames."""
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    sim = Simulation(topology, parse_scenario("drain = 100\n"))
+    sent = _spy_heartbeat_sends(sim)
+    report = sim.run()
+    children = sorted(str(a) for a in topology.nodes if a != sim.root.address)
+    assert sorted(sent, key=lambda s: (s[1], s[2].value)) == [
+        (0, child, msg_type) for child in children for msg_type in HEARTBEATS
+    ]
+    want = ReferenceSimulation(topology, parse_scenario("drain = 100\n")).run()
+    assert report.files() == want.files()
+
+
+def test_a_heartbeat_crossing_a_loss_window_reaches_the_network():
+    """Each heartbeat of 1.1.1 inside a rate-0.5 window on its uplink goes as
+    a frame, so it takes its draw from the loss source, as before."""
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    text = "drain = 80\nat 20 inject-loss 1.1.1->1.1.0 until 60 rate=0.5\n"
+    sim = Simulation(topology, parse_scenario(text))
+    sent = _spy_heartbeat_sends(sim)
+    report = sim.run()
+    in_window = [(t, m) for t, src, m in sent if src == "1.1.1" and 20 <= t < 60]
+    assert in_window == [
+        (t, m)
+        for t in range(20, 60)
+        for m, every in zip(HEARTBEATS, (5, 8))
+        if t % every == 0
+    ]
+    assert sim.network.dropped > 0
+    assert report.files() == ReferenceSimulation(topology, parse_scenario(text)).run().files()
+
+
+def test_every_run_checks_the_event_accounting():
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    sim = Simulation(topology, parse_scenario((DEMO / "attack.scn").read_text()))
+    sim.root.events_dropped += 1
+    with pytest.raises(InvariantViolation, match="1.0.0: .* events in, .* accounted"):
+        sim.run()
+
+
+def test_a_broken_event_count_exits_1(monkeypatch, tmp_path, capsys):
+    init = SmnNode.__init__
+
+    def miscounting(node, *args, **kwargs):
+        init(node, *args, **kwargs)
+        node.events_received = 1
+
+    monkeypatch.setattr(SmnNode, "__init__", miscounting)
+    argv = [
+        "simulate",
+        "--topology", str(DEMO / "topology.cfg"),
+        "--scenario", str(DEMO / "heartbeat.scn"),
+        "--out", str(tmp_path),
+    ]
+    assert cli.main(argv) == 1
+    assert "invariant violation" in capsys.readouterr().err
