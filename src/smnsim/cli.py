@@ -9,8 +9,9 @@ Subcommands::
     smnsim statemachine trace --conditions T1,T3,...
 
 Exit status: 0 on success, 1 when a run violates an invariant or the input
-data is invalid, 2 on usage errors. Topology keys that are accepted but not
-used are named in one line on stderr.
+data is invalid, 2 on usage errors, configuration errors and input files
+that cannot be read or are not UTF-8 text. Topology keys that are accepted
+but not used are named in one line on stderr.
 """
 
 from __future__ import annotations
@@ -22,8 +23,21 @@ from .addressing import AddressError, TreeShape
 from .config import ConfigError, TopologyConfig, load_scenario, load_topology
 from .device_model import DeviceState, DeviceStatus, TransferCondition, step
 from .device_tree import TreeError, build_tree
+from .emergency_response import ResponseError
 from .event_pipeline import EventLineError, parse_event_line
 from .simulator import InvariantViolation, Simulation, run_correlate
+
+
+class UsageError(Exception):
+    """A command-line value the argument parser takes but the command cannot
+    use."""
+
+
+def _shape(depth: int, degree: int) -> TreeShape:
+    try:
+        return TreeShape(depth=depth, max_degree=degree)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,7 +93,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    shape = TreeShape(depth=args.depth, max_degree=args.degree)
+    shape = _shape(args.depth, args.degree)
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read().strip()
     tree = build_tree(text, shape)
@@ -96,7 +110,7 @@ def _cmd_correlate(args) -> int:
         topology = _load_topology(args.config)
         shape, settings, assets = topology.shape, topology.pipeline, topology.assets
     else:
-        shape = TreeShape(depth=args.depth, max_degree=args.degree)
+        shape = _shape(args.depth, args.degree)
         settings = assets = None
     events = []
     with open(args.events, encoding="utf-8") as fh:
@@ -143,11 +157,17 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except (TreeError, AddressError, EventLineError) as exc:
+    except (TreeError, AddressError, EventLineError, ResponseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,21 @@ returns the change records that replay it on a mirror copy, which keeps user
 view and virtual view structurally equal; assemble ships the spliced subtree
 in embedding form, so the mirror runs the very same algorithm. ``add_device``
 only builds a view before the run and records nothing.
+
+Each record caches the embedding text of its subtree, and the invariant is
+that a cached text always equals what ``serialize_node`` would build now.
+Every change (``set_state``, ``add_device``, ``assemble``, ``disassemble``,
+and so ``apply_changeset``) clears the text of each node on the path from
+the root to the node it changes; a spliced subtree comes in as fresh
+records, so nothing below a replaced node can go stale. Serialization thus
+rebuilds only what changed, and ``assemble`` takes a report equal to the
+cached text at its address as a no-op with an empty change set. That is
+exact: splicing a subtree's own text over it leaves every text, and so the
+mirror, as it was. Kinds stay too, since a splice keeps the assembling
+node's kind and the nodes below it came from an earlier splice, as they
+would from this one. (A record that ``add_device`` put below the assembling
+node would keep a kind the wire does not carry; a management node adds only
+its own children, so in a run that does not happen.)
 """
 
 from __future__ import annotations
@@ -79,13 +94,16 @@ class DeviceNodeRecord:
     ``kind`` is None for nodes learned from the wire: the embedding text
     carries only address and state, so a leaf's kind is not locally known.
     Nodes with children are always management nodes. ``children`` maps each
-    child's segment to the child, in embedding order.
+    child's segment to the child, in embedding order. ``text`` is the cached
+    embedding text of the subtree, or None until ``serialize_node`` builds
+    it; the tree's changes clear it, so change a record through its tree.
     """
 
     address: NodeAddress
     state: DeviceState
     kind: DeviceKind | None = None
     children: dict[int, "DeviceNodeRecord"] = field(default_factory=dict)
+    text: str | None = field(default=None, init=False, repr=False)
 
     @property
     def segment(self) -> int:
@@ -107,12 +125,17 @@ ChangeSet = tuple[ChangeRecord, ...]
 
 
 def serialize_node(node: DeviceNodeRecord) -> str:
-    parts = [f"[{node.address}:{node.state.value}"]
-    for child in node.children.values():
-        parts.append(":")
-        parts.append(serialize_node(child))
-    parts.append("]")
-    return "".join(parts)
+    """The embedding text of ``node``'s subtree: its cached text, or one built
+    now and cached at every level below it."""
+    text = node.text
+    if text is None:
+        parts = [f"[{node.address}:{node.state.value}"]
+        for child in node.children.values():
+            parts.append(":")
+            parts.append(serialize_node(child))
+        parts.append("]")
+        text = node.text = "".join(parts)
+    return text
 
 
 def structurally_equal(a: DeviceNodeRecord, b: DeviceNodeRecord) -> bool:
@@ -127,7 +150,9 @@ def structurally_equal(a: DeviceNodeRecord, b: DeviceNodeRecord) -> bool:
     )
 
 
-def _parse_node(text: str, pos: int, shape: TreeShape) -> tuple[DeviceNodeRecord, int]:
+def _parse_node(
+    text: str, pos: int, shape: TreeShape, parent: NodeAddress | None = None
+) -> tuple[DeviceNodeRecord, int]:
     if pos >= len(text) or text[pos] != "[":
         raise EmbeddingSyntaxError("expected '['", pos)
     pos += 1
@@ -139,6 +164,9 @@ def _parse_node(text: str, pos: int, shape: TreeShape) -> tuple[DeviceNodeRecord
         address = NodeAddress.parse(addr_text, shape)
     except AddressError as exc:
         raise EmbeddingSyntaxError(f"bad address {addr_text!r}: {exc}", pos) from exc
+    # Checked before descending, so nesting is bounded by the tree depth.
+    if parent is not None and address.parent() != parent:
+        raise AddressInconsistent(f"{address} is not a tree child of {parent}")
     pos = colon + 1
     end = pos
     while end < len(text) and text[end] not in ":]":
@@ -152,11 +180,7 @@ def _parse_node(text: str, pos: int, shape: TreeShape) -> tuple[DeviceNodeRecord
     pos = end
     node = DeviceNodeRecord(address=address, state=state)
     while pos < len(text) and text[pos] == ":":
-        child, pos = _parse_node(text, pos + 1, shape)
-        if child.address.parent() != address:
-            raise AddressInconsistent(
-                f"{child.address} is not a tree child of {address}"
-            )
+        child, pos = _parse_node(text, pos + 1, shape, address)
         if child.segment in node.children:
             raise DuplicateChild(f"duplicate child {child.address} under {address}")
         node.children[child.segment] = child
@@ -214,11 +238,27 @@ class AddressedDeviceTree:
                 return None
         return node
 
+    def _touch(self, addr: NodeAddress) -> DeviceNodeRecord | None:
+        """The node at ``addr``, as :meth:`find` gives it, after clearing the
+        cached text of every node on the way down, the node's own included.
+        A miss may leave texts cleared, which costs only a rebuild."""
+        root_level = self.root.address.level
+        if addr.segments[:root_level] != self.root.address.segments[:root_level]:
+            return None
+        node = self.root
+        node.text = None
+        for seg in addr.segments[root_level : addr.level]:
+            node = node.children.get(seg)
+            if node is None:
+                return None
+            node.text = None
+        return node
+
     def add_device(self, record: DeviceNodeRecord) -> None:
         parent_addr = record.address.parent()
         if parent_addr is None:
             raise ParentMissing(f"{record.address} has no parent address")
-        parent = self.find(parent_addr)
+        parent = self._touch(parent_addr)
         if parent is None:
             raise ParentMissing(f"parent {parent_addr} not in tree")
         if parent.kind is None:
@@ -232,7 +272,7 @@ class AddressedDeviceTree:
         parent.children[record.segment] = record
 
     def set_state(self, addr: NodeAddress, state: DeviceState) -> ChangeRecord:
-        node = self.find(addr)
+        node = self._touch(addr)
         if node is None:
             raise NotFound(f"{addr} not in tree")
         node.state = state
@@ -245,7 +285,19 @@ class AddressedDeviceTree:
         already exist; the incoming subtree takes the stub's position in its
         parent's children, so repeated report/splice cycles keep the
         serialization stable.
+
+        A report equal to the cached text of the subtree at its address
+        changes nothing: it is neither parsed nor spliced, and the change set
+        is empty.
         """
+        colon = embedding.find(":")
+        if colon > 0 and embedding[0] == "[":
+            try:
+                node = self.find(NodeAddress.parse(embedding[1:colon], self.shape))
+            except AddressError:
+                node = None  # the parse below says what is wrong
+            if node is not None and node.text == embedding:
+                return ()
         subtree = build_tree(embedding, self.shape)
         new_root = subtree.root
         assembling = self.find(new_root.address)
@@ -257,7 +309,7 @@ class AddressedDeviceTree:
         if assembling is self.root:
             self.root = new_root
         else:
-            parent = self.find(new_root.address.parent())
+            parent = self._touch(new_root.address.parent())
             assert parent is not None
             parent.children[new_root.segment] = new_root
         return (ChangeRecord(op="assemble", embedding=serialize_node(new_root)),)
@@ -265,7 +317,7 @@ class AddressedDeviceTree:
     def disassemble(self, addr: NodeAddress, offline_state: DeviceState) -> ChangeSet:
         """Mark a silent node offline and drop its whole subtree, keeping the
         node itself as a stub."""
-        node = self.find(addr)
+        node = self._touch(addr)
         if node is None:
             raise NotFound(f"{addr} not in tree")
         node.state = offline_state

@@ -21,6 +21,11 @@ through ``heard``, which a harness calls when the heartbeat is sent, with
 the tick the frame would arrive at; the frame then never enters the
 network.
 
+A topology report equal to the subtree a management node already holds for
+that child splices nothing (see ``device_tree``) and records no change set,
+so the console mirror replays only real changes. The node still logs
+``ASSEMBLE`` and, below the root, still reports upward.
+
 Everything a node does is visible as log lines:
 
     NODE <addr> <tick> <action> <detail>
@@ -301,7 +306,7 @@ class SmnNode(_Node):
         return out
 
     def _record(self, changes: ChangeSet) -> None:
-        if self.parent is None:
+        if self.parent is None and changes:
             self.changesets.append(changes)
 
     def _state_changed(self, holder) -> None:

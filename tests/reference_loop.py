@@ -3,8 +3,15 @@
 ``ReferenceSimulation.run`` is the loop ``Simulation.run`` replaced: on
 every tick every node polls its mailbox and acts, whether or not it is due
 or addressed. Both loops must leave byte-identical reports.
+
+    PYTHONPATH=src python tests/reference_loop.py TOPOLOGY SCENARIO...
+
+runs each scenario through both loops and exits 1 when any report differs.
 """
 
+import sys
+
+from smnsim.config import load_scenario, load_topology
 from smnsim.messaging import Frame
 from smnsim.simulator import RunReport, Simulation
 
@@ -52,3 +59,21 @@ class ReferenceSimulation(Simulation):
             if self.debug:
                 self._check_invariants()
         return self._report()
+
+
+def main(topology_path: str, *scenario_paths: str) -> int:
+    status = 0
+    for path in scenario_paths:
+        got = Simulation(load_topology(topology_path), load_scenario(path)).run().files()
+        want = ReferenceSimulation(load_topology(topology_path), load_scenario(path)).run().files()
+        differ = [name for name in sorted(want) if got.get(name) != want[name]]
+        if differ:
+            print(f"{path}: reports differ: {', '.join(differ)}")
+            status = 1
+        else:
+            print(f"{path}: reports equal")
+    return status
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(*sys.argv[1:]))

@@ -34,8 +34,8 @@ def simulate_argv(topology, out, *extra):
     ]
 
 
-def demo_topology_text() -> str:
-    return (DEMO / "topology.cfg").read_text().replace("dir = plans", f"dir = {DEMO / 'plans'}")
+def demo_topology_text(plans: Path = DEMO / "plans") -> str:
+    return (DEMO / "topology.cfg").read_text().replace("dir = plans", f"dir = {plans}")
 
 
 def test_tree_parse_and_serialize(capsys):
@@ -87,6 +87,51 @@ def test_simulate_threaded_is_usage_error(tmp_path, capsys):
     assert cli.main(argv) == 2
     assert "unrecognized arguments: --threaded" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tree", "parse", str(DEMO / "tree12.txt"), "--depth", "0", "--degree", "3"],
+        ["tree", "serialize", str(DEMO / "tree12.txt"), "--depth", "4", "--degree", "0"],
+        ["correlate", "--events", str(DEMO / "tree12.txt"), "--depth", "-1"],
+    ],
+)
+def test_an_empty_tree_shape_is_a_usage_error(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("role", ["topology", "scenario", "plan", "tree", "events", "config"])
+def test_a_file_that_is_not_utf8_exits_2(role, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"# caf\xe9\n")
+    topology = tmp_path / "topology.cfg"
+    topology.write_text(demo_topology_text(tmp_path))
+    argv = {
+        "topology": simulate_argv(bad, tmp_path / "out"),
+        "scenario": ["simulate", "--topology", str(topology), "--scenario", str(bad),
+                     "--out", str(tmp_path / "out")],
+        "plan": simulate_argv(topology, tmp_path / "out"),
+        "tree": ["tree", "parse", str(bad), "--depth", "4", "--degree", "3"],
+        "events": ["correlate", "--events", str(bad)],
+        "config": ["correlate", "--events", str(bad), "--config", str(bad)],
+    }[role]
+    if role == "plan":
+        (tmp_path / "x.plan").write_bytes(b"== identification ==\n\xff\n")
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input is not UTF-8 text: ") and err.count("\n") == 1
+
+
+def test_a_malformed_counterplan_exits_1(tmp_path, capsys):
+    """Plan files are read when the run is set up; a bad one is bad input."""
+    (tmp_path / "dos.plan").write_text("== identification ==\nlook\n== bogus ==\n")
+    topology = tmp_path / "topology.cfg"
+    topology.write_text(demo_topology_text(tmp_path))
+    assert cli.main(simulate_argv(topology, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "error: unknown section 'bogus' in plan dos\n"
 
 
 def test_ignored_clustering_keys_are_named_and_change_nothing(tmp_path, capsys):

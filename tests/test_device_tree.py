@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from smnsim.device_tree import (
     structurally_equal,
 )
 
-from treegen import random_tree
+from treegen import LEAVES, random_tree
 
 SHAPE = TreeShape(depth=4, max_degree=9)
 
@@ -303,3 +304,125 @@ def test_random_disassemble_assemble_round_trip(seed):
     assert mirror.serialize() == tree.serialize()
     assert tree.serialize() == original
     tree.validate()
+
+
+# -- cached embedding text ----------------------------------------------------
+
+
+def uncached(node):
+    """The embedding text of ``node``'s subtree, built without the cache."""
+    inner = "".join(":" + uncached(child) for child in node.children.values())
+    return f"[{node.address}:{node.state.value}{inner}]"
+
+
+def assert_cache_sound(tree):
+    """Every cached text equals a fresh build, and so does serialize()."""
+    for node in tree.nodes():
+        assert node.text is None or node.text == uncached(node)
+    # serialize a copy, so the check leaves the tree's cache as it found it
+    assert copy.deepcopy(tree).serialize() == uncached(tree.root)
+
+
+REPORTED = "[1.1.0.0:S211:[1.1.1.0:S211:[1.1.1.1:S22]]]"
+
+
+def reported_tree():
+    tree = stub_main_tree()
+    tree.assemble(REPORTED)
+    tree.serialize()
+    return tree
+
+
+def test_an_identical_report_changes_nothing():
+    tree = reported_tree()
+    spliced = tree.find(A("1.1.0.0"))
+    assert tree.assemble(REPORTED) == ()
+    assert tree.find(A("1.1.0.0")) is spliced
+    assert tree.serialize() == "[1.0.0.0:S211:" + REPORTED + ":[1.2.0.0:S11]]"
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda tree: tree.set_state(A("1.1.0.0"), DeviceState.UNREACHABLE),
+        lambda tree: tree.set_state(A("1.1.1.1"), DeviceState.UNREACHABLE),
+        lambda tree: tree.disassemble(A("1.1.0.0"), DeviceState.NET_DOWN),
+        lambda tree: tree.disassemble(A("1.1.1.0"), DeviceState.NET_DOWN),
+    ],
+    ids=["state", "nested-state", "disassemble", "nested-disassemble"],
+)
+def test_a_report_after_a_local_change_is_spliced_again(change):
+    tree = reported_tree()
+    change(tree)
+    assert_cache_sound(tree)
+    changes = tree.assemble(REPORTED)
+    assert [rec.op for rec in changes] == ["assemble"]
+    assert tree.serialize() == "[1.0.0.0:S211:" + REPORTED + ":[1.2.0.0:S11]]"
+    assert_cache_sound(tree)
+
+
+OPS = ["set_state", "add_device", "same", "changed", "nested", "disassemble", "serialize"]
+
+
+def _report_for(node, shape, rng):
+    """A child's report for ``node``: its subtree with one state changed and,
+    where the shape allows, one child added."""
+    copy_tree = build_tree(uncached(node), shape)
+    target = rng.choice(copy_tree.nodes())
+    copy_tree.set_state(target.address, rng.choice(LEAVES))
+    if target.address.level < shape.depth:
+        free = [k for k in range(1, shape.max_degree + 1) if k not in target.children]
+        if free:
+            target.kind = DeviceKind.SMN
+            copy_tree.add_device(
+                DeviceNodeRecord(
+                    address=target.address.child(rng.choice(free)), state=rng.choice(LEAVES)
+                )
+            )
+    return uncached(copy_tree.root)
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.lists(st.sampled_from(OPS), min_size=1, max_size=25),
+)
+@settings(max_examples=150)
+def test_cached_text_survives_every_change(seed, ops):
+    rng = random.Random(seed)
+    tree = random_tree(rng, depth=rng.randint(2, 5), degree=rng.randint(1, 4), max_nodes=25)
+    tree.serialize()
+    mirror = mirror_of(tree)
+    for op in ops:
+        node = rng.choice(tree.nodes())
+        changes: tuple = ()
+        if op == "set_state":
+            changes = (tree.set_state(node.address, rng.choice(LEAVES)),)
+        elif op == "add_device":
+            free = [k for k in range(1, tree.shape.max_degree + 1) if k not in node.children]
+            if node.address.level < tree.shape.depth and free:
+                addr = node.address.child(rng.choice(free))
+                state = rng.choice(LEAVES)
+                for view in (tree, mirror):
+                    view.add_device(
+                        DeviceNodeRecord(address=addr, state=state, kind=DeviceKind.SMN)
+                    )
+        elif op == "same":
+            cached = node.text is not None
+            changes = tree.assemble(uncached(node))
+            assert (changes == ()) if cached else ([r.op for r in changes] == ["assemble"])
+        elif op == "changed":
+            changes = tree.assemble(_report_for(node, tree.shape, rng))
+        elif op == "nested":
+            deeper = [n for n in tree.nodes() if n.address.level > node.address.level + 1]
+            if deeper:
+                changes = tree.assemble(_report_for(rng.choice(deeper), tree.shape, rng))
+        elif op == "disassemble":
+            changes = tree.disassemble(node.address, rng.choice(LEAVES))
+        else:
+            tree.serialize()
+            mirror.serialize()
+        mirror.apply_changeset(changes)
+        for view in (tree, mirror):
+            view.validate()
+            assert_cache_sound(view)
+        assert uncached(mirror.root) == uncached(tree.root)

@@ -318,6 +318,26 @@ def test_root_smn_report_reaches_no_parent():
     assert root.virtual_view.find(A("1.1.1")) is not None
 
 
+def test_an_unchanged_report_records_no_change_set():
+    """The mirror replays only real changes; the log and the upward report
+    stay as they were."""
+    root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
+    site = make_smn(children=[("1.1.1", DeviceKind.SMN)])
+    report = child_builder("1.1.0").build(
+        MsgType.TOPOLOGY_REPORT, root.address, "[1.1.0:S211:[1.1.1:S211]]"
+    )
+    leaf_report = child_builder("1.1.1").build(MsgType.TOPOLOGY_REPORT, site.address, "[1.1.1:S211]")
+    root.on_frame(report, 11)
+    site.on_frame(leaf_report, 11)
+    assert [[rec.op for rec in cs] for cs in root.drain_changesets()] == [["assemble"]]
+    root.on_frame(report, 12)
+    out = site.on_frame(leaf_report, 12)
+    assert root.drain_changesets() == []
+    assert root.lines[-1] == "NODE 1.0.0 12 ASSEMBLE 1.1.0"
+    assert site.lines[-2:] == ["NODE 1.1.0 12 ASSEMBLE 1.1.1", "NODE 1.1.0 12 REPORT"]
+    assert [f.text() for f in out] == [report.text()]
+
+
 def test_periodic_heartbeats_and_report_cadence():
     node = make_smn(children=[])
     frames = node.on_tick(0)
