@@ -54,6 +54,13 @@ class DegreeExceeded(AddressError):
     pass
 
 
+#: The deepest tree a shape may have. Far beyond any management hierarchy,
+#: and shallow enough that parsing and serializing a tree, which recurse
+#: once per level, and interning an address with its parent chain stay well
+#: inside Python's recursion limit.
+MAX_DEPTH = 64
+
+
 @dataclass(frozen=True)
 class TreeShape:
     """Total level count and maximum fan-out of the management tree."""
@@ -64,6 +71,8 @@ class TreeShape:
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
+        if self.depth > MAX_DEPTH:
+            raise ValueError(f"depth must be <= {MAX_DEPTH}, got {self.depth}")
         if self.max_degree < 1:
             raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
 
@@ -89,7 +98,9 @@ class NodeAddress:
 
     #: every address built so far, by (segments, depth, max_degree)
     _interned: ClassVar[dict[tuple, "NodeAddress"]] = {}
-    #: every text ``parse`` accepted, by (text, depth, max_degree)
+    #: every address ``parse`` returned, by (canonical text, depth,
+    #: max_degree); another spelling of it is parsed again each time, so
+    #: odd input cannot grow the cache past one entry per address
     _parsed: ClassVar[dict[tuple, "NodeAddress"]] = {}
 
     def __new__(cls, segments: tuple[int, ...], shape: TreeShape) -> "NodeAddress":
@@ -172,7 +183,9 @@ class NodeAddress:
             if not (part.isascii() and part.isdigit()):
                 raise NonNumericSegment(f"segment {part!r} in {text!r} is not a number")
             segments.append(int(part))
-        addr = cls._parsed[key] = cls(tuple(segments), shape)
+        addr = cls(tuple(segments), shape)
+        if addr._text == text:
+            cls._parsed[key] = addr
         return addr
 
     def __str__(self) -> str:

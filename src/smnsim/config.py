@@ -37,7 +37,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields
 
-from .addressing import AddressError, NodeAddress, TreeShape
+from .addressing import MAX_DEPTH, AddressError, NodeAddress, TreeShape
 from .device_model import DeviceKind
 from .event_pipeline import (
     _KIND_BY_NAME,
@@ -172,6 +172,8 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         if section == "tree":
             if key == "depth":
                 depth = _int(value, line_no, key, low=1)
+                if depth > MAX_DEPTH:
+                    raise ConfigError(f"depth must be <= {MAX_DEPTH}, got {depth}", line_no)
             elif key == "degree":
                 degree = _int(value, line_no, key, low=1)
             else:

@@ -11,10 +11,15 @@ and nothing encodes them to bytes. A frame's payload is text, except that a
 ``DEVICE_EVENT``'s payload is the ``NormalizedEvent`` itself. A frame's
 priority follows from its message type alone.
 
-Not every heartbeat becomes a frame. One that would only move a deadline at
-its parent is applied there when it is sent (``SmnNode.heard``, called by
-the simulator) and never enters the network; the simulator's docstring says
-why that is exact. Every other message travels as a frame.
+A heartbeat (network test or state package) leaves its node as a ``Beat``:
+the frame's type, source, destination and payload, without a sequence
+number. It becomes a frame, stamped by its sender's ``FrameBuilder``, only
+when it goes on the network. One that would only move a deadline at its
+parent is applied there when it is sent (``SmnNode.heard``, called by the
+simulator) and never becomes a frame at all; the simulator's docstring says
+why that is exact. A heartbeat's sequence number shows nowhere but in a
+dead letter, and a heartbeat travels one hop to its declared parent, so it
+never dead-letters. Every other message is built and travels as a frame.
 """
 
 from __future__ import annotations
@@ -68,6 +73,17 @@ class Frame:
 
     def text(self) -> Payload:
         return self.payload
+
+
+@dataclass(slots=True)
+class Beat:
+    """A heartbeat as its node sends it: a frame to be, which only a
+    ``FrameBuilder`` stamps with a sequence number."""
+
+    msg_type: MsgType
+    src: NodeAddress
+    dst: NodeAddress
+    payload: str = ""
 
 
 class FrameBuilder:

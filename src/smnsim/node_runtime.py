@@ -14,12 +14,25 @@ the first tick at which a node's clock (``SmnNode.on_tick``,
 ``DeviceAgent.step``) can act when no frame arrives, so a harness runs a node
 then, or when a frame arrives for it, and lets it sleep in between.
 
-A management node hears a child's heartbeat in one of two ways. As a frame,
-through ``on_frame``. Or, when none of the heartbeat's conditions has an
-arrow from the child's state, so that it would only move a deadline,
-through ``heard``, which a harness calls when the heartbeat is sent, with
-the tick the frame would arrive at; the frame then never enters the
-network.
+Both kinds of node send their heartbeats (network tests and state
+packages) as ``Beat``s, which a harness stamps into frames only for the
+network. A management node hears a child's heartbeat in one of two ways. As
+a frame, through ``on_frame``. Or, when none of the heartbeat's conditions
+has an arrow from the child's state, so that it would only move a deadline,
+through ``heard``, which a harness calls with the beat when it is sent and
+with the tick the frame would arrive at; the beat then never becomes a
+frame.
+
+A device event takes its sender's record through T7 into HANDLING_ALERT and
+T8 back out, with the event's rating and correlation in between. Nothing in
+between reads the record, the view or the root's change sets, so from a
+waiting state the pair is closed: the node logs both ``STATE`` lines and
+leaves the record in the status T8 would, the waiting state it started
+from, and the view, its cached embedding text and the console mirror are
+left alone, as the two steps would leave them. From any other state T7 has
+no arrow, and neither has T8: a parent steps its children's records by
+heartbeats and timeouts alone, so outside this pair a record is never in a
+busy state.
 
 A topology report equal to the subtree a management node already holds for
 that child splices nothing (see ``device_tree``) and records no change set,
@@ -75,7 +88,7 @@ from .event_pipeline import (
     normalize,
     validate,
 )
-from .messaging import Frame, FrameBuilder, MsgType
+from .messaging import Beat, Frame, FrameBuilder, MsgType
 from .session_correlation import (
     CorrelationConfig,
     CorrelationEngine,
@@ -164,13 +177,16 @@ _NORMAL_PKG_CONDS = (_T.T3, _T.T6)
 _ABNORMAL_PKG_CONDS = (_T.T3, _T.T5)
 
 
-def _heartbeat_conds(frame: Frame) -> tuple[TransferCondition, ...]:
-    """The conditions a heartbeat ``frame`` applies to its sender's record at
-    the parent, in order: T1 for a network test; T3, then T5 or T6, for a
-    state package."""
-    if frame.msg_type is MsgType.NETWORK_TEST:
+_ALERT = DeviceState.HANDLING_ALERT.value
+
+
+def _heartbeat_conds(beat: Beat | Frame) -> tuple[TransferCondition, ...]:
+    """The conditions a heartbeat (a beat or its frame) applies to its
+    sender's record at the parent, in order: T1 for a network test; T3, then
+    T5 or T6, for a state package."""
+    if beat.msg_type is MsgType.NETWORK_TEST:
         return _NET_TEST_CONDS
-    return _ABNORMAL_PKG_CONDS if frame.payload == "abnormal" else _NORMAL_PKG_CONDS
+    return _ABNORMAL_PKG_CONDS if beat.payload == "abnormal" else _NORMAL_PKG_CONDS
 
 
 def _renew(child: ChildRecord, msg_type: MsgType, now: int) -> None:
@@ -358,24 +374,30 @@ class SmnNode(_Node):
         self._log(now, "UNKNOWN", f"{frame.src} {mt.name}")
         return []
 
-    def heard(self, frame: Frame, now: int) -> bool:
-        """Take the heartbeat ``frame`` (a network test or state package from
-        a child) as arriving at ``now`` when ``on_frame`` would only move its
-        deadline, because none of its conditions has an arrow from the
-        child's state: move that deadline and return True. Otherwise change
-        nothing and return False; the frame must then reach ``on_frame``."""
-        child = self.children.get(frame.src)
+    def heard(self, beat: Beat, now: int) -> bool:
+        """Take ``beat`` (a child's network test or state package) as
+        arriving at ``now`` when ``on_frame`` would only move the deadline
+        its frame renews, because none of its conditions has an arrow from
+        the child's state: move that deadline and return True. Otherwise
+        change nothing and return False; the beat must then reach
+        ``on_frame`` as a frame."""
+        child = self.children.get(beat.src)
         if child is None:
             return False
         arrows = ARROWS_FROM[child.status.state._value_]
-        for cond in _heartbeat_conds(frame):
+        for cond in _heartbeat_conds(beat):
             if cond._value_ in arrows:
                 return False
-        _renew(child, frame.msg_type, now)
+        _renew(child, beat.msg_type, now)
         return True
 
     def _on_device_event(self, child: ChildRecord, frame: Frame, now: int) -> list[Frame]:
-        self._apply_cond(child, _T.T7, now)
+        # From a waiting state T7 and T8 are a closed pair (see the module
+        # docstring): log both and leave the status T8 would.
+        state = child.status.state
+        paired = _T.T7._value_ in ARROWS_FROM[state._value_]
+        if paired:
+            self._log(now, "STATE", f"{child.address} T7 {state.value}->{_ALERT}")
         out: list[Frame] = []
         ev: NormalizedEvent = frame.payload
         if ev.connection_marker is ConnectionMarker.NONE:
@@ -395,7 +417,9 @@ class SmnNode(_Node):
                         out.append(
                             self.builder.build(MsgType.SESSION_ALERT, self.parent, line)
                         )
-        self._apply_cond(child, _T.T8, now)
+        if paired:
+            self._log(now, "STATE", f"{child.address} T8 {_ALERT}->{state.value}")
+            child.status = DeviceStatus(state, state)
         return out
 
     def _on_topology_report(self, child: ChildRecord, frame: Frame, now: int) -> list[Frame]:
@@ -574,8 +598,8 @@ class SmnNode(_Node):
 
     # -- clock -------------------------------------------------------------
 
-    def on_tick(self, now: int) -> list[Frame]:
-        out: list[Frame] = []
+    def on_tick(self, now: int) -> list[Frame | Beat]:
+        out: list[Frame | Beat] = []
         for child in self.children.values():
             if now >= child.pkg_deadline:
                 self._apply_cond(child, _T.T4, now)
@@ -595,11 +619,9 @@ class SmnNode(_Node):
                     out.extend(self._emit_report(now))
         if self.parent is not None:
             if now % self.hb.network_test_interval == 0:
-                out.append(self.builder.build(MsgType.NETWORK_TEST, self.parent))
+                out.append(Beat(MsgType.NETWORK_TEST, self.address, self.parent))
             if now % self.hb.state_pkg_interval == 0:
-                out.append(
-                    self.builder.build(MsgType.DEVICE_STATE_PKG, self.parent, "normal")
-                )
+                out.append(Beat(MsgType.DEVICE_STATE_PKG, self.address, self.parent, "normal"))
             if now % self.settings.report_interval == 0:
                 out.extend(self._emit_report(now))
         self.engine.sweep(now)
@@ -687,9 +709,9 @@ class DeviceAgent(_Node):
             wake = min(wake, due)
         return wake
 
-    def step(self, now: int) -> list[Frame]:
+    def step(self, now: int) -> list[Frame | Beat]:
         silenced = self.silenced(now)
-        out: list[Frame] = []
+        out: list[Frame | Beat] = []
         still: list[tuple[int, str, TransferCondition, NodeAddress]] = []
         for due, cmd_id, cond_out, reply_to in self.pending_acks:
             if due <= now:
@@ -705,12 +727,13 @@ class DeviceAgent(_Node):
         if silenced:
             return []
         if now % self.hb.network_test_interval == 0:
-            out.append(self.builder.build(MsgType.NETWORK_TEST, self.parent))
+            out.append(Beat(MsgType.NETWORK_TEST, self.address, self.parent))
         if now % self.hb.state_pkg_interval == 0:
             abnormal = _in_window(self.abnormal_windows, now)
             out.append(
-                self.builder.build(
+                Beat(
                     MsgType.DEVICE_STATE_PKG,
+                    self.address,
                     self.parent,
                     "abnormal" if abnormal else "normal",
                 )

@@ -14,21 +14,29 @@ would. The harness then injects the collected outbound frames, replays the
 root's change sets onto the console mirror, and advances the network one
 hop. Identical inputs and seed give byte-identical reports.
 
-A heartbeat (network test or state package) that would change nothing at
-its parent but a deadline never enters the network: when it is sent, the
-parent takes it by ``SmnNode.heard`` as arriving at the next tick, as the
-frame would. That is exact. It lands after every node of the tick has run.
-Until the frame's turn in the parent's mailbox nothing touches that child's
-record: the frames before it there are acknowledgements, reports, alerts
-and frames from other children, and the child's own events follow its
-heartbeats. Deadlines only move later, so a parent filed on the timing
-wheel under an older deadline wakes, finds nothing due and files again. A
-heartbeat goes as a frame when one of its conditions has an arrow from the
-parent's record of the child, when a loss window covers its hop at the
-tick (it keeps its draw from the loss source), or when an earlier
-heartbeat of its sender at the tick went as one (a network test that brings
-a child from NET_DOWN to UNREACHABLE gives the state package after it an
-arrow).
+Nodes hand the harness their heartbeats (network tests and state packages)
+as ``Beat``s, and ``_send`` has the sender's ``FrameBuilder`` stamp a beat
+into a frame only when it goes on the network. That is exact: a frame's
+sequence number shows only in a ``DEADLETTER`` line, and a heartbeat goes
+one hop to its declared parent, so it never dead-letters; the numbers of
+the other message types are counted apart and do not move.
+
+A heartbeat that would change nothing at its parent but a deadline never
+enters the network: when it is sent, the parent takes the beat by
+``SmnNode.heard`` as arriving at the next tick, as the frame would. That is
+exact. It lands after every node of the tick has run. Until the frame's
+turn in the parent's mailbox nothing touches that child's record: the
+frames before it there are acknowledgements, reports, alerts and frames
+from other children, and the child's own events follow its heartbeats; an
+event leaves the record in the waiting state it found (its T7/T8 pair is
+closed, see ``node_runtime``). Deadlines only move later, so a parent filed
+on the timing wheel under an older deadline wakes, finds nothing due and
+files again. A heartbeat goes as a frame when one of its conditions has an
+arrow from the parent's record of the child, when a loss window covers its
+hop at the tick (it keeps its draw from the loss source), or when an
+earlier heartbeat of its sender at the tick went as one (a network test
+that brings a child from NET_DOWN to UNREACHABLE gives the state package
+after it an arrow).
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from .device_model import DeviceKind
 from .device_tree import AddressedDeviceTree, build_tree
 from .emergency_response import CounterplanStore, ResponseError
 from .event_pipeline import AssetDb, NormalizedEvent, RawDeviceEvent, validate
-from .messaging import Frame, LinkTable, MsgType, SimNetwork
+from .messaging import Beat, Frame, LinkTable, SimNetwork
 from .node_runtime import DeviceAgent, PipelineSettings, SmnNode
 from .session_correlation import CorrelationConfig, CorrelationEngine, format_session_line
 
@@ -177,6 +185,7 @@ class Simulation:
         )
         self.order = self.network.order
         self._nodes = [self.smns.get(a) or self.agents[a] for a in self.order]
+        self._builders = {node.address: node.builder for node in self._nodes}
         self._smn_slots = frozenset(
             slot for slot, addr in enumerate(self.order) if addr in self.smns
         )
@@ -194,6 +203,8 @@ class Simulation:
         self.handles: dict[str, tuple[NodeAddress, str]] = {}
         self.collected: list[str] = []
         self._by_tick: dict[int, list[Directive]] = {}
+        #: per device text an emit names, the agent and its slot
+        self._emit_targets: dict[str, tuple[DeviceAgent, int]] = {}
         self._validate_directives()
 
     # -- setup helpers -----------------------------------------------------
@@ -201,16 +212,20 @@ class Simulation:
     def _validate_directives(self) -> None:
         """Check what each directive names against the topology, so a bad
         address is a ConfigError here, never a traceback mid-run, and file the
-        directives by tick. A respond action other than launch must name a
-        handle that an earlier launch binds."""
+        directives by tick, and the agent and slot of each emit's device. A
+        respond action other than launch must name a handle that an earlier
+        launch binds."""
         launched: set[str] = set()
         for d in self.scenario.directives:
             self._by_tick.setdefault(d.tick, []).append(d)
             line_no = d.line_no
             if isinstance(d, Emit):
+                if d.device in self._emit_targets:
+                    continue
                 addr = self._addr(d.device, line_no)
                 if addr not in self.agents:
                     raise ConfigError(f"emit target {addr} is not a device", line_no)
+                self._emit_targets[d.device] = (self.agents[addr], self.network.slots[addr])
             elif isinstance(d, Window):
                 addr = self._addr(d.node, line_no)
                 if d.abnormal and addr not in self.agents:
@@ -254,7 +269,7 @@ class Simulation:
 
     # -- directives --------------------------------------------------------
 
-    def _apply_directives(self, tick: int, outbound: list[Frame]) -> None:
+    def _apply_directives(self, tick: int, outbound: list[Frame | Beat]) -> None:
         logged = False
         for d in self._by_tick.get(tick, ()):
             if isinstance(d, Emit):
@@ -286,11 +301,10 @@ class Simulation:
                     self._schedule(slot, tick)
 
     def _do_emit(self, d: Emit, tick: int) -> None:
-        addr = self._node(d.device)
-        agent = self.agents[addr]
+        agent, slot = self._emit_targets[d.device]
         agent.inject(
             RawDeviceEvent(
-                device_address=addr,
+                device_address=agent.address,
                 device_kind=agent.kind,
                 native_class=d.native_class,
                 timestamp=tick,
@@ -302,10 +316,9 @@ class Simulation:
             )
         )
         # the agent may be filed under this very tick, which must stand
-        slot = self.network.slots[addr]
         self._schedule(slot, min(self._wake[slot], agent.next_wake(tick)))
 
-    def _do_respond(self, d: Respond, tick: int, outbound: list[Frame]) -> None:
+    def _do_respond(self, d: Respond, tick: int, outbound: list[Frame | Beat]) -> None:
         try:
             if d.action == "launch":
                 owner = self._node(d.owner)
@@ -343,10 +356,10 @@ class Simulation:
         self._wheel.setdefault(tick, set()).add(slot)
         self._wake[slot] = tick
 
-    def _run_node(self, slot: int, tick: int, addressed: bool) -> list[Frame]:
+    def _run_node(self, slot: int, tick: int, addressed: bool) -> list[Frame | Beat]:
         node = self._nodes[slot]
         smn = slot in self._smn_slots
-        out: list[Frame] = []
+        out: list[Frame | Beat] = []
         if addressed:
             if smn and self._last_run[slot] != tick - 1:
                 # a run at tick - 1 ended in a sweep to tick - 1 already
@@ -364,34 +377,37 @@ class Simulation:
         out.extend(ticked)
         return out
 
-    def _send(self, outbound: list[Frame], tick: int) -> None:
-        """Hand the tick's outbound frames to the network, except the
-        heartbeats their parent takes by ``SmnNode.heard`` as arriving at
-        ``tick + 1`` (see the module docstring for which and why)."""
+    def _send(self, outbound: list[Frame | Beat], tick: int) -> None:
+        """Hand the tick's outbound frames to the network, and each beat as a
+        frame its sender builds now, except the beats their parent takes by
+        ``SmnNode.heard`` as arriving at ``tick + 1`` (see the module
+        docstring for which and why)."""
         send, windows, smns = self.network.send, self.loss_windows, self.smns
         #: senders a heartbeat of which went as a frame at this tick
         beating: set[NodeAddress] = set()
-        for frame in outbound:
-            msg_type = frame.msg_type
-            if msg_type is MsgType.NETWORK_TEST or msg_type is MsgType.DEVICE_STATE_PKG:
-                src, dst = frame.src, frame.dst
+        for msg in outbound:
+            if type(msg) is Beat:
+                src, dst = msg.src, msg.dst
                 if src not in beating:
                     covered = windows and _covering_rates(windows, src, dst, tick)
-                    if not covered and smns[dst].heard(frame, tick + 1):
+                    if not covered and smns[dst].heard(msg, tick + 1):
                         continue
                     beating.add(src)
-            send(frame)
+                msg = self._builders[src].build(msg.msg_type, dst, msg.payload)
+            send(msg)
 
     def run(self) -> RunReport:
         end_tick = self.scenario.last_tick + self.scenario.drain
         for tick in range(end_tick + 1):
-            outbound: list[Frame] = []
+            outbound: list[Frame | Beat] = []
             self._apply_directives(tick, outbound)
             arrived, self.network.arrived = self.network.arrived, set()
             ran = sorted(arrived.union(self._wheel.pop(tick, ())))
             for slot in ran:
                 outbound.extend(self._run_node(slot, tick, slot in arrived))
-                self.collected.extend(self._nodes[slot].drain_lines())
+                node = self._nodes[slot]
+                if node.lines:
+                    self.collected.extend(node.drain_lines())
             self._send(outbound, tick)
             changesets = self.root.drain_changesets()
             for changes in changesets:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smnsim.addressing import (
+    MAX_DEPTH,
     DegreeExceeded,
     DepthExceeded,
     DisjointRoots,
@@ -233,6 +234,22 @@ def test_a_failed_parse_is_not_cached(text, error):
     for _ in range(2):
         with pytest.raises(error):
             NodeAddress.parse(text, shape)
+
+
+def test_only_the_canonical_spelling_is_cached():
+    shape = TreeShape(depth=3, max_degree=9)
+    spellings = ["1.0.0", "01.0.0", "001.0.0", "1.00.0"]
+    root = NodeAddress.parse(spellings[0], shape)
+    assert [NodeAddress.parse(text, shape) for text in spellings] == [root] * 4
+    assert all(NodeAddress.parse(text, shape) is root for text in spellings)
+    cached = {key[0] for key in NodeAddress._parsed if key[1:] == (3, 9)}
+    assert "1.0.0" in cached and cached.isdisjoint(spellings[1:])
+
+
+def test_a_shape_deeper_than_max_depth_is_refused():
+    assert TreeShape(depth=MAX_DEPTH, max_degree=1).depth == MAX_DEPTH
+    with pytest.raises(ValueError, match=f"depth must be <= {MAX_DEPTH}, got 1100"):
+        TreeShape(depth=1100, max_degree=1)
 
 
 def test_a_failed_construction_is_not_cached():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smnsim import cli
+from smnsim.addressing import MAX_DEPTH
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "demo"
@@ -48,6 +49,33 @@ def test_tree_parse_and_serialize(capsys):
     assert len(lines) == 12
     assert lines[0] == "1.0.0.0 S211"
     assert all(line.endswith(" S211") for line in lines)
+
+
+def _chain(depth: int) -> str:
+    """The embedding text of a one-child-per-level chain ``depth`` deep."""
+    addrs = [".".join(["1"] * k + ["0"] * (depth - k)) for k in range(1, depth + 1)]
+    return ":".join(f"[{a}:S211" for a in addrs) + "]" * depth
+
+
+def test_a_chain_as_deep_as_a_shape_may_be_parses_and_serializes(tmp_path, capsys):
+    path = tmp_path / "chain.txt"
+    path.write_text(_chain(MAX_DEPTH) + "\n")
+    shape = ["--depth", str(MAX_DEPTH), "--degree", "1"]
+    assert cli.main(["tree", "parse", str(path), *shape]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == MAX_DEPTH
+    assert cli.main(["tree", "serialize", str(path), *shape]) == 0
+    assert capsys.readouterr().out == path.read_text()
+
+
+@pytest.mark.parametrize("cmd", ["parse", "serialize"])
+def test_a_chain_deeper_than_a_shape_may_be_is_a_usage_error(cmd, tmp_path, capsys):
+    """A valid 1,100-level chain once overflowed the stack of the recursive
+    parser; now its shape is refused in one line."""
+    path = tmp_path / "chain.txt"
+    path.write_text(_chain(1100) + "\n")
+    assert cli.main(["tree", cmd, str(path), "--depth", "1100", "--degree", "1"]) == 2
+    want = f"usage error: depth must be <= {MAX_DEPTH}, got 1100\n"
+    assert capsys.readouterr().err == want
 
 
 def test_statemachine_trace(capsys):
@@ -220,6 +248,7 @@ def test_simulate_bad_directive_value_fails_before_the_run(directive, message, t
         ("validation_threshold = 5", "validation_threshold = -1", 15,
          "validation_threshold must be >= 0, got -1"),
         ("depth = 3", "depth = 0", 5, "depth must be >= 1, got 0"),
+        ("depth = 3", "depth = 65", 5, "depth must be <= 64, got 65"),
         # keys the simulator does not know name their own line
         ("asset_value = 4", "asset_vlaue = 4", 42, "unknown node key 'asset_vlaue'"),
         ("[classify]\n", "[classify]\nstrict = true\n", 65,

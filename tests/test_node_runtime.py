@@ -7,6 +7,7 @@ from smnsim.device_model import (
     DeviceKind,
     DeviceState,
     DeviceStatus,
+    TransferCondition,
 )
 from smnsim.event_pipeline import (
     AssetDb,
@@ -15,7 +16,7 @@ from smnsim.event_pipeline import (
     ConnectionMarker,
     NormalizedEvent,
 )
-from smnsim.messaging import FrameBuilder, MsgType
+from smnsim.messaging import Beat, FrameBuilder, MsgType
 from smnsim.node_runtime import (
     NEVER,
     DeviceAgent,
@@ -166,17 +167,17 @@ def _root_with_child_in(status):
     ids=lambda s: f"{s.state.value}-{s.resume.value}",
 )
 def test_heard_agrees_with_on_frame(status, payload):
-    """``heard`` takes a heartbeat exactly when ``on_frame`` would move only
-    its deadline: the same status and deadlines, no line, no change set."""
-    b = child_builder("1.1.0")
-    root = A("1.0.0")
-    frame = (
-        b.build(MsgType.NETWORK_TEST, root)
+    """``heard`` takes a beat exactly when ``on_frame`` would move only the
+    deadline of its frame: the same status and deadlines, no line, no change
+    set."""
+    beat = (
+        Beat(MsgType.NETWORK_TEST, A("1.1.0"), A("1.0.0"))
         if payload is None
-        else b.build(MsgType.DEVICE_STATE_PKG, root, payload)
+        else Beat(MsgType.DEVICE_STATE_PKG, A("1.1.0"), A("1.0.0"), payload)
     )
+    frame = child_builder("1.1.0").build(beat.msg_type, beat.dst, beat.payload)
     fast, slow = _root_with_child_in(status), _root_with_child_in(status)
-    taken = fast.heard(frame, 41)
+    taken = fast.heard(beat, 41)
     assert slow.on_frame(frame, 41) == []
     fast_child, slow_child = fast.children[A("1.1.0")], slow.children[A("1.1.0")]
     assert fast.lines == [] and fast.drain_changesets() == []
@@ -194,13 +195,62 @@ def test_heard_agrees_with_on_frame(status, payload):
 
 
 def test_heard_declines_a_stranger():
+    """A beat from no child is declined; its frame is logged as unknown."""
     node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL)])
-    stranger = FrameBuilder(A("1.1.2"))
-    assert not node.heard(stranger.build(MsgType.NETWORK_TEST, node.address), 6)
+    beat = Beat(MsgType.NETWORK_TEST, A("1.1.2"), node.address)
+    assert not node.heard(beat, 6)
     assert node.lines == []
+    node.on_frame(FrameBuilder(beat.src).build(beat.msg_type, beat.dst), 6)
+    assert node.lines == ["NODE 1.1.0 6 UNKNOWN 1.1.2 NETWORK_TEST"]
 
 
 # -- device events through the pipeline ------------------------------------------
+
+
+def _child_event(node, eid, **kwargs):
+    """A device event frame from ``node``'s child 1.1.0."""
+    ev = event(eid=eid, analyzer="1.1.0", **kwargs)
+    return child_builder("1.1.0").build(MsgType.DEVICE_EVENT, node.address, ev)
+
+
+@pytest.mark.parametrize(
+    "status",
+    [
+        DeviceStatus(state, resume)
+        for state in sorted(WAITING_STATES, key=lambda s: s.value)
+        for resume in sorted(WAITING_STATES, key=lambda s: s.value)
+    ],
+    ids=lambda s: f"{s.state.value}-{s.resume.value}",
+)
+def test_an_event_from_a_waiting_child_is_a_closed_pair(status):
+    """T7 then T8 leave what two ``_apply_cond`` calls would and log their
+    lines around the event's own, but touch neither the view's cached text
+    nor the root's change sets."""
+    node, ref = _root_with_child_in(status), _root_with_child_in(status)
+    ref_child = ref.children[A("1.1.0")]
+    ref._apply_cond(ref_child, TransferCondition.T7, 31)
+    ref._apply_cond(ref_child, TransferCondition.T8, 31)
+    view = node.virtual_view
+    view.serialize()
+    record = view.find(A("1.1.0"))
+    cached = (view.root.text, record.text)
+    # a low-scoring event, so a DROP line falls between the pair's lines
+    node.on_frame(_child_event(node, "1.1.0-1", dst="10.9.9.9", sev=1), 31)
+    assert node.children[A("1.1.0")].status == ref_child.status
+    assert node.lines == [ref.lines[0], "NODE 1.0.0 31 DROP 1.1.0-1", ref.lines[1]]
+    assert (view.root.text, record.text) == cached and cached[0] is not None
+    assert record.state is status.state
+    assert node.drain_changesets() == []
+
+
+@pytest.mark.parametrize("state", [DeviceState.NET_DOWN, DeviceState.UNREACHABLE])
+def test_an_event_from_an_offline_child_changes_no_state(state):
+    node = _root_with_child_in(DeviceStatus(state))
+    node.on_frame(_child_event(node, "1.1.0-1"), 31)
+    assert node.events_received == 1 and node.events_dropped == 0
+    assert node.lines == ["NODE 1.0.0 31 ALERT 1.0.0#1"]  # and no STATE line
+    assert node.children[A("1.1.0")].status == DeviceStatus(state)
+    assert node.drain_changesets() == []
 
 
 def test_connect_then_event_forwards_session_alert():
@@ -344,7 +394,7 @@ def test_periodic_heartbeats_and_report_cadence():
     kinds = sorted(f.msg_type.name for f in frames)
     assert kinds == ["DEVICE_STATE_PKG", "NETWORK_TEST", "TOPOLOGY_REPORT"]
     assert node.on_tick(3) == []
-    assert [f.msg_type for f in node.on_tick(5)] == [MsgType.NETWORK_TEST]
+    assert node.on_tick(5) == [Beat(MsgType.NETWORK_TEST, node.address, A("1.0.0"))]
 
 
 # -- wake ticks ----------------------------------------------------------------------
@@ -504,10 +554,15 @@ def test_agent_aggregates_portscan_burst():
 
 
 def test_agent_idle_tick_heartbeats_only():
+    """Heartbeats leave as beats: no frame, so no sequence number, is built
+    for them."""
     agent = make_agent()
-    frames = agent.step(40)
-    assert {f.msg_type for f in frames} == {MsgType.NETWORK_TEST, MsgType.DEVICE_STATE_PKG}
+    assert agent.step(40) == [
+        Beat(MsgType.NETWORK_TEST, agent.address, A("1.1.0")),
+        Beat(MsgType.DEVICE_STATE_PKG, agent.address, A("1.1.0"), "normal"),
+    ]
     assert agent.step(41) == []
+    assert agent.builder.build(MsgType.NETWORK_TEST, A("1.1.0")).seq == 1
 
 
 def test_agent_window_holds_current_tick_events():
@@ -534,10 +589,10 @@ def test_agent_abnormal_window_flags_state_pkg():
     agent.mark_abnormal(0, 20)
     frames = agent.step(8)
     pkg = [f for f in frames if f.msg_type is MsgType.DEVICE_STATE_PKG]
-    assert pkg and pkg[0].text() == "abnormal"
+    assert pkg and pkg[0].payload == "abnormal"
     frames = agent.step(24)
     pkg = [f for f in frames if f.msg_type is MsgType.DEVICE_STATE_PKG]
-    assert pkg and pkg[0].text() == "normal"
+    assert pkg and pkg[0].payload == "normal"
 
 
 def test_agent_next_wake_covers_heartbeats_window_and_acks():

@@ -6,7 +6,7 @@ import pytest
 from reference_loop import ReferenceSimulation
 from smnsim import cli
 from smnsim.config import ConfigError, load_topology, parse_scenario, parse_topology
-from smnsim.messaging import MsgType
+from smnsim.messaging import FrameBuilder, MsgType, SimNetwork
 from smnsim.node_runtime import SmnNode
 from smnsim.session_correlation import CorrelationEngine
 from smnsim.simulator import InvariantViolation, Simulation
@@ -221,6 +221,30 @@ def test_an_idle_run_sends_only_the_tick_0_heartbeats():
     ]
     want = ReferenceSimulation(topology, parse_scenario("drain = 100\n")).run()
     assert report.files() == want.files()
+
+
+def test_every_frame_built_goes_on_the_network(monkeypatch):
+    """A heartbeat becomes a frame only to travel: on the generated tree
+    left idle, every frame a ``FrameBuilder`` builds is handed to the
+    network."""
+    built, sent = [], []
+    build, send = FrameBuilder.build, SimNetwork.send
+
+    def spy_build(builder, *args, **kwargs):
+        frame = build(builder, *args, **kwargs)
+        built.append(frame)
+        return frame
+
+    def spy_send(network, frame):
+        sent.append(frame)
+        send(network, frame)
+
+    monkeypatch.setattr(FrameBuilder, "build", spy_build)
+    monkeypatch.setattr(SimNetwork, "send", spy_send)
+    topology = load_topology(str(GEN0 / "topology.cfg"))
+    Simulation(topology, parse_scenario("drain = 100\n")).run()
+    assert sent and len(built) == len(sent)
+    assert {id(frame) for frame in built} == {id(frame) for frame in sent}
 
 
 def test_a_heartbeat_crossing_a_loss_window_reaches_the_network():
