@@ -7,19 +7,19 @@ owns a mailbox ordered by priority, FIFO within a priority, so response
 coordination overtakes bulk telemetry.
 
 Frames stay Python objects end to end: ``SimNetwork`` moves them hop by hop
-and nothing encodes them to bytes. A frame's payload is text, except that a
-``DEVICE_EVENT``'s payload is the ``NormalizedEvent`` itself. A frame's
-priority follows from its message type alone.
+and nothing encodes them to bytes. A frame's payload is the object its
+receiver reads: the ``NormalizedEvent`` of a ``DEVICE_EVENT``, an ``Order``
+for a ``COMMAND``, one of the coordination messages below for a
+``RESPONSE_COORD``, and text for the other types. A frame's priority
+follows from its message type alone.
 
-A heartbeat (network test or state package) leaves its node as a ``Beat``:
-the frame's type, source, destination and payload, without a sequence
-number. It becomes a frame, stamped by its sender's ``FrameBuilder``, only
-when it goes on the network. One that would only move a deadline at its
-parent is applied there when it is sent (``SmnNode.heard``, called by the
-simulator) and never becomes a frame at all; the simulator's docstring says
-why that is exact. A heartbeat's sequence number shows nowhere but in a
-dead letter, and a heartbeat travels one hop to its declared parent, so it
-never dead-letters. Every other message is built and travels as a frame.
+Nodes return their frames unnumbered (``seq`` 0). The harness numbers a
+frame with its sender's ``FrameBuilder`` when it hands it to the network,
+and only then, so the frames of one type a sender puts on the network are
+numbered 1, 2, ... without a gap: a frame that never travels (a silenced
+node's, or a heartbeat its parent takes directly) takes no number. A
+number shows only in a ``DEADLETTER`` line, so where frames are numbered
+changes no report without a dead letter.
 """
 
 from __future__ import annotations
@@ -31,7 +31,57 @@ from enum import Enum
 from .addressing import NodeAddress
 from .event_pipeline import NormalizedEvent
 
-Payload = str | NormalizedEvent
+
+@dataclass(frozen=True, slots=True)
+class Order:
+    """A ``COMMAND``'s payload: what to run, and the id its ACK carries."""
+
+    kind: str
+    cmd_id: str
+
+
+# ``RESPONSE_COORD`` payloads, one per step of the emergency response. Each
+# names its case; the receiver takes the sender from the frame.
+
+
+@dataclass(frozen=True, slots=True)
+class Escalate:
+    """Owner to the SMN above it: coordinate the case."""
+
+    case_id: str
+
+
+@dataclass(frozen=True, slots=True)
+class Advisory:
+    """Coordinator to an enlisted node: contain, and confirm to ``owner``."""
+
+    case_id: str
+    owner: NodeAddress
+
+
+@dataclass(frozen=True, slots=True)
+class Confirm:
+    """Enlisted node to the owner: the advisory is carried out."""
+
+    case_id: str
+
+
+@dataclass(frozen=True, slots=True)
+class Enlisted:
+    """Coordinator to the owner: ``targets`` were sent the advisory."""
+
+    case_id: str
+    targets: tuple[NodeAddress, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class Advance:
+    """Coordinator to the owner: move the case to its next phase."""
+
+    case_id: str
+
+
+Payload = str | NormalizedEvent | Order | Escalate | Advisory | Confirm | Enlisted | Advance
 
 
 class Unroutable(Exception):
@@ -68,37 +118,27 @@ class Frame:
     msg_type: MsgType
     src: NodeAddress
     dst: NodeAddress
-    seq: int
     payload: Payload = ""
+    #: 0 until the sender's ``FrameBuilder`` numbers the frame
+    seq: int = 0
 
     def text(self) -> Payload:
         return self.payload
 
 
-@dataclass(slots=True)
-class Beat:
-    """A heartbeat as its node sends it: a frame to be, which only a
-    ``FrameBuilder`` stamps with a sequence number."""
-
-    msg_type: MsgType
-    src: NodeAddress
-    dst: NodeAddress
-    payload: str = ""
-
-
 class FrameBuilder:
-    """Stamps outbound frames with one monotone counter per message type."""
+    """Numbers one sender's frames, with one counter per message type."""
 
-    def __init__(self, src: NodeAddress) -> None:
-        self.src = src
+    def __init__(self) -> None:
         #: by message type value, as ``PRIORITY`` is keyed
         self._seq: dict[int, int] = {}
 
-    def build(self, msg_type: MsgType, dst: NodeAddress, payload: Payload = "") -> Frame:
-        key = msg_type._value_
+    def build(self, frame: Frame) -> None:
+        """Stamp ``frame`` with the next number of its type."""
+        key = frame.msg_type._value_
         seq = self._seq.get(key, 0) + 1
         self._seq[key] = seq
-        return Frame(msg_type=msg_type, src=self.src, dst=dst, seq=seq, payload=payload)
+        frame.seq = seq
 
 
 # ---------------------------------------------------------------------------

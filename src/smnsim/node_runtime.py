@@ -14,14 +14,14 @@ the first tick at which a node's clock (``SmnNode.on_tick``,
 ``DeviceAgent.step``) can act when no frame arrives, so a harness runs a node
 then, or when a frame arrives for it, and lets it sleep in between.
 
-Both kinds of node send their heartbeats (network tests and state
-packages) as ``Beat``s, which a harness stamps into frames only for the
-network. A management node hears a child's heartbeat in one of two ways. As
-a frame, through ``on_frame``. Or, when none of the heartbeat's conditions
-has an arrow from the child's state, so that it would only move a deadline,
-through ``heard``, which a harness calls with the beat when it is sent and
-with the tick the frame would arrive at; the beat then never becomes a
-frame.
+Both kinds of node return their outbound frames unnumbered; the harness
+numbers each one as it goes on the network (see ``messaging``). A
+management node hears a child's heartbeat (network test or state package)
+in one of two ways. Through ``on_frame``, when it arrives. Or, when none of
+the heartbeat's conditions has an arrow from the child's state, so that it
+would only move a deadline, through ``heard``, which a harness calls when
+the frame is sent, with the tick it would arrive at; the frame then never
+travels.
 
 A device event takes its sender's record through T7 into HANDLING_ALERT and
 T8 back out, with the event's rating and correlation in between. Nothing in
@@ -88,7 +88,16 @@ from .event_pipeline import (
     normalize,
     validate,
 )
-from .messaging import Beat, Frame, FrameBuilder, MsgType
+from .messaging import (
+    Advance,
+    Advisory,
+    Confirm,
+    Enlisted,
+    Escalate,
+    Frame,
+    MsgType,
+    Order,
+)
 from .session_correlation import (
     CorrelationConfig,
     CorrelationEngine,
@@ -151,25 +160,10 @@ class ChildRecord:
     pkg_deadline: int = 0
 
 
-@dataclass
-class CoordinationEntry:
-    """A case escalated to this node for coordination."""
-
-    owner: NodeAddress
-    containment: str
-
-
 _COMMAND_CONDS = {
     "policy": (_T.T9, _T.T10),
     "vulnerability": (_T.T11, _T.T12),
 }
-
-
-def _parse_command(text: str) -> tuple[str, str, tuple[TransferCondition, ...] | None]:
-    """Kind, command id and (received, finished) conditions of a command
-    payload ``<kind> <cmd-id>\n<body>``; the body is opaque."""
-    kind, _, cmd_id = text.partition("\n")[0].partition(" ")
-    return kind, cmd_id, _COMMAND_CONDS.get(kind)
 
 
 _NET_TEST_CONDS = (_T.T1,)
@@ -180,13 +174,13 @@ _ABNORMAL_PKG_CONDS = (_T.T3, _T.T5)
 _ALERT = DeviceState.HANDLING_ALERT.value
 
 
-def _heartbeat_conds(beat: Beat | Frame) -> tuple[TransferCondition, ...]:
-    """The conditions a heartbeat (a beat or its frame) applies to its
-    sender's record at the parent, in order: T1 for a network test; T3, then
-    T5 or T6, for a state package."""
-    if beat.msg_type is MsgType.NETWORK_TEST:
+def _heartbeat_conds(frame: Frame) -> tuple[TransferCondition, ...]:
+    """The conditions a heartbeat applies to its sender's record at the
+    parent, in order: T1 for a network test; T3, then T5 or T6, for a state
+    package."""
+    if frame.msg_type is MsgType.NETWORK_TEST:
         return _NET_TEST_CONDS
-    return _ABNORMAL_PKG_CONDS if beat.payload == "abnormal" else _NORMAL_PKG_CONDS
+    return _ABNORMAL_PKG_CONDS if frame.payload == "abnormal" else _NORMAL_PKG_CONDS
 
 
 def _renew(child: ChildRecord, msg_type: MsgType, now: int) -> None:
@@ -265,11 +259,9 @@ class SmnNode(_Node):
         counterplans: CounterplanStore | None = None,
     ) -> None:
         super().__init__(address)
-        self.shape = shape
         self.parent = parent
         self.settings = settings or PipelineSettings()
         self.hb = hb or HeartbeatConfig()
-        self.builder = FrameBuilder(address)
         self.virtual_view = AddressedDeviceTree(
             shape=shape,
             root=DeviceNodeRecord(
@@ -284,7 +276,8 @@ class SmnNode(_Node):
         self.assets = assets or AssetDb()
         self.counterplans = counterplans or CounterplanStore()
         self.cases: dict[str, ResponseCase] = {}
-        self.coordinated: dict[str, CoordinationEntry] = {}
+        #: per case escalated to this node for coordination, its owner
+        self.coordinated: dict[str, NodeAddress] = {}
         self.case_counter = 0
         #: ids of the commands sent and not yet acked, in issue order
         self.pending_commands: dict[str, None] = {}
@@ -332,9 +325,8 @@ class SmnNode(_Node):
         if self.parent is None:
             return []
         self._log(now, "REPORT", "")
-        return [
-            self.builder.build(MsgType.TOPOLOGY_REPORT, self.parent, self.virtual_view.serialize())
-        ]
+        report = self.virtual_view.serialize()
+        return [Frame(MsgType.TOPOLOGY_REPORT, self.address, self.parent, report)]
 
     # -- frame handling ----------------------------------------------------
 
@@ -374,21 +366,20 @@ class SmnNode(_Node):
         self._log(now, "UNKNOWN", f"{frame.src} {mt.name}")
         return []
 
-    def heard(self, beat: Beat, now: int) -> bool:
-        """Take ``beat`` (a child's network test or state package) as
+    def heard(self, frame: Frame, now: int) -> bool:
+        """Take ``frame`` (a child's network test or state package) as
         arriving at ``now`` when ``on_frame`` would only move the deadline
-        its frame renews, because none of its conditions has an arrow from
-        the child's state: move that deadline and return True. Otherwise
-        change nothing and return False; the beat must then reach
-        ``on_frame`` as a frame."""
-        child = self.children.get(beat.src)
+        it renews, because none of its conditions has an arrow from the
+        child's state: move that deadline and return True. Otherwise change
+        nothing and return False; the frame must then reach ``on_frame``."""
+        child = self.children.get(frame.src)
         if child is None:
             return False
         arrows = ARROWS_FROM[child.status.state._value_]
-        for cond in _heartbeat_conds(beat):
+        for cond in _heartbeat_conds(frame):
             if cond._value_ in arrows:
                 return False
-        _renew(child, beat.msg_type, now)
+        _renew(child, frame.msg_type, now)
         return True
 
     def _on_device_event(self, child: ChildRecord, frame: Frame, now: int) -> list[Frame]:
@@ -414,9 +405,7 @@ class SmnNode(_Node):
                     self.session_lines.append(line)
                     self._log(now, "ALERT", action.record.session_id)
                     if self.parent is not None:
-                        out.append(
-                            self.builder.build(MsgType.SESSION_ALERT, self.parent, line)
-                        )
+                        out.append(Frame(MsgType.SESSION_ALERT, self.address, self.parent, line))
         if paired:
             self._log(now, "STATE", f"{child.address} T8 {_ALERT}->{state.value}")
             child.status = DeviceStatus(state, state)
@@ -437,21 +426,22 @@ class SmnNode(_Node):
         self.session_lines.append(line)
         if self.parent is None:
             return []
-        return [self.builder.build(MsgType.SESSION_ALERT, self.parent, line)]
+        return [Frame(MsgType.SESSION_ALERT, self.address, self.parent, line)]
 
     def _on_command(self, frame: Frame, now: int) -> list[Frame]:
-        kind, cmd_id, conds = _parse_command(frame.text())
+        order: Order = frame.payload
+        conds = _COMMAND_CONDS.get(order.kind)
         if conds is not None:
             # execution is immediate for a management node
             self._apply_cond(self, conds[0], now)
             self._apply_cond(self, conds[1], now)
-        self._log(now, "CMD", f"{cmd_id} {kind}")
-        return [self.builder.build(MsgType.COMMAND_ACK, frame.src, cmd_id)]
+        self._log(now, "CMD", f"{order.cmd_id} {order.kind}")
+        return [Frame(MsgType.COMMAND_ACK, self.address, frame.src, order.cmd_id)]
 
     # -- commands ----------------------------------------------------------
 
     def dispatch_command(
-        self, target: NodeAddress, kind: str, body: str, now: int
+        self, target: NodeAddress, kind: str, now: int
     ) -> tuple[str, list[Frame]]:
         if not self.address.is_ancestor(target):
             raise TargetNotInSubtree(f"{target} not below {self.address}")
@@ -459,8 +449,7 @@ class SmnNode(_Node):
         cmd_id = f"{self.address}!{self.command_counter}"
         self.pending_commands[cmd_id] = None
         self._log(now, "COMMAND", f"{cmd_id} {kind} {target}")
-        frame = self.builder.build(MsgType.COMMAND, target, f"{kind} {cmd_id}\n{body}")
-        return cmd_id, [frame]
+        return cmd_id, [Frame(MsgType.COMMAND, self.address, target, Order(kind, cmd_id))]
 
     def log_unacked(self, now: int) -> None:
         """Log one ``UNACKED`` line per command still waiting for its ACK, in
@@ -485,55 +474,31 @@ class SmnNode(_Node):
         case = self.cases[case_id]
         coordinator = er.escalate(case)
         self._case_line(case_id, now, self.address, "escalate")
-        payload = (
-            f"escalate {case_id} {self.address} {case.classification}\n"
-            f"{case.plan.containment}"
-        )
-        return [self.builder.build(MsgType.RESPONSE_COORD, coordinator, payload)]
+        return [Frame(MsgType.RESPONSE_COORD, self.address, coordinator, Escalate(case_id))]
 
     def respond_enlist(
         self, case_id: str, targets: list[NodeAddress], now: int
     ) -> list[Frame]:
-        entry = self.coordinated.get(case_id)
-        if entry is None:
+        owner = self.coordinated.get(case_id)
+        if owner is None:
             raise NotCoordinator(f"{self.address} does not coordinate {case_id}")
         for target in targets:
             if not self.address.is_ancestor(target):
                 raise TargetOutsideSubtree(f"{target} not below {self.address}")
         self._log(now, "ENLIST", f"{case_id} {','.join(str(t) for t in targets)}")
-        frames = []
-        for target in targets:
-            frames.append(
-                self.builder.build(
-                    MsgType.RESPONSE_COORD,
-                    target,
-                    f"advisory {case_id} {entry.owner}\n{entry.containment}",
-                )
-            )
-        targets_text = ",".join(str(t) for t in targets)
-        frames.append(
-            self.builder.build(
-                MsgType.RESPONSE_COORD,
-                entry.owner,
-                f"enlisted {case_id} {targets_text}",
-            )
-        )
+        coord = MsgType.RESPONSE_COORD
+        frames = [Frame(coord, self.address, t, Advisory(case_id, owner)) for t in targets]
+        frames.append(Frame(coord, self.address, owner, Enlisted(case_id, tuple(targets))))
         return frames
 
-    def respond_advance(self, case_id: str, note: str, now: int) -> list[Frame]:
+    def respond_advance(self, case_id: str, now: int) -> list[Frame]:
         case = self.cases.get(case_id)
         if case is not None:
             self._advance_local(case, self.address, now)
             return []
-        entry = self.coordinated.get(case_id)
-        if entry is not None:
-            return [
-                self.builder.build(
-                    MsgType.RESPONSE_COORD,
-                    entry.owner,
-                    f"advance {case_id} {self.address} {note}",
-                )
-            ]
+        owner = self.coordinated.get(case_id)
+        if owner is not None:
+            return [Frame(MsgType.RESPONSE_COORD, self.address, owner, Advance(case_id))]
         self._log(now, "RESPOND-ERROR", f"unknown case {case_id}")
         return []
 
@@ -545,61 +510,37 @@ class SmnNode(_Node):
             self._case_line(case.case_id, now, actor, "advance-rejected")
 
     def _on_response_coord(self, frame: Frame, now: int) -> list[Frame]:
-        head, _, doc = frame.text().partition("\n")
-        parts = head.split(" ")
-        sub = parts[0]
-        if sub == "escalate" and len(parts) >= 4:
-            case_id, owner_text = parts[1], parts[2]
-            self.coordinated[case_id] = CoordinationEntry(
-                owner=NodeAddress.parse(owner_text, self.shape), containment=doc
-            )
+        msg, src = frame.payload, frame.src
+        case_id = msg.case_id
+        if type(msg) is Escalate:
+            self.coordinated[case_id] = src
             self._log(now, "COORD", case_id)
             return []
-        if sub == "advisory" and len(parts) >= 3:
-            case_id, owner_text = parts[1], parts[2]
+        if type(msg) is Advisory:
             self._log(now, "ADVISORY", case_id)
-            owner = NodeAddress.parse(owner_text, self.shape)
-            return [
-                self.builder.build(
-                    MsgType.RESPONSE_COORD, owner, f"confirm {case_id} {self.address}"
-                )
-            ]
-        if sub == "confirm" and len(parts) >= 3:
-            case_id, participant_text = parts[1], parts[2]
-            case = self.cases.get(case_id)
-            if case is not None:
-                participant = NodeAddress.parse(participant_text, self.shape)
-                case.confirmed.add(participant)
-                self._case_line(case_id, now, participant, "confirm")
+            return [Frame(MsgType.RESPONSE_COORD, self.address, msg.owner, Confirm(case_id))]
+        case = self.cases.get(case_id)
+        if case is None:
             return []
-        if sub == "enlisted" and len(parts) >= 3:
-            case_id, targets_text = parts[1], parts[2]
-            case = self.cases.get(case_id)
-            if case is not None:
-                targets = [
-                    NodeAddress.parse(t, self.shape) for t in targets_text.split(",")
-                ]
-                try:
-                    added = er.enlist(case, frame.src, targets)
-                except ResponseError as exc:
-                    self._log(now, "RESPOND-ERROR", str(exc))
-                    return []
-                for target in added:
-                    self._case_line(case_id, now, frame.src, f"enlist:{target}")
-            return []
-        if sub == "advance" and len(parts) >= 3:
-            case_id, actor_text = parts[1], parts[2]
-            case = self.cases.get(case_id)
-            if case is not None:
-                self._advance_local(case, NodeAddress.parse(actor_text, self.shape), now)
-            return []
-        self._log(now, "RESPOND-ERROR", f"bad coordination message {head!r}")
+        if type(msg) is Confirm:
+            case.confirmed.add(src)
+            self._case_line(case_id, now, src, "confirm")
+        elif type(msg) is Enlisted:
+            try:
+                added = er.enlist(case, src, list(msg.targets))
+            except ResponseError as exc:
+                self._log(now, "RESPOND-ERROR", str(exc))
+                return []
+            for target in added:
+                self._case_line(case_id, now, src, f"enlist:{target}")
+        else:
+            self._advance_local(case, src, now)
         return []
 
     # -- clock -------------------------------------------------------------
 
-    def on_tick(self, now: int) -> list[Frame | Beat]:
-        out: list[Frame | Beat] = []
+    def on_tick(self, now: int) -> list[Frame]:
+        out: list[Frame] = []
         for child in self.children.values():
             if now >= child.pkg_deadline:
                 self._apply_cond(child, _T.T4, now)
@@ -619,9 +560,9 @@ class SmnNode(_Node):
                     out.extend(self._emit_report(now))
         if self.parent is not None:
             if now % self.hb.network_test_interval == 0:
-                out.append(Beat(MsgType.NETWORK_TEST, self.address, self.parent))
+                out.append(Frame(MsgType.NETWORK_TEST, self.address, self.parent))
             if now % self.hb.state_pkg_interval == 0:
-                out.append(Beat(MsgType.DEVICE_STATE_PKG, self.address, self.parent, "normal"))
+                out.append(Frame(MsgType.DEVICE_STATE_PKG, self.address, self.parent, "normal"))
             if now % self.settings.report_interval == 0:
                 out.extend(self._emit_report(now))
         self.engine.sweep(now)
@@ -669,7 +610,6 @@ class DeviceAgent(_Node):
         self.mapping = mapping or ClassificationMap()
         #: events this device has normalized; the last one's id ends in it
         self.event_seq = 0
-        self.builder = FrameBuilder(self.address)
         self.buffer: list[RawDeviceEvent] = []
         self.abnormal_windows: list[tuple[int, int]] = []
         self.pending_acks: list[tuple[int, str, TransferCondition, NodeAddress]] = []
@@ -683,16 +623,17 @@ class DeviceAgent(_Node):
     def on_frame(self, frame: Frame, now: int) -> list[Frame]:
         if frame.msg_type is not MsgType.COMMAND:
             return []
-        _kind, cmd_id, conds = _parse_command(frame.text())
+        order: Order = frame.payload
+        conds = _COMMAND_CONDS.get(order.kind)
         if conds is None:
             # a silenced device answers nothing, as a silenced management
             # node does
             if self.silenced(now):
                 return []
-            return [self.builder.build(MsgType.COMMAND_ACK, frame.src, cmd_id)]
+            return [Frame(MsgType.COMMAND_ACK, self.address, frame.src, order.cmd_id)]
         self._apply_cond(self, conds[0], now)
         self.pending_acks.append(
-            (now + self.settings.command_delay, cmd_id, conds[1], frame.src)
+            (now + self.settings.command_delay, order.cmd_id, conds[1], frame.src)
         )
         return []
 
@@ -709,9 +650,9 @@ class DeviceAgent(_Node):
             wake = min(wake, due)
         return wake
 
-    def step(self, now: int) -> list[Frame | Beat]:
+    def step(self, now: int) -> list[Frame]:
         silenced = self.silenced(now)
-        out: list[Frame | Beat] = []
+        out: list[Frame] = []
         still: list[tuple[int, str, TransferCondition, NodeAddress]] = []
         for due, cmd_id, cond_out, reply_to in self.pending_acks:
             if due <= now:
@@ -720,18 +661,18 @@ class DeviceAgent(_Node):
                 self._apply_cond(self, cond_out, now)
                 self._log(now, "CMD", f"{cmd_id} done")
                 if not silenced:
-                    out.append(self.builder.build(MsgType.COMMAND_ACK, reply_to, cmd_id))
+                    out.append(Frame(MsgType.COMMAND_ACK, self.address, reply_to, cmd_id))
             else:
                 still.append((due, cmd_id, cond_out, reply_to))
         self.pending_acks = still
         if silenced:
             return []
         if now % self.hb.network_test_interval == 0:
-            out.append(Beat(MsgType.NETWORK_TEST, self.address, self.parent))
+            out.append(Frame(MsgType.NETWORK_TEST, self.address, self.parent))
         if now % self.hb.state_pkg_interval == 0:
             abnormal = _in_window(self.abnormal_windows, now)
             out.append(
-                Beat(
+                Frame(
                     MsgType.DEVICE_STATE_PKG,
                     self.address,
                     self.parent,
@@ -755,4 +696,4 @@ class DeviceAgent(_Node):
         aggregated = aggregate_single_device(
             normalized, self.settings.window_ticks, self.settings.portscan_threshold
         )
-        return [self.builder.build(MsgType.DEVICE_EVENT, self.parent, ev) for ev in aggregated]
+        return [Frame(MsgType.DEVICE_EVENT, self.address, self.parent, ev) for ev in aggregated]

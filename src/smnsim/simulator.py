@@ -14,15 +14,13 @@ would. The harness then injects the collected outbound frames, replays the
 root's change sets onto the console mirror, and advances the network one
 hop. Identical inputs and seed give byte-identical reports.
 
-Nodes hand the harness their heartbeats (network tests and state packages)
-as ``Beat``s, and ``_send`` has the sender's ``FrameBuilder`` stamp a beat
-into a frame only when it goes on the network. That is exact: a frame's
-sequence number shows only in a ``DEADLETTER`` line, and a heartbeat goes
-one hop to its declared parent, so it never dead-letters; the numbers of
-the other message types are counted apart and do not move.
+Nodes return their frames unnumbered, and ``_send``, which hands them to
+the network, numbers each one there with the sender's ``FrameBuilder``
+(one per node, kept here), so frames that never travel take no number (see
+``messaging``).
 
 A heartbeat that would change nothing at its parent but a deadline never
-enters the network: when it is sent, the parent takes the beat by
+enters the network: when it is sent, the parent takes it by
 ``SmnNode.heard`` as arriving at the next tick, as the frame would. That is
 exact. It lands after every node of the tick has run. Until the frame's
 turn in the parent's mailbox nothing touches that child's record: the
@@ -61,7 +59,7 @@ from .device_model import DeviceKind
 from .device_tree import AddressedDeviceTree, build_tree
 from .emergency_response import CounterplanStore, ResponseError
 from .event_pipeline import AssetDb, NormalizedEvent, RawDeviceEvent, validate
-from .messaging import Beat, Frame, LinkTable, SimNetwork
+from .messaging import Frame, FrameBuilder, LinkTable, MsgType, SimNetwork
 from .node_runtime import DeviceAgent, PipelineSettings, SmnNode
 from .session_correlation import CorrelationConfig, CorrelationEngine, format_session_line
 
@@ -185,7 +183,7 @@ class Simulation:
         )
         self.order = self.network.order
         self._nodes = [self.smns.get(a) or self.agents[a] for a in self.order]
-        self._builders = {node.address: node.builder for node in self._nodes}
+        self._builders = {addr: FrameBuilder() for addr in self.order}
         self._smn_slots = frozenset(
             slot for slot, addr in enumerate(self.order) if addr in self.smns
         )
@@ -269,7 +267,7 @@ class Simulation:
 
     # -- directives --------------------------------------------------------
 
-    def _apply_directives(self, tick: int, outbound: list[Frame | Beat]) -> None:
+    def _apply_directives(self, tick: int, outbound: list[Frame]) -> None:
         logged = False
         for d in self._by_tick.get(tick, ()):
             if isinstance(d, Emit):
@@ -281,9 +279,7 @@ class Simulation:
                 else:
                     (self.smns.get(node) or self.agents[node]).silence(tick, d.until)
             elif isinstance(d, Command):
-                _, frames = self.root.dispatch_command(
-                    self._node(d.target), d.kind, "scripted", tick
-                )
+                _, frames = self.root.dispatch_command(self._node(d.target), d.kind, tick)
                 outbound.extend(frames)
                 logged = True
             elif isinstance(d, Respond):
@@ -318,7 +314,7 @@ class Simulation:
         # the agent may be filed under this very tick, which must stand
         self._schedule(slot, min(self._wake[slot], agent.next_wake(tick)))
 
-    def _do_respond(self, d: Respond, tick: int, outbound: list[Frame | Beat]) -> None:
+    def _do_respond(self, d: Respond, tick: int, outbound: list[Frame]) -> None:
         try:
             if d.action == "launch":
                 owner = self._node(d.owner)
@@ -339,7 +335,7 @@ class Simulation:
                 outbound.extend(self.smns[actor].respond_enlist(case_id, targets, tick))
             else:
                 actor = self._node(d.actor) if d.actor else owner
-                outbound.extend(self.smns[actor].respond_advance(case_id, d.note, tick))
+                outbound.extend(self.smns[actor].respond_advance(case_id, tick))
         except ResponseError as exc:
             self.root._log(tick, "RESPOND-ERROR", str(exc))
 
@@ -356,10 +352,10 @@ class Simulation:
         self._wheel.setdefault(tick, set()).add(slot)
         self._wake[slot] = tick
 
-    def _run_node(self, slot: int, tick: int, addressed: bool) -> list[Frame | Beat]:
+    def _run_node(self, slot: int, tick: int, addressed: bool) -> list[Frame]:
         node = self._nodes[slot]
         smn = slot in self._smn_slots
-        out: list[Frame | Beat] = []
+        out: list[Frame] = []
         if addressed:
             if smn and self._last_run[slot] != tick - 1:
                 # a run at tick - 1 ended in a sweep to tick - 1 already
@@ -377,29 +373,32 @@ class Simulation:
         out.extend(ticked)
         return out
 
-    def _send(self, outbound: list[Frame | Beat], tick: int) -> None:
-        """Hand the tick's outbound frames to the network, and each beat as a
-        frame its sender builds now, except the beats their parent takes by
-        ``SmnNode.heard`` as arriving at ``tick + 1`` (see the module
-        docstring for which and why)."""
-        send, windows, smns = self.network.send, self.loss_windows, self.smns
+    def _send(self, outbound: list[Frame], tick: int) -> None:
+        """Number the tick's outbound frames and hand them to the network,
+        except the heartbeats their parent takes by ``SmnNode.heard`` as
+        arriving at ``tick + 1`` (see the module docstring for which and
+        why)."""
+        send, windows, smns, builders = (
+            self.network.send, self.loss_windows, self.smns, self._builders
+        )
+        net_test, state_pkg = MsgType.NETWORK_TEST, MsgType.DEVICE_STATE_PKG
         #: senders a heartbeat of which went as a frame at this tick
         beating: set[NodeAddress] = set()
-        for msg in outbound:
-            if type(msg) is Beat:
-                src, dst = msg.src, msg.dst
-                if src not in beating:
-                    covered = windows and _covering_rates(windows, src, dst, tick)
-                    if not covered and smns[dst].heard(msg, tick + 1):
-                        continue
-                    beating.add(src)
-                msg = self._builders[src].build(msg.msg_type, dst, msg.payload)
-            send(msg)
+        for frame in outbound:
+            src, mt = frame.src, frame.msg_type
+            if (mt is net_test or mt is state_pkg) and src not in beating:
+                dst = frame.dst
+                covered = windows and _covering_rates(windows, src, dst, tick)
+                if not covered and smns[dst].heard(frame, tick + 1):
+                    continue
+                beating.add(src)
+            builders[src].build(frame)
+            send(frame)
 
     def run(self) -> RunReport:
         end_tick = self.scenario.last_tick + self.scenario.drain
         for tick in range(end_tick + 1):
-            outbound: list[Frame | Beat] = []
+            outbound: list[Frame] = []
             self._apply_directives(tick, outbound)
             arrived, self.network.arrived = self.network.arrived, set()
             ran = sorted(arrived.union(self._wheel.pop(tick, ())))
@@ -456,17 +455,20 @@ class Simulation:
                 )
 
     def _report(self) -> RunReport:
-        """Check the event accounting, log the commands still waiting for
-        their ACK at the last tick, management nodes in address order, and
-        build the report."""
+        """Check the event accounting and build the report. Management nodes
+        in address order, the root first, log the commands still waiting for
+        their ACK at the last tick and list their alerts still open after
+        the ended sessions the root holds."""
         self._check_accounting()
         end_tick = self.scenario.last_tick + self.scenario.drain
+        sessions = list(self.root.session_lines)
         for slot in sorted(self._smn_slots):
             node = self._nodes[slot]
             node.log_unacked(end_tick)
             self.collected.extend(node.drain_lines())
+            sessions.extend(node.engine.open_session_lines())
         return RunReport(
-            sessions=self.root.session_lines + self.root.engine.open_session_lines(),
+            sessions=sessions,
             tree_text=self.root.virtual_view.serialize(),
             mirror_text=self.mirror.serialize(),
             node_lines=[l for l in self.collected if l.startswith("NODE ")],

@@ -2,9 +2,9 @@
 
 ``ReferenceSimulation.run`` is the loop ``Simulation.run`` replaced: on
 every tick every node polls its mailbox and acts, whether or not it is due
-or addressed, and every heartbeat travels as a frame: each beat is built
-into one and sent, and ``SmnNode.heard`` is never called. Both loops must
-leave byte-identical reports.
+or addressed, and every frame travels: each is numbered and sent, and
+``SmnNode.heard`` is never called. Both loops must leave byte-identical
+reports.
 
     PYTHONPATH=src python tests/reference_loop.py TOPOLOGY SCENARIO...
 
@@ -14,14 +14,14 @@ runs each scenario through both loops and exits 1 when any report differs.
 import sys
 
 from smnsim.config import load_scenario, load_topology
-from smnsim.messaging import Beat, Frame
+from smnsim.messaging import Frame
 from smnsim.simulator import RunReport, Simulation
 
 
 class ReferenceSimulation(Simulation):
-    def _visit(self, addr, tick: int) -> list[Frame | Beat]:
+    def _visit(self, addr, tick: int) -> list[Frame]:
         node = self.smns.get(addr) or self.agents[addr]
-        out: list[Frame | Beat] = []
+        out: list[Frame] = []
         while True:
             frame = self.network.poll(addr)
             if frame is None:
@@ -41,17 +41,16 @@ class ReferenceSimulation(Simulation):
         end_tick = self.scenario.last_tick + self.scenario.drain
         for tick in range(end_tick + 1):
             self._tick = tick
-            outbound: list[Frame | Beat] = []
+            outbound: list[Frame] = []
             self._apply_directives(tick, outbound)
             for addr in self.order:
                 outbound.extend(self._visit(addr, tick))
             for addr in self.order:
                 node = self.smns.get(addr) or self.agents[addr]
                 self.collected.extend(node.drain_lines())
-            for msg in outbound:
-                if type(msg) is Beat:
-                    msg = self._builders[msg.src].build(msg.msg_type, msg.dst, msg.payload)
-                self.network.send(msg)
+            for frame in outbound:
+                self._builders[frame.src].build(frame)
+                self.network.send(frame)
             for changes in self.root.drain_changesets():
                 self.mirror.apply_changeset(changes)
             if self.debug:

@@ -26,13 +26,16 @@ def frame(msg_type=MsgType.DEVICE_EVENT, src="1.1.1.1", dst="1.1.1.0", seq=1):
 
 
 def test_builder_sequences_per_type():
-    b = FrameBuilder(A("1.1.0.0"))
-    f1 = b.build(MsgType.NETWORK_TEST, A("1.0.0.0"))
-    f2 = b.build(MsgType.NETWORK_TEST, A("1.0.0.0"))
-    f3 = b.build(MsgType.DEVICE_EVENT, A("1.0.0.0"), "x")
+    src, dst = A("1.1.0.0"), A("1.0.0.0")
+    f1, f2 = Frame(MsgType.NETWORK_TEST, src, dst), Frame(MsgType.NETWORK_TEST, src, dst)
+    f3 = Frame(MsgType.DEVICE_EVENT, src, dst, "x")
+    assert (f1.seq, f2.seq, f3.seq) == (0, 0, 0)
+    b = FrameBuilder()
+    for f in (f1, f2, f3):
+        b.build(f)
     assert (f1.seq, f2.seq, f3.seq) == (1, 2, 1)
     assert (f1.text(), f3.text()) == ("", "x")
-    assert f3 == Frame(MsgType.DEVICE_EVENT, A("1.1.0.0"), A("1.0.0.0"), 1, "x")
+    assert f3 == Frame(MsgType.DEVICE_EVENT, src, dst, "x", 1)
 
 
 # -- routing --------------------------------------------------------------------
@@ -200,7 +203,7 @@ def test_loss_hook_sees_each_hop_and_the_step_count():
     links = LinkTable.from_addresses(list(declared.values()))
     seen = []
     net = SimNetwork(links, loss_hook=lambda f, at, hop, now: seen.append((f.seq, str(hop), now)))
-    up = FrameBuilder(declared["1.1.1.0"]).build(MsgType.NETWORK_TEST, declared["1.1.0.0"])
+    up = frame(MsgType.NETWORK_TEST, src="1.1.1.0", dst="1.1.0.0")
     net.send(up)
     net.send(frame(src="1.1.1.0", dst="1.2.0.0", seq=2))
     for _ in range(4):

@@ -16,7 +16,16 @@ from smnsim.event_pipeline import (
     ConnectionMarker,
     NormalizedEvent,
 )
-from smnsim.messaging import Beat, FrameBuilder, MsgType
+from smnsim.messaging import (
+    Advance,
+    Advisory,
+    Confirm,
+    Enlisted,
+    Escalate,
+    Frame,
+    MsgType,
+    Order,
+)
 from smnsim.node_runtime import (
     NEVER,
     DeviceAgent,
@@ -25,6 +34,7 @@ from smnsim.node_runtime import (
     SmnNode,
     TargetNotInSubtree,
 )
+from smnsim.session_correlation import SessionRecord
 
 SHAPE = TreeShape(depth=3, max_degree=4)
 
@@ -76,37 +86,33 @@ def event(eid="1.1.1-1", cls="exploit.attempt", t=10, src="10.0.0.9", dst="10.0.
     )
 
 
-def child_builder(addr="1.1.1"):
-    return FrameBuilder(A(addr))
-
-
 # -- heartbeat handling ---------------------------------------------------------
 
 
 def test_state_pkg_brings_offline_child_online():
     node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL)])
-    b = child_builder()
-    node.on_frame(b.build(MsgType.NETWORK_TEST, node.address), 6)
+    src = A("1.1.1")
+    node.on_frame(Frame(MsgType.NETWORK_TEST, src, node.address), 6)
     assert node.children[A("1.1.1")].status.state is DeviceState.UNREACHABLE
-    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, "normal"), 9)
+    node.on_frame(Frame(MsgType.DEVICE_STATE_PKG, src, node.address, "normal"), 9)
     assert node.children[A("1.1.1")].status.state is DeviceState.RUNNING_OK
     assert node.virtual_view.find(A("1.1.1")).state is DeviceState.RUNNING_OK
 
 
 def test_abnormal_state_pkg_drives_t5_t6():
     node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL)])
-    b = child_builder()
-    node.on_frame(b.build(MsgType.NETWORK_TEST, node.address), 6)
-    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, "abnormal"), 9)
+    src = A("1.1.1")
+    node.on_frame(Frame(MsgType.NETWORK_TEST, src, node.address), 6)
+    node.on_frame(Frame(MsgType.DEVICE_STATE_PKG, src, node.address, "abnormal"), 9)
     assert node.children[A("1.1.1")].status.state is DeviceState.RUNNING_ABNORMAL
-    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, "normal"), 17)
+    node.on_frame(Frame(MsgType.DEVICE_STATE_PKG, src, node.address, "normal"), 17)
     assert node.children[A("1.1.1")].status.state is DeviceState.RUNNING_OK
 
 
 def _bring_online(node, child="1.1.1", now=5):
-    b = child_builder(child)
-    node.on_frame(b.build(MsgType.NETWORK_TEST, node.address), now + 1)
-    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, "normal"), now + 3)
+    src = A(child)
+    node.on_frame(Frame(MsgType.NETWORK_TEST, src, node.address), now + 1)
+    node.on_frame(Frame(MsgType.DEVICE_STATE_PKG, src, node.address, "normal"), now + 3)
 
 
 def test_silent_child_degrades_then_disconnects():
@@ -138,8 +144,8 @@ def test_silent_child_smn_is_disassembled_with_report():
 
 def test_unknown_child_frame_logged_and_dropped():
     node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL)])
-    stranger = FrameBuilder(A("1.1.2"))
-    out = node.on_frame(stranger.build(MsgType.NETWORK_TEST, node.address), 6)
+    stranger = A("1.1.2")
+    out = node.on_frame(Frame(MsgType.NETWORK_TEST, stranger, node.address), 6)
     assert out == []
     assert any("UNKNOWN 1.1.2" in line for line in node.lines)
 
@@ -167,17 +173,15 @@ def _root_with_child_in(status):
     ids=lambda s: f"{s.state.value}-{s.resume.value}",
 )
 def test_heard_agrees_with_on_frame(status, payload):
-    """``heard`` takes a beat exactly when ``on_frame`` would move only the
-    deadline of its frame: the same status and deadlines, no line, no change
-    set."""
-    beat = (
-        Beat(MsgType.NETWORK_TEST, A("1.1.0"), A("1.0.0"))
+    """``heard`` takes a heartbeat exactly when ``on_frame`` would move only
+    its deadline: the same status and deadlines, no line, no change set."""
+    frame = (
+        Frame(MsgType.NETWORK_TEST, A("1.1.0"), A("1.0.0"))
         if payload is None
-        else Beat(MsgType.DEVICE_STATE_PKG, A("1.1.0"), A("1.0.0"), payload)
+        else Frame(MsgType.DEVICE_STATE_PKG, A("1.1.0"), A("1.0.0"), payload)
     )
-    frame = child_builder("1.1.0").build(beat.msg_type, beat.dst, beat.payload)
     fast, slow = _root_with_child_in(status), _root_with_child_in(status)
-    taken = fast.heard(beat, 41)
+    taken = fast.heard(frame, 41)
     assert slow.on_frame(frame, 41) == []
     fast_child, slow_child = fast.children[A("1.1.0")], slow.children[A("1.1.0")]
     assert fast.lines == [] and fast.drain_changesets() == []
@@ -195,12 +199,13 @@ def test_heard_agrees_with_on_frame(status, payload):
 
 
 def test_heard_declines_a_stranger():
-    """A beat from no child is declined; its frame is logged as unknown."""
+    """A heartbeat from no child is declined by ``heard`` and logged as
+    unknown by ``on_frame``."""
     node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL)])
-    beat = Beat(MsgType.NETWORK_TEST, A("1.1.2"), node.address)
-    assert not node.heard(beat, 6)
+    frame = Frame(MsgType.NETWORK_TEST, A("1.1.2"), node.address)
+    assert not node.heard(frame, 6)
     assert node.lines == []
-    node.on_frame(FrameBuilder(beat.src).build(beat.msg_type, beat.dst), 6)
+    node.on_frame(frame, 6)
     assert node.lines == ["NODE 1.1.0 6 UNKNOWN 1.1.2 NETWORK_TEST"]
 
 
@@ -210,7 +215,7 @@ def test_heard_declines_a_stranger():
 def _child_event(node, eid, **kwargs):
     """A device event frame from ``node``'s child 1.1.0."""
     ev = event(eid=eid, analyzer="1.1.0", **kwargs)
-    return child_builder("1.1.0").build(MsgType.DEVICE_EVENT, node.address, ev)
+    return Frame(MsgType.DEVICE_EVENT, A("1.1.0"), node.address, ev)
 
 
 @pytest.mark.parametrize(
@@ -255,21 +260,21 @@ def test_an_event_from_an_offline_child_changes_no_state(state):
 
 def test_connect_then_event_forwards_session_alert():
     node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL), ("1.1.2", DeviceKind.IDS)])
-    fw, ids = child_builder("1.1.1"), child_builder("1.1.2")
+    fw, ids = A("1.1.1"), A("1.1.2")
     out = node.on_frame(
-        fw.build(MsgType.DEVICE_EVENT, node.address,
+        Frame(MsgType.DEVICE_EVENT, fw, node.address,
                  event(cls="fw.connect", t=20, conn=ConnectionMarker.CONNECT)),
         21,
     )
     assert out == []
     out = node.on_frame(
-        ids.build(MsgType.DEVICE_EVENT, node.address,
+        Frame(MsgType.DEVICE_EVENT, ids, node.address,
                   event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30)),
         31,
     )
     assert out == []  # update emissions stay local
     out = node.on_frame(
-        fw.build(MsgType.DEVICE_EVENT, node.address,
+        Frame(MsgType.DEVICE_EVENT, fw, node.address,
                  event(eid="1.1.1-2", cls="fw.disconnect", t=40,
                        conn=ConnectionMarker.DISCONNECT)),
         41,
@@ -284,11 +289,11 @@ def test_connect_then_event_forwards_session_alert():
 
 def test_child_passes_through_handling_alert_state():
     node = make_smn(children=[("1.1.2", DeviceKind.IDS)])
-    b = child_builder("1.1.2")
-    node.on_frame(b.build(MsgType.NETWORK_TEST, node.address), 6)
-    node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, "normal"), 9)
+    src = A("1.1.2")
+    node.on_frame(Frame(MsgType.NETWORK_TEST, src, node.address), 6)
+    node.on_frame(Frame(MsgType.DEVICE_STATE_PKG, src, node.address, "normal"), 9)
     node.on_frame(
-        b.build(MsgType.DEVICE_EVENT, node.address,
+        Frame(MsgType.DEVICE_EVENT, src, node.address,
                 event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30)),
         31,
     )
@@ -300,9 +305,9 @@ def test_child_passes_through_handling_alert_state():
 
 def test_low_scoring_event_dropped_and_accounted():
     node = make_smn(children=[("1.1.2", DeviceKind.IDS)])
-    b = child_builder("1.1.2")
+    src = A("1.1.2")
     node.on_frame(
-        b.build(MsgType.DEVICE_EVENT, node.address,
+        Frame(MsgType.DEVICE_EVENT, src, node.address,
                 event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS,
                       t=30, dst="10.9.9.9", sev=1)),
         31,
@@ -315,14 +320,14 @@ def test_low_scoring_event_dropped_and_accounted():
 
 def test_event_accounting_adds_up():
     node = make_smn(children=[("1.1.2", DeviceKind.IDS)])
-    b = child_builder("1.1.2")
+    src = A("1.1.2")
     events = [
         event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30),
         event(eid="1.1.2-2", analyzer="1.1.2", kind=DeviceKind.IDS, t=31, dst="10.9.9.9", sev=1),
         event(eid="1.1.2-3", analyzer="1.1.2", kind=DeviceKind.IDS, t=32),
     ]
     for i, ev in enumerate(events):
-        node.on_frame(b.build(MsgType.DEVICE_EVENT, node.address, ev), 33 + i)
+        node.on_frame(Frame(MsgType.DEVICE_EVENT, src, node.address, ev), 33 + i)
     assert node.events_received == 3
     accounted = (
         node.events_dropped + node.engine.joined_events + node.engine.independent_events
@@ -335,9 +340,9 @@ def test_event_accounting_adds_up():
 
 def test_child_report_assembles_and_propagates():
     node = make_smn(children=[("1.1.1", DeviceKind.SMN)])
-    b = child_builder("1.1.1")
+    src = A("1.1.1")
     embedding = "[1.1.1:S211]"
-    out = node.on_frame(b.build(MsgType.TOPOLOGY_REPORT, node.address, embedding), 11)
+    out = node.on_frame(Frame(MsgType.TOPOLOGY_REPORT, src, node.address, embedding), 11)
     assert node.virtual_view.find(A("1.1.1")).state is DeviceState.RUNNING_OK
     assert [f.msg_type for f in out] == [MsgType.TOPOLOGY_REPORT]
     assert out[0].dst == A("1.0.0")
@@ -360,9 +365,9 @@ def test_only_the_root_records_change_sets():
 
 def test_root_smn_report_reaches_no_parent():
     root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
-    b = child_builder("1.1.0")
+    src = A("1.1.0")
     out = root.on_frame(
-        b.build(MsgType.TOPOLOGY_REPORT, root.address, "[1.1.0:S211:[1.1.1:S211]]"), 11
+        Frame(MsgType.TOPOLOGY_REPORT, src, root.address, "[1.1.0:S211:[1.1.1:S211]]"), 11
     )
     assert out == []
     assert root.virtual_view.find(A("1.1.1")) is not None
@@ -373,10 +378,9 @@ def test_an_unchanged_report_records_no_change_set():
     stay as they were."""
     root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
     site = make_smn(children=[("1.1.1", DeviceKind.SMN)])
-    report = child_builder("1.1.0").build(
-        MsgType.TOPOLOGY_REPORT, root.address, "[1.1.0:S211:[1.1.1:S211]]"
+    report = Frame(MsgType.TOPOLOGY_REPORT, A("1.1.0"), root.address, "[1.1.0:S211:[1.1.1:S211]]"
     )
-    leaf_report = child_builder("1.1.1").build(MsgType.TOPOLOGY_REPORT, site.address, "[1.1.1:S211]")
+    leaf_report = Frame(MsgType.TOPOLOGY_REPORT, A("1.1.1"), site.address, "[1.1.1:S211]")
     root.on_frame(report, 11)
     site.on_frame(leaf_report, 11)
     assert [[rec.op for rec in cs] for cs in root.drain_changesets()] == [["assemble"]]
@@ -394,7 +398,7 @@ def test_periodic_heartbeats_and_report_cadence():
     kinds = sorted(f.msg_type.name for f in frames)
     assert kinds == ["DEVICE_STATE_PKG", "NETWORK_TEST", "TOPOLOGY_REPORT"]
     assert node.on_tick(3) == []
-    assert node.on_tick(5) == [Beat(MsgType.NETWORK_TEST, node.address, A("1.0.0"))]
+    assert node.on_tick(5) == [Frame(MsgType.NETWORK_TEST, node.address, A("1.0.0"))]
 
 
 # -- wake ticks ----------------------------------------------------------------------
@@ -404,8 +408,8 @@ def test_smn_next_wake_is_the_earliest_child_deadline_or_own_send():
     assert make_smn(addr="1.0.0", parent=None).next_wake(0) == NEVER
     root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
     assert root.next_wake(0) == 20  # the child's state package deadline
-    b = child_builder("1.1.0")
-    root.on_frame(b.build(MsgType.DEVICE_STATE_PKG, root.address, "normal"), 12)
+    src = A("1.1.0")
+    root.on_frame(Frame(MsgType.DEVICE_STATE_PKG, src, root.address, "normal"), 12)
     assert root.next_wake(12) == 30  # now its network test deadline
     # below the root: the next network test (5), state package (8) or report (13)
     site = make_smn(settings=PipelineSettings(report_interval=13))
@@ -419,7 +423,7 @@ def test_smn_on_tick_acts_exactly_at_next_wake():
         children=[("1.1.1", DeviceKind.FIREWALL), ("1.1.2", DeviceKind.SMN)],
         settings=PipelineSettings(report_interval=13),
     )
-    b = child_builder("1.1.1")
+    src = A("1.1.1")
 
     def state():
         return [(c.status, c.net_deadline, c.pkg_deadline) for c in node.children.values()]
@@ -428,9 +432,9 @@ def test_smn_on_tick_acts_exactly_at_next_wake():
     for t in range(150):
         heard = t < 60  # 1.1.1 sends its heartbeats until tick 60
         if heard and t % 5 == 1:
-            node.on_frame(b.build(MsgType.NETWORK_TEST, node.address), t)
+            node.on_frame(Frame(MsgType.NETWORK_TEST, src, node.address), t)
         if heard and t % 8 == 1:
-            node.on_frame(b.build(MsgType.DEVICE_STATE_PKG, node.address, "normal"), t)
+            node.on_frame(Frame(MsgType.DEVICE_STATE_PKG, src, node.address, "normal"), t)
         node.drain_lines()
         before = state()
         frames = node.on_tick(t)
@@ -445,9 +449,9 @@ def test_smn_on_tick_acts_exactly_at_next_wake():
 
 def test_dispatch_command_routes_and_acks():
     root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
-    cmd_id, frames = root.dispatch_command(A("1.1.1"), "policy", "tighten", 40)
+    cmd_id, frames = root.dispatch_command(A("1.1.1"), "policy", 40)
     assert cmd_id == "1.0.0!1"
-    assert len(frames) == 1 and frames[0].dst == A("1.1.1")
+    assert frames == [Frame(MsgType.COMMAND, root.address, A("1.1.1"), Order("policy", cmd_id))]
     assert list(root.pending_commands) == [cmd_id]
 
     agent = DeviceAgent(
@@ -473,9 +477,9 @@ def test_dispatch_command_routes_and_acks():
 def test_unacked_commands_are_logged_in_issue_order():
     root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
     for t in (3, 4, 5):
-        root.dispatch_command(A("1.1.1"), "policy", "", t)
+        root.dispatch_command(A("1.1.1"), "policy", t)
     root.drain_lines()
-    ack = FrameBuilder(A("1.1.1")).build(MsgType.COMMAND_ACK, root.address, "1.0.0!2")
+    ack = Frame(MsgType.COMMAND_ACK, A("1.1.1"), root.address, "1.0.0!2")
     root.on_frame(ack, 9)
     root.drain_lines()
     root.log_unacked(99)
@@ -490,8 +494,8 @@ def test_vulnerability_command_traverses_s24():
         hb=HB,
         settings=PipelineSettings(command_delay=1),
     )
-    b = FrameBuilder(A("1.0.0"))
-    agent.on_frame(b.build(MsgType.COMMAND, A("1.1.1"), "vulnerability c!1\nscan"), 11)
+    src = A("1.0.0")
+    agent.on_frame(Frame(MsgType.COMMAND, src, A("1.1.1"), Order("vulnerability", "c!1")), 11)
     assert agent.status.state is DeviceState.HANDLING_VULN
     agent.step(12)
     assert agent.status.state is DeviceState.RUNNING_OK
@@ -502,16 +506,105 @@ def test_vulnerability_command_traverses_s24():
 def test_dispatch_outside_subtree_rejected():
     node = make_smn(addr="1.1.0", parent="1.0.0")
     with pytest.raises(TargetNotInSubtree):
-        node.dispatch_command(A("1.2.1"), "policy", "x", 10)
+        node.dispatch_command(A("1.2.1"), "policy", 10)
 
 
 def test_smn_handles_command_itself():
     node = make_smn(addr="1.1.0", parent="1.0.0")
-    b = FrameBuilder(A("1.0.0"))
-    out = node.on_frame(b.build(MsgType.COMMAND, A("1.1.0"), "policy c!9\nbody"), 11)
+    src = A("1.0.0")
+    out = node.on_frame(Frame(MsgType.COMMAND, src, A("1.1.0"), Order("policy", "c!9")), 11)
     assert [f.msg_type for f in out] == [MsgType.COMMAND_ACK]
     joined = " ".join(node.lines)
     assert "T9 S211->S23" in joined and "T10 S23->S211" in joined
+
+
+# -- emergency response coordination -------------------------------------------------
+
+COORD = MsgType.RESPONSE_COORD
+
+
+def _three_smns():
+    """Root 1.0.0 over the sites 1.1.0 and 1.2.0, with a case launched at
+    1.1.0, its owner; no line left logged."""
+    root = make_smn(
+        addr="1.0.0", parent=None,
+        children=[("1.1.0", DeviceKind.SMN), ("1.2.0", DeviceKind.SMN)],
+    )
+    owner, peer = make_smn(addr="1.1.0"), make_smn(addr="1.2.0")
+    record = SessionRecord(
+        "1.1.0#1", "10.0.0.99:4444", "10.0.1.5:80", 20, 60,
+        ("1.1.2-1",), ("exploit.attempt",), (4,),
+    )
+    case_id = owner.respond_launch(90, trigger=record).case_id
+    owner.drain_lines()
+    return root, owner, peer, case_id
+
+
+def _escalated():
+    """``_three_smns`` with the case escalated to the root."""
+    root, owner, peer, case_id = _three_smns()
+    root.on_frame(owner.respond_escalate(case_id, 95)[0], 96)
+    root.drain_lines()
+    owner.drain_lines()
+    return root, owner, peer, case_id
+
+
+def test_an_escalation_makes_the_parent_coordinate():
+    root, owner, _, case_id = _three_smns()
+    out = owner.respond_escalate(case_id, 95)
+    assert out == [Frame(COORD, owner.address, root.address, Escalate(case_id))]
+    assert owner.drain_lines() == [f"CASE {case_id} 95 1.1.0 escalate"]
+    assert root.on_frame(out[0], 96) == []
+    assert root.drain_lines() == [f"NODE 1.0.0 96 COORD {case_id}"]
+    assert root.coordinated == {case_id: owner.address}
+
+
+def test_enlisting_advises_each_target_and_tells_the_owner():
+    root, owner, _, case_id = _escalated()
+    targets = [A("1.2.0"), A("1.2.1")]
+    out = root.respond_enlist(case_id, targets, 100)
+    assert out == [
+        Frame(COORD, root.address, A("1.2.0"), Advisory(case_id, owner.address)),
+        Frame(COORD, root.address, A("1.2.1"), Advisory(case_id, owner.address)),
+        Frame(COORD, root.address, owner.address, Enlisted(case_id, tuple(targets))),
+    ]
+    assert root.drain_lines() == [f"NODE 1.0.0 100 ENLIST {case_id} 1.2.0,1.2.1"]
+    assert owner.on_frame(out[-1], 101) == []
+    assert owner.drain_lines() == [
+        f"CASE {case_id} 101 1.0.0 enlist:1.2.0",
+        f"CASE {case_id} 101 1.0.0 enlist:1.2.1",
+    ]
+    assert owner.cases[case_id].participants == set(targets)
+
+
+def test_an_advisory_is_confirmed_to_the_owner():
+    root, owner, peer, case_id = _escalated()
+    advisory, _ = root.respond_enlist(case_id, [peer.address], 100)
+    out = peer.on_frame(advisory, 101)
+    assert out == [Frame(COORD, peer.address, owner.address, Confirm(case_id))]
+    assert peer.drain_lines() == [f"NODE 1.2.0 101 ADVISORY {case_id}"]
+
+
+def test_a_confirmation_is_a_case_line_at_the_owner():
+    root, owner, peer, case_id = _escalated()
+    advisory, enlisted = root.respond_enlist(case_id, [peer.address], 100)
+    owner.on_frame(enlisted, 101)
+    confirm = peer.on_frame(advisory, 101)[0]
+    owner.drain_lines()
+    assert owner.on_frame(confirm, 102) == []
+    assert owner.drain_lines() == [f"CASE {case_id} 102 1.2.0 confirm"]
+    assert owner.cases[case_id].confirmed == {peer.address}
+
+
+def test_the_coordinator_advances_the_owners_case():
+    root, owner, peer, case_id = _escalated()
+    out = root.respond_advance(case_id, 105)
+    assert out == [Frame(COORD, root.address, owner.address, Advance(case_id))]
+    assert owner.on_frame(out[0], 106) == []
+    assert owner.drain_lines() == [f"CASE {case_id} 106 1.0.0 advance:Containment"]
+    # from a node that neither owns nor coordinates the case, it is rejected
+    owner.on_frame(Frame(COORD, peer.address, owner.address, Advance(case_id)), 107)
+    assert owner.drain_lines() == [f"CASE {case_id} 107 1.2.0 advance-rejected"]
 
 
 # -- device agent behavior -----------------------------------------------------------
@@ -554,15 +647,14 @@ def test_agent_aggregates_portscan_burst():
 
 
 def test_agent_idle_tick_heartbeats_only():
-    """Heartbeats leave as beats: no frame, so no sequence number, is built
-    for them."""
+    """Heartbeats leave unnumbered (``seq`` 0): only the harness numbers a
+    frame, as it sends it."""
     agent = make_agent()
     assert agent.step(40) == [
-        Beat(MsgType.NETWORK_TEST, agent.address, A("1.1.0")),
-        Beat(MsgType.DEVICE_STATE_PKG, agent.address, A("1.1.0"), "normal"),
+        Frame(MsgType.NETWORK_TEST, agent.address, A("1.1.0"), seq=0),
+        Frame(MsgType.DEVICE_STATE_PKG, agent.address, A("1.1.0"), "normal", seq=0),
     ]
     assert agent.step(41) == []
-    assert agent.builder.build(MsgType.NETWORK_TEST, A("1.1.0")).seq == 1
 
 
 def test_agent_window_holds_current_tick_events():
@@ -604,11 +696,11 @@ def test_agent_next_wake_covers_heartbeats_window_and_acks():
     agent.hb = HeartbeatConfig(network_test_interval=7, state_pkg_interval=9)
     assert agent.next_wake(11) == 14  # next network test
     assert agent.next_wake(18) == 20  # the window flush comes first
-    b = FrameBuilder(A("1.0.0"))
-    agent.on_frame(b.build(MsgType.COMMAND, A("1.1.1"), "policy c!1\nbody"), 18)
+    src = A("1.0.0")
+    agent.on_frame(Frame(MsgType.COMMAND, src, A("1.1.1"), Order("policy", "c!1")), 18)
     assert agent.next_wake(18) == 20
     agent.settings.command_delay = 1
-    agent.on_frame(b.build(MsgType.COMMAND, A("1.1.1"), "policy c!2\nbody"), 18)
+    agent.on_frame(Frame(MsgType.COMMAND, src, A("1.1.1"), Order("policy", "c!2")), 18)
     assert agent.next_wake(18) == 19
     agent.silence(19, 30)
     agent.drain_lines()

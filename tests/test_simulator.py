@@ -62,6 +62,22 @@ def test_generated_load_matches_reference_loop():
     assert files == {name: (GEN0 / "attack" / name).read_text() for name in REPORT_FILES}
 
 
+def test_an_alert_open_at_a_site_smn_reaches_the_sessions_report():
+    """A site device's connect is never closed by a disconnect: the alert it
+    opens at the site SMN is still open when the run ends, and is listed in
+    ``sessions.txt``, not dropped."""
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    text = (
+        "drain = 40\n"
+        "at 20 emit 1.1.1 class=fw.connect src=10.0.0.99:4444 dst=10.0.1.5:80 sev=1\n"
+        "at 30 emit 1.1.2 class=sig.2001 src=10.0.0.99:4444 dst=10.0.1.5:80 sev=4\n"
+    )
+    report = Simulation(topology, parse_scenario(text)).run()
+    assert report.files()["sessions.txt"] == (
+        "SESSION 1.1.0#1 10.0.0.99:4444 10.0.1.5:80 20 open 1 [1.1.2-1]\n"
+    )
+
+
 def test_emitted_source_reaches_the_report_as_written():
     """Events stay objects from device to report, so a source with a quote in
     it is not cut at the quote, as the event line's attribute syntax cuts it."""
@@ -224,16 +240,16 @@ def test_an_idle_run_sends_only_the_tick_0_heartbeats():
 
 
 def test_every_frame_built_goes_on_the_network(monkeypatch):
-    """A heartbeat becomes a frame only to travel: on the generated tree
-    left idle, every frame a ``FrameBuilder`` builds is handed to the
-    network."""
+    """A frame is numbered only as it goes on the network, so the frames each
+    sender sends of one type carry 1..n. On the generated tree left idle, and
+    on the demo tree with a silenced management node, whose frames the
+    harness drops unnumbered."""
     built, sent = [], []
     build, send = FrameBuilder.build, SimNetwork.send
 
-    def spy_build(builder, *args, **kwargs):
-        frame = build(builder, *args, **kwargs)
+    def spy_build(builder, frame):
+        build(builder, frame)
         built.append(frame)
-        return frame
 
     def spy_send(network, frame):
         sent.append(frame)
@@ -241,10 +257,20 @@ def test_every_frame_built_goes_on_the_network(monkeypatch):
 
     monkeypatch.setattr(FrameBuilder, "build", spy_build)
     monkeypatch.setattr(SimNetwork, "send", spy_send)
-    topology = load_topology(str(GEN0 / "topology.cfg"))
-    Simulation(topology, parse_scenario("drain = 100\n")).run()
-    assert sent and len(built) == len(sent)
-    assert {id(frame) for frame in built} == {id(frame) for frame in sent}
+    runs = [
+        (GEN0 / "topology.cfg", "drain = 100\n"),
+        (DEMO / "topology.cfg", "drain = 200\nat 40 silence 1.1.0 until 120\n"),
+    ]
+    for path, text in runs:
+        built.clear()
+        sent.clear()
+        Simulation(load_topology(str(path)), parse_scenario(text)).run()
+        assert sent and len(built) == len(sent)
+        assert {id(frame) for frame in built} == {id(frame) for frame in sent}
+        seqs = {}
+        for frame in sent:
+            seqs.setdefault((frame.src, frame.msg_type), []).append(frame.seq)
+        assert all(got == list(range(1, len(got) + 1)) for got in seqs.values()), path
 
 
 def test_a_heartbeat_crossing_a_loss_window_reaches_the_network():
