@@ -24,8 +24,10 @@ from .config import ConfigError, TopologyConfig, load_scenario, load_topology
 from .device_model import DeviceState, DeviceStatus, TransferCondition, step
 from .device_tree import TreeError, build_tree
 from .emergency_response import ResponseError
-from .event_pipeline import EventLineError, parse_event_line
-from .simulator import InvariantViolation, Simulation, run_correlate
+from .event_pipeline import AssetDb, EventLineError, parse_event_line, validate
+from .node_runtime import PipelineSettings
+from .session_correlation import CorrelationConfig, CorrelationEngine, format_session_line
+from .simulator import InvariantViolation, Simulation
 
 
 class UsageError(Exception):
@@ -106,19 +108,33 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
+    """Validate and correlate the event lines in file order on one engine,
+    swept to each event's time before it; print the sessions that ended, in
+    that order, then those still open."""
     if args.config:
         topology = _load_topology(args.config)
         shape, settings, assets = topology.shape, topology.pipeline, topology.assets
     else:
         shape = _shape(args.depth, args.degree)
-        settings = assets = None
+        settings, assets = PipelineSettings(), AssetDb()
     events = []
     with open(args.events, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
                 events.append(parse_event_line(line, shape))
-    for line in run_correlate(events, settings, assets):
+    engine = CorrelationEngine(
+        "cli", CorrelationConfig(grace=settings.grace, connect_ttl=settings.connect_ttl)
+    )
+    for ev in events:
+        now = ev.create_time
+        engine.sweep(now)
+        kept = validate([ev], assets, settings.validation_threshold)
+        if kept:
+            for action in engine.on_event(kept[0][0], now):
+                if action.kind == "ending":
+                    print(format_session_line(action.record))
+    for line in engine.open_session_lines():
         print(line)
     return 0
 

@@ -373,14 +373,13 @@ class Command(Directive):
 
 @dataclass(slots=True)
 class Respond(Directive):
-    """``respond <action> <handle> [owner=N] [targets=N,...] [actor=N] [note=T]``"""
+    """``respond <action> <handle> [owner=N] [targets=N,...] [actor=N]``"""
 
     action: str
     handle: str
     owner: str = ""
     targets: tuple[str, ...] = ()
     actor: str = ""
-    note: str = ""
 
 
 @dataclass(slots=True)
@@ -409,7 +408,7 @@ _RESPOND_FIELDS = {
     "launch": ("owner",),
     "escalate": (),
     "enlist": ("targets",),
-    "advance": ("actor", "note"),
+    "advance": ("actor",),
 }
 
 

@@ -138,18 +138,6 @@ def serialize_node(node: DeviceNodeRecord) -> str:
     return text
 
 
-def structurally_equal(a: DeviceNodeRecord, b: DeviceNodeRecord) -> bool:
-    """Equality over addresses, states and child order; kind is not carried
-    by the embedding text."""
-    if a.address != b.address or a.state != b.state:
-        return False
-    if len(a.children) != len(b.children):
-        return False
-    return all(
-        structurally_equal(x, y) for x, y in zip(a.children.values(), b.children.values())
-    )
-
-
 def _parse_node(
     text: str, pos: int, shape: TreeShape, parent: NodeAddress | None = None
 ) -> tuple[DeviceNodeRecord, int]:

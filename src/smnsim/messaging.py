@@ -25,6 +25,7 @@ changes no report without a dead letter.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -123,6 +124,8 @@ class Frame:
     seq: int = 0
 
     def text(self) -> Payload:
+        """The payload. Only ``perfbench/tracer.py`` still calls this; the
+        program reads ``payload``."""
         return self.payload
 
 
@@ -145,44 +148,22 @@ class FrameBuilder:
 # Routing
 
 
-class LinkTable:
-    """Tree links: every node knows its parent; a node's children are the
-    declared nodes whose parent it is."""
-
-    def __init__(self, parents: dict[NodeAddress, NodeAddress | None]) -> None:
-        self.parents = parents
-
-    @classmethod
-    def from_addresses(cls, addresses: list[NodeAddress]) -> "LinkTable":
-        """The links of ``addresses``; every parent must be declared too."""
-        parents = {addr: addr.parent() for addr in addresses}
-        for addr, parent in parents.items():
-            if parent is not None and parent not in parents:
-                raise ValueError(f"{addr} declared without its parent {parent}")
-        return cls(parents)
-
-    def __contains__(self, addr: NodeAddress) -> bool:
-        return addr in self.parents
-
-    def __iter__(self):
-        return iter(self.parents)
-
-
 def next_hop(
-    current: NodeAddress, dst: NodeAddress, links: LinkTable
+    current: NodeAddress, dst: NodeAddress, parents: dict[NodeAddress, NodeAddress | None]
 ) -> NodeAddress | None:
-    """The neighbor to forward through, or None when already at ``dst``."""
-    if current not in links:
+    """The neighbor to forward through, or None when already at ``dst``.
+    ``parents`` holds the parent of every node of the tree."""
+    if current not in parents:
         raise Unroutable(f"{current} has no link entry")
     if current == dst:
         return None
     if current.is_ancestor(dst):
         # the child's parent is ``current`` by construction
         child = current.child(dst.segments[current.level])
-        if child not in links.parents:
+        if child not in parents:
             raise Unroutable(f"{dst} not reachable below {current}")
         return child
-    parent = links.parents[current]
+    parent = parents[current]
     if parent is None:
         raise Unroutable(f"{dst} not in tree below root {current}")
     return parent
@@ -232,13 +213,17 @@ class SimNetwork:
     harness that steps once per tick reads it as the tick.
     """
 
-    def __init__(self, links: LinkTable, loss_hook=None) -> None:
-        self.links = links
+    def __init__(self, addresses: Iterable[NodeAddress], loss_hook=None) -> None:
+        #: the tree links: every node's parent; every parent must be a node
+        self.parents = {addr: addr.parent() for addr in addresses}
+        for addr, parent in self.parents.items():
+            if parent is not None and parent not in self.parents:
+                raise ValueError(f"{addr} declared without its parent {parent}")
         self.loss_hook = loss_hook
         #: every node in address order; a node's index here is its slot
-        self.order = sorted(links, key=lambda a: a.segments)
+        self.order = sorted(self.parents, key=lambda a: a.segments)
         self.slots = {addr: slot for slot, addr in enumerate(self.order)}
-        self.mailboxes: dict[NodeAddress, Mailbox] = {a: Mailbox() for a in links}
+        self.mailboxes: dict[NodeAddress, Mailbox] = {a: Mailbox() for a in self.parents}
         #: slots whose mailbox a step filled; the reader empties the set
         self.arrived: set[int] = set()
         self.transit: list[tuple[NodeAddress, Frame]] = []
@@ -252,7 +237,7 @@ class SimNetwork:
 
     def step(self) -> None:
         moving, self.transit = self.transit, []
-        parents, lossy, now = self.links.parents, self.loss_hook, self.now
+        parents, lossy, now = self.parents, self.loss_hook, self.now
         for at, frame in moving:
             dst = frame.dst
             if dst is parents.get(at):
@@ -260,7 +245,7 @@ class SimNetwork:
                 hop = dst
             else:
                 try:
-                    hop = next_hop(at, dst, self.links)
+                    hop = next_hop(at, dst, parents)
                 except Unroutable as exc:
                     self.dead_letters.append(DeadLetter(frame, str(exc)))
                     continue

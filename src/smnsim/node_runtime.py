@@ -12,7 +12,10 @@ commands.
 Neither kind of node needs its clock run on every tick. ``next_wake`` names
 the first tick at which a node's clock (``SmnNode.on_tick``,
 ``DeviceAgent.step``) can act when no frame arrives, so a harness runs a node
-then, or when a frame arrives for it, and lets it sleep in between.
+then, or when a frame arrives for it, and lets it sleep in between. The
+correlation engine's grace periods and connect expiry set no wake: the
+engine sweeps itself when the next event reaches it (see
+``session_correlation``).
 
 Both kinds of node return their outbound frames unnumbered; the harness
 numbers each one as it goes on the network (see ``messaging``). A
@@ -356,7 +359,7 @@ class SmnNode(_Node):
         if mt is MsgType.COMMAND:
             return self._on_command(frame, now)
         if mt is MsgType.COMMAND_ACK:
-            cmd_id = frame.text()
+            cmd_id = frame.payload
             if cmd_id in self.pending_commands:
                 del self.pending_commands[cmd_id]
                 self._log(now, "ACK", f"{cmd_id} {frame.src}")
@@ -413,7 +416,7 @@ class SmnNode(_Node):
 
     def _on_topology_report(self, child: ChildRecord, frame: Frame, now: int) -> list[Frame]:
         try:
-            changes = self.virtual_view.assemble(frame.text())
+            changes = self.virtual_view.assemble(frame.payload)
         except (TreeError, AddressError) as exc:
             self._log(now, "BADREPORT", f"{frame.src} {exc}")
             return []
@@ -422,7 +425,7 @@ class SmnNode(_Node):
         return self._emit_report(now)
 
     def _on_session_alert(self, frame: Frame) -> list[Frame]:
-        line = frame.text()
+        line = frame.payload
         self.session_lines.append(line)
         if self.parent is None:
             return []
@@ -565,16 +568,13 @@ class SmnNode(_Node):
                 out.append(Frame(MsgType.DEVICE_STATE_PKG, self.address, self.parent, "normal"))
             if now % self.settings.report_interval == 0:
                 out.extend(self._emit_report(now))
-        self.engine.sweep(now)
         return out
 
     def next_wake(self, now: int) -> int:
         """The first tick after ``now`` at which ``on_tick`` can act, given no
         new frame: the earliest child deadline and, below the root, the next
         network test, state package or topology report; ``NEVER`` for a root
-        without children. The correlation sweep sets no wake: it only removes
-        what the next ``on_event`` must not see, so a harness that lets the
-        node sleep sweeps to ``now - 1`` before handing it the next frame."""
+        without children."""
         wake = NEVER
         for child in self.children.values():
             wake = min(wake, child.pkg_deadline, child.net_deadline)

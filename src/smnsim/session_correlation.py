@@ -13,6 +13,18 @@ of three endpoint clauses holds: it travels the session's source-to-target
 direction, it originates at the session's target, or it originates at the
 target of some event already queued (lateral movement). Matching is by IP;
 ports are recorded but do not discriminate.
+
+The engine keeps its own clock. ``sweep(now)`` removes the destroy-pending
+alerts whose deadline has come and the connects older than ``connect_ttl``,
+and the engine remembers the latest tick it swept to. ``on_event(ev, now)``
+first sweeps to ``now - 1``, unless the engine was swept that far already,
+so a caller need not sweep; one that sweeps to ``now`` before each event, as
+``smnsim correlate`` does, makes that inner sweep a no-op. A sweep only
+removes, and only by the latest tick it is given, so an engine that sees no
+event for many ticks and is then swept once holds what sweeping it on every
+one of them would have left. Until its next event it keeps its ended alerts
+and stale connects, which no report reads: the report lists open alerts
+only.
 """
 
 from __future__ import annotations
@@ -128,6 +140,8 @@ class CorrelationEngine:
         self.config = config or CorrelationConfig()
         self.store = SessionStore()
         self.conn_queue = ConnectionQueue()
+        #: the latest tick swept to; ticks start at 0
+        self.swept = -1
         # accounting: every non-marker event lands in exactly one bucket
         self.joined_events = 0
         self.independent_events = 0
@@ -185,6 +199,8 @@ class CorrelationEngine:
     # -- algorithm --------------------------------------------------------
 
     def on_event(self, ev: NormalizedEvent, now: int) -> list[EmitAction]:
+        if now - 1 > self.swept:
+            self.sweep(now - 1)
         if ev.connection_marker is ConnectionMarker.CONNECT:
             self.conn_queue.entries.append(ev)
             return []
@@ -256,6 +272,7 @@ class CorrelationEngine:
     def sweep(self, now: int) -> list[SessionAlert]:
         """Remove and return pending alerts past their deadline; expire
         stale connects."""
+        self.swept = max(self.swept, now)
         done = [
             a
             for a in self.store.alerts

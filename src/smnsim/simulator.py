@@ -6,13 +6,12 @@ and act, in address order: each node a frame arrived for, each node whose
 own timers fall due, as kept on a timing wheel from ``next_wake``
 (``SmnNode.next_wake``, ``DeviceAgent.next_wake``), and each management
 node a ``command`` or ``respond`` directive logged on. A node skipped on a
-tick has nothing to do on it, management nodes included: before a
-management node takes its first frame of a visit its correlation engine is
-swept to the tick before, unless the node ran on that tick and swept there
-already, which leaves the store the next event meets as sweeping every tick
-would. The harness then injects the collected outbound frames, replays the
-root's change sets onto the console mirror, and advances the network one
-hop. Identical inputs and seed give byte-identical reports.
+tick has nothing to do on it, management nodes included: the harness does
+not drive correlation, since a correlation engine sweeps itself when an
+event reaches it (see ``session_correlation``). The harness then injects
+the collected outbound frames, replays the root's change sets onto the
+console mirror, and advances the network one hop. Identical inputs and
+seed give byte-identical reports.
 
 Nodes return their frames unnumbered, and ``_send``, which hands them to
 the network, numbers each one there with the sender's ``FrameBuilder``
@@ -58,10 +57,9 @@ from .config import (
 from .device_model import DeviceKind
 from .device_tree import AddressedDeviceTree, build_tree
 from .emergency_response import CounterplanStore, ResponseError
-from .event_pipeline import AssetDb, NormalizedEvent, RawDeviceEvent, validate
-from .messaging import Frame, FrameBuilder, LinkTable, MsgType, SimNetwork
-from .node_runtime import DeviceAgent, PipelineSettings, SmnNode
-from .session_correlation import CorrelationConfig, CorrelationEngine, format_session_line
+from .event_pipeline import RawDeviceEvent
+from .messaging import Frame, FrameBuilder, MsgType, SimNetwork
+from .node_runtime import DeviceAgent, SmnNode
 
 
 class InvariantViolation(Exception):
@@ -147,8 +145,6 @@ class Simulation:
         if topology.counterplan_dir:
             counterplans = CounterplanStore.load_dir(topology.counterplan_dir)
 
-        self.links = LinkTable.from_addresses(list(topology.nodes))
-        parents = self.links.parents
         self.smns: dict[NodeAddress, SmnNode] = {}
         self.agents: dict[NodeAddress, DeviceAgent] = {}
         for addr, decl in topology.nodes.items():
@@ -156,7 +152,7 @@ class Simulation:
                 self.smns[addr] = SmnNode(
                     address=addr,
                     shape=self.shape,
-                    parent=parents[addr],
+                    parent=addr.parent(),
                     settings=topology.pipeline,
                     hb=decl.hb,
                     assets=topology.assets,
@@ -166,19 +162,19 @@ class Simulation:
                 self.agents[addr] = DeviceAgent(
                     address=addr,
                     kind=decl.kind,
-                    parent=parents[addr],
+                    parent=addr.parent(),
                     hb=decl.hb,
                     settings=topology.pipeline,
                     filter_rules=topology.filter_rules,
                     mapping=topology.mapping,
                 )
         for addr, decl in topology.nodes.items():
-            parent = parents[addr]
+            parent = addr.parent()
             if parent is not None:
                 self.smns[parent].add_child(addr, decl.kind, decl.hb)
 
         self.network = SimNetwork(
-            self.links,
+            topology.nodes,
             loss_hook=_windowed_loss(self.loss_windows, random.Random(scenario.seed)),
         )
         self.order = self.network.order
@@ -191,8 +187,6 @@ class Simulation:
         # the tick it is filed under. Every node acts at tick 0.
         self._wake = [0] * len(self.order)
         self._wheel: dict[int, set[int]] = {0: set(range(len(self.order)))}
-        #: per slot, the last tick the node ran at
-        self._last_run = [-1] * len(self.order)
         self.root = self.smns[topology.root]
         self.mirror = AddressedDeviceTree(
             shape=self.shape,
@@ -357,16 +351,12 @@ class Simulation:
         smn = slot in self._smn_slots
         out: list[Frame] = []
         if addressed:
-            if smn and self._last_run[slot] != tick - 1:
-                # a run at tick - 1 ended in a sweep to tick - 1 already
-                node.engine.sweep(tick - 1)
             addr = self.order[slot]
             frame = self.network.poll(addr)
             while frame is not None:
                 out.extend(node.on_frame(frame, tick))
                 frame = self.network.poll(addr)
         ticked = node.on_tick(tick) if smn else node.step(tick)
-        self._last_run[slot] = tick
         self._schedule(slot, node.next_wake(tick))
         if smn and node.silenced(tick):
             return []
@@ -476,27 +466,3 @@ class Simulation:
             dead_letters=[dl.line() for dl in self.network.dead_letters],
         )
 
-
-def run_correlate(
-    events: list[NormalizedEvent],
-    settings: PipelineSettings | None = None,
-    assets=None,
-) -> list[str]:
-    """Standalone pipeline + correlation over an event list; returns the
-    session lines (ended alerts in emission order, then still-open ones)."""
-    settings = settings or PipelineSettings()
-    assets = assets or AssetDb()
-    engine = CorrelationEngine(
-        "cli", CorrelationConfig(grace=settings.grace, connect_ttl=settings.connect_ttl)
-    )
-    lines: list[str] = []
-    for ev in events:
-        now = ev.create_time
-        engine.sweep(now)
-        kept = validate([ev], assets, settings.validation_threshold)
-        if not kept:
-            continue
-        for action in engine.on_event(kept[0][0], now):
-            if action.kind == "ending":
-                lines.append(format_session_line(action.record))
-    return lines + engine.open_session_lines()

@@ -2,7 +2,9 @@
 
 ``ReferenceSimulation.run`` is the loop ``Simulation.run`` replaced: on
 every tick every node polls its mailbox and acts, whether or not it is due
-or addressed, and every frame travels: each is numbered and sent, and
+or addressed, every management node's correlation engine is swept to the
+tick after its clock runs (an engine sweeps itself only when an event
+reaches it), and every frame travels: each is numbered and sent, and
 ``SmnNode.heard`` is never called. Both loops must leave byte-identical
 reports.
 
@@ -30,6 +32,7 @@ class ReferenceSimulation(Simulation):
         if addr in self.smns:
             smn = self.smns[addr]
             ticked = smn.on_tick(tick)
+            smn.engine.sweep(tick)
             if smn.silenced(tick):
                 return []
             out.extend(ticked)

@@ -6,7 +6,6 @@ from smnsim.addressing import NodeAddress, TreeShape
 from smnsim.messaging import (
     Frame,
     FrameBuilder,
-    LinkTable,
     Mailbox,
     MsgType,
     SimNetwork,
@@ -34,7 +33,7 @@ def test_builder_sequences_per_type():
     for f in (f1, f2, f3):
         b.build(f)
     assert (f1.seq, f2.seq, f3.seq) == (1, 2, 1)
-    assert (f1.text(), f3.text()) == ("", "x")
+    assert (f1.payload, f3.payload) == ("", "x")
     assert f3 == Frame(MsgType.DEVICE_EVENT, src, dst, "x", 1)
 
 
@@ -42,51 +41,52 @@ def test_builder_sequences_per_type():
 
 
 TREE = ["1.0.0.0", "1.1.0.0", "1.2.0.0", "1.1.1.0", "1.1.2.0", "1.2.2.0", "1.2.2.1"]
+NODES = [A(t) for t in TREE]
 
 
 @pytest.fixture
-def links():
-    return LinkTable.from_addresses([A(t) for t in TREE])
+def parents():
+    return SimNetwork(NODES).parents
 
 
-def test_link_table_entries(links):
-    assert links.parents == {A(t): A(t).parent() for t in TREE}
-    assert links.parents[A("1.0.0.0")] is None
-    assert A("1.2.2.1") in links and A("1.3.0.0") not in links
+def test_network_parents(parents):
+    assert parents == {a: a.parent() for a in NODES}
+    assert parents[A("1.0.0.0")] is None
+    assert A("1.2.2.1") in parents and A("1.3.0.0") not in parents
     with pytest.raises(ValueError, match="1.2.2.1 declared without its parent 1.2.2.0"):
-        LinkTable.from_addresses([A(t) for t in TREE if t != "1.2.2.0"])
+        SimNetwork([a for a in NODES if a != A("1.2.2.0")])
 
 
-def test_next_hop_climbs_toward_common_ancestor(links):
-    assert next_hop(A("1.1.1.0"), A("1.2.0.0"), links) == A("1.1.0.0")
+def test_next_hop_climbs_toward_common_ancestor(parents):
+    assert next_hop(A("1.1.1.0"), A("1.2.0.0"), parents) == A("1.1.0.0")
 
 
-def test_next_hop_descends_into_subtree(links):
-    assert next_hop(A("1.0.0.0"), A("1.2.2.1"), links) == A("1.2.0.0")
+def test_next_hop_descends_into_subtree(parents):
+    assert next_hop(A("1.0.0.0"), A("1.2.2.1"), parents) == A("1.2.0.0")
 
 
-def test_next_hop_deliver(links):
-    assert next_hop(A("1.1.1.0"), A("1.1.1.0"), links) is None
+def test_next_hop_deliver(parents):
+    assert next_hop(A("1.1.1.0"), A("1.1.1.0"), parents) is None
 
 
-def test_next_hop_unroutable_outside_tree(links):
+def test_next_hop_unroutable_outside_tree(parents):
     with pytest.raises(Unroutable):
-        next_hop(A("1.0.0.0"), A("1.3.0.0"), links)
+        next_hop(A("1.0.0.0"), A("1.3.0.0"), parents)
     # below a declared node, toward an undeclared child
     with pytest.raises(Unroutable, match="1.1.3.0 not reachable below 1.1.0.0"):
-        next_hop(A("1.1.0.0"), A("1.1.3.0"), links)
+        next_hop(A("1.1.0.0"), A("1.1.3.0"), parents)
 
 
-def route(links, src, dst):
+def route(parents, src, dst):
     path = [src]
     while True:
-        hop = next_hop(path[-1], dst, links)
+        hop = next_hop(path[-1], dst, parents)
         if hop is None:
             return path
         path.append(hop)
 
 
-def test_route_matches_ancestor_chain_oracle(links):
+def test_route_matches_ancestor_chain_oracle(parents):
     # Oracle: climb from src to the common ancestor, then walk the reversed
     # climb from dst.
     rng = random.Random(7)
@@ -101,7 +101,7 @@ def test_route_matches_ancestor_chain_oracle(links):
         while down[-1] != ca:
             down.append(down[-1].parent())
         expected = up + list(reversed(down))[1:]
-        assert route(links, src, dst) == expected
+        assert route(parents, src, dst) == expected
         assert len(expected) - 1 <= 2 * SHAPE.depth
 
 
@@ -122,8 +122,8 @@ def test_mailbox_priority_then_fifo():
     assert box.pop() is None
 
 
-def test_network_direct_link_delivers_next_step(links):
-    net = SimNetwork(links)
+def test_network_direct_link_delivers_next_step():
+    net = SimNetwork(NODES)
     f = frame(src="1.1.1.0", dst="1.1.0.0")
     net.send(f)
     assert net.poll(A("1.1.0.0")) is None
@@ -133,8 +133,8 @@ def test_network_direct_link_delivers_next_step(links):
     assert net.poll(A("1.1.0.0")) == f
 
 
-def test_network_frame_to_self_arrives_next_step(links):
-    net = SimNetwork(links)
+def test_network_frame_to_self_arrives_next_step():
+    net = SimNetwork(NODES)
     f = frame(src="1.2.2.1", dst="1.2.2.1")
     net.send(f)
     net.step()
@@ -142,8 +142,8 @@ def test_network_frame_to_self_arrives_next_step(links):
     assert net.poll(A("1.2.2.1")) == f
 
 
-def test_network_multi_hop(links):
-    net = SimNetwork(links)
+def test_network_multi_hop():
+    net = SimNetwork(NODES)
     f = frame(src="1.1.1.0", dst="1.2.2.1")
     net.send(f)
     hops = 0
@@ -155,8 +155,8 @@ def test_network_multi_hop(links):
     assert hops == 5
 
 
-def test_network_per_stream_fifo(links):
-    net = SimNetwork(links)
+def test_network_per_stream_fifo():
+    net = SimNetwork(NODES)
     frames = [frame(src="1.1.1.0", dst="1.0.0.0", seq=i) for i in range(1, 6)]
     for f in frames:
         net.send(f)
@@ -168,8 +168,8 @@ def test_network_per_stream_fifo(links):
     assert got == [1, 2, 3, 4, 5]
 
 
-def test_network_dead_letter_for_unknown_destination(links):
-    net = SimNetwork(links)
+def test_network_dead_letter_for_unknown_destination():
+    net = SimNetwork(NODES)
     f = frame(src="1.0.0.0", dst="1.3.0.0")
     net.send(f)
     net.step()
@@ -177,9 +177,9 @@ def test_network_dead_letter_for_unknown_destination(links):
     assert net.dead_letters[0].line() == "DEADLETTER 1.0.0.0 1.3.0.0 DEVICE_EVENT 1"
 
 
-def test_network_loss_hook_drops(links):
+def test_network_loss_hook_drops():
     drop_all = lambda f, at, hop, now: True
-    net = SimNetwork(links, loss_hook=drop_all)
+    net = SimNetwork(NODES, loss_hook=drop_all)
     net.send(frame(src="1.1.1.0", dst="1.1.0.0"))
     for _ in range(5):
         net.step()
@@ -189,20 +189,17 @@ def test_network_loss_hook_drops(links):
     assert net.arrived == set()
 
 
-def test_link_table_parents_are_the_declared_addresses():
+def test_network_parents_are_the_declared_addresses():
     declared = {t: A(t) for t in TREE}
-    links = LinkTable.from_addresses(list(declared.values()))
-    for addr, parent in links.parents.items():
+    for parent in SimNetwork(list(declared.values())).parents.values():
         assert parent is None or parent is declared[str(parent)]
 
 
 def test_loss_hook_sees_each_hop_and_the_step_count():
     """A frame to the declared parent takes the one-hop path; any other goes
     hop by hop; the hook sees both, with the number of steps taken before."""
-    declared = {t: A(t) for t in TREE}
-    links = LinkTable.from_addresses(list(declared.values()))
     seen = []
-    net = SimNetwork(links, loss_hook=lambda f, at, hop, now: seen.append((f.seq, str(hop), now)))
+    net = SimNetwork(NODES, loss_hook=lambda f, at, hop, now: seen.append((f.seq, str(hop), now)))
     up = frame(MsgType.NETWORK_TEST, src="1.1.1.0", dst="1.1.0.0")
     net.send(up)
     net.send(frame(src="1.1.1.0", dst="1.2.0.0", seq=2))

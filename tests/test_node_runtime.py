@@ -282,7 +282,7 @@ def test_connect_then_event_forwards_session_alert():
     assert len(out) == 1
     assert out[0].msg_type is MsgType.SESSION_ALERT
     assert out[0].dst == A("1.0.0")
-    line = out[0].text()
+    line = out[0].payload
     assert line.startswith("SESSION 1.1.0#1 10.0.0.9:4242 10.0.1.5:80 20 40 1")
     assert node.session_lines == [line]
 
@@ -346,7 +346,7 @@ def test_child_report_assembles_and_propagates():
     assert node.virtual_view.find(A("1.1.1")).state is DeviceState.RUNNING_OK
     assert [f.msg_type for f in out] == [MsgType.TOPOLOGY_REPORT]
     assert out[0].dst == A("1.0.0")
-    assert out[0].text() == node.virtual_view.serialize()
+    assert out[0].payload == node.virtual_view.serialize()
 
 
 def test_only_the_root_records_change_sets():
@@ -389,7 +389,7 @@ def test_an_unchanged_report_records_no_change_set():
     assert root.drain_changesets() == []
     assert root.lines[-1] == "NODE 1.0.0 12 ASSEMBLE 1.1.0"
     assert site.lines[-2:] == ["NODE 1.1.0 12 ASSEMBLE 1.1.1", "NODE 1.1.0 12 REPORT"]
-    assert [f.text() for f in out] == [report.text()]
+    assert [f.payload for f in out] == [report.payload]
 
 
 def test_periodic_heartbeats_and_report_cadence():
@@ -466,7 +466,7 @@ def test_dispatch_command_routes_and_acks():
     assert agent.step(43) != [] or True  # heartbeats may or may not be due
     out = agent.step(45)
     acks = [f for f in out if f.msg_type is MsgType.COMMAND_ACK]
-    assert len(acks) == 1 and acks[0].dst == A("1.0.0") and acks[0].text() == cmd_id
+    assert len(acks) == 1 and acks[0].dst == A("1.0.0") and acks[0].payload == cmd_id
     assert agent.status.state is DeviceState.RUNNING_OK
 
     root.on_frame(acks[0], 50)

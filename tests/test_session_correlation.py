@@ -185,6 +185,39 @@ def test_sweep_expires_stale_connects():
     assert e.conn_queue.entries == []
 
 
+def test_on_event_sweeps_to_the_tick_before():
+    """With no explicit sweep, a straggler inside an ended session joins it
+    up to the destroy deadline and stands alone after it; a connect binds up
+    to ``connect_ttl`` ticks after it and not later."""
+    e = engine()
+    e.on_event(ev("c", 10, "A", "B", ConnectionMarker.CONNECT), 10)
+    e.on_event(ev("x", 15, "A", "B"), 15)
+    e.on_event(ev("d", 40, "A", "B", ConnectionMarker.DISCONNECT), 40)
+    assert e.store.alerts[0].destroy_deadline == 100
+    assert [a.kind for a in e.on_event(ev("s1", 30, "A", "B"), 100)] == ["update"]
+    assert e.joined_events == 2
+    actions = e.on_event(ev("s2", 30, "A", "B"), 101)
+    assert [(a.kind, a.record.event_ids) for a in actions] == [("ending", ("s2",))]
+    assert e.store.alerts == [] and e.independent_events == 1
+    assert e.swept == 100
+    e.on_event(ev("c2", 200, "C", "D", ConnectionMarker.CONNECT), 200)
+    assert [a.kind for a in e.on_event(ev("y", 205, "C", "D"), 801)] == ["update"]
+    e.on_event(ev("c3", 200, "E", "F", ConnectionMarker.CONNECT), 200)
+    assert [a.kind for a in e.on_event(ev("z", 205, "E", "F"), 802)] == ["ending"]
+
+
+def test_an_explicit_sweep_makes_the_inner_one_a_no_op(monkeypatch):
+    e = engine()
+    calls = []
+    sweep = e.sweep
+    monkeypatch.setattr(e, "sweep", lambda now: calls.append(now) or sweep(now))
+    e.sweep(20)
+    e.on_event(ev("x", 20, "A", "B"), 20)
+    e.on_event(ev("y", 21, "A", "B"), 21)
+    e.on_event(ev("z", 23, "A", "B"), 23)
+    assert calls == [20, 22]
+
+
 def test_session_line_format():
     e = engine()
     e.on_event(ev("c", 10, "A", "B", ConnectionMarker.CONNECT), 10)

@@ -151,8 +151,8 @@ def test_silenced_device_completes_a_command_and_loses_its_ack(loop):
 
 
 def test_no_engine_is_swept_twice_in_a_row_at_the_same_tick(monkeypatch):
-    """A management node that ran at the tick before a frame arrives swept its
-    engine to that tick then, so the pre-frame sweep is not repeated."""
+    """An engine sweeps itself only to a tick past the one it last swept to,
+    so no sweep repeats the one before it."""
     sweep = CorrelationEngine.sweep
     last: dict[CorrelationEngine, int] = {}
     repeats = []

@@ -95,7 +95,9 @@ def random_respond(rng: random.Random, handles: list[str]) -> str:
         return f"escalate {handle}"
     if action == "enlist":
         return f"enlist {handle} targets={','.join(rng.sample(DEVICES + SITES, 2))}"
-    return f"advance {handle} actor={rng.choice(SMNS)} note=n{rng.randrange(9)}"
+    actor = rng.choice(SMNS)
+    rng.randrange(9)  # the draw of a note the directive no longer takes: same scenarios
+    return f"advance {handle} actor={actor}"
 
 
 def _edit(text: str, *pairs: tuple[str, str]) -> str:
