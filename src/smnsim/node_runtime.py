@@ -63,6 +63,7 @@ from .device_model import (
     DeviceState,
     DeviceStatus,
     TransferCondition,
+    WAITING_STATES,
     initial_status,
     step,
 )
@@ -175,6 +176,8 @@ _ABNORMAL_PKG_CONDS = (_T.T3, _T.T5)
 
 
 _ALERT = DeviceState.HANDLING_ALERT.value
+#: the status T8 leaves a record in, by the waiting state T7 took it from
+_AFTER_ALERT = {state: DeviceStatus(state, state) for state in WAITING_STATES}
 
 
 def _heartbeat_conds(frame: Frame) -> tuple[TransferCondition, ...]:
@@ -411,7 +414,7 @@ class SmnNode(_Node):
                         out.append(Frame(MsgType.SESSION_ALERT, self.address, self.parent, line))
         if paired:
             self._log(now, "STATE", f"{child.address} T8 {_ALERT}->{state.value}")
-            child.status = DeviceStatus(state, state)
+            child.status = _AFTER_ALERT[state]
         return out
 
     def _on_topology_report(self, child: ChildRecord, frame: Frame, now: int) -> list[Frame]:

@@ -25,6 +25,11 @@ event for many ticks and is then swept once holds what sweeping it on every
 one of them would have left. Until its next event it keeps its ended alerts
 and stale connects, which no report reads: the report lists open alerts
 only.
+
+``SessionRecord`` and ``EmitAction`` are slotted, not frozen, as the event
+records are: a frozen record pays ``object.__setattr__`` for every field it
+is built with, and nothing hashes or mutates them. ``snapshot`` builds a new
+record for every update, so one handed out never changes.
 """
 
 from __future__ import annotations
@@ -60,9 +65,10 @@ class SessionAlert:
     destroy_deadline: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SessionRecord:
-    """Immutable snapshot of an alert, as emitted to consoles and parents."""
+    """A snapshot of an alert, as emitted to consoles and parents; a later
+    change to the alert makes a new record, never edits this one."""
 
     session_id: str
     src: str
@@ -82,7 +88,7 @@ class SessionRecord:
         return self.classifications[best]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EmitAction:
     kind: str  # update | ending
     record: SessionRecord
@@ -151,14 +157,14 @@ class CorrelationEngine:
     def snapshot(self, alert: SessionAlert) -> SessionRecord:
         info = alert.info
         return SessionRecord(
-            session_id=alert.session_id,
-            src=f"{info.src_ip}:{info.src_port}",
-            dst=f"{info.dst_ip}:{info.dst_port}",
-            start_time=info.start_time,
-            end_time=info.end_time,
-            event_ids=tuple(e.event_id for e in alert.event_queue),
-            classifications=tuple(e.classification for e in alert.event_queue),
-            severities=tuple(e.severity for e in alert.event_queue),
+            alert.session_id,
+            f"{info.src_ip}:{info.src_port}",
+            f"{info.dst_ip}:{info.dst_port}",
+            info.start_time,
+            info.end_time,
+            tuple(e.event_id for e in alert.event_queue),
+            tuple(e.classification for e in alert.event_queue),
+            tuple(e.severity for e in alert.event_queue),
         )
 
     def open_session_lines(self) -> list[str]:
@@ -217,14 +223,14 @@ class CorrelationEngine:
                 # immediately; nothing is retained in the store.
                 self.independent_events += 1
                 record = SessionRecord(
-                    session_id=self._new_id(),
-                    src=f"{ev.src_ip}:{ev.src_port}",
-                    dst=f"{ev.dst_ip}:{ev.dst_port}",
-                    start_time=ev.create_time,
-                    end_time=ev.create_time,
-                    event_ids=(ev.event_id,),
-                    classifications=(ev.classification,),
-                    severities=(ev.severity,),
+                    self._new_id(),
+                    f"{ev.src_ip}:{ev.src_port}",
+                    f"{ev.dst_ip}:{ev.dst_port}",
+                    ev.create_time,
+                    ev.create_time,
+                    (ev.event_id,),
+                    (ev.classification,),
+                    (ev.severity,),
                 )
                 return [EmitAction("ending", record)]
             alert = SessionAlert(

@@ -292,17 +292,11 @@ class Simulation:
 
     def _do_emit(self, d: Emit, tick: int) -> None:
         agent, slot = self._emit_targets[d.device]
+        # positional, in RawDeviceEvent's field order: both IPs, then both ports
         agent.inject(
             RawDeviceEvent(
-                device_address=agent.address,
-                device_kind=agent.kind,
-                native_class=d.native_class,
-                timestamp=tick,
-                src_ip=d.src_ip,
-                src_port=d.src_port,
-                dst_ip=d.dst_ip,
-                dst_port=d.dst_port,
-                severity=d.severity,
+                agent.address, agent.kind, d.native_class, tick,
+                d.src_ip, d.dst_ip, d.src_port, d.dst_port, d.severity,
             )
         )
         # the agent may be filed under this very tick, which must stand

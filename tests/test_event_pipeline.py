@@ -153,6 +153,83 @@ def test_marker_requires_firewall_analyzer():
         ev(conn=ConnectionMarker.CONNECT, kind=DeviceKind.IDS)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("sport", -1, "src_port -1"),
+        ("sport", 65536, "src_port 65536"),
+        ("dport", -1, "dst_port -1"),
+        ("dport", 65536, "dst_port 65536"),
+        ("sev", 0, "severity 0"),
+        ("sev", 6, "severity 6"),
+    ],
+)
+def test_raw_event_refuses_a_bad_port_or_severity(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        raw(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("sport", -1, "src_port -1"),
+        ("sport", 65536, "src_port 65536"),
+        ("dport", -1, "dst_port -1"),
+        ("dport", 65536, "dst_port 65536"),
+        ("count", 0, "count must be >= 1"),
+    ],
+)
+def test_normalized_event_refuses_a_bad_port_or_count(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ev(**{field: value})
+
+
+def test_raw_event_edge_values_are_accepted():
+    assert raw(sport=0, dport=65535, sev=1).dst_port == 65535
+    assert raw(sport=65535, dport=0, sev=5).severity == 5
+
+
+# -- positional field order ------------------------------------------------------
+# The run builds its records positionally; each must equal the record built
+# by keyword, so no two fields of one type trade places unnoticed.
+
+
+def test_normalize_equals_the_keyword_built_record():
+    out = normalize(raw(t=17, src="10.0.0.7", dst="10.0.0.8", sport=1111, dport=2222, sev=4),
+                    ClassificationMap(), 5)
+    assert out == ev(eid="1.1.2-5", cls="unknown", t=17, src="10.0.0.7", dst="10.0.0.8",
+                     sport=1111, dport=2222, sev=4)
+
+
+def test_normalize_places_the_connection_marker():
+    out = normalize(raw(native="fw.disconnect", kind=DeviceKind.FIREWALL, addr=FW),
+                    ClassificationMap(), 2)
+    assert out == ev(eid="1.1.1-2", cls="fw.disconnect", conn=ConnectionMarker.DISCONNECT,
+                     kind=DeviceKind.FIREWALL, addr=FW)
+
+
+def test_parse_event_line_equals_the_keyword_built_record():
+    line = (
+        '<event id="x-9" analyzer="1.1.1" kind="Firewall" time="31" '
+        'class="fw.connect" src="10.0.0.7" sport="1111" dst="10.0.0.8" '
+        'dport="2222" sev="4" count="3" conn="connect"/>'
+    )
+    assert parse_event_line(line, SHAPE) == NormalizedEvent(
+        event_id="x-9",
+        analyzer_address=FW,
+        analyzer_kind=DeviceKind.FIREWALL,
+        create_time=31,
+        classification="fw.connect",
+        src_ip="10.0.0.7",
+        src_port=1111,
+        dst_ip="10.0.0.8",
+        dst_port=2222,
+        severity=4,
+        count=3,
+        connection_marker=ConnectionMarker.CONNECT,
+    )
+
+
 # -- single-device aggregation -------------------------------------------------
 
 
@@ -196,6 +273,40 @@ def test_aggregate_never_merges_markers():
     ]
     out = aggregate_single_device(events, window_ticks=60)
     assert len(out) == 2
+
+
+def test_aggregate_keeps_the_input_order_of_equal_times():
+    events = [
+        ev(eid="late", cls="c.late", t=14),
+        ev(eid="b", cls="c.b", t=11),
+        ev(eid="a", cls="c.a", t=11),
+        ev(eid="c", cls="c.c", t=11),
+    ]
+    out = aggregate_single_device(events, window_ticks=60)
+    assert [e.event_id for e in out] == ["b", "a", "c", "late"]
+
+
+def test_aggregate_merge_keeps_earliest_time_summed_count_and_top_severity():
+    events = [
+        ev(eid="m1", t=15, sev=2, count=1, dport=81),
+        ev(eid="m2", t=11, sev=5, count=2, dport=82),
+        ev(eid="m3", t=13, sev=3, count=4, dport=83),
+    ]
+    (out,) = aggregate_single_device(events, window_ticks=60)
+    assert out == ev(eid="m2", t=11, sev=5, count=7, dport=82)
+
+
+def test_aggregate_portscan_record_fields():
+    events = [
+        ev(eid=f"p{i}", cls="access.denied", t=30 - i % 3, dport=100 + i, sev=1 + i % 4,
+           sport=5000 + i)
+        for i in range(10)
+    ]
+    (out,) = aggregate_single_device(events, window_ticks=60, portscan_threshold=10)
+    # the scan record is the earliest event of the group, in input order among
+    # equal times, carrying the scan's class, target port, severity and count
+    assert out == ev(eid="p2", cls="recon.portscan", t=28, dport=0, sev=4, count=10,
+                     sport=5002)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=100), max_size=30))

@@ -5,7 +5,10 @@ import pytest
 
 from reference_loop import ReferenceSimulation
 from smnsim import cli
+from smnsim.addressing import NodeAddress
 from smnsim.config import ConfigError, load_topology, parse_scenario, parse_topology
+from smnsim.device_model import DeviceKind
+from smnsim.event_pipeline import RawDeviceEvent
 from smnsim.messaging import FrameBuilder, MsgType, SimNetwork
 from smnsim.node_runtime import SmnNode
 from smnsim.session_correlation import CorrelationEngine
@@ -87,6 +90,30 @@ def test_emitted_source_reaches_the_report_as_written():
     report = Simulation(topology, parse_scenario(text)).run()
     want = (GOLDEN / "attack" / "sessions.txt").read_text().replace("10.0.0.99:4444", odd)
     assert report.files()["sessions.txt"] == want
+
+
+def test_a_scenario_emit_buffers_the_keyword_built_raw_event():
+    """The simulator builds the raw event positionally; ``RawDeviceEvent``
+    orders both IPs before both ports, where the ``emit`` directive orders
+    each IP with its port."""
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    text = "drain = 0\nat 23 emit 1.1.2 class=sig.7 src=10.0.0.7:1111 dst=10.0.0.8:2222 sev=4\n"
+    sim = Simulation(topology, parse_scenario(text))
+    sim.run()
+    ids = sim.agents[NodeAddress.parse("1.1.2", sim.shape)]
+    assert ids.buffer == [
+        RawDeviceEvent(
+            device_address=ids.address,
+            device_kind=DeviceKind.IDS,
+            native_class="sig.7",
+            timestamp=23,
+            src_ip="10.0.0.7",
+            dst_ip="10.0.0.8",
+            src_port=1111,
+            dst_port=2222,
+            severity=4,
+        )
+    ]
 
 
 ROOT_DEVICES_TOPOLOGY = """\
