@@ -29,12 +29,17 @@ A scenario file is a time-ordered directive list::
 
 Each ``at`` line parses to one typed directive (``Emit``, ``Window``,
 ``Command``, ``Respond``, ``InjectLoss``) with its numbers parsed and
-bounded; node addresses stay text for the simulator to resolve.
+bounded; node addresses stay text for the simulator to resolve. Ticks and
+``drain`` are ``>= 0``, and ``seed`` and ``drain`` are given at most once.
+An emit spelled as above (single spaces, fields in that order, both ports,
+no comment) is read by one match; any other spelling takes the general
+parser to the same directive, and only that parser raises errors.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field, fields
 
 from .addressing import MAX_DEPTH, AddressError, NodeAddress, TreeShape
@@ -412,25 +417,49 @@ _RESPOND_FIELDS = {
 }
 
 
+#: The canonical emit spelling. No field holds ``#`` or whitespace, so the
+#: general parser would read the same tokens; the device holds no ``=``, so
+#: it never looks like a field.
+_CANONICAL_EMIT = re.compile(
+    r"at ([0-9]+) emit ([^\s#=]+) class=([^\s#]+)"
+    r" src=([^\s#:]+):([0-9]+) dst=([^\s#:]+):([0-9]+) sev=([1-5])"
+)
+
+
 def parse_scenario(text: str) -> ScenarioScript:
     """``text``'s directives, each value that needs no topology parsed and bounded."""
     script = ScenarioScript()
     last_tick = 0
+    given: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        match = _CANONICAL_EMIT.fullmatch(raw)
+        if match is not None:
+            tick, device, cls, src_ip, src_port, dst_ip, dst_port, sev = match.groups()
+            tick, src_port, dst_port = int(tick), int(src_port), int(dst_port)
+            if tick >= last_tick and src_port <= 65535 and dst_port <= 65535:
+                last_tick = tick
+                script.directives.append(
+                    Emit(tick, line_no, device, cls, src_ip, src_port, dst_ip, dst_port, int(sev))
+                )
+                continue
+        # any other line, or a value out of range: the general parser decides
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if not line.startswith("at "):
             key, value = _split_kv(line, line_no)
+            if key in given:
+                raise ConfigError(f"key {key!r} given twice", line_no)
+            given.add(key)
             if key == "seed":
                 script.seed = _int(value, line_no)
             elif key == "drain":
-                script.drain = _int(value, line_no)
+                script.drain = _int(value, line_no, key, low=0)
             else:
                 raise ConfigError(f"unknown scenario key {key!r}", line_no)
             continue
         parts = line.split()
-        tick = _int(parts[1], line_no)
+        tick = _int(parts[1], line_no, "tick", low=0)
         if tick < last_tick:
             raise ConfigError("directives must be time-ordered", line_no)
         last_tick = tick

@@ -208,6 +208,9 @@ def test_simulate_non_integer_pipeline_value(tmp_path, capsys):
          "sev 9 outside 1..5"),
         ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:80 detail=x",
          "unknown emit field 'detail'"),
+        ("at -5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:80 sev=1",
+         "tick must be >= 0, got -5"),
+        ("drain = 20", "key 'drain' given twice"),
         ("at 5 command policy 1.0.0", "command target 1.0.0 is not below the root"),
         ("at 5 silence 1.1.1 until 5", "until 5 is not after tick 5"),
         ("at 5 abnormal 1.1.1 until 2", "until 2 is not after tick 5"),
@@ -232,6 +235,31 @@ def test_simulate_bad_directive_value_fails_before_the_run(directive, message, t
     argv[argv.index("--scenario") + 1] = str(scenario)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"config error: line 3: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+EMITS_AT_5_AND_20 = (
+    "at 5 emit 1.1.1 class=fw.connect src=10.0.0.9:4242 dst=10.0.1.5:80 sev=1\n"
+    "at 20 emit 1.1.1 class=fw.disconnect src=10.0.0.9:4242 dst=10.0.1.5:80 sev=1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "head, line, message",
+    [
+        ("drain = -15\n", 1, "drain must be >= 0, got -15"),
+        ("drain = -50\n", 1, "drain must be >= 0, got -50"),
+        ("seed = 1\nseed = 2\n", 2, "key 'seed' given twice"),
+        ("seed = 1\ndrain = 30\n\ndrain = 40\n", 4, "key 'drain' given twice"),
+    ],
+)
+def test_simulate_bad_scenario_key_fails_before_the_run(head, line, message, tmp_path, capsys):
+    scenario = tmp_path / "bad.scn"
+    scenario.write_text(head + EMITS_AT_5_AND_20)
+    argv = simulate_argv(DEMO / "topology.cfg", tmp_path / "out")
+    argv[argv.index("--scenario") + 1] = str(scenario)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: line {line}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,19 +1,28 @@
 """Arbitrary text into each input parser: only the parser's own error type
 may escape, never a ValueError, KeyError, IndexError or RecursionError from
-inside it."""
+inside it. Emit lines near the canonical spelling must read the same through
+the scenario parser's one-match path as through its general parser."""
 
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smnsim.addressing import TreeShape
-from smnsim.config import ConfigError, parse_scenario, parse_topology
+from smnsim.config import (
+    _CANONICAL_EMIT,
+    ConfigError,
+    _int,
+    _parse_directive,
+    parse_scenario,
+    parse_topology,
+)
 from smnsim.device_tree import AddressInconsistent, TreeError, build_tree
 from smnsim.event_pipeline import EventLineError, parse_event_line
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
+GEN0_ATTACK = Path(__file__).resolve().parent / "golden" / "gen0" / "attack.scn"
 SHAPE = TreeShape(depth=4, max_degree=3)
 
 EVENT_LINE = (
@@ -87,3 +96,96 @@ def test_parse_scenario_raises_only_config_errors(text):
         parse_scenario(text)
     except ConfigError:
         pass
+
+
+# -- canonical emit lines against the general parser --------------------------
+
+#: Each emit line follows one at this tick, so a lower tick goes back in time.
+BEFORE = "at 10 silence 1.1.2 until 12\n"
+
+
+def general(line: str):
+    """The directive, or the error text, that the general parser gives for
+    ``line`` after ``BEFORE``: ``parse_scenario``'s loop body without the
+    canonical match."""
+    parts = line.split("#", 1)[0].split()
+    try:
+        tick = _int(parts[1], 2, "tick", low=0)
+        if tick < 10:
+            raise ConfigError("directives must be time-ordered", 2)
+        return _parse_directive(parts[2], parts[3:], tick, 2)
+    except ConfigError as exc:
+        return str(exc)
+
+
+#: Ways a line can leave the canonical spelling, or stay in it with a value
+#: at the edge of a bound.
+EDGES = ("port", "no port", "sev", "no sev", "tick", "# in a value", "= or : in a value",
+         "device", "reorder", "duplicate", "tab or double space", "leading space", "comment")
+
+
+@st.composite
+def emit_lines(draw):
+    """A canonical emit line, changed at none to three of ``EDGES``."""
+    pick = lambda *options: draw(st.sampled_from(options))  # noqa: E731
+    tick, device, lead, trail = pick("10", "11"), "1.1.1", "", ""
+    values = {"class": "fw.connect", "src": "10.0.0.9", "dst": "10.0.1.5", "sev": pick("1", "5")}
+    ports = {"src": pick("0", "4242", "65535"), "dst": pick("0", "80", "65535")}
+    order = ["class", "src", "dst", "sev"]
+    seps = [" "] * 7
+    for edge in draw(st.lists(st.sampled_from(EDGES), max_size=3)):
+        if edge == "port":
+            ports[pick("src", "dst")] = pick("65536", "99999", "080", "\u0668\u0660", "")
+        elif edge == "no port":
+            ports[pick("src", "dst")] = None
+        elif edge == "sev":
+            values["sev"] = pick("0", "6", "05", "\u0665", "")
+        elif edge == "no sev" and "sev" in order:
+            order.remove("sev")
+        elif edge == "tick":
+            tick = pick("0", "9", "011", "\u0661\u0661", "+11", "-1")
+        elif edge == "# in a value":
+            values[pick("class", "src", "dst")] = pick("a#b", "a#")
+        elif edge == "= or : in a value":
+            values[pick("class", "src", "dst", "sev")] = pick("a=b", "a:b")
+        elif edge == "device":
+            device = pick("1.1=1", "1.#1", "\u0661.1.1")
+        elif edge == "reorder":
+            order = draw(st.permutations(order))
+        elif edge == "duplicate":
+            order.insert(draw(st.integers(0, len(order))), pick(*order))
+        elif edge == "tab or double space":
+            seps[draw(st.integers(0, len(seps) - 1))] = pick("\t", "  ")
+        elif edge == "leading space":
+            lead = " "
+        elif edge == "comment":
+            trail = pick(" # comment", "#", "  #x")
+    tokens = ["emit", device] + [
+        f"{k}={values[k]}" + (f":{ports[k]}" if ports.get(k) is not None else "") for k in order
+    ]
+    return lead + f"at {tick}" + "".join(sep + t for sep, t in zip(seps, tokens)) + trail
+
+
+@given(emit_lines())
+@example("at 10 emit 1.1.1 class=a#b src=10.0.0.9:1 dst=10.0.1.5:80 sev=1")
+@example("at 10 emit 1.1.1 class=fw.connect src=10.0.0.9:1 dst=10.0.1.5:65536 sev=1")
+@example("at 9 emit 1.1.1 class=fw.connect src=10.0.0.9:1 dst=10.0.1.5:80 sev=1")
+@settings(max_examples=600)
+def test_canonical_emit_match_agrees_with_the_general_parser(line):
+    try:
+        got = parse_scenario(BEFORE + line + "\n").directives[1]
+    except ConfigError as exc:
+        got = str(exc)
+    assert got == general(line)
+
+
+def test_generated_scenario_emits_take_the_canonical_match_unchanged():
+    text = GEN0_ATTACK.read_text()
+    emits = [line for line in text.splitlines() if line.startswith("at ")]
+    assert emits and all(_CANONICAL_EMIT.fullmatch(line) for line in emits)
+    parsed = parse_scenario(text).directives
+    assert len(parsed) == len(emits)
+    for directive, line in zip(parsed, emits):
+        parts = line.split()
+        assert directive == _parse_directive(
+            parts[2], parts[3:], int(parts[1]), directive.line_no)
