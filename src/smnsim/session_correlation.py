@@ -14,6 +14,27 @@ direction, it originates at the session's target, or it originates at the
 target of some event already queued (lateral movement). Matching is by IP;
 ports are recorded but do not discriminate.
 
+Of the alerts an event belongs to, it joins the earliest-started, and of
+equal starts the one created first (``SessionAlert.ordinal``). Matching is
+keyed, not a scan of the store (Valeur et al., IEEE TDSC 2004): the engine
+indexes its live alerts by (source, target) and by target, each bucket a
+list in creation order, and by the target of each queued event, each bucket
+mapping ordinal to alert so that a second event to one target adds nothing.
+Only the alerts in an event's three buckets -- its own direction, and its
+source as a target or as a queued target -- can pass a clause, so only
+their spans are checked. No tie is left to bucket order: the ordinal
+decides. An alert stays indexed until a sweep removes it; its queued
+targets are read back from its queue then, so no alert keeps a set of
+them. Two live alerts may share endpoints and start: a doubled connect can
+bind after the first alert ended, inside its grace period.
+
+``sweep`` still scans the store for due deadlines. A deadline heap makes
+the storm workload several times faster again, but the benchmark keeps one
+array per repetition, so more repetitions raise its peak memory past its
+bound; the heap waits until that is fixed. ``store.alerts`` stays the live
+alerts in creation order, and a disconnect ends the earliest-started open
+alert of its pair, read from the pair's bucket.
+
 The engine keeps its own clock. ``sweep(now)`` removes the destroy-pending
 alerts whose deadline has come and the connects older than ``connect_ttl``,
 and the engine remembers the latest tick it swept to. ``on_event(ev, now)``
@@ -46,7 +67,7 @@ class SessionStatus(Enum):
     DESTROY_PENDING = "destroy-pending"
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionInfo:
     src_ip: str
     src_port: int
@@ -56,13 +77,16 @@ class SessionInfo:
     end_time: int | None = None  # None while the connection is still up
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionAlert:
     session_id: str
     info: SessionInfo
     event_queue: list[NormalizedEvent] = field(default_factory=list)
     status: SessionStatus = SessionStatus.OPEN
     destroy_deadline: int | None = None
+    #: creation order within its engine: of two alerts with equal starts,
+    #: the one created first wins a match
+    ordinal: int = 0
 
 
 @dataclass(slots=True)
@@ -139,7 +163,8 @@ class SessionStore:
 
 
 class CorrelationEngine:
-    """Per-node correlation state: one store, one connection queue."""
+    """Per-node correlation state: one store, one connection queue, and the
+    store's alerts indexed by the endpoints an event can match them on."""
 
     def __init__(self, owner: str, config: CorrelationConfig | None = None) -> None:
         self.owner = owner
@@ -151,6 +176,12 @@ class CorrelationEngine:
         # accounting: every non-marker event lands in exactly one bucket
         self.joined_events = 0
         self.independent_events = 0
+        # live alerts by (src_ip, dst_ip) and by dst_ip, in creation order,
+        # and by the dst_ip of each queued event, as ordinal -> alert so
+        # that queueing an event to a known target adds nothing
+        self._by_pair: dict[tuple[str, str], list[SessionAlert]] = {}
+        self._by_dst: dict[str, list[SessionAlert]] = {}
+        self._by_queued_dst: dict[str, dict[int, SessionAlert]] = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -181,11 +212,27 @@ class CorrelationEngine:
         return sid
 
     def _matching_alert(self, ev: NormalizedEvent) -> SessionAlert | None:
-        """Earliest-started live alert the event belongs to."""
+        """Earliest-started live alert the event belongs to, the first
+        created on equal starts. Only the alerts in the event's three
+        buckets can pass an endpoint clause, so only their spans are
+        checked."""
+        t = ev.create_time
         best: SessionAlert | None = None
-        for alert in self.store.alerts:
-            if belongs_to(ev, alert):
-                if best is None or alert.info.start_time < best.info.start_time:
+        for bucket in (
+            self._by_pair.get((ev.src_ip, ev.dst_ip), ()),
+            self._by_dst.get(ev.src_ip, ()),
+            self._by_queued_dst.get(ev.src_ip, {}).values(),
+        ):
+            for alert in bucket:
+                info = alert.info
+                start = info.start_time
+                if start > t or (info.end_time is not None and t > info.end_time):
+                    continue
+                if (
+                    best is None
+                    or start < best.info.start_time
+                    or (start == best.info.start_time and alert.ordinal < best.ordinal)
+                ):
                     best = alert
         return best
 
@@ -201,6 +248,27 @@ class CorrelationEngine:
                 if best is None or entry.create_time >= best.create_time:
                     best = entry
         return best
+
+    def _index(self, alert: SessionAlert) -> None:
+        info = alert.info
+        self._by_pair.setdefault((info.src_ip, info.dst_ip), []).append(alert)
+        self._by_dst.setdefault(info.dst_ip, []).append(alert)
+
+    def _unindex(self, alert: SessionAlert) -> None:
+        info = alert.info
+        for index, key in (
+            (self._by_pair, (info.src_ip, info.dst_ip)),
+            (self._by_dst, info.dst_ip),
+        ):
+            bucket = index[key]
+            bucket.remove(alert)
+            if not bucket:
+                del index[key]
+        for dst in {e.dst_ip for e in alert.event_queue}:
+            queued = self._by_queued_dst[dst]
+            del queued[alert.ordinal]
+            if not queued:
+                del self._by_queued_dst[dst]
 
     # -- algorithm --------------------------------------------------------
 
@@ -233,6 +301,9 @@ class CorrelationEngine:
                     (ev.severity,),
                 )
                 return [EmitAction("ending", record)]
+            # its endpoints and start may equal a live alert's: a doubled
+            # connect binds after the first alert ended, within grace
+            ordinal = self.store.next_id
             alert = SessionAlert(
                 session_id=self._new_id(),
                 info=SessionInfo(
@@ -242,29 +313,26 @@ class CorrelationEngine:
                     dst_port=entry.dst_port,
                     start_time=entry.create_time,
                 ),
+                ordinal=ordinal,
             )
-            assert not any(
-                a.info.src_ip == alert.info.src_ip
-                and a.info.dst_ip == alert.info.dst_ip
-                and a.info.start_time == alert.info.start_time
-                for a in self.store.alerts
-            ), "duplicate live session key"
             self.conn_queue.entries.remove(entry)
             self.store.alerts.append(alert)
+            self._index(alert)
         self.joined_events += 1
         insort(alert.event_queue, ev, key=lambda e: e.create_time)
+        self._by_queued_dst.setdefault(ev.dst_ip, {})[alert.ordinal] = alert
         return [EmitAction("update", self.snapshot(alert))]
 
     def _on_disconnect(self, ev: NormalizedEvent, now: int) -> list[EmitAction]:
-        best: SessionAlert | None = None
-        for alert in self.store.alerts:
-            if (
-                alert.status is SessionStatus.OPEN
-                and alert.info.src_ip == ev.src_ip
-                and alert.info.dst_ip == ev.dst_ip
-            ):
-                if best is None or alert.info.start_time < best.info.start_time:
-                    best = alert
+        best = min(
+            (
+                a
+                for a in self._by_pair.get((ev.src_ip, ev.dst_ip), ())
+                if a.status is SessionStatus.OPEN
+            ),
+            key=lambda a: (a.info.start_time, a.ordinal),
+            default=None,
+        )
         if best is not None:
             best.info.end_time = ev.create_time
             best.status = SessionStatus.DESTROY_PENDING
@@ -286,8 +354,11 @@ class CorrelationEngine:
             and a.destroy_deadline is not None
             and a.destroy_deadline <= now
         ]
-        for alert in done:
-            self.store.alerts.remove(alert)
+        if done:
+            gone = {a.ordinal for a in done}
+            self.store.alerts = [a for a in self.store.alerts if a.ordinal not in gone]
+            for alert in done:
+                self._unindex(alert)
         self.conn_queue.entries = [
             e
             for e in self.conn_queue.entries

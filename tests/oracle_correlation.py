@@ -170,3 +170,67 @@ def random_trace(rng: random.Random, max_events=200, n_hosts=6):
             )
         )
     return trace
+
+
+def storm_trace(rng: random.Random, n_pairs=40, n_events=300, n_servers=3):
+    """A small correlation storm: many sources connect to few servers, some
+    at one tick; events hit a pair's target, move laterally from it to
+    internal hosts and onward between them, and some pairs disconnect and
+    reconnect within grace. A share of events arrives a few ticks late.
+
+    Returns (now, event) pairs in feed order, with ``now`` nondecreasing and
+    never before the event's create time."""
+    servers = [f"10.1.0.{i + 1}" for i in range(n_servers)]
+    hosts = [f"10.2.0.{i + 1}" for i in range(8)]
+    out = []
+
+    def add(now, t, src, dst, marker=ConnectionMarker.NONE):
+        fw = marker is not ConnectionMarker.NONE
+        out.append((now, NormalizedEvent(
+            event_id=f"s{len(out)}",
+            analyzer_address=FW_ADDR if fw else IDS_ADDR,
+            analyzer_kind=DeviceKind.FIREWALL if fw else DeviceKind.IDS,
+            create_time=t,
+            classification="fw" if fw else rng.choice(_CLASSES),
+            src_ip=src,
+            src_port=rng.randrange(1024, 65535),
+            dst_ip=dst,
+            dst_port=80,
+            severity=rng.randrange(1, 6),
+            connection_marker=marker,
+        )))
+
+    pairs = []
+    now = 0
+    for i in range(n_pairs):
+        now += rng.choice((0, 0, 1, 2))  # same-tick starts are common
+        src, dst = f"172.16.0.{i + 1}", rng.choice(servers)
+        add(now, now, src, dst, ConnectionMarker.CONNECT)
+        if rng.random() < 0.1:
+            add(now, now, src, dst, ConnectionMarker.CONNECT)  # doubled connect
+        pairs.append({"src": src, "dst": dst, "up": True})
+        if rng.random() < 0.5:
+            add(now, now, src, dst)
+    for _ in range(n_events):
+        now += rng.choice((0, 0, 1, 1, 2, 5))
+        t = max(0, now - rng.randrange(0, 12)) if rng.random() < 0.2 else now
+        p = rng.choice(pairs)
+        roll = rng.random()
+        if roll < 0.05:
+            add(now, t, f"198.51.100.{rng.randrange(1, 50)}", rng.choice(servers))
+        elif not p["up"]:
+            if rng.random() < 0.6:  # reconnect, often within grace
+                add(now, now, p["src"], p["dst"], ConnectionMarker.CONNECT)
+                p["up"] = True
+            add(now, t, p["src"], p["dst"])
+        elif roll < 0.12:
+            add(now, now, p["src"], p["dst"], ConnectionMarker.DISCONNECT)
+            p["up"] = False
+        elif roll < 0.45:
+            add(now, t, p["src"], p["dst"])
+        elif roll < 0.7:
+            add(now, t, p["dst"], rng.choice(hosts))  # lateral from the target
+        else:
+            a, b = rng.sample(hosts, 2)
+            add(now, t, a, b)  # onward between internal hosts
+    return out

@@ -94,6 +94,25 @@ def test_correlate_reports_open_session(tmp_path, capsys):
     assert out == "SESSION cli#1 10.0.0.9:4242 10.0.1.5:80 20 open 1 [1.1.2-1]\n"
 
 
+def test_correlate_two_connects_at_one_tick(tmp_path, capsys):
+    """A doubled connect: the first session ends, and a later event inside
+    its grace period binds the second connect to a session of its own."""
+    connect2 = CONNECT.replace("1.1.1-1", "1.1.1-2").replace('"4242"', '"4243"')
+    disconnect = (
+        CONNECT.replace("1.1.1-1", "1.1.1-3").replace('"20"', '"30"')
+        .replace("fw.connect", "fw.disconnect").replace('"connect"', '"disconnect"')
+    )
+    late = HIT.replace("1.1.2-1", "1.1.2-2").replace('"25"', '"35"')
+    events = tmp_path / "f.events"
+    events.write_text("\n".join([CONNECT, connect2, HIT, disconnect, late]) + "\n")
+    argv = ["correlate", "--events", str(events), "--depth", "3", "--degree", "9"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (
+        "SESSION cli#1 10.0.0.9:4243 10.0.1.5:80 20 30 1 [1.1.2-1]\n"
+        "SESSION cli#2 10.0.0.9:4242 10.0.1.5:80 20 open 1 [1.1.2-2]\n"
+    )
+
+
 def test_correlate_malformed_event_line(tmp_path, capsys):
     events = tmp_path / "bad.events"
     events.write_text(CONNECT + "\n<event id=\"x\"/>\n")
