@@ -10,7 +10,7 @@ deterministic scenario harness tying them together.
 from .addressing import NodeAddress, TreeShape
 from .device_model import DeviceKind, DeviceState, TransferCondition
 from .device_tree import AddressedDeviceTree, build_tree
-from .event_pipeline import NormalizedEvent, RawDeviceEvent
+from .event_pipeline import NormalizedEvent
 from .session_correlation import CorrelationEngine, SessionAlert
 
 __version__ = "0.1.0"
@@ -24,7 +24,6 @@ __all__ = [
     "AddressedDeviceTree",
     "build_tree",
     "NormalizedEvent",
-    "RawDeviceEvent",
     "CorrelationEngine",
     "SessionAlert",
     "__version__",

@@ -1,6 +1,6 @@
 """Event handling stages ahead of session association.
 
-Device agents filter raw events, translate them into a uniform record and
+Device agents filter emitted events, translate them into a uniform record and
 merge repeats; management nodes then rate the records against the asset
 database and drop the lowest before session correlation. Cross-device
 clustering by weighted feature similarity is kept as a library stage that
@@ -18,11 +18,14 @@ line modelled on IDMEF (RFC 4765), with a fixed attribute order, e.g.::
 
 (shown wrapped; in the file it is a single line).
 
-``RawDeviceEvent`` and ``NormalizedEvent`` are slotted, not frozen: a frozen
+On the device an event is the scenario's ``Emit`` directive, bounded by
+the parser (or by the simulator as a hand-built one fires), which
+``filter_event`` and ``normalize`` read with the emitting device's address
+and kind. ``NormalizedEvent`` is slotted, not frozen: a frozen
 twelve-field record costs some 4 µs more to build, every assignment going
 through ``object.__setattr__``, and nothing hashes or mutates these records.
-Their checks stay in ``__post_init__``, so a bad record still never exists.
-The run builds them positionally, in field order.
+Its checks stay in ``__post_init__``, so a bad record still never exists.
+The run builds it positionally, in field order.
 """
 
 from __future__ import annotations
@@ -31,9 +34,13 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from .addressing import NodeAddress, TreeShape
 from .device_model import DeviceKind
+
+if TYPE_CHECKING:
+    from .config import Emit
 
 
 class PipelineError(Exception):
@@ -57,27 +64,6 @@ class ConnectionMarker(Enum):
 def _check_port(port: int, name: str) -> None:
     if not 0 <= port <= 65535:
         raise ValueError(f"{name} {port} outside 0..65535")
-
-
-@dataclass(slots=True)
-class RawDeviceEvent:
-    """An event as a device natively reports it."""
-
-    device_address: NodeAddress
-    device_kind: DeviceKind
-    native_class: str
-    timestamp: int
-    src_ip: str
-    dst_ip: str
-    src_port: int = 0
-    dst_port: int = 0
-    severity: int = 1
-
-    def __post_init__(self) -> None:
-        _check_port(self.src_port, "src_port")
-        _check_port(self.dst_port, "dst_port")
-        if not 1 <= self.severity <= 5:
-            raise ValueError(f"severity {self.severity} outside 1..5")
 
 
 @dataclass(slots=True)
@@ -148,8 +134,8 @@ class FilterRule:
     src_ip: str | None = None
     dst_ip: str | None = None
 
-    def matches(self, ev: RawDeviceEvent) -> bool:
-        if self.device_kind is not None and ev.device_kind is not self.device_kind:
+    def matches(self, ev: Emit, kind: DeviceKind) -> bool:
+        if self.device_kind is not None and kind is not self.device_kind:
             return False
         if self.native_class is not None:
             if self.native_class.endswith("*"):
@@ -164,11 +150,14 @@ class FilterRule:
         return True
 
 
-def filter_event(ev: RawDeviceEvent, rules: list[FilterRule]) -> bool:
-    """True to keep the event, False to drop it."""
+def filter_event(ev: Emit, kind: DeviceKind, rules: list[FilterRule]) -> bool:
+    """True to keep the event a device of ``kind`` emitted, False to drop it."""
     if ev.native_class in PROTECTED_CLASSES:
         return True
-    return not any(rule.matches(ev) for rule in rules)
+    for rule in rules:
+        if rule.matches(ev, kind):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +186,16 @@ class ClassificationMap:
         return "unknown"
 
 
-def normalize(ev: RawDeviceEvent, mapping: ClassificationMap, seq: int) -> NormalizedEvent:
-    """Translate a raw event; the id derives from the reporting device and
-    its per-device sequence number."""
+def normalize(
+    ev: Emit, address: NodeAddress, kind: DeviceKind, mapping: ClassificationMap, seq: int
+) -> NormalizedEvent:
+    """Translate the event the device at ``address`` of ``kind`` emitted; the
+    id derives from that device and its per-device sequence number."""
     marker = ConnectionMarker.NONE
-    if ev.device_kind is DeviceKind.FIREWALL:
+    if kind is DeviceKind.FIREWALL:
         marker = _MARKER_BY_NATIVE.get(ev.native_class, ConnectionMarker.NONE)
     return NormalizedEvent(
-        f"{ev.device_address}-{seq}", ev.device_address, ev.device_kind, ev.timestamp,
-        mapping.resolve(ev.device_kind, ev.native_class),
+        f"{address}-{seq}", address, kind, ev.tick, mapping.resolve(kind, ev.native_class),
         ev.src_ip, ev.src_port, ev.dst_ip, ev.dst_port, ev.severity, 1, marker,
     )
 

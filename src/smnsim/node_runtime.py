@@ -5,9 +5,10 @@ management nodes alike), drives their state machines from heartbeat traffic,
 rates device events against the asset database and correlates the kept ones
 into session alerts, splices child topology reports into its own view, and
 executes or forwards commands. A device agent mirrors the managed-device
-side: it emits heartbeats and scripted events (filtered, normalized and
-aggregated before leaving the device) and answers policy and vulnerability
-commands.
+side: it emits heartbeats and scripted events and answers policy and
+vulnerability commands. A scripted event waits in the agent's buffer as the
+scenario's ``Emit`` directive until its window flushes; then it is
+filtered, normalized with the agent's address and kind, and aggregated.
 
 Neither kind of node needs its clock run on every tick. ``next_wake`` names
 the first tick at which a node's clock (``SmnNode.on_tick``,
@@ -54,6 +55,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from . import emergency_response as er
 from .addressing import AddressError, NodeAddress, TreeShape
@@ -86,7 +89,6 @@ from .event_pipeline import (
     ConnectionMarker,
     FilterRule,
     NormalizedEvent,
-    RawDeviceEvent,
     aggregate_single_device,
     filter_event,
     normalize,
@@ -108,6 +110,9 @@ from .session_correlation import (
     SessionRecord,
     format_session_line,
 )
+
+if TYPE_CHECKING:
+    from .config import Emit
 
 _T = TransferCondition
 
@@ -613,15 +618,16 @@ class DeviceAgent(_Node):
         self.mapping = mapping or ClassificationMap()
         #: events this device has normalized; the last one's id ends in it
         self.event_seq = 0
-        self.buffer: list[RawDeviceEvent] = []
+        #: emitted events waiting for their window to flush, in emit order
+        self.buffer: list[Emit] = []
         self.abnormal_windows: list[tuple[int, int]] = []
         self.pending_acks: list[tuple[int, str, TransferCondition, NodeAddress]] = []
 
     def mark_abnormal(self, start: int, end: int) -> None:
         self.abnormal_windows.append((start, end))
 
-    def inject(self, raw: RawDeviceEvent) -> None:
-        self.buffer.append(raw)
+    def inject(self, emit: Emit) -> None:
+        self.buffer.append(emit)
 
     def on_frame(self, frame: Frame, now: int) -> list[Frame]:
         if frame.msg_type is not MsgType.COMMAND:
@@ -683,17 +689,18 @@ class DeviceAgent(_Node):
                 )
             )
         if now % self.settings.window_ticks == 0 and self.buffer:
-            ready = [e for e in self.buffer if e.timestamp < now]
+            ready = [e for e in self.buffer if e.tick < now]
             if ready:
-                self.buffer = [e for e in self.buffer if e.timestamp >= now]
+                self.buffer = [e for e in self.buffer if e.tick >= now]
                 out.extend(self._flush(ready))
         return out
 
-    def _flush(self, ready: list[RawDeviceEvent]) -> list[Frame]:
-        kept = [e for e in ready if filter_event(e, self.filter_rules)]
-        kept.sort(key=lambda e: e.timestamp)
+    def _flush(self, ready: list[Emit]) -> list[Frame]:
+        address, kind, mapping, seq = self.address, self.kind, self.mapping, self.event_seq
+        kept = [e for e in ready if filter_event(e, kind, self.filter_rules)]
+        kept.sort(key=attrgetter("tick"))
         normalized = [
-            normalize(e, self.mapping, self.event_seq + n) for n, e in enumerate(kept, 1)
+            normalize(e, address, kind, mapping, seq + n) for n, e in enumerate(kept, 1)
         ]
         self.event_seq += len(kept)
         aggregated = aggregate_single_device(

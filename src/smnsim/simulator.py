@@ -57,7 +57,6 @@ from .config import (
 from .device_model import DeviceKind
 from .device_tree import AddressedDeviceTree, build_tree
 from .emergency_response import CounterplanStore, ResponseError
-from .event_pipeline import RawDeviceEvent
 from .messaging import Frame, FrameBuilder, MsgType, SimNetwork
 from .node_runtime import DeviceAgent, SmnNode
 
@@ -291,16 +290,18 @@ class Simulation:
                     self._schedule(slot, tick)
 
     def _do_emit(self, d: Emit, tick: int) -> None:
+        # the parser bounds what it reads; this bounds a hand-built directive
+        if not (0 <= d.src_port <= 65535 and 0 <= d.dst_port <= 65535 and 1 <= d.severity <= 5):
+            raise ConfigError(f"emit port or sev out of range in {d}", d.line_no)
+        # the directive waits in the buffer for its window's flush, which the
+        # first to wait files unless the agent wakes earlier (maybe this tick)
         agent, slot = self._emit_targets[d.device]
-        # positional, in RawDeviceEvent's field order: both IPs, then both ports
-        agent.inject(
-            RawDeviceEvent(
-                agent.address, agent.kind, d.native_class, tick,
-                d.src_ip, d.dst_ip, d.src_port, d.dst_port, d.severity,
-            )
-        )
-        # the agent may be filed under this very tick, which must stand
-        self._schedule(slot, min(self._wake[slot], agent.next_wake(tick)))
+        if not agent.buffer:
+            window = agent.settings.window_ticks
+            flush = tick - tick % window + window
+            if flush < self._wake[slot]:
+                self._schedule(slot, flush)
+        agent.buffer.append(d)
 
     def _do_respond(self, d: Respond, tick: int, outbound: list[Frame]) -> None:
         try:

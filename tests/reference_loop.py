@@ -10,7 +10,9 @@ reports.
 
     PYTHONPATH=src python tests/reference_loop.py TOPOLOGY SCENARIO...
 
-runs each scenario through both loops and exits 1 when any report differs.
+runs each scenario through both loops and exits 1 when any report differs,
+or 2, with a one-line usage, when no scenario is given: a run that compares
+nothing must not pass.
 """
 
 import sys
@@ -67,7 +69,14 @@ class ReferenceSimulation(Simulation):
         return self._report()
 
 
-def main(topology_path: str, *scenario_paths: str) -> int:
+USAGE = "usage: reference_loop.py TOPOLOGY SCENARIO..."
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 2:
+        print(USAGE, file=sys.stderr)
+        return 2
+    topology_path, *scenario_paths = argv
     status = 0
     for path in scenario_paths:
         got = Simulation(load_topology(topology_path), load_scenario(path)).run().files()
@@ -82,4 +91,4 @@ def main(topology_path: str, *scenario_paths: str) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(*sys.argv[1:]))
+    raise SystemExit(main(sys.argv[1:]))

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smnsim.addressing import NodeAddress, TreeShape
+from smnsim.config import Emit
 from smnsim.device_model import DeviceKind
 from smnsim.event_pipeline import (
     AssetDb,
@@ -12,7 +13,6 @@ from smnsim.event_pipeline import (
     CrossDeviceAggregator,
     FilterRule,
     NormalizedEvent,
-    RawDeviceEvent,
     SimilarityWeights,
     ZeroWeights,
     aggregate_single_device,
@@ -30,28 +30,18 @@ from smnsim.node_runtime import DeviceAgent
 SHAPE = TreeShape(depth=3, max_degree=4)
 FW = NodeAddress.parse("1.1.1", SHAPE)
 IDS = NodeAddress.parse("1.1.2", SHAPE)
-HM = NodeAddress.parse("1.1.3", SHAPE)
 
 
-def raw(
-    native="ids.alert",
-    kind=DeviceKind.IDS,
-    addr=IDS,
-    t=10,
-    src="10.0.0.1",
-    dst="10.0.0.2",
-    sport=4242,
-    dport=80,
-    sev=3,
-):
-    return RawDeviceEvent(
-        device_address=addr,
-        device_kind=kind,
+def raw(native="ids.alert", t=10, src="10.0.0.1", dst="10.0.0.2", sport=4242, dport=80, sev=3):
+    """An emitted event: the scenario directive a device buffers."""
+    return Emit(
+        tick=t,
+        line_no=1,
+        device="1.1.2",
         native_class=native,
-        timestamp=t,
         src_ip=src,
-        dst_ip=dst,
         src_port=sport,
+        dst_ip=dst,
         dst_port=dport,
         severity=sev,
     )
@@ -92,40 +82,38 @@ def ev(
 
 def test_filter_drops_matching_class():
     rule = FilterRule(device_kind=DeviceKind.HOST_MONITOR, native_class="hm.heartbeat")
-    noise = raw(native="hm.heartbeat", kind=DeviceKind.HOST_MONITOR, addr=HM)
-    assert filter_event(noise, [rule]) is False
+    assert filter_event(raw(native="hm.heartbeat"), DeviceKind.HOST_MONITOR, [rule]) is False
+    assert filter_event(raw(native="hm.heartbeat"), DeviceKind.IDS, [rule]) is True
 
 
 def test_filter_empty_rules_keep_everything():
-    assert filter_event(raw(native="exploit.attempt"), []) is True
+    assert filter_event(raw(native="exploit.attempt"), DeviceKind.IDS, []) is True
 
 
 def test_filter_never_drops_connection_markers():
     rule = FilterRule(native_class="fw.*")
-    connect = raw(native="fw.connect", kind=DeviceKind.FIREWALL, addr=FW)
-    assert filter_event(connect, [rule]) is True
-    plain = raw(native="fw.deny", kind=DeviceKind.FIREWALL, addr=FW)
-    assert filter_event(plain, [rule]) is False
+    assert filter_event(raw(native="fw.connect"), DeviceKind.FIREWALL, [rule]) is True
+    assert filter_event(raw(native="fw.deny"), DeviceKind.FIREWALL, [rule]) is False
 
 
 # -- normalization -------------------------------------------------------------
 
 
 def test_normalize_sets_connect_marker():
-    out = normalize(raw(native="fw.connect", kind=DeviceKind.FIREWALL, addr=FW), ClassificationMap(), 1)
+    out = normalize(raw(native="fw.connect"), FW, DeviceKind.FIREWALL, ClassificationMap(), 1)
     assert out.connection_marker is ConnectionMarker.CONNECT
     assert out.classification == "fw.connect"
 
 
 def test_normalize_translates_via_mapping():
     cmap = ClassificationMap(rules={(DeviceKind.IDS, "sig.1234"): "exploit.bufferoverflow"})
-    out = normalize(raw(native="sig.1234"), cmap, 7)
+    out = normalize(raw(native="sig.1234"), IDS, DeviceKind.IDS, cmap, 7)
     assert out.classification == "exploit.bufferoverflow"
     assert out.event_id == "1.1.2-7"
 
 
 def test_normalize_lenient_default():
-    out = normalize(raw(native="weird.thing", sev=4), ClassificationMap(), 1)
+    out = normalize(raw(native="weird.thing", sev=4), IDS, DeviceKind.IDS, ClassificationMap(), 1)
     assert out.classification == "unknown"
     assert out.severity == 4
 
@@ -138,7 +126,7 @@ def test_normalizer_sequences_per_device():
 
     def flush(agent, now, *targets):
         for dst in targets:
-            agent.inject(raw(addr=agent.address, kind=agent.kind, t=now - 1, dst=dst))
+            agent.inject(raw(t=now - 1, dst=dst))
         frames = [f for f in agent.step(now) if f.msg_type is MsgType.DEVICE_EVENT]
         return [f.payload.event_id for f in frames]
 
@@ -160,33 +148,12 @@ def test_marker_requires_firewall_analyzer():
         ("sport", 65536, "src_port 65536"),
         ("dport", -1, "dst_port -1"),
         ("dport", 65536, "dst_port 65536"),
-        ("sev", 0, "severity 0"),
-        ("sev", 6, "severity 6"),
-    ],
-)
-def test_raw_event_refuses_a_bad_port_or_severity(field, value, message):
-    with pytest.raises(ValueError, match=message):
-        raw(**{field: value})
-
-
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("sport", -1, "src_port -1"),
-        ("sport", 65536, "src_port 65536"),
-        ("dport", -1, "dst_port -1"),
-        ("dport", 65536, "dst_port 65536"),
         ("count", 0, "count must be >= 1"),
     ],
 )
 def test_normalized_event_refuses_a_bad_port_or_count(field, value, message):
     with pytest.raises(ValueError, match=message):
         ev(**{field: value})
-
-
-def test_raw_event_edge_values_are_accepted():
-    assert raw(sport=0, dport=65535, sev=1).dst_port == 65535
-    assert raw(sport=65535, dport=0, sev=5).severity == 5
 
 
 # -- positional field order ------------------------------------------------------
@@ -196,14 +163,13 @@ def test_raw_event_edge_values_are_accepted():
 
 def test_normalize_equals_the_keyword_built_record():
     out = normalize(raw(t=17, src="10.0.0.7", dst="10.0.0.8", sport=1111, dport=2222, sev=4),
-                    ClassificationMap(), 5)
+                    IDS, DeviceKind.IDS, ClassificationMap(), 5)
     assert out == ev(eid="1.1.2-5", cls="unknown", t=17, src="10.0.0.7", dst="10.0.0.8",
                      sport=1111, dport=2222, sev=4)
 
 
 def test_normalize_places_the_connection_marker():
-    out = normalize(raw(native="fw.disconnect", kind=DeviceKind.FIREWALL, addr=FW),
-                    ClassificationMap(), 2)
+    out = normalize(raw(native="fw.disconnect"), FW, DeviceKind.FIREWALL, ClassificationMap(), 2)
     assert out == ev(eid="1.1.1-2", cls="fw.disconnect", conn=ConnectionMarker.DISCONNECT,
                      kind=DeviceKind.FIREWALL, addr=FW)
 

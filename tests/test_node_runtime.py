@@ -621,16 +621,16 @@ def make_agent(kind=DeviceKind.FIREWALL, addr="1.1.1"):
 
 
 def raw(agent, native, t, dport=80, sev=2, src="10.0.0.9", dst="10.0.1.5"):
-    from smnsim.event_pipeline import RawDeviceEvent
+    from smnsim.config import Emit
 
-    return RawDeviceEvent(
-        device_address=agent.address,
-        device_kind=agent.kind,
+    return Emit(
+        tick=t,
+        line_no=1,
+        device=str(agent.address),
         native_class=native,
-        timestamp=t,
         src_ip=src,
-        dst_ip=dst,
         src_port=4242,
+        dst_ip=dst,
         dst_port=dport,
         severity=sev,
     )

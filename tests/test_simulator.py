@@ -6,9 +6,16 @@ import pytest
 from reference_loop import ReferenceSimulation
 from smnsim import cli
 from smnsim.addressing import NodeAddress
-from smnsim.config import ConfigError, load_topology, parse_scenario, parse_topology
+from smnsim.config import (
+    ConfigError,
+    Emit,
+    ScenarioScript,
+    load_topology,
+    parse_scenario,
+    parse_topology,
+)
 from smnsim.device_model import DeviceKind
-from smnsim.event_pipeline import RawDeviceEvent
+from smnsim.event_pipeline import NormalizedEvent
 from smnsim.messaging import FrameBuilder, MsgType, SimNetwork
 from smnsim.node_runtime import SmnNode
 from smnsim.session_correlation import CorrelationEngine
@@ -92,28 +99,69 @@ def test_emitted_source_reaches_the_report_as_written():
     assert report.files()["sessions.txt"] == want
 
 
-def test_a_scenario_emit_buffers_the_keyword_built_raw_event():
-    """The simulator builds the raw event positionally; ``RawDeviceEvent``
-    orders both IPs before both ports, where the ``emit`` directive orders
-    each IP with its port."""
+def test_a_flushed_emit_keeps_each_ip_with_its_own_port():
+    """The ``emit`` directive waits in the device's buffer as it is, and the
+    flush builds the ``NormalizedEvent`` from it positionally: the record
+    must equal the keyword-built one, each IP with its own port."""
     topology = load_topology(str(DEMO / "topology.cfg"))
-    text = "drain = 0\nat 23 emit 1.1.2 class=sig.7 src=10.0.0.7:1111 dst=10.0.0.8:2222 sev=4\n"
+    text = "drain = 7\nat 23 emit 1.1.2 class=sig.7 src=10.0.0.7:1111 dst=10.0.0.8:2222 sev=4\n"
     sim = Simulation(topology, parse_scenario(text))
-    sim.run()
     ids = sim.agents[NodeAddress.parse("1.1.2", sim.shape)]
-    assert ids.buffer == [
-        RawDeviceEvent(
-            device_address=ids.address,
-            device_kind=DeviceKind.IDS,
-            native_class="sig.7",
-            timestamp=23,
+    sent = []
+    send = sim.network.send
+    sim.network.send = lambda frame: sent.append(frame) or send(frame)
+    sim.run()
+    assert ids.buffer == []
+    assert [f.payload for f in sent if f.msg_type is MsgType.DEVICE_EVENT] == [
+        NormalizedEvent(
+            event_id="1.1.2-1",
+            analyzer_address=ids.address,
+            analyzer_kind=DeviceKind.IDS,
+            create_time=23,
+            classification="unknown",
             src_ip="10.0.0.7",
-            dst_ip="10.0.0.8",
             src_port=1111,
+            dst_ip="10.0.0.8",
             dst_port=2222,
             severity=4,
         )
     ]
+
+
+def _hand_built(**fields) -> ScenarioScript:
+    """A script the parser never saw: one emit, the defaults in range."""
+    emit = dict(
+        tick=3, line_no=1, device="1.1.2", native_class="sig.7", src_ip="10.0.0.7",
+        src_port=1111, dst_ip="10.0.0.8", dst_port=2222, severity=4,
+    )
+    return ScenarioScript(drain=20, directives=[Emit(**{**emit, **fields})])
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"src_port": 70000}, {"dst_port": 70000}, {"src_port": -1}, {"severity": 9},
+     {"severity": 0}],
+)
+def test_a_hand_built_emit_out_of_range_fails_the_run(fields, tmp_path):
+    """The scenario parser bounds ports and ``sev``; an ``Emit`` built by hand
+    is bounded when it fires, so it never reaches a flush or a report, even
+    on a device whose filter would drop it."""
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    with pytest.raises(ConfigError, match="line 1: emit .* out of range"):
+        Simulation(topology, _hand_built(**fields)).run()
+    with pytest.raises(ConfigError, match="out of range"):
+        Simulation(topology, _hand_built(device="1.1.3", native_class="hm.heartbeat",
+                                         **fields)).run()
+
+
+def test_a_hand_built_emit_at_the_bounds_is_flushed():
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    for fields in ({"src_port": 0, "dst_port": 65535, "severity": 1},
+                   {"src_port": 65535, "dst_port": 0, "severity": 5}):
+        sim = Simulation(topology, _hand_built(**fields))
+        sim.run()
+        ids = sim.agents[NodeAddress.parse("1.1.2", sim.shape)]
+        assert (ids.buffer, ids.event_seq) == ([], 1)
 
 
 ROOT_DEVICES_TOPOLOGY = """\

@@ -1,12 +1,15 @@
 """The agenda in ``Simulation.run`` against the visit-every-node reference
 loop: byte-identical reports on seeded random scenarios."""
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from reference_loop import ReferenceSimulation
+from reference_loop import USAGE, ReferenceSimulation
 from smnsim.config import load_topology, parse_scenario, parse_topology
 from smnsim.simulator import Simulation
 
@@ -22,6 +25,7 @@ SMNS = ("1.0.0",) + SITES
 SOURCES = ("10.0.0.9:4242", "10.0.0.99:4444")
 TARGETS = ("10.0.1.5", "10.0.2.2", "10.0.1.1")
 SCENARIOS = 150
+EMIT_DENSE_SCENARIOS = 60
 
 
 def random_scenario(rng: random.Random) -> str:
@@ -83,6 +87,49 @@ def random_session(rng: random.Random, tick: int) -> list[tuple[int, str]]:
     return lines
 
 
+def emit_dense_scenario(rng: random.Random) -> str:
+    """Many emits to two devices: several at one tick, many on flush ticks
+    (multiples of either topology's window), some inside silence and
+    abnormal windows, and some while a command's ack is pending at the
+    device. Only the emit that finds a device's buffer empty files the
+    device for the next flush; every other emit must find that flush, or an
+    earlier wake, filed already."""
+    devices = rng.sample(DEVICES, 2)
+    lines: list[tuple[int, str]] = []
+
+    def emit(tick: int, device: str) -> None:
+        port = rng.choice(("80", str(rng.randint(1, 12))))
+        lines.append((tick, (
+            f"at {tick} emit {device} class={rng.choice(CLASSES)} "
+            f"src={rng.choice(SOURCES)} dst={rng.choice(TARGETS)}:{port} "
+            f"sev={rng.randint(1, 5)}"
+        )))
+
+    for _ in range(rng.randint(3, 6)):
+        tick, device = rng.randrange(90), rng.choice(devices)
+        op = rng.choice(("silence", "abnormal", "command"))
+        if op == "command":
+            kind = rng.choice(("policy", "vulnerability"))
+            lines.append((tick, f"at {tick} command {kind} {device}"))
+            # the command reaches the device a few ticks on, and its ack
+            # waits there for three more
+            for _ in range(rng.randint(1, 4)):
+                emit(tick + rng.randint(1, 9), device)
+            continue
+        node = device if op == "abnormal" or rng.random() < 0.7 else device[:3] + ".0"
+        until = tick + rng.randint(1, 25)
+        lines.append((tick, f"at {tick} {op} {node} until {until}"))
+        for _ in range(rng.randint(1, 4)):
+            emit(rng.randint(tick, until), device)
+    for _ in range(rng.randint(20, 60)):
+        tick = rng.choice((rng.randrange(100), 7 * rng.randrange(15), 10 * rng.randrange(10)))
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            emit(tick, rng.choice(devices))
+    lines.sort(key=lambda line: line[0])
+    head = [f"seed = {rng.randrange(1000)}", f"drain = {rng.randint(0, 40)}"]
+    return "\n".join(head + [text for _, text in lines]) + "\n"
+
+
 def random_respond(rng: random.Random, handles: list[str]) -> str:
     """A respond action; most log at a management node when they run, and a
     launch only succeeds once its owner has correlated an event."""
@@ -137,6 +184,28 @@ def test_agenda_matches_reference_loop(seed, topologies):
     want = ReferenceSimulation(topology, parse_scenario(text), debug=True).run()
     have = Simulation(topology, parse_scenario(text), debug=True).run()
     assert have.files() == want.files(), text
+
+
+@pytest.mark.parametrize("seed", range(EMIT_DENSE_SCENARIOS))
+def test_agenda_matches_reference_loop_under_dense_emits(seed, topologies):
+    topology = topologies[seed % 3]
+    text = emit_dense_scenario(random.Random(seed))
+    want = ReferenceSimulation(topology, parse_scenario(text), debug=True).run()
+    have = Simulation(topology, parse_scenario(text), debug=True).run()
+    assert have.files() == want.files(), text
+
+
+@pytest.mark.parametrize("args", [[], [str(TOPOLOGY)]])
+def test_reference_loop_without_a_scenario_is_a_usage_error(args):
+    """Given nothing to compare, the script says how to call it and fails,
+    so an empty scenario glob does not pass unnoticed."""
+    tests = Path(__file__).resolve().parent
+    done = subprocess.run(
+        [sys.executable, str(tests / "reference_loop.py"), *args],
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": str(tests.parent / "src")},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", USAGE + "\n")
 
 
 def test_idle_devices_act_only_when_due():
