@@ -187,15 +187,21 @@ class ClassificationMap:
 
 
 def normalize(
-    ev: Emit, address: NodeAddress, kind: DeviceKind, mapping: ClassificationMap, seq: int
+    ev: Emit,
+    address: NodeAddress,
+    kind: DeviceKind,
+    mapping: ClassificationMap,
+    id_prefix: str,
+    seq: int,
 ) -> NormalizedEvent:
-    """Translate the event the device at ``address`` of ``kind`` emitted; the
-    id derives from that device and its per-device sequence number."""
+    """Translate the event the device at ``address`` of ``kind`` emitted. Its
+    id is ``id_prefix``, the device's address text and a ``-``, which the
+    device formats once per flush, then its per-device sequence number."""
     marker = ConnectionMarker.NONE
     if kind is DeviceKind.FIREWALL:
         marker = _MARKER_BY_NATIVE.get(ev.native_class, ConnectionMarker.NONE)
     return NormalizedEvent(
-        f"{address}-{seq}", address, kind, ev.tick, mapping.resolve(kind, ev.native_class),
+        f"{id_prefix}{seq}", address, kind, ev.tick, mapping.resolve(kind, ev.native_class),
         ev.src_ip, ev.src_port, ev.dst_ip, ev.dst_port, ev.severity, 1, marker,
     )
 

@@ -17,9 +17,9 @@ Nodes return their frames unnumbered (``seq`` 0). The harness numbers a
 frame with its sender's ``FrameBuilder`` when it hands it to the network,
 and only then, so the frames of one type a sender puts on the network are
 numbered 1, 2, ... without a gap: a frame that never travels (a silenced
-node's, or a heartbeat its parent takes directly) takes no number. A
-number shows only in a ``DEADLETTER`` line, so where frames are numbered
-changes no report without a dead letter.
+node's) takes no number, and a heartbeat its parent takes directly is never
+built (see ``simulator``). A number shows only in a ``DEADLETTER`` line, so
+where frames are numbered changes no report without a dead letter.
 """
 
 from __future__ import annotations

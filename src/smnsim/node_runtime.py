@@ -23,9 +23,17 @@ numbers each one as it goes on the network (see ``messaging``). A
 management node hears a child's heartbeat (network test or state package)
 in one of two ways. Through ``on_frame``, when it arrives. Or, when none of
 the heartbeat's conditions has an arrow from the child's state, so that it
-would only move a deadline, through ``heard``, which a harness calls when
-the frame is sent, with the tick it would arrive at; the frame then never
-travels.
+would only move a deadline, through ``heard``, on the child's record, with
+the tick the frame would arrive at; no frame is then built. Which way is
+settled where the heartbeat is sent: the sender offers each heartbeat due
+to its ``hear`` hook first and builds a frame only when the hook declines
+it. A harness binds the hook to the parent's record of the sender (see
+``simulator``); the default takes nothing, so every heartbeat travels.
+Once one heartbeat of a sender travels, the rest of its tick travel too,
+unoffered: arriving first, it may move the record so that the next one has
+an arrow (a network test that brings a child from NET_DOWN to UNREACHABLE
+gives T3 of the state package after it one). A silenced management node
+offers none, since none of its frames travels.
 
 A device event takes its sender's record through T7 into HANDLING_ALERT and
 T8 back out, with the event's rating and correlation in between. Nothing in
@@ -175,6 +183,10 @@ _COMMAND_CONDS = {
 }
 
 
+#: the heartbeat types, bound once: reading an ``Enum`` member off its class
+#: costs a Python-level lookup on every heartbeat
+_NETWORK_TEST, _STATE_PKG = MsgType.NETWORK_TEST, MsgType.DEVICE_STATE_PKG
+
 _NET_TEST_CONDS = (_T.T1,)
 _NORMAL_PKG_CONDS = (_T.T3, _T.T6)
 _ABNORMAL_PKG_CONDS = (_T.T3, _T.T5)
@@ -185,19 +197,19 @@ _ALERT = DeviceState.HANDLING_ALERT.value
 _AFTER_ALERT = {state: DeviceStatus(state, state) for state in WAITING_STATES}
 
 
-def _heartbeat_conds(frame: Frame) -> tuple[TransferCondition, ...]:
+def _heartbeat_conds(msg_type: MsgType, payload: object) -> tuple[TransferCondition, ...]:
     """The conditions a heartbeat applies to its sender's record at the
     parent, in order: T1 for a network test; T3, then T5 or T6, for a state
     package."""
-    if frame.msg_type is MsgType.NETWORK_TEST:
+    if msg_type is _NETWORK_TEST:
         return _NET_TEST_CONDS
-    return _ABNORMAL_PKG_CONDS if frame.payload == "abnormal" else _NORMAL_PKG_CONDS
+    return _ABNORMAL_PKG_CONDS if payload == "abnormal" else _NORMAL_PKG_CONDS
 
 
 def _renew(child: ChildRecord, msg_type: MsgType, now: int) -> None:
     """Move the deadline that a heartbeat of ``msg_type`` heard at ``now``
     renews."""
-    if msg_type is MsgType.NETWORK_TEST:
+    if msg_type is _NETWORK_TEST:
         child.net_deadline = now + child.hb.network_test_timeout
     else:
         child.pkg_deadline = now + child.hb.state_pkg_timeout
@@ -231,6 +243,27 @@ class _Node:
 
     def silence(self, start: int, end: int) -> None:
         self.silences.append((start, end))
+
+    @staticmethod
+    def hear(msg_type: MsgType, payload: str, now: int) -> bool:
+        """Offered each heartbeat this node sends at ``now``; True when its
+        parent took it, so that no frame is built. A harness sets a hook per
+        node bound to the parent's record of it; this default takes nothing."""
+        return False
+
+    def _heartbeats(
+        self, out: list[Frame], now: int, net_due: bool, pkg_due: bool, payload: str
+    ) -> None:
+        """Append to ``out`` a frame of each heartbeat due at ``now`` that
+        ``hear`` declines: the network test when ``net_due``, then the state
+        package carrying ``payload`` when ``pkg_due``. Once the network test
+        travels, the state package travels unoffered."""
+        hear = self.hear
+        if net_due and not hear(_NETWORK_TEST, "", now):
+            out.append(Frame(_NETWORK_TEST, self.address, self.parent))
+            hear = _Node.hear
+        if pkg_due and not hear(_STATE_PKG, payload, now):
+            out.append(Frame(_STATE_PKG, self.address, self.parent, payload))
 
     def silenced(self, now: int) -> bool:
         return _in_window(self.silences, now)
@@ -355,7 +388,7 @@ class SmnNode(_Node):
                 self._log(now, "UNKNOWN", f"{frame.src} {mt.name}")
                 return []
             if mt is MsgType.NETWORK_TEST or mt is MsgType.DEVICE_STATE_PKG:
-                for cond in _heartbeat_conds(frame):
+                for cond in _heartbeat_conds(mt, frame.payload):
                     self._apply_cond(child, cond, now)
                 _renew(child, mt, now)
                 return []
@@ -377,20 +410,19 @@ class SmnNode(_Node):
         self._log(now, "UNKNOWN", f"{frame.src} {mt.name}")
         return []
 
-    def heard(self, frame: Frame, now: int) -> bool:
-        """Take ``frame`` (a child's network test or state package) as
-        arriving at ``now`` when ``on_frame`` would only move the deadline
-        it renews, because none of its conditions has an arrow from the
-        child's state: move that deadline and return True. Otherwise change
-        nothing and return False; the frame must then reach ``on_frame``."""
-        child = self.children.get(frame.src)
-        if child is None:
-            return False
+    @staticmethod
+    def heard(child: ChildRecord, msg_type: MsgType, payload: str, now: int) -> bool:
+        """Take a heartbeat of ``child`` (one of a node's records; a network
+        test, or a state package carrying ``payload``) as arriving at ``now``
+        when ``on_frame`` would only move the deadline it renews, because
+        none of its conditions has an arrow from the child's state: move that
+        deadline and return True. Otherwise change nothing and return False;
+        the heartbeat must then reach ``on_frame`` as a frame."""
         arrows = ARROWS_FROM[child.status.state._value_]
-        for cond in _heartbeat_conds(frame):
+        for cond in _heartbeat_conds(msg_type, payload):
             if cond._value_ in arrows:
                 return False
-        _renew(child, frame.msg_type, now)
+        _renew(child, msg_type, now)
         return True
 
     def _on_device_event(self, child: ChildRecord, frame: Frame, now: int) -> list[Frame]:
@@ -570,10 +602,10 @@ class SmnNode(_Node):
                     self._log(now, "DISASSEMBLE", str(child.address))
                     out.extend(self._emit_report(now))
         if self.parent is not None:
-            if now % self.hb.network_test_interval == 0:
-                out.append(Frame(MsgType.NETWORK_TEST, self.address, self.parent))
-            if now % self.hb.state_pkg_interval == 0:
-                out.append(Frame(MsgType.DEVICE_STATE_PKG, self.address, self.parent, "normal"))
+            net_due = now % self.hb.network_test_interval == 0
+            pkg_due = now % self.hb.state_pkg_interval == 0
+            if (net_due or pkg_due) and not self.silenced(now):
+                self._heartbeats(out, now, net_due, pkg_due, "normal")
             if now % self.settings.report_interval == 0:
                 out.extend(self._emit_report(now))
         return out
@@ -662,32 +694,26 @@ class DeviceAgent(_Node):
     def step(self, now: int) -> list[Frame]:
         silenced = self.silenced(now)
         out: list[Frame] = []
-        still: list[tuple[int, str, TransferCondition, NodeAddress]] = []
-        for due, cmd_id, cond_out, reply_to in self.pending_acks:
-            if due <= now:
-                # a command completes on schedule; its ack is lost in a
-                # silence, as a silenced management node's is
-                self._apply_cond(self, cond_out, now)
-                self._log(now, "CMD", f"{cmd_id} done")
-                if not silenced:
-                    out.append(Frame(MsgType.COMMAND_ACK, self.address, reply_to, cmd_id))
-            else:
-                still.append((due, cmd_id, cond_out, reply_to))
-        self.pending_acks = still
+        if self.pending_acks:
+            still: list[tuple[int, str, TransferCondition, NodeAddress]] = []
+            for due, cmd_id, cond_out, reply_to in self.pending_acks:
+                if due <= now:
+                    # a command completes on schedule; its ack is lost in a
+                    # silence, as a silenced management node's is
+                    self._apply_cond(self, cond_out, now)
+                    self._log(now, "CMD", f"{cmd_id} done")
+                    if not silenced:
+                        out.append(Frame(MsgType.COMMAND_ACK, self.address, reply_to, cmd_id))
+                else:
+                    still.append((due, cmd_id, cond_out, reply_to))
+            self.pending_acks = still
         if silenced:
             return []
-        if now % self.hb.network_test_interval == 0:
-            out.append(Frame(MsgType.NETWORK_TEST, self.address, self.parent))
-        if now % self.hb.state_pkg_interval == 0:
-            abnormal = _in_window(self.abnormal_windows, now)
-            out.append(
-                Frame(
-                    MsgType.DEVICE_STATE_PKG,
-                    self.address,
-                    self.parent,
-                    "abnormal" if abnormal else "normal",
-                )
-            )
+        net_due = now % self.hb.network_test_interval == 0
+        pkg_due = now % self.hb.state_pkg_interval == 0
+        if net_due or pkg_due:
+            abnormal = pkg_due and _in_window(self.abnormal_windows, now)
+            self._heartbeats(out, now, net_due, pkg_due, "abnormal" if abnormal else "normal")
         if now % self.settings.window_ticks == 0 and self.buffer:
             ready = [e for e in self.buffer if e.tick < now]
             if ready:
@@ -699,8 +725,9 @@ class DeviceAgent(_Node):
         address, kind, mapping, seq = self.address, self.kind, self.mapping, self.event_seq
         kept = [e for e in ready if filter_event(e, kind, self.filter_rules)]
         kept.sort(key=attrgetter("tick"))
+        prefix = f"{address}-"
         normalized = [
-            normalize(e, address, kind, mapping, seq + n) for n, e in enumerate(kept, 1)
+            normalize(e, address, kind, mapping, prefix, seq + n) for n, e in enumerate(kept, 1)
         ]
         self.event_seq += len(kept)
         aggregated = aggregate_single_device(

@@ -18,22 +18,26 @@ the network, numbers each one there with the sender's ``FrameBuilder``
 (one per node, kept here), so frames that never travel take no number (see
 ``messaging``).
 
-A heartbeat that would change nothing at its parent but a deadline never
-enters the network: when it is sent, the parent takes it by
-``SmnNode.heard`` as arriving at the next tick, as the frame would. That is
-exact. It lands after every node of the tick has run. Until the frame's
-turn in the parent's mailbox nothing touches that child's record: the
-frames before it there are acknowledgements, reports, alerts and frames
-from other children, and the child's own events follow its heartbeats; an
-event leaves the record in the waiting state it found (its T7/T8 pair is
-closed, see ``node_runtime``). Deadlines only move later, so a parent filed
-on the timing wheel under an older deadline wakes, finds nothing due and
-files again. A heartbeat goes as a frame when one of its conditions has an
-arrow from the parent's record of the child, when a loss window covers its
-hop at the tick (it keeps its draw from the loss source), or when an
-earlier heartbeat of its sender at the tick went as one (a network test
-that brings a child from NET_DOWN to UNREACHABLE gives the state package
-after it an arrow).
+A heartbeat that would change nothing at its parent but a deadline is never
+built: its sender offers it to its ``hear`` hook, which ``__init__`` binds
+to the parent's ``ChildRecord`` of the sender and to the loss windows, and
+the parent takes it by ``SmnNode.heard`` as arriving at the next tick, as
+the frame would. That is exact. Slots follow address order, so when a node
+runs, its parent has already run at this tick or does not run at it, and
+the record stands as it will when the tick's frames land. Until the
+frame's turn in the parent's mailbox nothing touches that child's record:
+the frames before it there are acknowledgements, reports, alerts and
+frames from other children, and the child's own events follow its
+heartbeats; an event leaves the record in the waiting state it found (its
+T7/T8 pair is closed, see ``node_runtime``). Deadlines only move later, so
+a parent filed on the timing wheel under an older deadline wakes, finds
+nothing due and files again. The hook declines a heartbeat, which then goes
+as a frame, when one of its conditions has an arrow from the parent's
+record of the child, or when a loss window covers its hop at the tick (it
+keeps its draw from the loss source); and a sender offers no heartbeat
+after one of its tick went as a frame (see ``node_runtime``). A loss window
+is dropped at the first tick it no longer covers, so each offer scans only
+the live ones.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .device_model import DeviceKind
 from .device_tree import AddressedDeviceTree, build_tree
 from .emergency_response import CounterplanStore, ResponseError
 from .messaging import Frame, FrameBuilder, MsgType, SimNetwork
-from .node_runtime import DeviceAgent, SmnNode
+from .node_runtime import ChildRecord, DeviceAgent, SmnNode
 
 
 class InvariantViolation(Exception):
@@ -111,6 +115,31 @@ def _covering_rates(
     ]
 
 
+def _hearing(record: ChildRecord, parent: NodeAddress, windows: list[LossWindow]):
+    """A node's ``hear`` hook: its parent takes a heartbeat sent at ``now``
+    by ``SmnNode.heard`` on ``record``, its record of the node, as arriving
+    at ``now + 1``, unless one of ``windows`` covers the hop at ``now``.
+
+    The hook's state is bound as defaults, not closed over: that makes two
+    objects per node for the garbage collector to scan while a simulation
+    is set up, where closure cells make seven."""
+
+    def hear(
+        msg_type: MsgType,
+        payload: str,
+        now: int,
+        record: ChildRecord = record,
+        parent: NodeAddress = parent,
+        windows: list[LossWindow] = windows,
+        heard=SmnNode.heard,
+    ) -> bool:
+        if windows and _covering_rates(windows, record.address, parent, now):
+            return False
+        return heard(record, msg_type, payload, now + 1)
+
+    return hear
+
+
 def _windowed_loss(windows: list[LossWindow], rng):
     """A ``SimNetwork`` loss hook dropping a frame on a hop that one of
     ``windows`` covers at the step's tick, with that window's rate. It holds
@@ -137,7 +166,8 @@ class Simulation:
         self.scenario = scenario
         self.debug = debug
         self.shape = topology.shape
-        #: (from, to, start, end, rate) of each loss window begun so far
+        #: (from, to, start, end, rate) of each loss window begun and not yet
+        #: ended, shared in place with the loss and ``hear`` hooks
         self.loss_windows: list[LossWindow] = []
 
         counterplans = CounterplanStore()
@@ -170,7 +200,10 @@ class Simulation:
         for addr, decl in topology.nodes.items():
             parent = addr.parent()
             if parent is not None:
-                self.smns[parent].add_child(addr, decl.kind, decl.hb)
+                smn = self.smns[parent]
+                smn.add_child(addr, decl.kind, decl.hb)
+                node = self.smns.get(addr) or self.agents[addr]
+                node.hear = _hearing(smn.children[addr], parent, self.loss_windows)
 
         self.network = SimNetwork(
             topology.nodes,
@@ -358,31 +391,22 @@ class Simulation:
         out.extend(ticked)
         return out
 
-    def _send(self, outbound: list[Frame], tick: int) -> None:
-        """Number the tick's outbound frames and hand them to the network,
-        except the heartbeats their parent takes by ``SmnNode.heard`` as
-        arriving at ``tick + 1`` (see the module docstring for which and
-        why)."""
-        send, windows, smns, builders = (
-            self.network.send, self.loss_windows, self.smns, self._builders
-        )
-        net_test, state_pkg = MsgType.NETWORK_TEST, MsgType.DEVICE_STATE_PKG
-        #: senders a heartbeat of which went as a frame at this tick
-        beating: set[NodeAddress] = set()
+    def _send(self, outbound: list[Frame]) -> None:
+        """Number the tick's outbound frames and hand them to the network.
+        Heartbeats a parent took were never built (see the module
+        docstring)."""
+        send, builders = self.network.send, self._builders
         for frame in outbound:
-            src, mt = frame.src, frame.msg_type
-            if (mt is net_test or mt is state_pkg) and src not in beating:
-                dst = frame.dst
-                covered = windows and _covering_rates(windows, src, dst, tick)
-                if not covered and smns[dst].heard(frame, tick + 1):
-                    continue
-                beating.add(src)
-            builders[src].build(frame)
+            builders[frame.src].build(frame)
             send(frame)
 
     def run(self) -> RunReport:
         end_tick = self.scenario.last_tick + self.scenario.drain
+        windows = self.loss_windows
         for tick in range(end_tick + 1):
+            if windows:
+                # an ended window covers no hop again
+                windows[:] = [w for w in windows if w[3] > tick]
             outbound: list[Frame] = []
             self._apply_directives(tick, outbound)
             arrived, self.network.arrived = self.network.arrived, set()
@@ -392,7 +416,7 @@ class Simulation:
                 node = self._nodes[slot]
                 if node.lines:
                     self.collected.extend(node.drain_lines())
-            self._send(outbound, tick)
+            self._send(outbound)
             changesets = self.root.drain_changesets()
             for changes in changesets:
                 self.mirror.apply_changeset(changes)

@@ -4,7 +4,9 @@
 every tick every node polls its mailbox and acts, whether or not it is due
 or addressed, every management node's correlation engine is swept to the
 tick after its clock runs (an engine sweeps itself only when an event
-reaches it), and every frame travels: each is numbered and sent, and
+reaches it), and every frame travels: each is numbered and sent. Its nodes
+get back the default ``hear`` hook, which takes nothing, so each heartbeat
+is built as a frame and reaches its parent's ``on_frame``, and
 ``SmnNode.heard`` is never called. Both loops must leave byte-identical
 reports.
 
@@ -23,6 +25,11 @@ from smnsim.simulator import RunReport, Simulation
 
 
 class ReferenceSimulation(Simulation):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        for node in self._nodes:
+            node.hear = type(node).hear
+
     def _visit(self, addr, tick: int) -> list[Frame]:
         node = self.smns.get(addr) or self.agents[addr]
         out: list[Frame] = []

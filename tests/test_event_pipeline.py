@@ -100,20 +100,24 @@ def test_filter_never_drops_connection_markers():
 
 
 def test_normalize_sets_connect_marker():
-    out = normalize(raw(native="fw.connect"), FW, DeviceKind.FIREWALL, ClassificationMap(), 1)
+    out = normalize(
+        raw(native="fw.connect"), FW, DeviceKind.FIREWALL, ClassificationMap(), "1.1.1-", 1
+    )
     assert out.connection_marker is ConnectionMarker.CONNECT
     assert out.classification == "fw.connect"
 
 
 def test_normalize_translates_via_mapping():
     cmap = ClassificationMap(rules={(DeviceKind.IDS, "sig.1234"): "exploit.bufferoverflow"})
-    out = normalize(raw(native="sig.1234"), IDS, DeviceKind.IDS, cmap, 7)
+    out = normalize(raw(native="sig.1234"), IDS, DeviceKind.IDS, cmap, "1.1.2-", 7)
     assert out.classification == "exploit.bufferoverflow"
     assert out.event_id == "1.1.2-7"
 
 
 def test_normalize_lenient_default():
-    out = normalize(raw(native="weird.thing", sev=4), IDS, DeviceKind.IDS, ClassificationMap(), 1)
+    out = normalize(
+        raw(native="weird.thing", sev=4), IDS, DeviceKind.IDS, ClassificationMap(), "1.1.2-", 1
+    )
     assert out.classification == "unknown"
     assert out.severity == 4
 
@@ -163,13 +167,15 @@ def test_normalized_event_refuses_a_bad_port_or_count(field, value, message):
 
 def test_normalize_equals_the_keyword_built_record():
     out = normalize(raw(t=17, src="10.0.0.7", dst="10.0.0.8", sport=1111, dport=2222, sev=4),
-                    IDS, DeviceKind.IDS, ClassificationMap(), 5)
+                    IDS, DeviceKind.IDS, ClassificationMap(), "1.1.2-", 5)
     assert out == ev(eid="1.1.2-5", cls="unknown", t=17, src="10.0.0.7", dst="10.0.0.8",
                      sport=1111, dport=2222, sev=4)
 
 
 def test_normalize_places_the_connection_marker():
-    out = normalize(raw(native="fw.disconnect"), FW, DeviceKind.FIREWALL, ClassificationMap(), 2)
+    out = normalize(
+        raw(native="fw.disconnect"), FW, DeviceKind.FIREWALL, ClassificationMap(), "1.1.1-", 2
+    )
     assert out == ev(eid="1.1.1-2", cls="fw.disconnect", conn=ConnectionMarker.DISCONNECT,
                      kind=DeviceKind.FIREWALL, addr=FW)
 

@@ -13,6 +13,8 @@ from smnsim.messaging import (
     next_hop,
 )
 
+from treegen import random_tree
+
 SHAPE = TreeShape(depth=4, max_degree=4)
 
 
@@ -208,3 +210,23 @@ def test_loss_hook_sees_each_hop_and_the_step_count():
     assert seen == [(1, "1.1.0.0", 0), (2, "1.1.0.0", 0), (2, "1.0.0.0", 1), (2, "1.2.0.0", 2)]
     assert net.poll(A("1.1.0.0")) is up
     assert net.poll(A("1.2.0.0")).seq == 2
+
+
+def test_network_order_puts_every_node_after_its_parent():
+    """Slots follow address order, so every node's parent has a lower slot,
+    on random trees up to depth 64 whose addresses come in any order. A
+    node's heartbeat hook rests on this: when a node runs, its parent has
+    already run at that tick, or does not run at it (see ``simulator``)."""
+    rng = random.Random(64)
+    deepest = 0
+    for depth in [64] * 5 + [rng.randint(1, 64) for _ in range(35)]:
+        tree = random_tree(rng, depth, rng.randint(1, 4), max_nodes=200, chain=0.9)
+        addresses = [node.address for node in tree.nodes()]
+        rng.shuffle(addresses)
+        network = SimNetwork(addresses)
+        for addr in addresses:
+            parent = addr.parent()
+            if parent is not None:
+                assert network.slots[parent] < network.slots[addr], addr
+        deepest = max(deepest, max(addr.level for addr in addresses))
+    assert deepest == 64

@@ -181,9 +181,9 @@ def test_heard_agrees_with_on_frame(status, payload):
         else Frame(MsgType.DEVICE_STATE_PKG, A("1.1.0"), A("1.0.0"), payload)
     )
     fast, slow = _root_with_child_in(status), _root_with_child_in(status)
-    taken = fast.heard(frame, 41)
-    assert slow.on_frame(frame, 41) == []
     fast_child, slow_child = fast.children[A("1.1.0")], slow.children[A("1.1.0")]
+    taken = fast.heard(fast_child, frame.msg_type, frame.payload, 41)
+    assert slow.on_frame(frame, 41) == []
     assert fast.lines == [] and fast.drain_changesets() == []
     if taken:
         assert slow_child.status == status
@@ -199,14 +199,21 @@ def test_heard_agrees_with_on_frame(status, payload):
 
 
 def test_heard_declines_a_stranger():
-    """A heartbeat from no child is declined by ``heard`` and logged as
-    unknown by ``on_frame``."""
+    """A node its parent holds no record of keeps the default ``hear``, which
+    takes nothing: its heartbeat is built as a frame, which ``on_frame``
+    logs as unknown, and the parent's record of its own child is left
+    alone."""
     node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL)])
-    frame = Frame(MsgType.NETWORK_TEST, A("1.1.2"), node.address)
-    assert not node.heard(frame, 6)
+    stranger = DeviceAgent(A("1.1.2"), DeviceKind.FIREWALL, node.address, hb=HB)
+    assert not stranger.hear(MsgType.NETWORK_TEST, "", 5)
+    frames = stranger.step(5)
+    assert [(f.msg_type, f.src) for f in frames] == [(MsgType.NETWORK_TEST, A("1.1.2"))]
+    child = node.children[A("1.1.1")]
+    deadlines = (child.net_deadline, child.pkg_deadline)
     assert node.lines == []
-    node.on_frame(frame, 6)
+    node.on_frame(frames[0], 6)
     assert node.lines == ["NODE 1.1.0 6 UNKNOWN 1.1.2 NETWORK_TEST"]
+    assert (child.net_deadline, child.pkg_deadline) == deadlines
 
 
 # -- device events through the pipeline ------------------------------------------

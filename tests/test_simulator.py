@@ -367,6 +367,94 @@ def test_a_heartbeat_crossing_a_loss_window_reaches_the_network():
     assert report.files() == ReferenceSimulation(topology, parse_scenario(text)).run().files()
 
 
+def test_a_silenced_smn_offers_no_heartbeat_and_its_parent_renews_nothing():
+    """While 1.1.0 is silenced it builds no heartbeat and offers its hook
+    none, so the root's deadlines for it move only where they fall due;
+    before and after the silence its heartbeats are offered."""
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    text = "drain = 200\nat 40 silence 1.1.0 until 120\n"
+    sim = Simulation(topology, parse_scenario(text))
+    site = sim.smns[NodeAddress.parse("1.1.0", sim.shape)]
+    record = sim.root.children[site.address]
+    offers, built, deadlines = [], [], {}
+    hear, on_tick, step = site.hear, site.on_tick, sim.network.step
+
+    def spy_hear(msg_type, payload, now):
+        offers.append(now)
+        return hear(msg_type, payload, now)
+
+    def spy_on_tick(now):
+        frames = on_tick(now)
+        built.extend(now for frame in frames if frame.msg_type in HEARTBEATS)
+        return frames
+
+    def spy_step():
+        deadlines[sim.network.now] = (record.net_deadline, record.pkg_deadline)
+        step()
+
+    site.hear, site.on_tick, sim.network.step = spy_hear, spy_on_tick, spy_step
+    report = sim.run()
+    silent = range(40, 120)
+    assert [t for t in offers if t in silent] == []
+    assert [t for t in built if t in silent] == []
+    assert min(offers) < 40 and max(offers) >= 120
+    timeouts = (record.hb.network_test_timeout, record.hb.state_pkg_timeout)
+    for t in silent:
+        for old, new, timeout in zip(deadlines[t - 1], deadlines[t], timeouts):
+            assert new == old or (t >= old and new == t + timeout), t
+    assert report.files() == ReferenceSimulation(topology, parse_scenario(text)).run().files()
+
+
+def test_a_heartbeat_after_one_that_travels_travels_unoffered():
+    """At tick 0 the parent's record of 1.1.1 is NET_DOWN, from which T1 has
+    an arrow, so its network test travels. Its state package then travels
+    too without being offered, although neither T3 nor T6 has an arrow from
+    NET_DOWN: the network test, arriving first, makes the record UNREACHABLE,
+    from which T3 has one."""
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    sim = Simulation(topology, parse_scenario("drain = 0\n"))
+    device = sim.agents[NodeAddress.parse("1.1.1", sim.shape)]
+    record = sim.smns[device.parent].children[device.address]
+    offers = []
+    hear = device.hear
+
+    def spy_hear(msg_type, payload, now):
+        offers.append((now, msg_type))
+        return hear(msg_type, payload, now)
+
+    device.hear = spy_hear
+    sent = _spy_heartbeat_sends(sim)
+    sim.run()
+    assert offers == [(0, MsgType.NETWORK_TEST)]
+    assert [(t, m) for t, src, m in sent if src == "1.1.1"] == [(0, m) for m in HEARTBEATS]
+    assert (record.net_deadline, record.pkg_deadline) == (
+        record.hb.network_test_timeout,
+        record.hb.state_pkg_timeout,
+    )
+
+
+def test_an_ended_loss_window_is_dropped():
+    """A loss window is kept only while it can cover a hop: demo/devices.scn's
+    window on 1.2.2's uplink is held at ticks 50-109 alone, the list is
+    empty after the run, and the reports still match the golden."""
+    topology, script, golden = GOLDEN_RUNS["devices"]
+    sim = Simulation(load_topology(str(topology)), parse_scenario(script.read_text()))
+    held = []
+    step = sim.network.step
+
+    def spy_step():
+        if sim.loss_windows:
+            held.append(sim.network.now)
+        step()
+
+    sim.network.step = spy_step
+    files = sim.run().files()
+    assert held == list(range(50, 110))
+    assert sim.loss_windows == []
+    for name in REPORT_FILES:
+        assert files[name].encode() == (golden / name).read_bytes(), name
+
+
 def test_every_run_checks_the_event_accounting():
     topology = load_topology(str(DEMO / "topology.cfg"))
     sim = Simulation(topology, parse_scenario((DEMO / "attack.scn").read_text()))

@@ -17,8 +17,12 @@ LEAVES = [
 ]
 
 
-def random_tree(rng: random.Random, depth: int, degree: int, max_nodes: int = 40):
-    """Grow a random tree by repeatedly attaching children to random nodes.
+def random_tree(
+    rng: random.Random, depth: int, degree: int, max_nodes: int = 40, chain: float = 0.0
+):
+    """Grow a random tree by repeatedly attaching children to random nodes,
+    or, with probability ``chain``, to the node attached last, which grows
+    deep trees.
 
     Every node is a management node so any node may gain children; states
     are random leaf states.
@@ -33,7 +37,7 @@ def random_tree(rng: random.Random, depth: int, degree: int, max_nodes: int = 40
     )
     nodes = [tree.root]
     for _ in range(rng.randrange(max_nodes)):
-        parent = rng.choice(nodes)
+        parent = nodes[-1] if chain and rng.random() < chain else rng.choice(nodes)
         if parent.address.level >= depth:
             continue
         free = [k for k in range(1, degree + 1) if k not in parent.children]
