@@ -196,7 +196,6 @@ class Mailbox:
 @dataclass(frozen=True)
 class DeadLetter:
     frame: Frame
-    reason: str
 
     def line(self) -> str:
         f = self.frame
@@ -246,8 +245,8 @@ class SimNetwork:
             else:
                 try:
                     hop = next_hop(at, dst, parents)
-                except Unroutable as exc:
-                    self.dead_letters.append(DeadLetter(frame, str(exc)))
+                except Unroutable:
+                    self.dead_letters.append(DeadLetter(frame))
                     continue
             if hop is None:
                 hop = at

@@ -32,8 +32,12 @@ it. A harness binds the hook to the parent's record of the sender (see
 Once one heartbeat of a sender travels, the rest of its tick travel too,
 unoffered: arriving first, it may move the record so that the next one has
 an arrow (a network test that brings a child from NET_DOWN to UNREACHABLE
-gives T3 of the state package after it one). A silenced management node
-offers none, since none of its frames travels.
+gives T3 of the state package after it one).
+
+A harness applies a silence or abnormal window at its start, so a node
+keeps only the tick its latest one ends. The harness drops every frame a
+silenced node returns (see ``simulator``); the node offers no heartbeat,
+and a device defers its flush until the silence ends.
 
 A device event takes its sender's record through T7 into HANDLING_ALERT and
 T8 back out, with the event's rating and correlation in between. Nothing in
@@ -183,9 +187,12 @@ _COMMAND_CONDS = {
 }
 
 
-#: the heartbeat types, bound once: reading an ``Enum`` member off its class
-#: costs a Python-level lookup on every heartbeat
+#: the message types, bound once: reading an ``Enum`` member off its class
+#: costs a Python-level lookup on every heartbeat and frame
 _NETWORK_TEST, _STATE_PKG = MsgType.NETWORK_TEST, MsgType.DEVICE_STATE_PKG
+_DEVICE_EVENT, _TOPOLOGY_REPORT = MsgType.DEVICE_EVENT, MsgType.TOPOLOGY_REPORT
+_COMMAND, _COMMAND_ACK = MsgType.COMMAND, MsgType.COMMAND_ACK
+_RESPONSE_COORD, _SESSION_ALERT = MsgType.RESPONSE_COORD, MsgType.SESSION_ALERT
 
 _NET_TEST_CONDS = (_T.T1,)
 _NORMAL_PKG_CONDS = (_T.T3, _T.T6)
@@ -215,21 +222,16 @@ def _renew(child: ChildRecord, msg_type: MsgType, now: int) -> None:
         child.pkg_deadline = now + child.hb.state_pkg_timeout
 
 
-def _in_window(windows: list[tuple[int, int]], now: int) -> bool:
-    if not windows:
-        return False
-    return any(start <= now < end for start, end in windows)
-
-
 class _Node:
     """What management nodes and device agents share: an address, a status,
-    the log lines they leave for the harness and their silence windows."""
+    the log lines they leave for the harness and their silence's end."""
 
     def __init__(self, address: NodeAddress) -> None:
         self.address = address
         self.status = DeviceStatus(DeviceState.RUNNING_OK)
         self.lines: list[str] = []
-        self.silences: list[tuple[int, int]] = []
+        #: the end of the latest silence window, which began when applied
+        self.silent_until = 0
 
     def _log(self, now: int, action: str, detail: str = "") -> None:
         line = f"NODE {self.address} {now} {action}"
@@ -241,8 +243,8 @@ class _Node:
         lines, self.lines = self.lines, []
         return lines
 
-    def silence(self, start: int, end: int) -> None:
-        self.silences.append((start, end))
+    def silence(self, until: int) -> None:
+        self.silent_until = max(self.silent_until, until)
 
     @staticmethod
     def hear(msg_type: MsgType, payload: str, now: int) -> bool:
@@ -266,7 +268,7 @@ class _Node:
             out.append(Frame(_STATE_PKG, self.address, self.parent, payload))
 
     def silenced(self, now: int) -> bool:
-        return _in_window(self.silences, now)
+        return now < self.silent_until
 
     def _apply_cond(self, holder, cond: TransferCondition, now: int) -> bool:
         """Step ``holder.status`` (this node or a tracked child) by ``cond``
@@ -370,45 +372,37 @@ class SmnNode(_Node):
             return []
         self._log(now, "REPORT", "")
         report = self.virtual_view.serialize()
-        return [Frame(MsgType.TOPOLOGY_REPORT, self.address, self.parent, report)]
+        return [Frame(_TOPOLOGY_REPORT, self.address, self.parent, report)]
 
     # -- frame handling ----------------------------------------------------
 
     def on_frame(self, frame: Frame, now: int) -> list[Frame]:
         mt = frame.msg_type
-        if mt in (
-            MsgType.NETWORK_TEST,
-            MsgType.DEVICE_STATE_PKG,
-            MsgType.DEVICE_EVENT,
-            MsgType.TOPOLOGY_REPORT,
-            MsgType.SESSION_ALERT,
-        ):
-            child = self.children.get(frame.src)
-            if child is None:
-                self._log(now, "UNKNOWN", f"{frame.src} {mt.name}")
-                return []
-            if mt is MsgType.NETWORK_TEST or mt is MsgType.DEVICE_STATE_PKG:
-                for cond in _heartbeat_conds(mt, frame.payload):
-                    self._apply_cond(child, cond, now)
-                _renew(child, mt, now)
-                return []
-            if mt is MsgType.DEVICE_EVENT:
-                return self._on_device_event(child, frame, now)
-            if mt is MsgType.TOPOLOGY_REPORT:
-                return self._on_topology_report(child, frame, now)
-            return self._on_session_alert(frame)
-        if mt is MsgType.COMMAND:
+        if mt is _COMMAND:
             return self._on_command(frame, now)
-        if mt is MsgType.COMMAND_ACK:
+        if mt is _COMMAND_ACK:
             cmd_id = frame.payload
             if cmd_id in self.pending_commands:
                 del self.pending_commands[cmd_id]
                 self._log(now, "ACK", f"{cmd_id} {frame.src}")
             return []
-        if mt is MsgType.RESPONSE_COORD:
+        if mt is _RESPONSE_COORD:
             return self._on_response_coord(frame, now)
-        self._log(now, "UNKNOWN", f"{frame.src} {mt.name}")
-        return []
+        # every other type comes from a child
+        child = self.children.get(frame.src)
+        if child is None:
+            self._log(now, "UNKNOWN", f"{frame.src} {mt.name}")
+            return []
+        if mt is _NETWORK_TEST or mt is _STATE_PKG:
+            for cond in _heartbeat_conds(mt, frame.payload):
+                self._apply_cond(child, cond, now)
+            _renew(child, mt, now)
+            return []
+        if mt is _DEVICE_EVENT:
+            return self._on_device_event(child, frame, now)
+        if mt is _TOPOLOGY_REPORT:
+            return self._on_topology_report(child, frame, now)
+        return self._on_session_alert(frame)
 
     @staticmethod
     def heard(child: ChildRecord, msg_type: MsgType, payload: str, now: int) -> bool:
@@ -448,7 +442,7 @@ class SmnNode(_Node):
                     self.session_lines.append(line)
                     self._log(now, "ALERT", action.record.session_id)
                     if self.parent is not None:
-                        out.append(Frame(MsgType.SESSION_ALERT, self.address, self.parent, line))
+                        out.append(Frame(_SESSION_ALERT, self.address, self.parent, line))
         if paired:
             self._log(now, "STATE", f"{child.address} T8 {_ALERT}->{state.value}")
             child.status = _AFTER_ALERT[state]
@@ -469,7 +463,7 @@ class SmnNode(_Node):
         self.session_lines.append(line)
         if self.parent is None:
             return []
-        return [Frame(MsgType.SESSION_ALERT, self.address, self.parent, line)]
+        return [Frame(_SESSION_ALERT, self.address, self.parent, line)]
 
     def _on_command(self, frame: Frame, now: int) -> list[Frame]:
         order: Order = frame.payload
@@ -479,7 +473,7 @@ class SmnNode(_Node):
             self._apply_cond(self, conds[0], now)
             self._apply_cond(self, conds[1], now)
         self._log(now, "CMD", f"{order.cmd_id} {order.kind}")
-        return [Frame(MsgType.COMMAND_ACK, self.address, frame.src, order.cmd_id)]
+        return [Frame(_COMMAND_ACK, self.address, frame.src, order.cmd_id)]
 
     # -- commands ----------------------------------------------------------
 
@@ -492,7 +486,7 @@ class SmnNode(_Node):
         cmd_id = f"{self.address}!{self.command_counter}"
         self.pending_commands[cmd_id] = None
         self._log(now, "COMMAND", f"{cmd_id} {kind} {target}")
-        return cmd_id, [Frame(MsgType.COMMAND, self.address, target, Order(kind, cmd_id))]
+        return cmd_id, [Frame(_COMMAND, self.address, target, Order(kind, cmd_id))]
 
     def log_unacked(self, now: int) -> None:
         """Log one ``UNACKED`` line per command still waiting for its ACK, in
@@ -517,7 +511,7 @@ class SmnNode(_Node):
         case = self.cases[case_id]
         coordinator = er.escalate(case)
         self._case_line(case_id, now, self.address, "escalate")
-        return [Frame(MsgType.RESPONSE_COORD, self.address, coordinator, Escalate(case_id))]
+        return [Frame(_RESPONSE_COORD, self.address, coordinator, Escalate(case_id))]
 
     def respond_enlist(
         self, case_id: str, targets: list[NodeAddress], now: int
@@ -529,7 +523,7 @@ class SmnNode(_Node):
             if not self.address.is_ancestor(target):
                 raise TargetOutsideSubtree(f"{target} not below {self.address}")
         self._log(now, "ENLIST", f"{case_id} {','.join(str(t) for t in targets)}")
-        coord = MsgType.RESPONSE_COORD
+        coord = _RESPONSE_COORD
         frames = [Frame(coord, self.address, t, Advisory(case_id, owner)) for t in targets]
         frames.append(Frame(coord, self.address, owner, Enlisted(case_id, tuple(targets))))
         return frames
@@ -541,7 +535,7 @@ class SmnNode(_Node):
             return []
         owner = self.coordinated.get(case_id)
         if owner is not None:
-            return [Frame(MsgType.RESPONSE_COORD, self.address, owner, Advance(case_id))]
+            return [Frame(_RESPONSE_COORD, self.address, owner, Advance(case_id))]
         self._log(now, "RESPOND-ERROR", f"unknown case {case_id}")
         return []
 
@@ -561,7 +555,7 @@ class SmnNode(_Node):
             return []
         if type(msg) is Advisory:
             self._log(now, "ADVISORY", case_id)
-            return [Frame(MsgType.RESPONSE_COORD, self.address, msg.owner, Confirm(case_id))]
+            return [Frame(_RESPONSE_COORD, self.address, msg.owner, Confirm(case_id))]
         case = self.cases.get(case_id)
         if case is None:
             return []
@@ -652,26 +646,23 @@ class DeviceAgent(_Node):
         self.event_seq = 0
         #: emitted events waiting for their window to flush, in emit order
         self.buffer: list[Emit] = []
-        self.abnormal_windows: list[tuple[int, int]] = []
+        #: the end of the latest abnormal window, as ``silent_until``
+        self.abnormal_until = 0
         self.pending_acks: list[tuple[int, str, TransferCondition, NodeAddress]] = []
 
-    def mark_abnormal(self, start: int, end: int) -> None:
-        self.abnormal_windows.append((start, end))
+    def mark_abnormal(self, until: int) -> None:
+        self.abnormal_until = max(self.abnormal_until, until)
 
     def inject(self, emit: Emit) -> None:
         self.buffer.append(emit)
 
     def on_frame(self, frame: Frame, now: int) -> list[Frame]:
-        if frame.msg_type is not MsgType.COMMAND:
+        if frame.msg_type is not _COMMAND:
             return []
         order: Order = frame.payload
         conds = _COMMAND_CONDS.get(order.kind)
         if conds is None:
-            # a silenced device answers nothing, as a silenced management
-            # node does
-            if self.silenced(now):
-                return []
-            return [Frame(MsgType.COMMAND_ACK, self.address, frame.src, order.cmd_id)]
+            return [Frame(_COMMAND_ACK, self.address, frame.src, order.cmd_id)]
         self._apply_cond(self, conds[0], now)
         self.pending_acks.append(
             (now + self.settings.command_delay, order.cmd_id, conds[1], frame.src)
@@ -692,27 +683,25 @@ class DeviceAgent(_Node):
         return wake
 
     def step(self, now: int) -> list[Frame]:
-        silenced = self.silenced(now)
         out: list[Frame] = []
         if self.pending_acks:
             still: list[tuple[int, str, TransferCondition, NodeAddress]] = []
             for due, cmd_id, cond_out, reply_to in self.pending_acks:
                 if due <= now:
-                    # a command completes on schedule; its ack is lost in a
-                    # silence, as a silenced management node's is
+                    # a command completes on schedule, in a silence too
                     self._apply_cond(self, cond_out, now)
                     self._log(now, "CMD", f"{cmd_id} done")
-                    if not silenced:
-                        out.append(Frame(MsgType.COMMAND_ACK, self.address, reply_to, cmd_id))
+                    out.append(Frame(_COMMAND_ACK, self.address, reply_to, cmd_id))
                 else:
                     still.append((due, cmd_id, cond_out, reply_to))
             self.pending_acks = still
-        if silenced:
+        if self.silenced(now):
+            # no heartbeat is offered, and the flush waits
             return []
         net_due = now % self.hb.network_test_interval == 0
         pkg_due = now % self.hb.state_pkg_interval == 0
         if net_due or pkg_due:
-            abnormal = pkg_due and _in_window(self.abnormal_windows, now)
+            abnormal = pkg_due and now < self.abnormal_until
             self._heartbeats(out, now, net_due, pkg_due, "abnormal" if abnormal else "normal")
         if now % self.settings.window_ticks == 0 and self.buffer:
             ready = [e for e in self.buffer if e.tick < now]
@@ -733,4 +722,4 @@ class DeviceAgent(_Node):
         aggregated = aggregate_single_device(
             normalized, self.settings.window_ticks, self.settings.portscan_threshold
         )
-        return [Frame(MsgType.DEVICE_EVENT, self.address, self.parent, ev) for ev in aggregated]
+        return [Frame(_DEVICE_EVENT, self.address, self.parent, ev) for ev in aggregated]

@@ -83,7 +83,7 @@ class SessionAlert:
     info: SessionInfo
     event_queue: list[NormalizedEvent] = field(default_factory=list)
     status: SessionStatus = SessionStatus.OPEN
-    destroy_deadline: int | None = None
+    destroy_deadline: int | None = None  # set together with DESTROY_PENDING
     #: creation order within its engine: of two alerts with equal starts,
     #: the one created first wins a match
     ordinal: int = 0
@@ -350,9 +350,7 @@ class CorrelationEngine:
         done = [
             a
             for a in self.store.alerts
-            if a.status is SessionStatus.DESTROY_PENDING
-            and a.destroy_deadline is not None
-            and a.destroy_deadline <= now
+            if a.status is SessionStatus.DESTROY_PENDING and a.destroy_deadline <= now
         ]
         if done:
             gone = {a.ordinal for a in done}

@@ -33,11 +33,15 @@ T7/T8 pair is closed, see ``node_runtime``). Deadlines only move later, so
 a parent filed on the timing wheel under an older deadline wakes, finds
 nothing due and files again. The hook declines a heartbeat, which then goes
 as a frame, when one of its conditions has an arrow from the parent's
-record of the child, or when a loss window covers its hop at the tick (it
-keeps its draw from the loss source); and a sender offers no heartbeat
-after one of its tick went as a frame (see ``node_runtime``). A loss window
-is dropped at the first tick it no longer covers, so each offer scans only
-the live ones.
+record of the child, or when a loss window covers its hop (it keeps its
+draw from the loss source); and a sender offers no heartbeat after one of
+its tick went as a frame (see ``node_runtime``).
+
+A scenario window is applied at its start tick, before any node runs, so
+a window held has begun: a node keeps only the end of its latest silence or
+abnormal window, and a loss window, dropped at the first tick it has ended,
+covers its hop while held. ``_run_node`` alone drops a silenced node's
+frames, so they take no number.
 """
 
 from __future__ import annotations
@@ -100,25 +104,19 @@ class RunReport:
                 fh.write(content)
 
 
-LossWindow = tuple[NodeAddress, NodeAddress, int, int, float]
+LossWindow = tuple[NodeAddress, NodeAddress, int, float]
 
 
-def _covering_rates(
-    windows: list[LossWindow], at: NodeAddress, hop: NodeAddress, now: int
-) -> list[float]:
-    """The rates of the ``windows`` (from, to, start, end, rate) that cover
-    the hop from ``at`` to ``hop`` at tick ``now``, in the order they began."""
-    return [
-        rate
-        for src, dst, start, end, rate in windows
-        if src == at and dst == hop and start <= now < end
-    ]
+def _covering_rates(windows: list[LossWindow], at: NodeAddress, hop: NodeAddress) -> list[float]:
+    """The rates of the live ``windows`` (from, to, end, rate) on the hop
+    from ``at`` to ``hop``, in the order they began."""
+    return [rate for src, dst, _, rate in windows if src == at and dst == hop]
 
 
 def _hearing(record: ChildRecord, parent: NodeAddress, windows: list[LossWindow]):
     """A node's ``hear`` hook: its parent takes a heartbeat sent at ``now``
     by ``SmnNode.heard`` on ``record``, its record of the node, as arriving
-    at ``now + 1``, unless one of ``windows`` covers the hop at ``now``.
+    at ``now + 1``, unless one of ``windows`` covers the hop.
 
     The hook's state is bound as defaults, not closed over: that makes two
     objects per node for the garbage collector to scan while a simulation
@@ -133,7 +131,7 @@ def _hearing(record: ChildRecord, parent: NodeAddress, windows: list[LossWindow]
         windows: list[LossWindow] = windows,
         heard=SmnNode.heard,
     ) -> bool:
-        if windows and _covering_rates(windows, record.address, parent, now):
+        if windows and _covering_rates(windows, record.address, parent):
             return False
         return heard(record, msg_type, payload, now + 1)
 
@@ -142,12 +140,12 @@ def _hearing(record: ChildRecord, parent: NodeAddress, windows: list[LossWindow]
 
 def _windowed_loss(windows: list[LossWindow], rng):
     """A ``SimNetwork`` loss hook dropping a frame on a hop that one of
-    ``windows`` covers at the step's tick, with that window's rate. It holds
-    the windows and the random source, not the simulation, so no cycle keeps
-    a discarded simulation alive until a full garbage collection."""
+    ``windows`` covers, with that window's rate. It holds the windows and
+    the random source, not the simulation, so no cycle keeps a discarded
+    simulation alive until a full garbage collection."""
 
     def lossy(frame: Frame, at: NodeAddress, hop: NodeAddress, now: int) -> bool:
-        for rate in _covering_rates(windows, at, hop, now):
+        for rate in _covering_rates(windows, at, hop):
             if rate >= 1.0 or rng.random() < rate:
                 return True
         return False
@@ -166,8 +164,8 @@ class Simulation:
         self.scenario = scenario
         self.debug = debug
         self.shape = topology.shape
-        #: (from, to, start, end, rate) of each loss window begun and not yet
-        #: ended, shared in place with the loss and ``hear`` hooks
+        #: (from, to, end, rate) of each loss window begun and not yet ended,
+        #: shared in place with the loss and ``hear`` hooks
         self.loss_windows: list[LossWindow] = []
 
         counterplans = CounterplanStore()
@@ -301,9 +299,9 @@ class Simulation:
             elif isinstance(d, Window):
                 node = self._node(d.node)
                 if d.abnormal:
-                    self.agents[node].mark_abnormal(tick, d.until)
+                    self.agents[node].mark_abnormal(d.until)
                 else:
-                    (self.smns.get(node) or self.agents[node]).silence(tick, d.until)
+                    (self.smns.get(node) or self.agents[node]).silence(d.until)
             elif isinstance(d, Command):
                 _, frames = self.root.dispatch_command(self._node(d.target), d.kind, tick)
                 outbound.extend(frames)
@@ -312,9 +310,11 @@ class Simulation:
                 self._do_respond(d, tick, outbound)
                 logged = True
             else:
-                self.loss_windows.append(
-                    (self._node(d.src), self._node(d.dst), tick, d.until, d.rate)
-                )
+                self.loss_windows.append((self._node(d.src), self._node(d.dst), d.until, d.rate))
+        windows = self.loss_windows
+        if windows:
+            # a window ended by this tick covers no hop again
+            windows[:] = [w for w in windows if w[2] > tick]
         if logged:
             # a node leaves the lines a directive logged on it at its own
             # slot of this tick, so it runs now
@@ -376,7 +376,6 @@ class Simulation:
 
     def _run_node(self, slot: int, tick: int, addressed: bool) -> list[Frame]:
         node = self._nodes[slot]
-        smn = slot in self._smn_slots
         out: list[Frame] = []
         if addressed:
             addr = self.order[slot]
@@ -384,9 +383,10 @@ class Simulation:
             while frame is not None:
                 out.extend(node.on_frame(frame, tick))
                 frame = self.network.poll(addr)
-        ticked = node.on_tick(tick) if smn else node.step(tick)
+        ticked = node.on_tick(tick) if slot in self._smn_slots else node.step(tick)
         self._schedule(slot, node.next_wake(tick))
-        if smn and node.silenced(tick):
+        if tick < node.silent_until:
+            # no frame of a silenced node travels, answer or heartbeat
             return []
         out.extend(ticked)
         return out
@@ -402,11 +402,7 @@ class Simulation:
 
     def run(self) -> RunReport:
         end_tick = self.scenario.last_tick + self.scenario.drain
-        windows = self.loss_windows
         for tick in range(end_tick + 1):
-            if windows:
-                # an ended window covers no hop again
-                windows[:] = [w for w in windows if w[3] > tick]
             outbound: list[Frame] = []
             self._apply_directives(tick, outbound)
             arrived, self.network.arrived = self.network.arrived, set()

@@ -4,7 +4,8 @@
 every tick every node polls its mailbox and acts, whether or not it is due
 or addressed, every management node's correlation engine is swept to the
 tick after its clock runs (an engine sweeps itself only when an event
-reaches it), and every frame travels: each is numbered and sent. Its nodes
+reaches it), and every frame travels, numbered and sent, but a silenced
+node's, which ``_visit`` drops by the one rule ``_run_node`` keeps. Its nodes
 get back the default ``hear`` hook, which takes nothing, so each heartbeat
 is built as a frame and reaches its parent's ``on_frame``, and
 ``SmnNode.heard`` is never called. Both loops must leave byte-identical
@@ -39,14 +40,13 @@ class ReferenceSimulation(Simulation):
                 break
             out.extend(node.on_frame(frame, tick))
         if addr in self.smns:
-            smn = self.smns[addr]
-            ticked = smn.on_tick(tick)
-            smn.engine.sweep(tick)
-            if smn.silenced(tick):
-                return []
-            out.extend(ticked)
+            ticked = node.on_tick(tick)
+            node.engine.sweep(tick)
         else:
-            out.extend(self.agents[addr].step(tick))
+            ticked = node.step(tick)
+        if node.silenced(tick):
+            return []
+        out.extend(ticked)
         return out
 
     def run(self) -> RunReport:

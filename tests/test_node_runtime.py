@@ -142,12 +142,36 @@ def test_silent_child_smn_is_disassembled_with_report():
     assert any(f.msg_type is MsgType.TOPOLOGY_REPORT for f in frames)
 
 
-def test_unknown_child_frame_logged_and_dropped():
+@pytest.mark.parametrize(
+    "msg_type",
+    [
+        MsgType.NETWORK_TEST,
+        MsgType.DEVICE_STATE_PKG,
+        MsgType.DEVICE_EVENT,
+        MsgType.TOPOLOGY_REPORT,
+        MsgType.SESSION_ALERT,
+    ],
+    ids=lambda m: m.name,
+)
+def test_unknown_child_frame_logged_and_dropped(msg_type):
+    """A frame of a type only a child sends, from a node that is not a child,
+    is logged ``UNKNOWN`` and changes nothing else. A command needs no child:
+    from the parent it is still executed and ACKed."""
     node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL)])
-    stranger = A("1.1.2")
-    out = node.on_frame(Frame(MsgType.NETWORK_TEST, stranger, node.address), 6)
+    record = node.children[A("1.1.1")]
+    before = (record.status, record.net_deadline, record.pkg_deadline)
+    out = node.on_frame(Frame(msg_type, A("1.1.2"), node.address), 6)
     assert out == []
-    assert any("UNKNOWN 1.1.2" in line for line in node.lines)
+    assert node.drain_lines() == [f"NODE 1.1.0 6 UNKNOWN 1.1.2 {msg_type.name}"]
+    assert (record.status, record.net_deadline, record.pkg_deadline) == before
+    assert node.virtual_view.serialize() == make_smn(
+        children=[("1.1.1", DeviceKind.FIREWALL)]
+    ).virtual_view.serialize()
+    assert node.session_lines == [] and node.events_received == 0
+    order = Order("policy", "1.0.0!1")
+    out = node.on_frame(Frame(MsgType.COMMAND, A("1.0.0"), node.address, order), 7)
+    assert out == [Frame(MsgType.COMMAND_ACK, node.address, A("1.0.0"), "1.0.0!1")]
+    assert node.drain_lines()[-1] == "NODE 1.1.0 7 CMD 1.0.0!1 policy"
 
 
 def _root_with_child_in(status):
@@ -676,7 +700,7 @@ def test_agent_window_holds_current_tick_events():
 
 def test_agent_silence_mutes_everything():
     agent = make_agent()
-    agent.silence(35, 60)
+    agent.silence(60)
     agent.inject(raw(agent, "fw.deny", t=36))
     assert agent.step(40) == []
     frames = agent.step(70)
@@ -685,7 +709,7 @@ def test_agent_silence_mutes_everything():
 
 def test_agent_abnormal_window_flags_state_pkg():
     agent = make_agent()
-    agent.mark_abnormal(0, 20)
+    agent.mark_abnormal(20)
     frames = agent.step(8)
     pkg = [f for f in frames if f.msg_type is MsgType.DEVICE_STATE_PKG]
     assert pkg and pkg[0].payload == "abnormal"
@@ -709,7 +733,7 @@ def test_agent_next_wake_covers_heartbeats_window_and_acks():
     agent.settings.command_delay = 1
     agent.on_frame(Frame(MsgType.COMMAND, src, A("1.1.1"), Order("policy", "c!2")), 18)
     assert agent.next_wake(18) == 19
-    agent.silence(19, 30)
+    agent.silence(30)
     agent.drain_lines()
     assert agent.step(22) == []  # silenced: both commands complete, their acks are lost
     assert [line.split(" ", 3)[3] for line in agent.drain_lines()] == [

@@ -39,7 +39,7 @@ GEN0 = GOLDEN / "gen0"
 GOLDEN_RUNS = {
     **{
         name: (DEMO / "topology.cfg", DEMO / f"{name}.scn", GOLDEN / name)
-        for name in ("attack", "devices", "heartbeat", "respond")
+        for name in ("attack", "devices", "heartbeat", "respond", "windows")
     },
     # the benchmark's generated seed-0 tree of 91 nodes under the first 100
     # ticks of its attack load (see the head of gen0/attack.scn)
