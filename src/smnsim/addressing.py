@@ -42,10 +42,6 @@ class ShapeMismatch(AddressError):
     pass
 
 
-class DisjointRoots(AddressError):
-    pass
-
-
 class DepthExceeded(AddressError):
     pass
 
@@ -216,17 +212,3 @@ class NodeAddress:
             return False
         lvl = self.level
         return other.segments[:lvl] == self.segments[:lvl]
-
-    def common_ancestor(self, other: "NodeAddress") -> "NodeAddress":
-        """Deepest address equal to, or an ancestor of, both operands."""
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} vs {other.shape}")
-        if self.segments[0] != other.segments[0]:
-            raise DisjointRoots(f"{self} and {other} have different roots")
-        common = []
-        for a, b in zip(self.segments, other.segments):
-            if a != b:
-                break
-            common.append(a)
-        padded = common + [0] * (self.shape.depth - len(common))
-        return NodeAddress(tuple(padded), self.shape)

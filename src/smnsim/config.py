@@ -17,6 +17,11 @@ nodes and tunables::
     asset_value = 3
     vulnerabilities = CVE-7
 
+The parser reads each topology line once, with plain string operations,
+and that one path raises every error. Every node that overrides no
+heartbeat key shares one ``HeartbeatConfig``, unmodified: the class is
+frozen, so no node can change it under the others.
+
 A scenario file is a time-ordered directive list::
 
     seed = 7
@@ -63,7 +68,8 @@ class ConfigError(Exception):
 
 _HB_KEYS = tuple(f.name for f in fields(HeartbeatConfig))
 
-_NODE_KEYS = {"kind", "ip", "asset_value", "vulnerabilities", *_HB_KEYS}
+#: the keys of a ``[node …]`` section; ``label`` is accepted and ignored
+_NODE_KEYS = {"kind", "ip", "asset_value", "vulnerabilities", "label", *_HB_KEYS}
 
 
 @dataclass
@@ -112,7 +118,12 @@ def _int(
     return number
 
 
+_NO_VULNS: frozenset[str] = frozenset()
+
+
 def _vuln_set(text: str) -> frozenset[str]:
+    if not text:
+        return _NO_VULNS
     return frozenset(v.strip() for v in text.split(",") if v.strip())
 
 
@@ -135,9 +146,11 @@ def _parse_filter_rule(value: str, line_no: int) -> FilterRule:
     return FilterRule(kind, given.get("class"), given.get("src"), given.get("dst"))
 
 
-#: Sections whose keys may each be given once; ``[classify]`` compares its
-#: parsed (kind, native) keys instead, and ``[filter] drop`` repeats.
-_ONCE_SECTIONS = ("tree", "heartbeat", "pipeline", "assets", "vulnmap")
+#: Sections whose keys may each be given once, besides ``[node …]`` and
+#: ``[assets]``, which find a repeat in the dict they fill. ``[classify]``
+#: compares its parsed (kind, native) keys instead, and ``[filter] drop``
+#: repeats.
+_ONCE_SECTIONS = ("tree", "heartbeat", "pipeline", "vulnmap")
 
 
 def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
@@ -152,25 +165,58 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
     class_vulns: dict[str, frozenset[str]] = {}
     counterplan_dir: str | None = None
     ignored_keys: list[str] = []
-    #: (section, key) of each key given in a section that takes it once
+    #: (section, key) of each key given in one of ``_ONCE_SECTIONS``
     seen: set[tuple[str, str]] = set()
+    #: per ``[node …]`` header text, the keys given under it so far: a key
+    #: that a repeated header gives again is given twice, as within one
+    #: section
+    node_headers: dict[str, dict[str, str]] = {}
 
     section = ""
-    current_node: dict[str, str] | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    #: the keys of the ``[node …]`` section being read, if one is
+    node_kv: dict[str, str] | None = None
+    #: the entry of ``node_headers`` for its header text: ``node_kv`` itself
+    #: unless the header repeats
+    node_keys: dict[str, str] = {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
+        line = line.strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             section = line[1:-1].strip()
             if section.startswith("node "):
-                current_node = {}
-                node_sections.append((section[len("node ") :].strip(), current_node, line_no))
+                node_kv = {}
+                node_sections.append((section[len("node ") :].strip(), node_kv, line_no))
+                earlier = node_headers.get(section)
+                node_keys = node_headers[section] = node_kv if earlier is None else {**earlier}
             else:
-                current_node = None
+                node_kv = None
             continue
-        key, value = _split_kv(line, line_no)
-        if section in _ONCE_SECTIONS or current_node is not None:
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ConfigError(f"expected 'key = value', got {line!r}", line_no)
+        key = key.strip()
+        value = value.strip()
+        if node_kv is not None:
+            if key in node_keys:
+                raise ConfigError(f"key {key!r} given twice in [{section}]", line_no)
+            if key not in _NODE_KEYS:
+                raise ConfigError(f"unknown node key {key!r}", line_no)
+            if key == "label":
+                _ignore(ignored_keys, key)
+            node_kv[key] = node_keys[key] = value
+            continue
+        if section == "assets":
+            if key in asset_entries:
+                raise ConfigError(f"key {key!r} given twice in [assets]", line_no)
+            entry = value.split(None, 1)
+            asset_value = _int(entry[0] if entry else value, line_no, "asset value", 1, 5)
+            vulns = _vuln_set(entry[1]) if len(entry) > 1 else _NO_VULNS
+            asset_entries[key] = (asset_value, vulns)
+            continue
+        if section in _ONCE_SECTIONS:
             if (section, key) in seen:
                 raise ConfigError(f"key {key!r} given twice in [{section}]", line_no)
             seen.add((section, key))
@@ -192,14 +238,6 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
                 _ignore(ignored_keys, key)
             else:
                 pipeline_kv[key] = (value, line_no)
-        elif section.startswith("node "):
-            assert current_node is not None
-            if key == "label":
-                _ignore(ignored_keys, key)
-            elif key not in _NODE_KEYS:
-                raise ConfigError(f"unknown node key {key!r}", line_no)
-            else:
-                current_node[key] = value
         elif section == "filter":
             if key != "drop":
                 raise ConfigError(f"unknown filter key {key!r}", line_no)
@@ -214,11 +252,6 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
             if (kind, parts[1]) in mapping_rules:
                 raise ConfigError(f"key {key!r} given twice in [{section}]", line_no)
             mapping_rules[(kind, parts[1])] = value
-        elif section == "assets":
-            entry = value.split(None, 1)
-            asset_value = _int(entry[0], line_no, "asset value", 1, 5)
-            vulns = _vuln_set(entry[1]) if len(entry) > 1 else frozenset()
-            asset_entries[key] = (asset_value, vulns)
         elif section == "vulnmap":
             class_vulns[key] = _vuln_set(value)
         elif section == "counterplans":
@@ -234,6 +267,8 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
 
     pipeline = _build_pipeline(pipeline_kv)
     nodes: dict[NodeAddress, NodeDecl] = {}
+    #: the one heartbeat configuration of every node that overrides no key
+    default_hb: HeartbeatConfig | None = None
     for addr_text, kv, line_no in node_sections:
         try:
             address = NodeAddress.parse(addr_text, shape)
@@ -245,14 +280,15 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         kind = _KIND_BY_NAME.get(kind_name)
         if kind is None:
             raise ConfigError(f"node {addr_text}: unknown kind {kind_name!r}", line_no)
-        hb_kv = dict(hb_defaults)
-        for hb_key in _HB_KEYS:
-            if hb_key in kv:
-                hb_kv[hb_key] = _int(kv[hb_key], line_no, hb_key, low=1)
-        try:
-            hb = HeartbeatConfig(**hb_kv)
-        except ValueError as exc:
-            raise ConfigError(f"node {addr_text}: {exc}", line_no) from exc
+        overrides = {k: _int(kv[k], line_no, k, low=1) for k in _HB_KEYS if k in kv}
+        hb = default_hb
+        if overrides or hb is None:
+            try:
+                hb = HeartbeatConfig(**{**hb_defaults, **overrides})
+            except ValueError as exc:
+                raise ConfigError(f"node {addr_text}: {exc}", line_no) from exc
+            if not overrides:
+                default_hb = hb
         nodes[address] = NodeDecl(
             address=address,
             kind=kind,

@@ -82,9 +82,8 @@ class DeviceStatus:
             raise ValueError(f"resume state must be a waiting substate, got {self.resume}")
 
 
-def initial_status() -> DeviceStatus:
-    """Devices are assumed network-disconnected until a test package arrives."""
-    return DeviceStatus(DeviceState.NET_DOWN, DeviceState.RUNNING_OK)
+#: Devices are assumed network-disconnected until a test package arrives.
+INITIAL_STATUS = DeviceStatus(DeviceState.NET_DOWN, DeviceState.RUNNING_OK)
 
 
 _S = DeviceState

@@ -37,7 +37,8 @@ gives T3 of the state package after it one).
 A harness applies a silence or abnormal window at its start, so a node
 keeps only the tick its latest one ends. The harness drops every frame a
 silenced node returns (see ``simulator``); the node offers no heartbeat,
-and a device defers its flush until the silence ends.
+a management node builds and logs no topology report, and a device defers
+its flush until the silence ends.
 
 A device event takes its sender's record through T7 into HANDLING_ALERT and
 T8 back out, with the event's rating and correlation in between. Nothing in
@@ -66,7 +67,7 @@ which the scenario harness collects into golden-comparable reports.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
@@ -77,9 +78,9 @@ from .device_model import (
     DeviceKind,
     DeviceState,
     DeviceStatus,
+    INITIAL_STATUS,
     TransferCondition,
     WAITING_STATES,
-    initial_status,
     step,
 )
 from .device_tree import (
@@ -136,12 +137,13 @@ class TargetNotInSubtree(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeartbeatConfig:
     """Cadence of liveness traffic and when silence counts as loss.
 
     The state-package timeout is the shorter one so a silent node first
-    degrades to unreachable and only then to network-down.
+    degrades to unreachable and only then to network-down. Frozen, so that
+    every node without an override of its own shares one.
     """
 
     network_test_interval: int = 5
@@ -176,7 +178,7 @@ class ChildRecord:
     address: NodeAddress
     kind: DeviceKind
     hb: HeartbeatConfig
-    status: DeviceStatus = field(default_factory=initial_status)
+    status: DeviceStatus = INITIAL_STATUS
     net_deadline: int = 0
     pkg_deadline: int = 0
 
@@ -202,6 +204,8 @@ _ABNORMAL_PKG_CONDS = (_T.T3, _T.T5)
 _ALERT = DeviceState.HANDLING_ALERT.value
 #: the status T8 leaves a record in, by the waiting state T7 took it from
 _AFTER_ALERT = {state: DeviceStatus(state, state) for state in WAITING_STATES}
+#: the status a node starts in
+_RUNNING_OK = DeviceStatus(DeviceState.RUNNING_OK)
 
 
 def _heartbeat_conds(msg_type: MsgType, payload: object) -> tuple[TransferCondition, ...]:
@@ -228,7 +232,7 @@ class _Node:
 
     def __init__(self, address: NodeAddress) -> None:
         self.address = address
-        self.status = DeviceStatus(DeviceState.RUNNING_OK)
+        self.status = _RUNNING_OK
         self.lines: list[str] = []
         #: the end of the latest silence window, which began when applied
         self.silent_until = 0
@@ -345,10 +349,15 @@ class SmnNode(_Node):
         record = ChildRecord(address=address, kind=kind, hb=hb)
         record.net_deadline = hb.network_test_timeout
         record.pkg_deadline = hb.state_pkg_timeout
-        self.children[address] = record
         # on_tick visits children in address order, which fixes the order of
-        # their STATE lines
-        self.children = dict(sorted(self.children.items(), key=lambda kv: kv[0].segments))
+        # their STATE lines. A child added after its last sibling in address
+        # order, as a topology in address order adds every one, is appended;
+        # only one that sorts before the last re-sorts them.
+        children = self.children
+        last = next(reversed(children), None)
+        children[address] = record
+        if last is not None and address.segments < last.segments:
+            self.children = dict(sorted(children.items(), key=lambda kv: kv[0].segments))
         self.virtual_view.add_device(
             DeviceNodeRecord(address=address, state=record.status.state, kind=kind)
         )
@@ -368,7 +377,9 @@ class SmnNode(_Node):
         self._record((self.virtual_view.set_state(holder.address, holder.status.state),))
 
     def _emit_report(self, now: int) -> list[Frame]:
-        if self.parent is None:
+        """The topology report to the parent, logged; none at the root or
+        while silenced, where the report could not travel."""
+        if self.parent is None or self.silenced(now):
             return []
         self._log(now, "REPORT", "")
         report = self.virtual_view.serialize()

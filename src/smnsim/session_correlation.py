@@ -127,20 +127,6 @@ def format_session_line(record: SessionRecord) -> str:
     )
 
 
-def belongs_to(ev: NormalizedEvent, alert: SessionAlert) -> bool:
-    """Endpoint-and-time membership test against one alert."""
-    info = alert.info
-    if ev.create_time < info.start_time:
-        return False
-    if info.end_time is not None and ev.create_time > info.end_time:
-        return False
-    if ev.src_ip == info.src_ip and ev.dst_ip == info.dst_ip:
-        return True
-    if ev.src_ip == info.dst_ip:
-        return True
-    return any(ev.src_ip == queued.dst_ip for queued in alert.event_queue)
-
-
 @dataclass
 class CorrelationConfig:
     grace: int = 60  # ticks an ended alert stays matchable

@@ -13,7 +13,7 @@ import random
 from smnsim.addressing import NodeAddress, TreeShape
 from smnsim.device_model import DeviceKind
 from smnsim.event_pipeline import ConnectionMarker, NormalizedEvent
-from smnsim.session_correlation import CorrelationConfig, CorrelationEngine
+from smnsim.session_correlation import CorrelationConfig, CorrelationEngine, SessionAlert
 
 SHAPE = TreeShape(depth=3, max_degree=4)
 FW_ADDR = NodeAddress.parse("1.1.1", SHAPE)
@@ -44,6 +44,21 @@ def _member(ev, sess):
         if ev.src_ip == queued.dst_ip:
             return True
     return False
+
+
+def belongs_to(ev: NormalizedEvent, alert: SessionAlert) -> bool:
+    """Endpoint-and-time membership test against one of the engine's
+    alerts: the clauses of ``_member``, read off a ``SessionAlert``."""
+    info = alert.info
+    if ev.create_time < info.start_time:
+        return False
+    if info.end_time is not None and ev.create_time > info.end_time:
+        return False
+    if ev.src_ip == info.src_ip and ev.dst_ip == info.dst_ip:
+        return True
+    if ev.src_ip == info.dst_ip:
+        return True
+    return any(ev.src_ip == queued.dst_ip for queued in alert.event_queue)
 
 
 def oracle_assignments(trace, grace=60, connect_ttl=600):

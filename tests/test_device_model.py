@@ -5,12 +5,12 @@ import pytest
 
 from smnsim.device_model import (
     ARROWS_FROM,
+    INITIAL_STATUS,
     LEAF_STATES,
     TRANSITION_TABLE,
     DeviceState,
     DeviceStatus,
     TransferCondition,
-    initial_status,
     step,
 )
 
@@ -34,7 +34,7 @@ def test_transition_rejects_composite_state():
 
 
 def test_initial_state():
-    status = initial_status()
+    status = INITIAL_STATUS
     assert status.state is S.NET_DOWN
     # heartbeat sequence brings a node online only after T1 then T3
     status, _ = step(status, T.T1)
@@ -58,7 +58,7 @@ def test_busy_states_resume_where_they_left():
 
 
 def test_resume_defaults_to_running_ok_after_t3():
-    status = initial_status()
+    status = INITIAL_STATUS
     for cond in (T.T1, T.T3, T.T7):
         status, _ = step(status, cond)
     assert status.state is S.HANDLING_ALERT
@@ -75,7 +75,7 @@ def test_timeout_while_busy_goes_unreachable():
 def test_closure_over_random_condition_fuzz():
     rng = random.Random(20140101)
     conds = list(TransferCondition)
-    status = initial_status()
+    status = INITIAL_STATUS
     for _ in range(100_000):
         cond = rng.choice(conds)
         nxt, applied = step(status, cond)
@@ -89,9 +89,9 @@ def test_closure_over_random_condition_fuzz():
 
 
 def test_every_leaf_reachable_from_initial_state():
-    seen = {initial_status().state}
-    frontier = deque([initial_status()])
-    visited = {initial_status()}
+    seen = {INITIAL_STATUS.state}
+    frontier = deque([INITIAL_STATUS])
+    visited = {INITIAL_STATUS}
     while frontier:
         status = frontier.popleft()
         for cond in TransferCondition:

@@ -13,6 +13,7 @@ from smnsim.messaging import (
     next_hop,
 )
 
+from oracle_addressing import common_ancestor
 from treegen import random_tree
 
 SHAPE = TreeShape(depth=4, max_degree=4)
@@ -95,7 +96,7 @@ def test_route_matches_ancestor_chain_oracle(parents):
     addrs = [A(t) for t in TREE]
     for _ in range(100):
         src, dst = rng.choice(addrs), rng.choice(addrs)
-        ca = src.common_ancestor(dst)
+        ca = common_ancestor(src, dst)
         up = [src]
         while up[-1] != ca:
             up.append(up[-1].parent())

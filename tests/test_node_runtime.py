@@ -142,6 +142,26 @@ def test_silent_child_smn_is_disassembled_with_report():
     assert any(f.msg_type is MsgType.TOPOLOGY_REPORT for f in frames)
 
 
+def test_a_silenced_smn_builds_and_logs_no_report():
+    """No report of a silenced node could travel, so it builds and logs
+    none: not the one it forwards, the one a disassembly sends, or the
+    periodic one. It still assembles what its children report."""
+    node = make_smn(children=[("1.1.1", DeviceKind.SMN)])
+    _bring_online(node)
+    node.silence(60)
+    frames = node.on_frame(Frame(MsgType.TOPOLOGY_REPORT, A("1.1.1"), node.address,
+                                 "[1.1.1:S211]"), 10)
+    for t in range(10, 60):  # the disassembly at 36, the periodic report at 50
+        frames.extend(node.on_tick(t))
+    assert frames == []
+    actions = [line.split(maxsplit=4)[3:] for line in node.drain_lines()]
+    assert ["ASSEMBLE", "1.1.1"] in actions and ["DISASSEMBLE", "1.1.1"] in actions
+    assert ["REPORT"] not in actions
+    assert [f.msg_type for f in node.on_tick(100)] == [MsgType.NETWORK_TEST,
+                                                       MsgType.TOPOLOGY_REPORT]
+    assert node.drain_lines() == ["NODE 1.1.0 100 REPORT"]
+
+
 @pytest.mark.parametrize(
     "msg_type",
     [

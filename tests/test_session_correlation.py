@@ -11,11 +11,16 @@ from smnsim.session_correlation import (
     SessionAlert,
     SessionInfo,
     SessionStatus,
-    belongs_to,
     format_session_line,
 )
 
-from oracle_correlation import engine_assignments, oracle_assignments, random_trace, storm_trace
+from oracle_correlation import (
+    belongs_to,
+    engine_assignments,
+    oracle_assignments,
+    random_trace,
+    storm_trace,
+)
 
 SHAPE = TreeShape(depth=3, max_degree=4)
 FW = NodeAddress.parse("1.1.1", SHAPE)

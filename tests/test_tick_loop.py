@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from reference_loop import USAGE, ReferenceSimulation
-from smnsim.config import load_topology, parse_scenario, parse_topology
+from smnsim.addressing import NodeAddress
+from smnsim.config import InjectLoss, load_topology, parse_scenario, parse_topology
 from smnsim.simulator import Simulation
 
 TOPOLOGY = Path(__file__).resolve().parent.parent / "demo" / "topology.cfg"
@@ -177,22 +178,55 @@ def topologies():
     return [parse_topology(t, base_dir=str(TOPOLOGY.parent)) for t in (text, odd, short)]
 
 
+def assert_reports_arrive(topology, script, nodes: str) -> None:
+    """Every topology report a node logs before the last tick reaches its
+    parent at the next tick, which logs ``ASSEMBLE`` or ``BADREPORT`` for
+    it, unless a loss window covers the hop at the tick it is sent."""
+    shape = topology.shape
+    last_tick = script.last_tick + script.drain
+    losses = [
+        (NodeAddress.parse(d.src, shape), NodeAddress.parse(d.dst, shape), d.tick, d.until)
+        for d in script.directives
+        if isinstance(d, InjectLoss)
+    ]
+    reports, received = [], set()
+    for line in nodes.splitlines():
+        _, addr, tick, action, *detail = line.split()
+        if action == "REPORT":
+            reports.append((NodeAddress.parse(addr, shape), int(tick)))
+        elif action in ("ASSEMBLE", "BADREPORT"):
+            received.add((addr, int(tick), detail[0]))
+    assert reports
+    for sender, tick in reports:
+        parent = sender.parent()
+        if tick >= last_tick or any(
+            (src, dst) == (sender, parent) and start <= tick < until
+            for src, dst, start, until in losses
+        ):
+            continue
+        assert (str(parent), tick + 1, str(sender)) in received, f"NODE {sender} {tick} REPORT"
+
+
 @pytest.mark.parametrize("seed", range(SCENARIOS))
 def test_agenda_matches_reference_loop(seed, topologies):
     topology = topologies[seed % 3]
     text = random_scenario(random.Random(seed))
+    script = parse_scenario(text)
     want = ReferenceSimulation(topology, parse_scenario(text), debug=True).run()
-    have = Simulation(topology, parse_scenario(text), debug=True).run()
+    have = Simulation(topology, script, debug=True).run()
     assert have.files() == want.files(), text
+    assert_reports_arrive(topology, script, have.files()["nodes.txt"])
 
 
 @pytest.mark.parametrize("seed", range(EMIT_DENSE_SCENARIOS))
 def test_agenda_matches_reference_loop_under_dense_emits(seed, topologies):
     topology = topologies[seed % 3]
     text = emit_dense_scenario(random.Random(seed))
+    script = parse_scenario(text)
     want = ReferenceSimulation(topology, parse_scenario(text), debug=True).run()
-    have = Simulation(topology, parse_scenario(text), debug=True).run()
+    have = Simulation(topology, script, debug=True).run()
     assert have.files() == want.files(), text
+    assert_reports_arrive(topology, script, have.files()["nodes.txt"])
 
 
 @pytest.mark.parametrize("args", [[], [str(TOPOLOGY)]])
