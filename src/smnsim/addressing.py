@@ -19,35 +19,7 @@ from typing import ClassVar
 
 
 class AddressError(ValueError):
-    """Base class for address parsing and arithmetic failures."""
-
-
-class WrongSegmentCount(AddressError):
-    pass
-
-
-class NonNumericSegment(AddressError):
-    pass
-
-
-class ZeroSuffixViolation(AddressError):
-    pass
-
-
-class SegmentOutOfRange(AddressError):
-    pass
-
-
-class ShapeMismatch(AddressError):
-    pass
-
-
-class DepthExceeded(AddressError):
-    pass
-
-
-class DegreeExceeded(AddressError):
-    pass
+    """Every address parsing and arithmetic failure; the message says which."""
 
 
 #: The deepest tree a shape may have. Far beyond any management hierarchy,
@@ -116,19 +88,19 @@ class NodeAddress:
         """Validate a new address, derive what it keeps and file it under
         ``key``. A failure raises before anything is filed."""
         if len(segs) != shape.depth:
-            raise WrongSegmentCount(f"expected {shape.depth} segments, got {len(segs)}")
+            raise AddressError(f"expected {shape.depth} segments, got {len(segs)}")
         if segs[0] < 1:
-            raise SegmentOutOfRange("root segment must be >= 1")
+            raise AddressError("root segment must be >= 1")
         level = 0
         for i, seg in enumerate(segs):
             if seg < 0 or seg > shape.max_degree:
-                raise SegmentOutOfRange(
+                raise AddressError(
                     f"segment {i + 1} is {seg}, allowed range 0..{shape.max_degree}"
                 )
             if seg == 0:
                 continue
             if level < i:
-                raise ZeroSuffixViolation(
+                raise AddressError(
                     f"non-zero segment {seg} at position {i + 1} after a zero"
                 )
             level = i + 1
@@ -171,13 +143,13 @@ class NodeAddress:
             return addr
         parts = text.split(".")
         if len(parts) != shape.depth:
-            raise WrongSegmentCount(
+            raise AddressError(
                 f"expected {shape.depth} segments in {text!r}, got {len(parts)}"
             )
         segments = []
         for part in parts:
             if not (part.isascii() and part.isdigit()):
-                raise NonNumericSegment(f"segment {part!r} in {text!r} is not a number")
+                raise AddressError(f"segment {part!r} in {text!r} is not a number")
             segments.append(int(part))
         addr = cls(tuple(segments), shape)
         if addr._text == text:
@@ -195,9 +167,9 @@ class NodeAddress:
         """The k-th child address directly below this node."""
         lvl = self.level
         if lvl >= self.shape.depth:
-            raise DepthExceeded(f"{self} is already at the deepest level")
+            raise AddressError(f"{self} is already at the deepest level")
         if k < 1 or k > self.shape.max_degree:
-            raise DegreeExceeded(
+            raise AddressError(
                 f"child number {k} outside 1..{self.shape.max_degree}"
             )
         segs = list(self.segments)
@@ -207,7 +179,7 @@ class NodeAddress:
     def is_ancestor(self, other: "NodeAddress") -> bool:
         """True iff this address is a strict ancestor of ``other``."""
         if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} vs {other.shape}")
+            raise AddressError(f"{self.shape} vs {other.shape}")
         if self is other:
             return False
         lvl = self.level

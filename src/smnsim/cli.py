@@ -9,9 +9,11 @@ Subcommands::
     smnsim statemachine trace --conditions T1,T3,...
 
 Exit status: 0 on success, 1 when a run violates an invariant or the input
-data is invalid, 2 on usage errors, configuration errors and input files
-that cannot be read or are not UTF-8 text. Topology keys that are accepted
-but not used are named in one line on stderr.
+data is invalid (``TreeError``, ``AddressError``, ``EventLineError``,
+``ResponseError``), 2 on usage errors (``UsageError``), configuration errors
+(``ConfigError``) and input files that cannot be read or are not UTF-8
+text. Each failure prints one line on stderr. Topology keys that are
+accepted but not used are named in one line on stderr.
 """
 
 from __future__ import annotations

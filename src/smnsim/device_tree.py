@@ -43,45 +43,19 @@ from .device_model import DeviceKind, DeviceState
 
 
 class TreeError(Exception):
-    """Base class for device-tree failures."""
+    """Every device-tree failure; the message says which."""
 
 
 class EmbeddingSyntaxError(TreeError):
+    """Embedding text that does not parse; ``pos`` is where parsing stopped."""
+
     def __init__(self, message: str, pos: int) -> None:
         super().__init__(f"{message} at position {pos}")
         self.pos = pos
 
 
-class AddressInconsistent(TreeError):
-    pass
-
-
-class DuplicateChild(TreeError):
-    pass
-
-
-class ParentMissing(TreeError):
-    pass
-
-
-class ParentNotSMN(TreeError):
-    pass
-
-
-class DuplicateAddress(TreeError):
-    pass
-
-
-class NotFound(TreeError):
-    pass
-
-
-class AssemblingNodeMissing(TreeError):
-    pass
-
-
 class StaleChangeSet(TreeError):
-    pass
+    """A change set that does not replay on this tree (``apply_changeset``)."""
 
 
 _STATE_BY_CODE = {s.value: s for s in DeviceState}
@@ -154,7 +128,7 @@ def _parse_node(
         raise EmbeddingSyntaxError(f"bad address {addr_text!r}: {exc}", pos) from exc
     # Checked before descending, so nesting is bounded by the tree depth.
     if parent is not None and address.parent() != parent:
-        raise AddressInconsistent(f"{address} is not a tree child of {parent}")
+        raise TreeError(f"{address} is not a tree child of {parent}")
     pos = colon + 1
     end = pos
     while end < len(text) and text[end] not in ":]":
@@ -170,7 +144,7 @@ def _parse_node(
     while pos < len(text) and text[pos] == ":":
         child, pos = _parse_node(text, pos + 1, shape, address)
         if child.segment in node.children:
-            raise DuplicateChild(f"duplicate child {child.address} under {address}")
+            raise TreeError(f"duplicate child {child.address} under {address}")
         node.children[child.segment] = child
     if pos >= len(text) or text[pos] != "]":
         raise EmbeddingSyntaxError("expected ']'", pos)
@@ -245,24 +219,24 @@ class AddressedDeviceTree:
     def add_device(self, record: DeviceNodeRecord) -> None:
         parent_addr = record.address.parent()
         if parent_addr is None:
-            raise ParentMissing(f"{record.address} has no parent address")
+            raise TreeError(f"{record.address} has no parent address")
         parent = self._touch(parent_addr)
         if parent is None:
-            raise ParentMissing(f"parent {parent_addr} not in tree")
+            raise TreeError(f"parent {parent_addr} not in tree")
         if parent.kind is None:
             # wire-learned leaf gaining a child: that proves it is a
             # management node
             parent.kind = DeviceKind.SMN
         elif parent.kind is not DeviceKind.SMN:
-            raise ParentNotSMN(f"parent {parent_addr} is not a management node")
+            raise TreeError(f"parent {parent_addr} is not a management node")
         if record.segment in parent.children:
-            raise DuplicateAddress(f"{record.address} already present")
+            raise TreeError(f"{record.address} already present")
         parent.children[record.segment] = record
 
     def set_state(self, addr: NodeAddress, state: DeviceState) -> ChangeRecord:
         node = self._touch(addr)
         if node is None:
-            raise NotFound(f"{addr} not in tree")
+            raise TreeError(f"{addr} not in tree")
         node.state = state
         return ChangeRecord(op="update", address=addr, state=state)
 
@@ -290,7 +264,7 @@ class AddressedDeviceTree:
         new_root = subtree.root
         assembling = self.find(new_root.address)
         if assembling is None:
-            raise AssemblingNodeMissing(f"{new_root.address} not in main tree")
+            raise TreeError(f"{new_root.address} not in main tree")
         # Wire-built nodes carry no kind; keep what the stub knew.
         if new_root.kind is None:
             new_root.kind = assembling.kind
@@ -307,7 +281,7 @@ class AddressedDeviceTree:
         node itself as a stub."""
         node = self._touch(addr)
         if node is None:
-            raise NotFound(f"{addr} not in tree")
+            raise TreeError(f"{addr} not in tree")
         node.state = offline_state
         node.children.clear()
         return (ChangeRecord(op="disassemble", address=addr, state=offline_state),)
@@ -342,13 +316,13 @@ class AddressedDeviceTree:
         while stack:
             node = stack.pop()
             if node.address in seen:
-                raise DuplicateAddress(f"{node.address} appears twice")
+                raise TreeError(f"{node.address} appears twice")
             seen.add(node.address)
             if node.children and node.kind is not DeviceKind.SMN:
-                raise ParentNotSMN(f"{node.address} has children but kind {node.kind}")
+                raise TreeError(f"{node.address} has children but kind {node.kind}")
             for seg, child in node.children.items():
                 if child.address.parent() != node.address or child.segment != seg:
-                    raise AddressInconsistent(
+                    raise TreeError(
                         f"{child.address} filed under {node.address} as {seg}"
                     )
             stack.extend(node.children.values())

@@ -26,31 +26,7 @@ from .addressing import NodeAddress
 
 
 class ResponseError(Exception):
-    pass
-
-
-class NotAuthorized(ResponseError):
-    pass
-
-
-class AlreadyClosed(ResponseError):
-    pass
-
-
-class NoParent(ResponseError):
-    pass
-
-
-class NotCoordinator(ResponseError):
-    pass
-
-
-class TargetOutsideSubtree(ResponseError):
-    pass
-
-
-class ParticipantsUnconfirmed(ResponseError):
-    pass
+    """Every emergency-response failure; the message says which."""
 
 
 class ResponsePhase(Enum):
@@ -178,13 +154,13 @@ def _authorized(case: ResponseCase, actor: NodeAddress) -> bool:
 def advance(case: ResponseCase, actor: NodeAddress) -> None:
     """Move the case one phase forward; Recovery closes it."""
     if case.phase is ResponsePhase.CLOSED:
-        raise AlreadyClosed(case.case_id)
+        raise ResponseError(case.case_id)
     if not _authorized(case, actor):
-        raise NotAuthorized(f"{actor} is neither owner nor coordinator of {case.case_id}")
+        raise ResponseError(f"{actor} is neither owner nor coordinator of {case.case_id}")
     if case.phase is ResponsePhase.CONTAINMENT:
         waiting = case.participants - case.confirmed
         if waiting:
-            raise ParticipantsUnconfirmed(
+            raise ResponseError(
                 f"{len(waiting)} participant(s) have not confirmed the advisory"
             )
     case.phase = PHASE_ORDER[PHASE_ORDER.index(case.phase) + 1]
@@ -194,7 +170,7 @@ def escalate(case: ResponseCase) -> NodeAddress:
     """Hand advance authority to the owner's parent node. Idempotent."""
     parent = case.owner.parent()
     if parent is None:
-        raise NoParent(f"{case.owner} has no parent to escalate to")
+        raise ResponseError(f"{case.owner} has no parent to escalate to")
     case.coordinator = parent
     return parent
 
@@ -205,10 +181,10 @@ def enlist(
     """Add cooperating nodes; the coordinator alone may do this, and only
     within its own subtree. Returns the newly added participants."""
     if case.coordinator is None or actor != case.coordinator:
-        raise NotCoordinator(f"{actor} does not coordinate {case.case_id}")
+        raise ResponseError(f"{actor} does not coordinate {case.case_id}")
     for target in targets:
         if not actor.is_ancestor(target):
-            raise TargetOutsideSubtree(f"{target} not below coordinator {actor}")
+            raise ResponseError(f"{target} not below coordinator {actor}")
     added = []
     for target in targets:
         if target not in case.participants:

@@ -19,7 +19,7 @@ line modelled on IDMEF (RFC 4765), with a fixed attribute order, e.g.::
 (shown wrapped; in the file it is a single line).
 
 On the device an event is the scenario's ``Emit`` directive, bounded by
-the parser (or by the simulator as a hand-built one fires), which
+the parser (or by the simulator's set-up, for a hand-built one), which
 ``filter_event`` and ``normalize`` read with the emitting device's address
 and kind. ``NormalizedEvent`` is slotted, not frozen: a frozen
 twelve-field record costs some 4 µs more to build, every assignment going
@@ -97,14 +97,12 @@ class NormalizedEvent:
 
 @dataclass(frozen=True)
 class AssetRecord:
+    """What ``rate_event`` knows of one IP; ``parse_topology`` bounds the
+    value to 1..5 as it reads it."""
+
     ip: str
     asset_value: int
     vulnerability_ids: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.asset_value <= 5:
-            raise ValueError(f"asset_value {self.asset_value} outside 1..5")
-        object.__setattr__(self, "vulnerability_ids", frozenset(self.vulnerability_ids))
 
 
 @dataclass

@@ -89,13 +89,7 @@ from .device_tree import (
     DeviceNodeRecord,
     TreeError,
 )
-from .emergency_response import (
-    CounterplanStore,
-    ResponseCase,
-    ResponseError,
-    NotCoordinator,
-    TargetOutsideSubtree,
-)
+from .emergency_response import CounterplanStore, ResponseCase, ResponseError
 from .event_pipeline import (
     AssetDb,
     ClassificationMap,
@@ -131,10 +125,6 @@ _T = TransferCondition
 
 #: A wake tick past the end of any run.
 NEVER = sys.maxsize
-
-
-class TargetNotInSubtree(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -492,7 +482,7 @@ class SmnNode(_Node):
         self, target: NodeAddress, kind: str, now: int
     ) -> tuple[str, list[Frame]]:
         if not self.address.is_ancestor(target):
-            raise TargetNotInSubtree(f"{target} not below {self.address}")
+            raise AddressError(f"{target} not below {self.address}")
         self.command_counter += 1
         cmd_id = f"{self.address}!{self.command_counter}"
         self.pending_commands[cmd_id] = None
@@ -507,8 +497,8 @@ class SmnNode(_Node):
 
     # -- emergency response ------------------------------------------------
 
-    def respond_launch(self, now: int, trigger: SessionRecord | None = None) -> ResponseCase:
-        record = trigger or self.last_record
+    def respond_launch(self, now: int) -> ResponseCase:
+        record = self.last_record
         if record is None:
             raise ResponseError(f"{self.address} has no alert to respond to")
         self.case_counter += 1
@@ -529,10 +519,10 @@ class SmnNode(_Node):
     ) -> list[Frame]:
         owner = self.coordinated.get(case_id)
         if owner is None:
-            raise NotCoordinator(f"{self.address} does not coordinate {case_id}")
+            raise ResponseError(f"{self.address} does not coordinate {case_id}")
         for target in targets:
             if not self.address.is_ancestor(target):
-                raise TargetOutsideSubtree(f"{target} not below {self.address}")
+                raise ResponseError(f"{target} not below {self.address}")
         self._log(now, "ENLIST", f"{case_id} {','.join(str(t) for t in targets)}")
         coord = _RESPONSE_COORD
         frames = [Frame(coord, self.address, t, Advisory(case_id, owner)) for t in targets]
@@ -664,8 +654,15 @@ class DeviceAgent(_Node):
     def mark_abnormal(self, until: int) -> None:
         self.abnormal_until = max(self.abnormal_until, until)
 
-    def inject(self, emit: Emit) -> None:
+    def inject(self, emit: Emit) -> int:
+        """Buffer ``emit`` until its window flushes. Returns the tick of that
+        flush when ``emit`` is the first to wait, else ``NEVER``: a buffer
+        that already waits has set the agent's wake (``next_wake``)."""
         self.buffer.append(emit)
+        if len(self.buffer) > 1:
+            return NEVER
+        window = self.settings.window_ticks
+        return emit.tick - emit.tick % window + window
 
     def on_frame(self, frame: Frame, now: int) -> list[Frame]:
         if frame.msg_type is not _COMMAND:

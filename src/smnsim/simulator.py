@@ -50,7 +50,7 @@ import os
 import random
 from dataclasses import dataclass, field
 
-from .addressing import NodeAddress
+from .addressing import AddressError, NodeAddress
 from .config import (
     Command,
     ConfigError,
@@ -63,7 +63,7 @@ from .config import (
     Window,
 )
 from .device_model import DeviceKind
-from .device_tree import AddressedDeviceTree, build_tree
+from .device_tree import AddressedDeviceTree, TreeError, build_tree
 from .emergency_response import CounterplanStore, ResponseError
 from .messaging import Frame, FrameBuilder, MsgType, SimNetwork
 from .node_runtime import ChildRecord, DeviceAgent, SmnNode
@@ -232,16 +232,20 @@ class Simulation:
     # -- setup helpers -----------------------------------------------------
 
     def _validate_directives(self) -> None:
-        """Check what each directive names against the topology, so a bad
-        address is a ConfigError here, never a traceback mid-run, and file the
-        directives by tick, and the agent and slot of each emit's device. A
-        respond action other than launch must name a handle that an earlier
-        launch binds."""
+        """Check what each directive names against the topology, and each
+        emit's ports and severity, so a bad address or value is a ConfigError
+        here, never a failure mid-run, and file the directives by tick, and
+        the agent and slot of each emit's device. A respond action other than
+        launch must name a handle that an earlier launch binds."""
         launched: set[str] = set()
         for d in self.scenario.directives:
             self._by_tick.setdefault(d.tick, []).append(d)
             line_no = d.line_no
             if isinstance(d, Emit):
+                # the parser bounds what it reads; this bounds a hand-built one
+                if not (0 <= d.src_port <= 65535 and 0 <= d.dst_port <= 65535
+                        and 1 <= d.severity <= 5):
+                    raise ConfigError(f"emit port or sev out of range in {d}", line_no)
                 if d.device in self._emit_targets:
                     continue
                 addr = self._addr(d.device, line_no)
@@ -279,7 +283,7 @@ class Simulation:
         """The declared node ``text`` names."""
         try:
             addr = NodeAddress.parse(text, self.shape)
-        except Exception as exc:
+        except AddressError as exc:
             raise ConfigError(f"bad address {text!r}: {exc}", line_no) from exc
         if addr not in self.topology.nodes:
             raise ConfigError(f"unknown node {text}", line_no)
@@ -295,7 +299,7 @@ class Simulation:
         logged = False
         for d in self._by_tick.get(tick, ()):
             if isinstance(d, Emit):
-                self._do_emit(d, tick)
+                self._do_emit(d)
             elif isinstance(d, Window):
                 node = self._node(d.node)
                 if d.abnormal:
@@ -322,19 +326,12 @@ class Simulation:
                 if self._nodes[slot].lines:
                     self._schedule(slot, tick)
 
-    def _do_emit(self, d: Emit, tick: int) -> None:
-        # the parser bounds what it reads; this bounds a hand-built directive
-        if not (0 <= d.src_port <= 65535 and 0 <= d.dst_port <= 65535 and 1 <= d.severity <= 5):
-            raise ConfigError(f"emit port or sev out of range in {d}", d.line_no)
-        # the directive waits in the buffer for its window's flush, which the
-        # first to wait files unless the agent wakes earlier (maybe this tick)
+    def _do_emit(self, d: Emit) -> None:
+        # the flush is filed unless the agent wakes earlier (maybe this tick)
         agent, slot = self._emit_targets[d.device]
-        if not agent.buffer:
-            window = agent.settings.window_ticks
-            flush = tick - tick % window + window
-            if flush < self._wake[slot]:
-                self._schedule(slot, flush)
-        agent.buffer.append(d)
+        flush = agent.inject(d)
+        if flush < self._wake[slot]:
+            self._schedule(slot, flush)
 
     def _do_respond(self, d: Respond, tick: int, outbound: list[Frame]) -> None:
         try:
@@ -442,7 +439,7 @@ class Simulation:
                 smn.virtual_view.validate()
             if mirrored:
                 self.mirror.validate()
-        except Exception as exc:
+        except TreeError as exc:
             raise InvariantViolation(str(exc)) from exc
         self._check_accounting()
 

@@ -2,7 +2,7 @@
 oracle the routing and addressing tests check ``next_hop`` and the parent
 chain against."""
 
-from smnsim.addressing import AddressError, NodeAddress, ShapeMismatch
+from smnsim.addressing import AddressError, NodeAddress
 
 
 class DisjointRoots(AddressError):
@@ -12,7 +12,7 @@ class DisjointRoots(AddressError):
 def common_ancestor(a: NodeAddress, b: NodeAddress) -> NodeAddress:
     """Deepest address equal to, or an ancestor of, both operands."""
     if a.shape != b.shape:
-        raise ShapeMismatch(f"{a.shape} vs {b.shape}")
+        raise AddressError(f"{a.shape} vs {b.shape}")
     if a.segments[0] != b.segments[0]:
         raise DisjointRoots(f"{a} and {b} have different roots")
     common = []

@@ -1,22 +1,12 @@
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smnsim.addressing import (
-    MAX_DEPTH,
-    DegreeExceeded,
-    DepthExceeded,
-    NodeAddress,
-    NonNumericSegment,
-    SegmentOutOfRange,
-    ShapeMismatch,
-    TreeShape,
-    WrongSegmentCount,
-    ZeroSuffixViolation,
-)
+from smnsim.addressing import MAX_DEPTH, AddressError, NodeAddress, TreeShape
 
 from oracle_addressing import DisjointRoots, common_ancestor
 
@@ -38,27 +28,27 @@ def test_parse_root():
 
 
 def test_parse_rejects_zero_suffix_violation():
-    with pytest.raises(ZeroSuffixViolation):
+    with pytest.raises(AddressError, match="non-zero segment 2 at position 3 after a zero"):
         NodeAddress.parse("1.0.2.0", SHAPE4)
 
 
 def test_parse_rejects_wrong_segment_count():
-    with pytest.raises(WrongSegmentCount):
+    with pytest.raises(AddressError, match="expected 4 segments in '1.2.3', got 3"):
         NodeAddress.parse("1.2.3", SHAPE4)
 
 
 def test_parse_rejects_non_numeric():
-    with pytest.raises(NonNumericSegment):
+    with pytest.raises(AddressError, match="segment 'x' in '1.x.0.0' is not a number"):
         NodeAddress.parse("1.x.0.0", SHAPE4)
 
 
 def test_parse_rejects_out_of_range():
-    with pytest.raises(SegmentOutOfRange):
+    with pytest.raises(AddressError, match="segment 3 is 4, allowed range 0..3"):
         NodeAddress.parse("1.2.4.0", TreeShape(depth=4, max_degree=3))
 
 
 def test_parse_rejects_zero_root():
-    with pytest.raises(SegmentOutOfRange):
+    with pytest.raises(AddressError, match="root segment must be >= 1"):
         NodeAddress.parse("0.0.0.0", SHAPE4)
 
 
@@ -84,9 +74,9 @@ def test_parent_examples():
 def test_child_examples():
     assert addr(1, 1, 0, 0).child(2) == addr(1, 1, 2, 0)
     assert addr(1, 1, 1, 0).child(3) == addr(1, 1, 1, 3)
-    with pytest.raises(DepthExceeded):
+    with pytest.raises(AddressError, match="1.1.1.1 is already at the deepest level"):
         addr(1, 1, 1, 1).child(1)
-    with pytest.raises(DegreeExceeded):
+    with pytest.raises(AddressError, match="child number 10 outside 1..9"):
         addr(1, 1, 0, 0).child(10)
 
 
@@ -97,7 +87,7 @@ def test_is_ancestor_examples():
 
 
 def test_is_ancestor_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(AddressError, match=re.escape(f"{SHAPE4} vs {SHAPE7}")):
         addr(1, 0, 0, 0).is_ancestor(NodeAddress.parse("1.0.0.0.0.0.0", SHAPE7))
 
 
@@ -219,21 +209,28 @@ def test_addresses_of_other_shapes_are_other_objects():
     assert a.shape == SHAPE4 and b.shape.max_degree == 3
 
 
+# each id names the kind of failure its message describes
 @pytest.mark.parametrize(
-    "text, error",
+    "text, message",
     [
-        ("1.2.3", WrongSegmentCount),
-        ("1.x.0.0", NonNumericSegment),
-        ("1.0.2.0", ZeroSuffixViolation),
-        ("0.0.0.0", SegmentOutOfRange),
-        ("1.2.4.0", SegmentOutOfRange),  # valid for SHAPE4, not for degree 3
+        pytest.param("1.2.3", "expected 4 segments in '1.2.3', got 3",
+                     id="1.2.3-WrongSegmentCount"),
+        pytest.param("1.x.0.0", "segment 'x' in '1.x.0.0' is not a number",
+                     id="1.x.0.0-NonNumericSegment"),
+        pytest.param("1.0.2.0", "non-zero segment 2 at position 3 after a zero",
+                     id="1.0.2.0-ZeroSuffixViolation"),
+        pytest.param("0.0.0.0", "root segment must be >= 1",
+                     id="0.0.0.0-SegmentOutOfRange"),
+        # valid for SHAPE4, not for degree 3
+        pytest.param("1.2.4.0", "segment 3 is 4, allowed range 0..3",
+                     id="1.2.4.0-SegmentOutOfRange"),
     ],
 )
-def test_a_failed_parse_is_not_cached(text, error):
+def test_a_failed_parse_is_not_cached(text, message):
     NodeAddress.parse("1.2.4.0", SHAPE4)
     shape = TreeShape(depth=4, max_degree=3)
     for _ in range(2):
-        with pytest.raises(error):
+        with pytest.raises(AddressError, match=re.escape(message)):
             NodeAddress.parse(text, shape)
 
 
@@ -255,9 +252,9 @@ def test_a_shape_deeper_than_max_depth_is_refused():
 
 def test_a_failed_construction_is_not_cached():
     for _ in range(2):
-        with pytest.raises(ZeroSuffixViolation):
+        with pytest.raises(AddressError, match="non-zero segment 2 at position 3 after a zero"):
             addr(1, 0, 2, 0)
-        with pytest.raises(SegmentOutOfRange):
+        with pytest.raises(AddressError, match="segment 2 is 10, allowed range 0..9"):
             addr(1, 10, 0, 0)
 
 

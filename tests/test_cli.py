@@ -122,6 +122,36 @@ def test_correlate_malformed_event_line(tmp_path, capsys):
     assert err.startswith("error: missing attributes") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[1.0.0:S211:[1.2.0:S211]", "expected ']' at position 24"),
+        ("[1.0.0:S211:[2.1.0:S211]]", "2.1.0 is not a tree child of 1.0.0"),
+        ("[1.0.0:S211:[1.1.0:S211]:[1.1.0:S211]]", "duplicate child 1.1.0 under 1.0.0"),
+        ("[1.0.0:S9]", "unknown state code 'S9' at position 7"),
+        ("[1.x.0:S211]",
+         "bad address '1.x.0': segment 'x' in '1.x.0' is not a number at position 1"),
+        ("[1.0.0:S211:[1.1.3:S211]]",
+         "bad address '1.1.3': segment 3 is 3, allowed range 0..2 at position 13"),
+    ],
+)
+def test_a_malformed_embedding_exits_1_in_one_line(text, message, tmp_path, capsys):
+    path = tmp_path / "tree.txt"
+    path.write_text(text + "\n")
+    assert cli.main(["tree", "parse", str(path), "--depth", "3", "--degree", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_correlate_event_from_a_bad_analyzer_address_exits_1(tmp_path, capsys):
+    events = tmp_path / "bad.events"
+    events.write_text(CONNECT.replace('analyzer="1.1.1"', 'analyzer="1.0.2.0"') + "\n")
+    argv = ["correlate", "--events", str(events), "--depth", "4", "--degree", "9"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad event line") and err.count("\n") == 1
+    assert err.endswith("non-zero segment 2 at position 3 after a zero\n")
+
+
 def test_simulate_unknown_topology_key(tmp_path, capsys):
     topology = tmp_path / "topology.cfg"
     topology.write_text("[tree]\ndepth = 3\ndegree = 4\n\n[pipeline]\nbogus = 1\n")

@@ -8,15 +8,10 @@ from hypothesis import strategies as st
 from smnsim.addressing import NodeAddress, TreeShape
 from smnsim.device_model import DeviceKind, DeviceState
 from smnsim.device_tree import (
-    AddressInconsistent,
-    AssemblingNodeMissing,
     DeviceNodeRecord,
-    DuplicateAddress,
-    DuplicateChild,
     EmbeddingSyntaxError,
-    NotFound,
-    ParentNotSMN,
     StaleChangeSet,
+    TreeError,
     build_tree,
 )
 
@@ -70,12 +65,12 @@ def test_single_node_round_trip():
 
 
 def test_build_rejects_address_inconsistency():
-    with pytest.raises(AddressInconsistent):
+    with pytest.raises(TreeError, match="1.2.1.0 is not a tree child of 1.0.0.0"):
         build_tree("[1.0.0.0:S211:[1.2.1.0:S211]]", SHAPE)
 
 
 def test_build_rejects_duplicate_children():
-    with pytest.raises(DuplicateChild):
+    with pytest.raises(TreeError, match="duplicate child 1.1.0.0 under 1.0.0.0"):
         build_tree("[1.0.0.0:S211:[1.1.0.0:S11]:[1.1.0.0:S11]]", SHAPE)
 
 
@@ -134,14 +129,14 @@ def test_add_device(twelve):
 
 def test_add_device_rejects_non_smn_parent(twelve):
     twelve.find(A("1.1.2.0")).kind = DeviceKind.HOST_MONITOR
-    with pytest.raises(ParentNotSMN):
+    with pytest.raises(TreeError, match="parent 1.1.2.0 is not a management node"):
         twelve.add_device(
             DeviceNodeRecord(address=A("1.1.2.1"), state=DeviceState.NET_DOWN)
         )
 
 
 def test_add_device_rejects_duplicates(twelve):
-    with pytest.raises(DuplicateAddress):
+    with pytest.raises(TreeError, match="1.1.1.2 already present"):
         twelve.add_device(DeviceNodeRecord(address=A("1.1.1.2"), state=DeviceState.NET_DOWN))
 
 
@@ -180,7 +175,7 @@ def test_assemble_keeps_child_position():
 
 def test_assemble_unknown_root_rejected():
     tree = stub_main_tree()
-    with pytest.raises(AssemblingNodeMissing):
+    with pytest.raises(TreeError, match="1.3.0.0 not in main tree"):
         tree.assemble("[1.3.0.0:S211]")
 
 
@@ -218,7 +213,7 @@ def test_disassemble_then_assemble_restores(twelve):
 
 
 def test_disassemble_absent_rejected(twelve):
-    with pytest.raises(NotFound):
+    with pytest.raises(TreeError, match="1.3.0.0 not in tree"):
         twelve.disassemble(A("1.3.0.0"), DeviceState.NET_DOWN)
 
 

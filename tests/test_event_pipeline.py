@@ -296,7 +296,9 @@ def test_aggregate_conserves_counts(times):
 def db():
     return AssetDb(
         records={
-            "10.0.0.2": AssetRecord(ip="10.0.0.2", asset_value=5, vulnerability_ids={"CVE-7"}),
+            "10.0.0.2": AssetRecord(
+                ip="10.0.0.2", asset_value=5, vulnerability_ids=frozenset({"CVE-7"})
+            ),
             "10.0.0.3": AssetRecord(ip="10.0.0.3", asset_value=2),
         },
         class_vulns={"exploit.attempt": frozenset({"CVE-7"})},

@@ -1,6 +1,6 @@
 import pytest
 
-from smnsim.addressing import NodeAddress, TreeShape
+from smnsim.addressing import AddressError, NodeAddress, TreeShape
 from smnsim.device_model import (
     LEAF_STATES,
     WAITING_STATES,
@@ -32,7 +32,6 @@ from smnsim.node_runtime import (
     HeartbeatConfig,
     PipelineSettings,
     SmnNode,
-    TargetNotInSubtree,
 )
 from smnsim.session_correlation import SessionRecord
 
@@ -556,7 +555,7 @@ def test_vulnerability_command_traverses_s24():
 
 def test_dispatch_outside_subtree_rejected():
     node = make_smn(addr="1.1.0", parent="1.0.0")
-    with pytest.raises(TargetNotInSubtree):
+    with pytest.raises(AddressError, match="1.2.1 not below 1.1.0"):
         node.dispatch_command(A("1.2.1"), "policy", 10)
 
 
@@ -582,11 +581,11 @@ def _three_smns():
         children=[("1.1.0", DeviceKind.SMN), ("1.2.0", DeviceKind.SMN)],
     )
     owner, peer = make_smn(addr="1.1.0"), make_smn(addr="1.2.0")
-    record = SessionRecord(
+    owner.last_record = SessionRecord(
         "1.1.0#1", "10.0.0.99:4444", "10.0.1.5:80", 20, 60,
         ("1.1.2-1",), ("exploit.attempt",), (4,),
     )
-    case_id = owner.respond_launch(90, trigger=record).case_id
+    case_id = owner.respond_launch(90).case_id
     owner.drain_lines()
     return root, owner, peer, case_id
 
@@ -716,6 +715,15 @@ def test_agent_window_holds_current_tick_events():
     frames = [f for f in agent.step(40) if f.msg_type is MsgType.DEVICE_EVENT]
     assert len(frames) == 1
     assert frames[0].payload.connection_marker is ConnectionMarker.CONNECT
+
+
+def test_inject_names_the_flush_only_of_the_first_emit_to_wait():
+    agent = make_agent()  # window 10
+    assert agent.inject(raw(agent, "fw.deny", t=30)) == 40
+    assert agent.inject(raw(agent, "fw.deny", t=31)) == NEVER
+    agent.step(40)
+    assert agent.buffer == []
+    assert agent.inject(raw(agent, "fw.deny", t=47)) == 50
 
 
 def test_agent_silence_mutes_everything():

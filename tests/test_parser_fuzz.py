@@ -18,7 +18,7 @@ from smnsim.config import (
     parse_scenario,
     parse_topology,
 )
-from smnsim.device_tree import AddressInconsistent, TreeError, build_tree
+from smnsim.device_tree import TreeError, build_tree
 from smnsim.event_pipeline import EventLineError, parse_event_line
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -67,7 +67,7 @@ def test_build_tree_raises_only_tree_errors(text):
 
 def test_deep_nesting_is_rejected_before_it_recurses():
     text = "[1.0.0.0:S1:" * 5000 + "]" * 5000
-    with pytest.raises(AddressInconsistent):
+    with pytest.raises(TreeError, match="1.0.0.0 is not a tree child of 1.0.0.0"):
         build_tree(text, SHAPE)
 
 

@@ -144,8 +144,8 @@ def _hand_built(**fields) -> ScenarioScript:
 )
 def test_a_hand_built_emit_out_of_range_fails_the_run(fields, tmp_path):
     """The scenario parser bounds ports and ``sev``; an ``Emit`` built by hand
-    is bounded when it fires, so it never reaches a flush or a report, even
-    on a device whose filter would drop it."""
+    is bounded when the run is set up, so it never reaches a flush or a
+    report, even on a device whose filter would drop it."""
     topology = load_topology(str(DEMO / "topology.cfg"))
     with pytest.raises(ConfigError, match="line 1: emit .* out of range"):
         Simulation(topology, _hand_built(**fields)).run()
