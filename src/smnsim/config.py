@@ -48,14 +48,8 @@ import re
 from dataclasses import dataclass, field, fields
 
 from .addressing import MAX_DEPTH, AddressError, NodeAddress, TreeShape
-from .device_model import DeviceKind
-from .event_pipeline import (
-    _KIND_BY_NAME,
-    AssetDb,
-    AssetRecord,
-    ClassificationMap,
-    FilterRule,
-)
+from .device_model import KIND_BY_NAME, DeviceKind
+from .event_pipeline import AssetDb, AssetRecord, ClassificationMap, FilterRule
 from .node_runtime import HeartbeatConfig, PipelineSettings
 
 
@@ -74,11 +68,11 @@ _NODE_KEYS = {"kind", "ip", "asset_value", "vulnerabilities", "label", *_HB_KEYS
 
 @dataclass
 class NodeDecl:
-    address: NodeAddress
+    """What a run reads of a ``[node …]`` section. Its address is the key
+    ``TopologyConfig.nodes`` files it under, and its ``ip``,
+    ``asset_value`` and ``vulnerabilities`` go to the asset database."""
+
     kind: DeviceKind
-    ip: str = ""
-    asset_value: int = 1
-    vulnerability_ids: frozenset[str] = frozenset()
     hb: HeartbeatConfig = field(default_factory=HeartbeatConfig)
 
 
@@ -140,7 +134,7 @@ def _key_values(tokens: list[str], known: tuple, what: str, line_no: int) -> dic
 
 def _parse_filter_rule(value: str, line_no: int) -> FilterRule:
     given = _key_values(value.split(), ("kind", "class", "src", "dst"), "filter", line_no)
-    kind = _KIND_BY_NAME.get(given.get("kind"))
+    kind = KIND_BY_NAME.get(given.get("kind"))
     if kind is None and "kind" in given:
         raise ConfigError(f"unknown device kind {given['kind']!r}", line_no)
     return FilterRule(kind, given.get("class"), given.get("src"), given.get("dst"))
@@ -246,7 +240,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
             parts = key.split()
             if len(parts) != 2:
                 raise ConfigError(f"expected '<Kind> <native> = <class>'", line_no)
-            kind = _KIND_BY_NAME.get(parts[0])
+            kind = KIND_BY_NAME.get(parts[0])
             if kind is None:
                 raise ConfigError(f"unknown device kind {parts[0]!r}", line_no)
             if (kind, parts[1]) in mapping_rules:
@@ -267,6 +261,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
 
     pipeline = _build_pipeline(pipeline_kv)
     nodes: dict[NodeAddress, NodeDecl] = {}
+    assets = AssetDb(class_vulns=class_vulns)
     #: the one heartbeat configuration of every node that overrides no key
     default_hb: HeartbeatConfig | None = None
     for addr_text, kv, line_no in node_sections:
@@ -277,7 +272,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         if address in nodes:
             raise ConfigError(f"node {addr_text} declared twice", line_no)
         kind_name = kv.get("kind", "")
-        kind = _KIND_BY_NAME.get(kind_name)
+        kind = KIND_BY_NAME.get(kind_name)
         if kind is None:
             raise ConfigError(f"node {addr_text}: unknown kind {kind_name!r}", line_no)
         overrides = {k: _int(kv[k], line_no, k, low=1) for k in _HB_KEYS if k in kv}
@@ -289,14 +284,11 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
                 raise ConfigError(f"node {addr_text}: {exc}", line_no) from exc
             if not overrides:
                 default_hb = hb
-        nodes[address] = NodeDecl(
-            address=address,
-            kind=kind,
-            ip=kv.get("ip", ""),
-            asset_value=_int(kv.get("asset_value", "1"), line_no, "asset_value", 1, 5),
-            vulnerability_ids=_vuln_set(kv.get("vulnerabilities", "")),
-            hb=hb,
-        )
+        asset_value = _int(kv.get("asset_value", "1"), line_no, "asset_value", 1, 5)
+        nodes[address] = NodeDecl(kind, hb)
+        ip = kv.get("ip", "")
+        if ip:
+            assets.records[ip] = AssetRecord(asset_value, _vuln_set(kv.get("vulnerabilities", "")))
 
     roots = [a for a in nodes if a.level == 1]
     if len(roots) != 1:
@@ -304,7 +296,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
     root = roots[0]
     if nodes[root].kind is not DeviceKind.SMN:
         raise ConfigError(f"root {root} must be a management node")
-    for addr, decl in nodes.items():
+    for addr in nodes:
         parent = addr.parent()
         if parent is None:
             continue
@@ -313,18 +305,8 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         if nodes[parent].kind is not DeviceKind.SMN:
             raise ConfigError(f"parent of {addr} is not a management node")
 
-    assets = AssetDb(class_vulns=class_vulns)
-    for decl in nodes.values():
-        if decl.ip:
-            assets.records[decl.ip] = AssetRecord(
-                ip=decl.ip,
-                asset_value=decl.asset_value,
-                vulnerability_ids=decl.vulnerability_ids,
-            )
     for ip, (asset_value, vulns) in asset_entries.items():
-        assets.records[ip] = AssetRecord(
-            ip=ip, asset_value=asset_value, vulnerability_ids=vulns
-        )
+        assets.records[ip] = AssetRecord(asset_value, vulns)
 
     return TopologyConfig(
         shape=shape,

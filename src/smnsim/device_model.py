@@ -1,8 +1,8 @@
 """Static and dynamic device abstractions.
 
-Statically a device is one of six kinds; its address, IP, asset value and
-vulnerabilities are held once, by the topology's node declaration and the
-asset database. Dynamically it runs a ten-state machine driven by twelve
+Statically a device is one of six kinds. Its address, the key of its node
+declaration, fixes its level, parent and subtree; its IP, asset value and
+vulnerabilities are held once, by the asset database. Dynamically it runs a ten-state machine driven by twelve
 transfer conditions. Offline splits into network-down / unreachable, online
 into waiting (normal or abnormal) and three busy states for alert, policy and
 vulnerability handling. A concrete device always sits in one of the seven
@@ -22,6 +22,10 @@ class DeviceKind(Enum):
     SCANNER = "Scanner"
     HOST_MONITOR = "HostMonitor"
     SMN = "SMN"
+
+
+#: each kind by the name topology files and event lines spell it with
+KIND_BY_NAME = {k.value: k for k in DeviceKind}
 
 
 class DeviceState(Enum):

@@ -123,8 +123,11 @@ def _parse_plan(text: str, event_class: str) -> dict[str, str]:
 
 @dataclass
 class ResponseCase:
+    """One case: the counterplan its launch resolved, and the state its
+    rules read. The classification it was launched on is not kept: the
+    plan is all a case needs of it."""
+
     case_id: str
-    classification: str
     plan: Counterplan
     phase: ResponsePhase
     owner: NodeAddress
@@ -138,7 +141,6 @@ def launch(
 ) -> ResponseCase:
     return ResponseCase(
         case_id=case_id,
-        classification=classification,
         plan=store.resolve(classification),
         phase=ResponsePhase.IDENTIFICATION,
         owner=owner,

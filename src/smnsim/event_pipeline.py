@@ -37,7 +37,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .addressing import NodeAddress, TreeShape
-from .device_model import DeviceKind
+from .device_model import KIND_BY_NAME, DeviceKind
 
 if TYPE_CHECKING:
     from .config import Emit
@@ -97,10 +97,9 @@ class NormalizedEvent:
 
 @dataclass(frozen=True)
 class AssetRecord:
-    """What ``rate_event`` knows of one IP; ``parse_topology`` bounds the
-    value to 1..5 as it reads it."""
+    """What ``rate_event`` knows of one IP, the key ``AssetDb.records`` files
+    it under; ``parse_topology`` bounds the value to 1..5 as it reads it."""
 
-    ip: str
     asset_value: int
     vulnerability_ids: frozenset[str] = frozenset()
 
@@ -442,8 +441,6 @@ _EVENT_ATTRS = (
     "conn",
 )
 
-_KIND_BY_NAME = {k.value: k for k in DeviceKind}
-
 #: What an attribute value escapes, ``&`` first so no escape is escaped twice.
 _ESCAPES = (("&", "&amp;"), ('"', "&quot;"), ("<", "&lt;"), (">", "&gt;"))
 
@@ -482,7 +479,7 @@ def parse_event_line(line: str, shape: TreeShape) -> NormalizedEvent:
     missing = [a for a in _EVENT_ATTRS if a not in attrs]
     if missing:
         raise EventLineError(f"missing attributes {missing} in {line!r}")
-    kind = _KIND_BY_NAME.get(attrs["kind"])
+    kind = KIND_BY_NAME.get(attrs["kind"])
     if kind is None:
         raise EventLineError(f"unknown analyzer kind {attrs['kind']!r}")
     try:

@@ -25,6 +25,7 @@ where frames are numbered changes no report without a dead letter.
 from __future__ import annotations
 
 import heapq
+import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -202,23 +203,40 @@ class DeadLetter:
         return f"DEADLETTER {f.src} {f.dst} {f.msg_type.name} {f.seq}"
 
 
+#: (from, to, end, rate): a loss window on the hop from one node to the next
+LossWindow = tuple[NodeAddress, NodeAddress, int, float]
+
+
+def covering_rates(windows: list[LossWindow], at: NodeAddress, hop: NodeAddress) -> list[float]:
+    """The rates of ``windows`` on the hop from ``at`` to ``hop``, in the
+    order they began."""
+    return [rate for src, dst, _, rate in windows if src == at and dst == hop]
+
+
 class SimNetwork:
     """Store-and-forward fabric advancing one hop per delivery step.
 
-    Delivery is reliable and in order per sender stream unless the optional
-    loss hook drops a frame on a specific hop, which is how heartbeat
-    timeout paths get exercised. The hook is called as ``loss_hook(frame,
-    at, hop, now)``, where ``now`` counts the steps taken before this one: a
-    harness that steps once per tick reads it as the tick.
+    Delivery is reliable and in order per sender stream, except on a hop
+    that one of ``loss_windows`` covers, which is how heartbeat timeout
+    paths get exercised. A harness appends each window as it begins and
+    removes it once it has ended. A frame on a covered hop is tried against
+    each covering window in the order they began: a rate of 1 drops it
+    without a draw, any other rate draws once from the network's own random
+    source, seeded with ``seed``, and drops it when the draw is below the
+    rate. The first window that drops the frame ends the tries. A hop no
+    window covers draws nothing, so the draws follow from the seed and the
+    frames on covered hops alone.
     """
 
-    def __init__(self, addresses: Iterable[NodeAddress], loss_hook=None) -> None:
+    def __init__(self, addresses: Iterable[NodeAddress], seed: int = 0) -> None:
         #: the tree links: every node's parent; every parent must be a node
         self.parents = {addr: addr.parent() for addr in addresses}
         for addr, parent in self.parents.items():
             if parent is not None and parent not in self.parents:
                 raise ValueError(f"{addr} declared without its parent {parent}")
-        self.loss_hook = loss_hook
+        #: the loss windows begun and not yet ended, in the order they began
+        self.loss_windows: list[LossWindow] = []
+        self._rng = random.Random(seed)
         #: every node in address order; a node's index here is its slot
         self.order = sorted(self.parents, key=lambda a: a.segments)
         self.slots = {addr: slot for slot, addr in enumerate(self.order)}
@@ -234,9 +252,17 @@ class SimNetwork:
     def send(self, frame: Frame) -> None:
         self.transit.append((frame.src, frame))
 
+    def _lost(self, at: NodeAddress, hop: NodeAddress) -> bool:
+        """Whether a window on the hop from ``at`` to ``hop`` drops the frame
+        there (see the class docstring)."""
+        for rate in covering_rates(self.loss_windows, at, hop):
+            if rate >= 1.0 or self._rng.random() < rate:
+                return True
+        return False
+
     def step(self) -> None:
         moving, self.transit = self.transit, []
-        parents, lossy, now = self.parents, self.loss_hook, self.now
+        parents, windows = self.parents, self.loss_windows
         for at, frame in moving:
             dst = frame.dst
             if dst is parents.get(at):
@@ -250,7 +276,7 @@ class SimNetwork:
                     continue
             if hop is None:
                 hop = at
-            elif lossy is not None and lossy(frame, at, hop, now):
+            elif windows and self._lost(at, hop):
                 self.dropped += 1
                 continue
             elif hop is not dst:
@@ -258,7 +284,7 @@ class SimNetwork:
                 continue
             self.mailboxes[hop].push(frame)
             self.arrived.add(self.slots[hop])
-        self.now = now + 1
+        self.now += 1
 
     def poll(self, addr: NodeAddress) -> Frame | None:
         return self.mailboxes[addr].pop()

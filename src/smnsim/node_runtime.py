@@ -72,7 +72,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import emergency_response as er
-from .addressing import AddressError, NodeAddress, TreeShape
+from .addressing import AddressError, NodeAddress
 from .device_model import (
     ARROWS_FROM,
     DeviceKind,
@@ -217,11 +217,20 @@ def _renew(child: ChildRecord, msg_type: MsgType, now: int) -> None:
 
 
 class _Node:
-    """What management nodes and device agents share: an address, a status,
+    """What management nodes and device agents share: an address and the
+    parent it names, a heartbeat cadence, the pipeline settings, a status,
     the log lines they leave for the harness and their silence's end."""
 
-    def __init__(self, address: NodeAddress) -> None:
+    def __init__(
+        self,
+        address: NodeAddress,
+        hb: HeartbeatConfig | None,
+        settings: PipelineSettings | None,
+    ) -> None:
         self.address = address
+        self.parent = address.parent()
+        self.hb = hb or HeartbeatConfig()
+        self.settings = settings or PipelineSettings()
         self.status = _RUNNING_OK
         self.lines: list[str] = []
         #: the end of the latest silence window, which began when applied
@@ -291,19 +300,14 @@ class SmnNode(_Node):
     def __init__(
         self,
         address: NodeAddress,
-        shape: TreeShape,
-        parent: NodeAddress | None,
         settings: PipelineSettings | None = None,
         hb: HeartbeatConfig | None = None,
         assets: AssetDb | None = None,
         counterplans: CounterplanStore | None = None,
     ) -> None:
-        super().__init__(address)
-        self.parent = parent
-        self.settings = settings or PipelineSettings()
-        self.hb = hb or HeartbeatConfig()
+        super().__init__(address, hb, settings)
         self.virtual_view = AddressedDeviceTree(
-            shape=shape,
+            shape=address.shape,
             root=DeviceNodeRecord(
                 address=address, state=DeviceState.RUNNING_OK, kind=DeviceKind.SMN
             ),
@@ -630,17 +634,13 @@ class DeviceAgent(_Node):
         self,
         address: NodeAddress,
         kind: DeviceKind,
-        parent: NodeAddress,
         hb: HeartbeatConfig | None = None,
         settings: PipelineSettings | None = None,
         filter_rules: list[FilterRule] | None = None,
         mapping: ClassificationMap | None = None,
     ) -> None:
-        super().__init__(address)
+        super().__init__(address, hb, settings)
         self.kind = kind
-        self.parent = parent
-        self.hb = hb or HeartbeatConfig()
-        self.settings = settings or PipelineSettings()
         self.filter_rules = filter_rules or []
         self.mapping = mapping or ClassificationMap()
         #: events this device has normalized; the last one's id ends in it

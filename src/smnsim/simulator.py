@@ -47,7 +47,6 @@ frames, so they take no number.
 from __future__ import annotations
 
 import os
-import random
 from dataclasses import dataclass, field
 
 from .addressing import AddressError, NodeAddress
@@ -65,7 +64,7 @@ from .config import (
 from .device_model import DeviceKind
 from .device_tree import AddressedDeviceTree, TreeError, build_tree
 from .emergency_response import CounterplanStore, ResponseError
-from .messaging import Frame, FrameBuilder, MsgType, SimNetwork
+from .messaging import Frame, FrameBuilder, LossWindow, MsgType, SimNetwork, covering_rates
 from .node_runtime import ChildRecord, DeviceAgent, SmnNode
 
 
@@ -104,15 +103,6 @@ class RunReport:
                 fh.write(content)
 
 
-LossWindow = tuple[NodeAddress, NodeAddress, int, float]
-
-
-def _covering_rates(windows: list[LossWindow], at: NodeAddress, hop: NodeAddress) -> list[float]:
-    """The rates of the live ``windows`` (from, to, end, rate) on the hop
-    from ``at`` to ``hop``, in the order they began."""
-    return [rate for src, dst, _, rate in windows if src == at and dst == hop]
-
-
 def _hearing(record: ChildRecord, parent: NodeAddress, windows: list[LossWindow]):
     """A node's ``hear`` hook: its parent takes a heartbeat sent at ``now``
     by ``SmnNode.heard`` on ``record``, its record of the node, as arriving
@@ -131,26 +121,11 @@ def _hearing(record: ChildRecord, parent: NodeAddress, windows: list[LossWindow]
         windows: list[LossWindow] = windows,
         heard=SmnNode.heard,
     ) -> bool:
-        if windows and _covering_rates(windows, record.address, parent):
+        if windows and covering_rates(windows, record.address, parent):
             return False
         return heard(record, msg_type, payload, now + 1)
 
     return hear
-
-
-def _windowed_loss(windows: list[LossWindow], rng):
-    """A ``SimNetwork`` loss hook dropping a frame on a hop that one of
-    ``windows`` covers, with that window's rate. It holds the windows and
-    the random source, not the simulation, so no cycle keeps a discarded
-    simulation alive until a full garbage collection."""
-
-    def lossy(frame: Frame, at: NodeAddress, hop: NodeAddress, now: int) -> bool:
-        for rate in _covering_rates(windows, at, hop):
-            if rate >= 1.0 or rng.random() < rate:
-                return True
-        return False
-
-    return lossy
 
 
 class Simulation:
@@ -164,9 +139,7 @@ class Simulation:
         self.scenario = scenario
         self.debug = debug
         self.shape = topology.shape
-        #: (from, to, end, rate) of each loss window begun and not yet ended,
-        #: shared in place with the loss and ``hear`` hooks
-        self.loss_windows: list[LossWindow] = []
+        self.network = SimNetwork(topology.nodes, scenario.seed)
 
         counterplans = CounterplanStore()
         if topology.counterplan_dir:
@@ -178,8 +151,6 @@ class Simulation:
             if decl.kind is DeviceKind.SMN:
                 self.smns[addr] = SmnNode(
                     address=addr,
-                    shape=self.shape,
-                    parent=addr.parent(),
                     settings=topology.pipeline,
                     hb=decl.hb,
                     assets=topology.assets,
@@ -189,7 +160,6 @@ class Simulation:
                 self.agents[addr] = DeviceAgent(
                     address=addr,
                     kind=decl.kind,
-                    parent=addr.parent(),
                     hb=decl.hb,
                     settings=topology.pipeline,
                     filter_rules=topology.filter_rules,
@@ -201,12 +171,8 @@ class Simulation:
                 smn = self.smns[parent]
                 smn.add_child(addr, decl.kind, decl.hb)
                 node = self.smns.get(addr) or self.agents[addr]
-                node.hear = _hearing(smn.children[addr], parent, self.loss_windows)
+                node.hear = _hearing(smn.children[addr], parent, self.network.loss_windows)
 
-        self.network = SimNetwork(
-            topology.nodes,
-            loss_hook=_windowed_loss(self.loss_windows, random.Random(scenario.seed)),
-        )
         self.order = self.network.order
         self._nodes = [self.smns.get(a) or self.agents[a] for a in self.order]
         self._builders = {addr: FrameBuilder() for addr in self.order}
@@ -296,7 +262,7 @@ class Simulation:
     # -- directives --------------------------------------------------------
 
     def _apply_directives(self, tick: int, outbound: list[Frame]) -> None:
-        logged = False
+        logged, windows = False, self.network.loss_windows
         for d in self._by_tick.get(tick, ()):
             if isinstance(d, Emit):
                 self._do_emit(d)
@@ -314,8 +280,7 @@ class Simulation:
                 self._do_respond(d, tick, outbound)
                 logged = True
             else:
-                self.loss_windows.append((self._node(d.src), self._node(d.dst), d.until, d.rate))
-        windows = self.loss_windows
+                windows.append((self._node(d.src), self._node(d.dst), d.until, d.rate))
         if windows:
             # a window ended by this tick covers no hop again
             windows[:] = [w for w in windows if w[2] > tick]

@@ -4,10 +4,14 @@ and in ``smnsim.config`` must give equal configurations, or raise
 ``ConfigError``s with the same message and line.
 
 The code below is the old parser and its helpers, copied unchanged but for
-one line: an ``[assets]`` entry with an empty value raised ``IndexError``
+two points. An ``[assets]`` entry with an empty value raised ``IndexError``
 there, and raises ``ConfigError`` ("not an integer: ''") here, as it now
-does in ``smnsim.config``. Only the record types and the error class are
-imported, so that the two parsers' results compare equal.
+does in ``smnsim.config``. And the records are built as they are now
+declared: a ``NodeDecl`` holds a node's kind and heartbeat configuration,
+so the node loop keeps each node's ip, asset value and vulnerabilities
+beside it for the asset database, and an ``AssetRecord`` holds no ip. Only
+the record types and the error class are imported, so that the two
+parsers' results compare equal.
 """
 
 from __future__ import annotations
@@ -17,14 +21,8 @@ from dataclasses import fields
 
 from smnsim.addressing import MAX_DEPTH, AddressError, NodeAddress, TreeShape
 from smnsim.config import ConfigError, NodeDecl, TopologyConfig
-from smnsim.device_model import DeviceKind
-from smnsim.event_pipeline import (
-    _KIND_BY_NAME,
-    AssetDb,
-    AssetRecord,
-    ClassificationMap,
-    FilterRule,
-)
+from smnsim.device_model import KIND_BY_NAME, DeviceKind
+from smnsim.event_pipeline import AssetDb, AssetRecord, ClassificationMap, FilterRule
 from smnsim.node_runtime import HeartbeatConfig, PipelineSettings
 
 _HB_KEYS = tuple(f.name for f in fields(HeartbeatConfig))
@@ -71,7 +69,7 @@ def _key_values(tokens: list[str], known: tuple, what: str, line_no: int) -> dic
 
 def _parse_filter_rule(value: str, line_no: int) -> FilterRule:
     given = _key_values(value.split(), ("kind", "class", "src", "dst"), "filter", line_no)
-    kind = _KIND_BY_NAME.get(given.get("kind"))
+    kind = KIND_BY_NAME.get(given.get("kind"))
     if kind is None and "kind" in given:
         raise ConfigError(f"unknown device kind {given['kind']!r}", line_no)
     return FilterRule(kind, given.get("class"), given.get("src"), given.get("dst"))
@@ -150,7 +148,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
             parts = key.split()
             if len(parts) != 2:
                 raise ConfigError(f"expected '<Kind> <native> = <class>'", line_no)
-            kind = _KIND_BY_NAME.get(parts[0])
+            kind = KIND_BY_NAME.get(parts[0])
             if kind is None:
                 raise ConfigError(f"unknown device kind {parts[0]!r}", line_no)
             if (kind, parts[1]) in mapping_rules:
@@ -176,6 +174,8 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
 
     pipeline = _build_pipeline(pipeline_kv)
     nodes: dict[NodeAddress, NodeDecl] = {}
+    #: per node, (ip, asset value, vulnerabilities) as declared
+    node_assets: dict[NodeAddress, tuple[str, int, frozenset[str]]] = {}
     for addr_text, kv, line_no in node_sections:
         try:
             address = NodeAddress.parse(addr_text, shape)
@@ -184,7 +184,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         if address in nodes:
             raise ConfigError(f"node {addr_text} declared twice", line_no)
         kind_name = kv.get("kind", "")
-        kind = _KIND_BY_NAME.get(kind_name)
+        kind = KIND_BY_NAME.get(kind_name)
         if kind is None:
             raise ConfigError(f"node {addr_text}: unknown kind {kind_name!r}", line_no)
         hb_kv = dict(hb_defaults)
@@ -195,14 +195,12 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
             hb = HeartbeatConfig(**hb_kv)
         except ValueError as exc:
             raise ConfigError(f"node {addr_text}: {exc}", line_no) from exc
-        nodes[address] = NodeDecl(
-            address=address,
-            kind=kind,
-            ip=kv.get("ip", ""),
-            asset_value=_int(kv.get("asset_value", "1"), line_no, "asset_value", 1, 5),
-            vulnerability_ids=_vuln_set(kv.get("vulnerabilities", "")),
-            hb=hb,
+        node_assets[address] = (
+            kv.get("ip", ""),
+            _int(kv.get("asset_value", "1"), line_no, "asset_value", 1, 5),
+            _vuln_set(kv.get("vulnerabilities", "")),
         )
+        nodes[address] = NodeDecl(kind=kind, hb=hb)
 
     roots = [a for a in nodes if a.level == 1]
     if len(roots) != 1:
@@ -220,17 +218,11 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
             raise ConfigError(f"parent of {addr} is not a management node")
 
     assets = AssetDb(class_vulns=class_vulns)
-    for decl in nodes.values():
-        if decl.ip:
-            assets.records[decl.ip] = AssetRecord(
-                ip=decl.ip,
-                asset_value=decl.asset_value,
-                vulnerability_ids=decl.vulnerability_ids,
-            )
+    for ip, asset_value, vulns in node_assets.values():
+        if ip:
+            assets.records[ip] = AssetRecord(asset_value=asset_value, vulnerability_ids=vulns)
     for ip, (asset_value, vulns) in asset_entries.items():
-        assets.records[ip] = AssetRecord(
-            ip=ip, asset_value=asset_value, vulnerability_ids=vulns
-        )
+        assets.records[ip] = AssetRecord(asset_value=asset_value, vulnerability_ids=vulns)
 
     return TopologyConfig(
         shape=shape,

@@ -233,6 +233,35 @@ def test_ignored_clustering_keys_are_named_and_change_nothing(tmp_path, capsys):
         assert (out / golden.name).read_bytes() == golden.read_bytes()
 
 
+def _simulate_windows(scenario: Path, out: Path, *extra: str) -> dict[str, bytes]:
+    argv = [
+        "simulate",
+        "--topology", str(DEMO / "topology.cfg"),
+        "--scenario", str(scenario),
+        "--out", str(out),
+        *extra,
+    ]
+    assert cli.main(argv) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_simulate_seed_overrides_the_scenario_seed(tmp_path):
+    """``--seed`` replaces the scenario's ``seed``, the source of the loss
+    windows' draws: ``windows.scn`` declares seed 11, and its two rate-0.5
+    windows drop other frames under seed 12."""
+    golden = {p.name: p.read_bytes() for p in (GOLDEN / "windows").iterdir()}
+    scenario = DEMO / "windows.scn"
+    assert _simulate_windows(scenario, tmp_path / "s11", "--seed", "11") == golden
+    reseeded = _simulate_windows(scenario, tmp_path / "s12", "--seed", "12")
+    assert reseeded != golden
+    assert len(golden["nodes.txt"].splitlines()) == 41
+    assert len(reseeded["nodes.txt"].splitlines()) == 43
+    copy = tmp_path / "windows12.scn"
+    copy.write_text(scenario.read_text().replace("seed = 11\n", "seed = 12\n"))
+    assert "seed = 12\n" in copy.read_text()
+    assert _simulate_windows(copy, tmp_path / "copy12") == reseeded
+
+
 def test_simulate_non_integer_pipeline_value(tmp_path, capsys):
     text = (DEMO / "topology.cfg").read_text().replace("grace = 60", "grace = sixty")
     topology = tmp_path / "topology.cfg"

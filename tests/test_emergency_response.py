@@ -83,7 +83,7 @@ def test_launch_starts_in_identification():
     case = fresh_case()
     assert case.phase is ResponsePhase.IDENTIFICATION
     assert case.plan.event_class == "dos.synflood"
-    assert (case.case_id, case.classification, case.owner) == ("1.1.0#c1", "dos.synflood", OWNER)
+    assert (case.case_id, case.owner) == ("1.1.0#c1", OWNER)
     assert case.coordinator is None
     assert case.participants == case.confirmed == set()
 

@@ -124,9 +124,8 @@ def test_normalize_lenient_default():
 
 def test_normalizer_sequences_per_device():
     """Each device agent numbers the events it normalizes, across flushes."""
-    site = NodeAddress.parse("1.1.0", SHAPE)
-    ids_agent = DeviceAgent(IDS, DeviceKind.IDS, site)
-    fw_agent = DeviceAgent(FW, DeviceKind.FIREWALL, site)
+    ids_agent = DeviceAgent(IDS, DeviceKind.IDS)
+    fw_agent = DeviceAgent(FW, DeviceKind.FIREWALL)
 
     def flush(agent, now, *targets):
         for dst in targets:
@@ -296,10 +295,8 @@ def test_aggregate_conserves_counts(times):
 def db():
     return AssetDb(
         records={
-            "10.0.0.2": AssetRecord(
-                ip="10.0.0.2", asset_value=5, vulnerability_ids=frozenset({"CVE-7"})
-            ),
-            "10.0.0.3": AssetRecord(ip="10.0.0.3", asset_value=2),
+            "10.0.0.2": AssetRecord(asset_value=5, vulnerability_ids=frozenset({"CVE-7"})),
+            "10.0.0.3": AssetRecord(asset_value=2),
         },
         class_vulns={"exploit.attempt": frozenset({"CVE-7"})},
     )

@@ -180,16 +180,22 @@ def test_network_dead_letter_for_unknown_destination():
     assert net.dead_letters[0].line() == "DEADLETTER 1.0.0.0 1.3.0.0 DEVICE_EVENT 1"
 
 
-def test_network_loss_hook_drops():
-    drop_all = lambda f, at, hop, now: True
-    net = SimNetwork(NODES, loss_hook=drop_all)
+def test_network_loss_window_drops():
+    """A rate-1 window drops exactly the frame on its hop, without a draw;
+    a frame on another hop to the same node arrives."""
+    net = SimNetwork(NODES)
+    net.loss_windows.append((A("1.1.1.0"), A("1.1.0.0"), 99, 1.0))
+    state = net._rng.getstate()
     net.send(frame(src="1.1.1.0", dst="1.1.0.0"))
+    kept = frame(src="1.1.2.0", dst="1.1.0.0", seq=2)
+    net.send(kept)
     for _ in range(5):
         net.step()
+    assert net.poll(A("1.1.0.0")) is kept
     assert net.poll(A("1.1.0.0")) is None
     assert net.dropped == 1
     assert net.transit == []
-    assert net.arrived == set()
+    assert net._rng.getstate() == state
 
 
 def test_network_parents_are_the_declared_addresses():
@@ -198,19 +204,57 @@ def test_network_parents_are_the_declared_addresses():
         assert parent is None or parent is declared[str(parent)]
 
 
-def test_loss_hook_sees_each_hop_and_the_step_count():
+ROUTE = [("1.1.1.0", "1.1.0.0"), ("1.1.0.0", "1.0.0.0"), ("1.0.0.0", "1.2.0.0")]
+
+
+@pytest.mark.parametrize("covered", range(len(ROUTE)))
+def test_a_loss_window_drops_a_routed_frame_at_the_hop_it_covers(covered):
     """A frame to the declared parent takes the one-hop path; any other goes
-    hop by hop; the hook sees both, with the number of steps taken before."""
-    seen = []
-    net = SimNetwork(NODES, loss_hook=lambda f, at, hop, now: seen.append((f.seq, str(hop), now)))
+    hop by hop. A window covers either on its hop: the routed frame from
+    1.1.1.0 to 1.2.0.0 is dropped at the step that takes it over the
+    covered hop, and the frame up from 1.1.1.0 only when the window covers
+    its one hop. ``now`` counts the steps taken."""
+    net = SimNetwork(NODES)
+    src, dst = ROUTE[covered]
+    net.loss_windows.append((A(src), A(dst), 99, 1.0))
     up = frame(MsgType.NETWORK_TEST, src="1.1.1.0", dst="1.1.0.0")
     net.send(up)
     net.send(frame(src="1.1.1.0", dst="1.2.0.0", seq=2))
-    for _ in range(4):
+    dropped_at = []
+    for step in range(4):
+        assert net.now == step
+        before = net.dropped
         net.step()
-    assert seen == [(1, "1.1.0.0", 0), (2, "1.1.0.0", 0), (2, "1.0.0.0", 1), (2, "1.2.0.0", 2)]
-    assert net.poll(A("1.1.0.0")) is up
-    assert net.poll(A("1.2.0.0")).seq == 2
+        dropped_at += [step] * (net.dropped - before)
+    assert net.now == 4
+    if covered == 0:
+        assert dropped_at == [0, 0]
+        assert net.poll(A("1.1.0.0")) is None
+    else:
+        assert dropped_at == [covered]
+        assert net.poll(A("1.1.0.0")) is up
+    assert net.poll(A("1.2.0.0")) is None
+    assert net.transit == []
+
+
+def test_partial_loss_windows_draw_once_per_covered_frame_in_the_order_they_began():
+    """Each window with a rate below 1 on a frame's hop draws once from the
+    source the seed fixes, in the order the windows began, until one drops
+    the frame; a frame on a hop no window covers draws nothing."""
+    hop = (A("1.2.2.1"), A("1.2.2.0"), 99)
+    for seed in range(20):
+        net = SimNetwork(NODES, seed=seed)
+        net.loss_windows += [(*hop, 0.5), (*hop, 0.25)]
+        rng = random.Random(seed)
+        want = 0
+        for seq in range(1, 11):
+            net.send(frame(src="1.1.1.0", dst="1.1.0.0", seq=seq))
+            net.send(frame(src="1.2.2.1", dst="1.2.2.0", seq=seq))
+            want += rng.random() < 0.5 or rng.random() < 0.25
+            net.step()
+        assert net.dropped == want
+        assert net._rng.random() == rng.random()
+        assert len(net.mailboxes[A("1.1.0.0")]) == 10
 
 
 def test_network_order_puts_every_node_after_its_parent():

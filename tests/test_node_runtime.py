@@ -51,14 +51,12 @@ HB = HeartbeatConfig(
 
 
 def assets():
-    return AssetDb(records={"10.0.1.5": AssetRecord(ip="10.0.1.5", asset_value=3)})
+    return AssetDb(records={"10.0.1.5": AssetRecord(asset_value=3)})
 
 
-def make_smn(addr="1.1.0", parent="1.0.0", children=(), **kwargs):
+def make_smn(addr="1.1.0", children=(), **kwargs):
     node = SmnNode(
         address=A(addr),
-        shape=SHAPE,
-        parent=A(parent) if parent else None,
         hb=HB,
         assets=kwargs.pop("assets", assets()),
         **kwargs,
@@ -196,7 +194,7 @@ def test_unknown_child_frame_logged_and_dropped(msg_type):
 def _root_with_child_in(status):
     """A root (so it records change sets) whose record and view of its one
     child are in ``status``, with nothing logged or recorded yet."""
-    node = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.FIREWALL)])
+    node = make_smn(addr="1.0.0", children=[("1.1.0", DeviceKind.FIREWALL)])
     node.children[A("1.1.0")].status = status
     node.virtual_view.set_state(A("1.1.0"), status.state)
     node.drain_changesets()
@@ -247,7 +245,7 @@ def test_heard_declines_a_stranger():
     logs as unknown, and the parent's record of its own child is left
     alone."""
     node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL)])
-    stranger = DeviceAgent(A("1.1.2"), DeviceKind.FIREWALL, node.address, hb=HB)
+    stranger = DeviceAgent(A("1.1.2"), DeviceKind.FIREWALL, hb=HB)
     assert not stranger.hear(MsgType.NETWORK_TEST, "", 5)
     frames = stranger.step(5)
     assert [(f.msg_type, f.src) for f in frames] == [(MsgType.NETWORK_TEST, A("1.1.2"))]
@@ -401,7 +399,7 @@ def test_child_report_assembles_and_propagates():
 
 def test_only_the_root_records_change_sets():
     """The console mirror replays the root's view alone."""
-    root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
+    root = make_smn(addr="1.0.0", children=[("1.1.0", DeviceKind.SMN)])
     site = make_smn(children=[("1.1.1", DeviceKind.FIREWALL)])
     _bring_online(root, "1.1.0")
     _bring_online(site)
@@ -414,7 +412,7 @@ def test_only_the_root_records_change_sets():
 
 
 def test_root_smn_report_reaches_no_parent():
-    root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
+    root = make_smn(addr="1.0.0", children=[("1.1.0", DeviceKind.SMN)])
     src = A("1.1.0")
     out = root.on_frame(
         Frame(MsgType.TOPOLOGY_REPORT, src, root.address, "[1.1.0:S211:[1.1.1:S211]]"), 11
@@ -426,7 +424,7 @@ def test_root_smn_report_reaches_no_parent():
 def test_an_unchanged_report_records_no_change_set():
     """The mirror replays only real changes; the log and the upward report
     stay as they were."""
-    root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
+    root = make_smn(addr="1.0.0", children=[("1.1.0", DeviceKind.SMN)])
     site = make_smn(children=[("1.1.1", DeviceKind.SMN)])
     report = Frame(MsgType.TOPOLOGY_REPORT, A("1.1.0"), root.address, "[1.1.0:S211:[1.1.1:S211]]"
     )
@@ -455,8 +453,8 @@ def test_periodic_heartbeats_and_report_cadence():
 
 
 def test_smn_next_wake_is_the_earliest_child_deadline_or_own_send():
-    assert make_smn(addr="1.0.0", parent=None).next_wake(0) == NEVER
-    root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
+    assert make_smn(addr="1.0.0").next_wake(0) == NEVER
+    root = make_smn(addr="1.0.0", children=[("1.1.0", DeviceKind.SMN)])
     assert root.next_wake(0) == 20  # the child's state package deadline
     src = A("1.1.0")
     root.on_frame(Frame(MsgType.DEVICE_STATE_PKG, src, root.address, "normal"), 12)
@@ -498,7 +496,7 @@ def test_smn_on_tick_acts_exactly_at_next_wake():
 
 
 def test_dispatch_command_routes_and_acks():
-    root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
+    root = make_smn(addr="1.0.0", children=[("1.1.0", DeviceKind.SMN)])
     cmd_id, frames = root.dispatch_command(A("1.1.1"), "policy", 40)
     assert cmd_id == "1.0.0!1"
     assert frames == [Frame(MsgType.COMMAND, root.address, A("1.1.1"), Order("policy", cmd_id))]
@@ -507,7 +505,6 @@ def test_dispatch_command_routes_and_acks():
     agent = DeviceAgent(
         address=A("1.1.1"),
         kind=DeviceKind.FIREWALL,
-        parent=A("1.1.0"),
         hb=HB,
         settings=PipelineSettings(command_delay=3),
     )
@@ -525,7 +522,7 @@ def test_dispatch_command_routes_and_acks():
 
 
 def test_unacked_commands_are_logged_in_issue_order():
-    root = make_smn(addr="1.0.0", parent=None, children=[("1.1.0", DeviceKind.SMN)])
+    root = make_smn(addr="1.0.0", children=[("1.1.0", DeviceKind.SMN)])
     for t in (3, 4, 5):
         root.dispatch_command(A("1.1.1"), "policy", t)
     root.drain_lines()
@@ -540,7 +537,6 @@ def test_vulnerability_command_traverses_s24():
     agent = DeviceAgent(
         address=A("1.1.1"),
         kind=DeviceKind.FIREWALL,
-        parent=A("1.1.0"),
         hb=HB,
         settings=PipelineSettings(command_delay=1),
     )
@@ -554,13 +550,13 @@ def test_vulnerability_command_traverses_s24():
 
 
 def test_dispatch_outside_subtree_rejected():
-    node = make_smn(addr="1.1.0", parent="1.0.0")
+    node = make_smn(addr="1.1.0")
     with pytest.raises(AddressError, match="1.2.1 not below 1.1.0"):
         node.dispatch_command(A("1.2.1"), "policy", 10)
 
 
 def test_smn_handles_command_itself():
-    node = make_smn(addr="1.1.0", parent="1.0.0")
+    node = make_smn(addr="1.1.0")
     src = A("1.0.0")
     out = node.on_frame(Frame(MsgType.COMMAND, src, A("1.1.0"), Order("policy", "c!9")), 11)
     assert [f.msg_type for f in out] == [MsgType.COMMAND_ACK]
@@ -577,7 +573,7 @@ def _three_smns():
     """Root 1.0.0 over the sites 1.1.0 and 1.2.0, with a case launched at
     1.1.0, its owner; no line left logged."""
     root = make_smn(
-        addr="1.0.0", parent=None,
+        addr="1.0.0",
         children=[("1.1.0", DeviceKind.SMN), ("1.2.0", DeviceKind.SMN)],
     )
     owner, peer = make_smn(addr="1.1.0"), make_smn(addr="1.2.0")
@@ -664,7 +660,6 @@ def make_agent(kind=DeviceKind.FIREWALL, addr="1.1.1"):
     return DeviceAgent(
         address=A(addr),
         kind=kind,
-        parent=A("1.1.0"),
         hb=HB,
         settings=PipelineSettings(window_ticks=10, portscan_threshold=10),
     )

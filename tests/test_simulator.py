@@ -443,14 +443,14 @@ def test_an_ended_loss_window_is_dropped():
     step = sim.network.step
 
     def spy_step():
-        if sim.loss_windows:
+        if sim.network.loss_windows:
             held.append(sim.network.now)
         step()
 
     sim.network.step = spy_step
     files = sim.run().files()
     assert held == list(range(50, 110))
-    assert sim.loss_windows == []
+    assert sim.network.loss_windows == []
     for name in REPORT_FILES:
         assert files[name].encode() == (golden / name).read_bytes(), name
 
