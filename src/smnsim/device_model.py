@@ -2,11 +2,12 @@
 
 Statically a device is one of six kinds. Its address, the key of its node
 declaration, fixes its level, parent and subtree; its IP, asset value and
-vulnerabilities are held once, by the asset database. Dynamically it runs a ten-state machine driven by twelve
-transfer conditions. Offline splits into network-down / unreachable, online
-into waiting (normal or abnormal) and three busy states for alert, policy and
-vulnerability handling. A concrete device always sits in one of the seven
-leaf states; the busy states remember which waiting substate to return to.
+vulnerabilities are held once, by the asset database. Dynamically it runs a
+ten-state machine driven by twelve transfer conditions. Offline splits into
+network-down / unreachable, online into waiting (normal or abnormal) and
+three busy states for alert, policy and vulnerability handling. A concrete
+device always sits in one of the seven leaf states; the busy states remember
+which waiting substate to return to.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ node or, after escalation, its coordinator. Enlisted participants must
 confirm receipt of the containment advisory before the case may move past
 Containment.
 
-A case holds only what its rules read: phase, owner, coordinator,
+A case holds the counterplan its launch resolved, which its ``launch:``
+line names, and what its rules read: phase, owner, coordinator,
 participants and confirmations. Each step a node takes on a case is
 recorded once, as the ``CASE`` line the node logs.
 """
@@ -123,9 +124,8 @@ def _parse_plan(text: str, event_class: str) -> dict[str, str]:
 
 @dataclass
 class ResponseCase:
-    """One case: the counterplan its launch resolved, and the state its
-    rules read. The classification it was launched on is not kept: the
-    plan is all a case needs of it."""
+    """One case: the plan its launch resolved for the alert's
+    classification, and the state its rules read."""
 
     case_id: str
     plan: Counterplan

@@ -509,7 +509,7 @@ class SmnNode(_Node):
         case_id = f"{self.address}#c{self.case_counter}"
         case = er.launch(record.top_classification, self.counterplans, self.address, case_id)
         self.cases[case_id] = case
-        self._case_line(case_id, now, self.address, "launch")
+        self._case_line(case_id, now, self.address, f"launch:{case.plan.event_class}")
         return case
 
     def respond_escalate(self, case_id: str, now: int) -> list[Frame]:

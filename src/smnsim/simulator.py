@@ -20,28 +20,31 @@ the network, numbers each one there with the sender's ``FrameBuilder``
 
 A heartbeat that would change nothing at its parent but a deadline is never
 built: its sender offers it to its ``hear`` hook, which ``__init__`` binds
-to the parent's ``ChildRecord`` of the sender and to the loss windows, and
-the parent takes it by ``SmnNode.heard`` as arriving at the next tick, as
-the frame would. That is exact. Slots follow address order, so when a node
-runs, its parent has already run at this tick or does not run at it, and
-the record stands as it will when the tick's frames land. Until the
-frame's turn in the parent's mailbox nothing touches that child's record:
-the frames before it there are acknowledgements, reports, alerts and
-frames from other children, and the child's own events follow its
+to the parent's ``ChildRecord`` of the sender and to the network's loss
+windows, and the parent takes it by ``SmnNode.heard`` as arriving at the
+next tick, as the frame would. That is exact. Slots follow address order,
+so when a node runs, its parent has already run at this tick or does not
+run at it, and the record stands as it will when the tick's frames land.
+Until the frame's turn in the parent's mailbox nothing touches that child's
+record: the frames before it there are acknowledgements, reports, alerts
+and frames from other children, and the child's own events follow its
 heartbeats; an event leaves the record in the waiting state it found (its
 T7/T8 pair is closed, see ``node_runtime``). Deadlines only move later, so
 a parent filed on the timing wheel under an older deadline wakes, finds
 nothing due and files again. The hook declines a heartbeat, which then goes
 as a frame, when one of its conditions has an arrow from the parent's
 record of the child, or when a loss window covers its hop (it keeps its
-draw from the loss source); and a sender offers no heartbeat after one of
-its tick went as a frame (see ``node_runtime``).
+draw from the network's random source); and a sender offers no heartbeat
+after one of its tick went as a frame (see ``node_runtime``).
 
 A scenario window is applied at its start tick, before any node runs, so
 a window held has begun: a node keeps only the end of its latest silence or
-abnormal window, and a loss window, dropped at the first tick it has ended,
-covers its hop while held. ``_run_node`` alone drops a silenced node's
-frames, so they take no number.
+abnormal window, and the network holds each loss window, which covers its
+hop until the first tick it has ended, when ``_apply_directives`` drops it
+from the network's list. The network alone decides a loss, with its own
+random source seeded with the scenario's ``seed`` (see ``SimNetwork``).
+``_run_node`` alone drops a silenced node's frames, so they take no
+number.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .config import (
     Window,
 )
 from .device_model import DeviceKind
-from .device_tree import AddressedDeviceTree, TreeError, build_tree
+from .device_tree import TreeError, build_tree
 from .emergency_response import CounterplanStore, ResponseError
 from .messaging import Frame, FrameBuilder, LossWindow, MsgType, SimNetwork, covering_rates
 from .node_runtime import ChildRecord, DeviceAgent, SmnNode
@@ -106,7 +109,8 @@ class RunReport:
 def _hearing(record: ChildRecord, parent: NodeAddress, windows: list[LossWindow]):
     """A node's ``hear`` hook: its parent takes a heartbeat sent at ``now``
     by ``SmnNode.heard`` on ``record``, its record of the node, as arriving
-    at ``now + 1``, unless one of ``windows`` covers the hop.
+    at ``now + 1``, unless one of ``windows``, the network's list of loss
+    windows, covers the hop.
 
     The hook's state is bound as defaults, not closed over: that makes two
     objects per node for the garbage collector to scan while a simulation
@@ -145,11 +149,15 @@ class Simulation:
         if topology.counterplan_dir:
             counterplans = CounterplanStore.load_dir(topology.counterplan_dir)
 
+        self.order = self.network.order
         self.smns: dict[NodeAddress, SmnNode] = {}
         self.agents: dict[NodeAddress, DeviceAgent] = {}
-        for addr, decl in topology.nodes.items():
+        self._nodes: list[SmnNode | DeviceAgent] = []
+        # in address order, so that each node's parent is built before it
+        for addr in self.order:
+            decl = topology.nodes[addr]
             if decl.kind is DeviceKind.SMN:
-                self.smns[addr] = SmnNode(
+                node = self.smns[addr] = SmnNode(
                     address=addr,
                     settings=topology.pipeline,
                     hb=decl.hb,
@@ -157,7 +165,7 @@ class Simulation:
                     counterplans=counterplans,
                 )
             else:
-                self.agents[addr] = DeviceAgent(
+                node = self.agents[addr] = DeviceAgent(
                     address=addr,
                     kind=decl.kind,
                     hb=decl.hb,
@@ -165,29 +173,19 @@ class Simulation:
                     filter_rules=topology.filter_rules,
                     mapping=topology.mapping,
                 )
-        for addr, decl in topology.nodes.items():
-            parent = addr.parent()
-            if parent is not None:
-                smn = self.smns[parent]
+            self._nodes.append(node)
+            if node.parent is not None:
+                smn = self.smns[node.parent]
                 smn.add_child(addr, decl.kind, decl.hb)
-                node = self.smns.get(addr) or self.agents[addr]
-                node.hear = _hearing(smn.children[addr], parent, self.network.loss_windows)
-
-        self.order = self.network.order
-        self._nodes = [self.smns.get(a) or self.agents[a] for a in self.order]
+                node.hear = _hearing(smn.children[addr], node.parent, self.network.loss_windows)
         self._builders = {addr: FrameBuilder() for addr in self.order}
-        self._smn_slots = frozenset(
-            slot for slot, addr in enumerate(self.order) if addr in self.smns
-        )
+        self._smn_slots = frozenset(self.network.slots[addr] for addr in self.smns)
         # The timing wheel: tick -> slots of the nodes due then, and per slot
         # the tick it is filed under. Every node acts at tick 0.
         self._wake = [0] * len(self.order)
         self._wheel: dict[int, set[int]] = {0: set(range(len(self.order)))}
         self.root = self.smns[topology.root]
-        self.mirror = AddressedDeviceTree(
-            shape=self.shape,
-            root=build_tree(self.root.virtual_view.serialize(), self.shape).root,
-        )
+        self.mirror = build_tree(self.root.virtual_view.serialize(), self.shape)
         self.handles: dict[str, tuple[NodeAddress, str]] = {}
         self.collected: list[str] = []
         self._by_tick: dict[int, list[Directive]] = {}

@@ -9,6 +9,7 @@ from smnsim.device_model import (
     DeviceStatus,
     TransferCondition,
 )
+from smnsim.emergency_response import Counterplan, CounterplanStore
 from smnsim.event_pipeline import (
     AssetDb,
     AssetRecord,
@@ -584,6 +585,26 @@ def _three_smns():
     case_id = owner.respond_launch(90).case_id
     owner.drain_lines()
     return root, owner, peer, case_id
+
+
+@pytest.mark.parametrize(
+    "plans, chosen", [({}, "default"), ({"exploit": "exploit"}, "exploit")]
+)
+def test_a_launch_logs_the_counterplan_it_chose(plans, chosen):
+    """The case line of a launch names the plan resolved for the alert's
+    top classification, ``exploit.attempt``: the longest matching prefix,
+    else the store's default."""
+    store = CounterplanStore(
+        {cls: Counterplan(cls, "look", "isolate", "clean", "restore") for cls in plans}
+    )
+    owner = make_smn(addr="1.1.0", counterplans=store)
+    owner.last_record = SessionRecord(
+        "1.1.0#1", "10.0.0.99:4444", "10.0.1.5:80", 20, 60,
+        ("1.1.2-1",), ("exploit.attempt",), (4,),
+    )
+    case = owner.respond_launch(90)
+    assert case.plan.event_class == chosen
+    assert owner.drain_lines() == [f"CASE 1.1.0#c1 90 1.1.0 launch:{chosen}"]
 
 
 def _escalated():
