@@ -204,37 +204,30 @@ def test_network_parents_are_the_declared_addresses():
         assert parent is None or parent is declared[str(parent)]
 
 
-ROUTE = [("1.1.1.0", "1.1.0.0"), ("1.1.0.0", "1.0.0.0"), ("1.0.0.0", "1.2.0.0")]
-
-
-@pytest.mark.parametrize("covered", range(len(ROUTE)))
-def test_a_loss_window_drops_a_routed_frame_at_the_hop_it_covers(covered):
+def test_a_loss_window_drops_a_routed_frame_at_the_hop_it_covers():
     """A frame to the declared parent takes the one-hop path; any other goes
     hop by hop. A window covers either on its hop: the routed frame from
     1.1.1.0 to 1.2.0.0 is dropped at the step that takes it over the
     covered hop, and the frame up from 1.1.1.0 only when the window covers
     its one hop. ``now`` counts the steps taken."""
-    net = SimNetwork(NODES)
-    src, dst = ROUTE[covered]
-    net.loss_windows.append((A(src), A(dst), 99, 1.0))
-    up = frame(MsgType.NETWORK_TEST, src="1.1.1.0", dst="1.1.0.0")
-    net.send(up)
-    net.send(frame(src="1.1.1.0", dst="1.2.0.0", seq=2))
-    dropped_at = []
-    for step in range(4):
-        assert net.now == step
-        before = net.dropped
-        net.step()
-        dropped_at += [step] * (net.dropped - before)
-    assert net.now == 4
-    if covered == 0:
-        assert dropped_at == [0, 0]
-        assert net.poll(A("1.1.0.0")) is None
-    else:
-        assert dropped_at == [covered]
-        assert net.poll(A("1.1.0.0")) is up
-    assert net.poll(A("1.2.0.0")) is None
-    assert net.transit == []
+    route = [("1.1.1.0", "1.1.0.0"), ("1.1.0.0", "1.0.0.0"), ("1.0.0.0", "1.2.0.0")]
+    for covered, (src, dst) in enumerate(route):
+        net = SimNetwork(NODES)
+        net.loss_windows.append((A(src), A(dst), 99, 1.0))
+        up = frame(MsgType.NETWORK_TEST, src="1.1.1.0", dst="1.1.0.0")
+        net.send(up)
+        net.send(frame(src="1.1.1.0", dst="1.2.0.0", seq=2))
+        dropped_at = []
+        for step in range(4):
+            assert net.now == step
+            before = net.dropped
+            net.step()
+            dropped_at += [step] * (net.dropped - before)
+        assert net.now == 4
+        assert dropped_at == ([0, 0] if covered == 0 else [covered])
+        assert net.poll(A("1.1.0.0")) is (None if covered == 0 else up)
+        assert net.poll(A("1.2.0.0")) is None
+        assert net.transit == []
 
 
 def test_partial_loss_windows_draw_once_per_covered_frame_in_the_order_they_began():
