@@ -1,25 +1,31 @@
 """Semi-automatic emergency response.
 
 A case walks Identification, Containment, Eradication, Recovery, then
-closes. Counterplans are written beforehand, one document per event class
-with four sections matching the phases; resolution picks the longest dotted
-prefix and falls back to a default plan, so every launch succeeds.
+closes. Counterplans are written beforehand, one ``<event_class>.plan``
+document per event class with four sections matching the phases. A launch
+resolves the longest dotted prefix of its alert's classification among the
+plans' event classes, else ``default``, so every launch succeeds, and the
+case keeps the name it resolved, which its ``launch:`` line names. No step
+reads a plan's text, so the store checks each file's sections and keeps
+only its event class.
 
 Plan retrieval, escalation to the parent node and advisory fan-out are
-automatic; each phase advance is an explicit operator action by the owning
-node or, after escalation, its coordinator. Enlisted participants must
-confirm receipt of the containment advisory before the case may move past
-Containment.
+automatic; each phase advance is an explicit operator action. Enlisted
+participants must confirm receipt of the containment advisory before the
+case may move past Containment.
 
-A case holds the counterplan its launch resolved, which its ``launch:``
-line names, and what its rules read: phase, owner, coordinator,
-participants and confirmations. Each step a node takes on a case is
-recorded once, as the ``CASE`` line the node logs.
+This module holds the rules of the case itself: phase order, the
+Containment gate, that escalation needs a parent, and adding participants.
+Who may act on a case, its owner or, after escalation, the coordinator, is
+decided by the node that acts (see ``node_runtime``): the owner holds the
+case, and the coordinator alone records that it coordinates it. Each step a
+node takes on a case is recorded once, as the ``CASE`` line the node logs.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,160 +44,92 @@ class ResponsePhase(Enum):
     CLOSED = "Closed"
 
 
-PHASE_ORDER = (
-    ResponsePhase.IDENTIFICATION,
-    ResponsePhase.CONTAINMENT,
-    ResponsePhase.ERADICATION,
-    ResponsePhase.RECOVERY,
-    ResponsePhase.CLOSED,
-)
-
+_PHASES = tuple(ResponsePhase)
 _SECTION_NAMES = ("identification", "containment", "eradication", "recovery")
 
 
-@dataclass(frozen=True)
-class Counterplan:
-    event_class: str
-    identification: str
-    containment: str
-    eradication: str
-    recovery: str
-
-
-DEFAULT_PLAN = Counterplan(
-    event_class="default",
-    identification="Review the triggering alert and scope affected assets.",
-    containment="Isolate affected hosts at the nearest enforcement point.",
-    eradication="Remove the causal artifact; re-scan affected assets.",
-    recovery="Restore service and monitor for recurrence.",
-)
-
-
 class CounterplanStore:
-    """Plans keyed by event class, resolved by longest dotted prefix."""
+    """The event classes plans are written for, resolved by longest dotted
+    prefix."""
 
-    def __init__(
-        self, plans: dict[str, Counterplan] | None = None, default: Counterplan = DEFAULT_PLAN
-    ) -> None:
-        self.plans = dict(plans or {})
-        self.default = default
+    def __init__(self, names: Iterable[str] = ()) -> None:
+        self.names = frozenset(names)
 
-    def resolve(self, classification: str) -> Counterplan:
-        best: Counterplan | None = None
-        best_len = -1
-        for cls, plan in self.plans.items():
-            if classification == cls or classification.startswith(cls + "."):
-                if len(cls) > best_len:
-                    best, best_len = plan, len(cls)
-        return best if best is not None else self.default
+    def resolve(self, classification: str) -> str:
+        # two names that prefix the same classification differ in length
+        matches = [
+            name for name in self.names
+            if classification == name or classification.startswith(name + ".")
+        ]
+        return max(matches, key=len, default="default")
 
     @classmethod
     def load_dir(cls, path: str) -> "CounterplanStore":
-        """Read ``<event_class>.plan`` files with ``== section ==`` delimiters."""
-        plans: dict[str, Counterplan] = {}
-        default = DEFAULT_PLAN
+        """Check ``<event_class>.plan`` files for their ``== section ==``
+        delimiters, in name order."""
+        names = []
         for name in sorted(os.listdir(path)):
             if not name.endswith(".plan"):
                 continue
             event_class = name[: -len(".plan")]
             with open(os.path.join(path, name), encoding="utf-8") as fh:
-                sections = _parse_plan(fh.read(), event_class)
-            plan = Counterplan(event_class=event_class, **sections)
-            if event_class == "default":
-                default = plan
-            else:
-                plans[event_class] = plan
-        return cls(plans, default)
+                _check_plan(fh.read(), event_class)
+            names.append(event_class)
+        return cls(names)
 
 
-def _parse_plan(text: str, event_class: str) -> dict[str, str]:
-    sections: dict[str, list[str]] = {}
-    current: list[str] | None = None
+def _check_plan(text: str, event_class: str) -> None:
+    sections = set()
     for line in text.splitlines():
         stripped = line.strip()
         if stripped.startswith("==") and stripped.endswith("=="):
             name = stripped.strip("= ").lower()
             if name not in _SECTION_NAMES:
                 raise ResponseError(f"unknown section {name!r} in plan {event_class}")
-            current = sections.setdefault(name, [])
-        elif current is not None:
-            current.append(line)
+            sections.add(name)
     missing = [s for s in _SECTION_NAMES if s not in sections]
     if missing:
         raise ResponseError(f"plan {event_class} missing sections {missing}")
-    return {name: "\n".join(lines).strip() for name, lines in sections.items()}
 
 
 @dataclass
 class ResponseCase:
-    """One case: the plan its launch resolved for the alert's
-    classification, and the state its rules read."""
+    """One case: the plan its launch resolved, and the state its rules
+    read."""
 
     case_id: str
-    plan: Counterplan
-    phase: ResponsePhase
+    plan: str
     owner: NodeAddress
-    coordinator: NodeAddress | None = None
+    phase: ResponsePhase = ResponsePhase.IDENTIFICATION
     participants: set[NodeAddress] = field(default_factory=set)
     confirmed: set[NodeAddress] = field(default_factory=set)
 
 
-def launch(
-    classification: str, store: CounterplanStore, owner: NodeAddress, case_id: str
-) -> ResponseCase:
-    return ResponseCase(
-        case_id=case_id,
-        plan=store.resolve(classification),
-        phase=ResponsePhase.IDENTIFICATION,
-        owner=owner,
-    )
-
-
-def _authorized(case: ResponseCase, actor: NodeAddress) -> bool:
-    return actor == case.owner or (
-        case.coordinator is not None and actor == case.coordinator
-    )
-
-
-def advance(case: ResponseCase, actor: NodeAddress) -> None:
+def advance(case: ResponseCase) -> None:
     """Move the case one phase forward; Recovery closes it."""
     if case.phase is ResponsePhase.CLOSED:
         raise ResponseError(case.case_id)
-    if not _authorized(case, actor):
-        raise ResponseError(f"{actor} is neither owner nor coordinator of {case.case_id}")
     if case.phase is ResponsePhase.CONTAINMENT:
         waiting = case.participants - case.confirmed
         if waiting:
             raise ResponseError(
                 f"{len(waiting)} participant(s) have not confirmed the advisory"
             )
-    case.phase = PHASE_ORDER[PHASE_ORDER.index(case.phase) + 1]
+    case.phase = _PHASES[_PHASES.index(case.phase) + 1]
 
 
 def escalate(case: ResponseCase) -> NodeAddress:
-    """Hand advance authority to the owner's parent node. Idempotent."""
+    """The node the case escalates to: its owner's parent."""
     parent = case.owner.parent()
     if parent is None:
         raise ResponseError(f"{case.owner} has no parent to escalate to")
-    case.coordinator = parent
     return parent
 
 
-def enlist(
-    case: ResponseCase, actor: NodeAddress, targets: list[NodeAddress]
-) -> list[NodeAddress]:
-    """Add cooperating nodes; the coordinator alone may do this, and only
-    within its own subtree. Returns the newly added participants."""
-    if case.coordinator is None or actor != case.coordinator:
-        raise ResponseError(f"{actor} does not coordinate {case.case_id}")
-    for target in targets:
-        if not actor.is_ancestor(target):
-            raise ResponseError(f"{target} not below coordinator {actor}")
-    added = []
-    for target in targets:
-        if target not in case.participants:
-            case.participants.add(target)
-            added.append(target)
+def enlist(case: ResponseCase, targets: Iterable[NodeAddress]) -> list[NodeAddress]:
+    """Add cooperating nodes; returns the newly added participants."""
+    added = [t for t in dict.fromkeys(targets) if t not in case.participants]
+    case.participants.update(added)
     return added
 
 

@@ -56,6 +56,14 @@ that child splices nothing (see ``device_tree``) and records no change set,
 so the console mirror replays only real changes. The node still logs
 ``ASSEMBLE`` and, below the root, still reports upward.
 
+A management node alone decides who may act on a response case;
+``emergency_response`` holds the case's own rules. The owner holds the case
+and advances it itself. Escalating tells the owner's parent, which records
+in ``coordinated`` that it coordinates the case, and for which owner: only
+it may enlist, and only nodes below it, and it advances the case by sending
+the owner ``Advance``. Any other node logs ``RESPOND-ERROR unknown case``.
+So the owner takes an ``Enlisted`` or ``Advance`` as its coordinator's.
+
 Everything a node does is visible as log lines:
 
     NODE <addr> <tick> <action> <detail>
@@ -507,9 +515,11 @@ class SmnNode(_Node):
             raise ResponseError(f"{self.address} has no alert to respond to")
         self.case_counter += 1
         case_id = f"{self.address}#c{self.case_counter}"
-        case = er.launch(record.top_classification, self.counterplans, self.address, case_id)
+        case = ResponseCase(
+            case_id, self.counterplans.resolve(record.top_classification), self.address
+        )
         self.cases[case_id] = case
-        self._case_line(case_id, now, self.address, f"launch:{case.plan.event_class}")
+        self._case_line(case_id, now, self.address, f"launch:{case.plan}")
         return case
 
     def respond_escalate(self, case_id: str, now: int) -> list[Frame]:
@@ -546,7 +556,7 @@ class SmnNode(_Node):
 
     def _advance_local(self, case: ResponseCase, actor: NodeAddress, now: int) -> None:
         try:
-            er.advance(case, actor)
+            er.advance(case)
             self._case_line(case.case_id, now, actor, f"advance:{case.phase.value}")
         except ResponseError:
             self._case_line(case.case_id, now, actor, "advance-rejected")
@@ -568,12 +578,7 @@ class SmnNode(_Node):
             case.confirmed.add(src)
             self._case_line(case_id, now, src, "confirm")
         elif type(msg) is Enlisted:
-            try:
-                added = er.enlist(case, src, list(msg.targets))
-            except ResponseError as exc:
-                self._log(now, "RESPOND-ERROR", str(exc))
-                return []
-            for target in added:
+            for target in er.enlist(case, msg.targets):
                 self._case_line(case_id, now, src, f"enlist:{target}")
         else:
             self._advance_local(case, src, now)

@@ -199,8 +199,9 @@ class Simulation:
         """Check what each directive names against the topology, and each
         emit's ports and severity, so a bad address or value is a ConfigError
         here, never a failure mid-run, and file the directives by tick, and
-        the agent and slot of each emit's device. A respond action other than
-        launch must name a handle that an earlier launch binds."""
+        the agent and slot of each emit's device. Every node a respond action
+        names is a management node, and an action other than launch must name
+        a handle that an earlier launch binds."""
         launched: set[str] = set()
         for d in self.scenario.directives:
             self._by_tick.setdefault(d.tick, []).append(d)
@@ -228,9 +229,10 @@ class Simulation:
                 self._addr(d.src, line_no)
                 self._addr(d.dst, line_no)
             else:
-                for text in d.targets:
-                    self._addr(text, line_no)
-                for name, text in (("owner", d.owner), ("actor", d.actor)):
+                # an enlisted device would drop its advisory and never confirm
+                named = [("target", t) for t in d.targets]
+                named += (("owner", d.owner), ("actor", d.actor))
+                for name, text in named:
                     if not text:
                         continue
                     addr = self._addr(text, line_no)
@@ -311,8 +313,8 @@ class Simulation:
             if d.action == "escalate":
                 outbound.extend(owner_node.respond_escalate(case_id, tick))
             elif d.action == "enlist":
-                case = owner_node.cases[case_id]
-                actor = case.coordinator if case.coordinator is not None else owner
+                # the node the case escalates to, which alone may enlist
+                actor = owner.parent() or owner
                 targets = [self._node(t) for t in d.targets]
                 outbound.extend(self.smns[actor].respond_enlist(case_id, targets, tick))
             else:

@@ -303,6 +303,8 @@ def test_simulate_non_integer_pipeline_value(tmp_path, capsys):
         ("at 5 respond advance w1 actor=1.1.0 note=done", "unknown respond advance field 'note'"),
         ("at 5 respond enlist w1", "respond enlist needs targets="),
         ("at 5 respond enlist w1 targets=1.2.0,1.3.0", "unknown node 1.3.0"),
+        ("at 5 respond enlist w1 targets=1.2.0,1.2.1",
+         "respond target 1.2.1 is not a management node"),
         ("at 5 respond escalate w1", "no earlier respond launch binds 'w1'"),
     ],
 )

@@ -2,78 +2,73 @@ import pytest
 
 from smnsim.addressing import NodeAddress, TreeShape
 from smnsim.emergency_response import (
-    DEFAULT_PLAN,
-    Counterplan,
     CounterplanStore,
+    ResponseCase,
     ResponseError,
     ResponsePhase,
     advance,
     enlist,
     escalate,
-    launch,
 )
 
 SHAPE = TreeShape(depth=3, max_degree=4)
 ROOT = NodeAddress.parse("1.0.0", SHAPE)
 OWNER = NodeAddress.parse("1.1.0", SHAPE)
 SIBLING = NodeAddress.parse("1.2.0", SHAPE)
-OUTSIDER = NodeAddress.parse("1.1.1", SHAPE)
 
-
-def plan(cls):
-    return Counterplan(
-        event_class=cls,
-        identification=f"identify {cls}",
-        containment=f"contain {cls}",
-        eradication=f"eradicate {cls}",
-        recovery=f"recover {cls}",
-    )
+PLAN_TEXT = (
+    "== identification ==\nlook\n"
+    "== containment ==\nblock\n"
+    "== eradication ==\nclean\n"
+    "== recovery ==\nrestore\n"
+)
 
 
 def store():
-    return CounterplanStore({"dos": plan("dos"), "dos.synflood": plan("dos.synflood")})
+    return CounterplanStore({"dos", "dos.synflood"})
 
 
-def fresh_case(classification="dos.synflood"):
-    return launch(classification, store(), OWNER, "1.1.0#c1")
+def fresh_case(owner=OWNER):
+    return ResponseCase(f"{owner}#c1", "dos.synflood", owner)
 
 
 # -- counterplan resolution ------------------------------------------------------
 
 
 def test_longest_prefix_resolution():
-    assert store().resolve("dos.smurf").event_class == "dos"
+    assert store().resolve("dos.smurf") == "dos"
 
 
 def test_exact_match_beats_prefix():
-    assert store().resolve("dos.synflood").event_class == "dos.synflood"
+    assert store().resolve("dos.synflood") == "dos.synflood"
 
 
 def test_default_plan_for_unknown_class():
-    assert store().resolve("weird.thing") is DEFAULT_PLAN
+    assert store().resolve("weird.thing") == "default"
 
 
 def test_prefix_matches_whole_segments_only():
     # "dos" must not match "dosser.x"
-    assert store().resolve("dosser.x") is DEFAULT_PLAN
+    assert store().resolve("dosser.x") == "default"
 
 
 def test_plan_dir_round_trip(tmp_path):
-    text = (
-        "== identification ==\nlook\n"
-        "== containment ==\nblock\n"
-        "== eradication ==\nclean\n"
-        "== recovery ==\nrestore\n"
-    )
-    (tmp_path / "worm.plan").write_text(text)
+    """A plan file's event class is what the store keeps; its text is only
+    checked."""
+    (tmp_path / "worm.plan").write_text(PLAN_TEXT)
+    (tmp_path / "default.plan").write_text(PLAN_TEXT)
+    (tmp_path / "notes.txt").write_text("not a plan")
     loaded = CounterplanStore.load_dir(str(tmp_path))
-    p = loaded.resolve("worm.blaster")
-    assert (p.identification, p.containment, p.eradication, p.recovery) == (
-        "look",
-        "block",
-        "clean",
-        "restore",
-    )
+    assert loaded.names == {"default", "worm"}
+    assert loaded.resolve("worm.blaster") == "worm"
+    assert loaded.resolve("dos") == "default"
+
+
+def test_a_plan_file_missing_a_section_is_refused(tmp_path):
+    (tmp_path / "worm.plan").write_text(PLAN_TEXT.split("== eradication")[0])
+    missing = r"^plan worm missing sections \['eradication', 'recovery'\]$"
+    with pytest.raises(ResponseError, match=missing):
+        CounterplanStore.load_dir(str(tmp_path))
 
 
 # -- launch / advance -------------------------------------------------------------
@@ -82,9 +77,7 @@ def test_plan_dir_round_trip(tmp_path):
 def test_launch_starts_in_identification():
     case = fresh_case()
     assert case.phase is ResponsePhase.IDENTIFICATION
-    assert case.plan.event_class == "dos.synflood"
-    assert (case.case_id, case.owner) == ("1.1.0#c1", OWNER)
-    assert case.coordinator is None
+    assert (case.case_id, case.plan, case.owner) == ("1.1.0#c1", "dos.synflood", OWNER)
     assert case.participants == case.confirmed == set()
 
 
@@ -92,36 +85,33 @@ def test_advance_walks_phases_in_order():
     case = fresh_case()
     seen = [case.phase]
     for _ in range(4):
-        advance(case, OWNER)
+        advance(case)
         seen.append(case.phase)
     assert seen == list(ResponsePhase)
     with pytest.raises(ResponseError, match=r"^1\.1\.0#c1$"):
-        advance(case, OWNER)
-
-
-def test_advance_rejects_unrelated_actor():
-    case = fresh_case()
-    with pytest.raises(ResponseError, match="1.2.0 is neither owner nor coordinator of 1.1.0#c1"):
-        advance(case, SIBLING)
+        advance(case)
 
 
 def test_advance_by_coordinator_after_escalation():
+    """An escalation leaves the case's phase alone, and the case still
+    advances from it; who may send the advance is checked by the node
+    (``tests.test_node_runtime::test_the_coordinator_advances_the_owners_case``)."""
     case = fresh_case()
-    escalate(case)
-    advance(case, ROOT)
+    assert escalate(case) == ROOT
+    assert case.phase is ResponsePhase.IDENTIFICATION
+    advance(case)
     assert case.phase is ResponsePhase.CONTAINMENT
 
 
 def test_containment_gate_blocks_until_confirms():
     case = fresh_case()
-    escalate(case)
-    advance(case, OWNER)  # -> Containment
-    enlist(case, ROOT, [SIBLING])
+    advance(case)  # -> Containment
+    enlist(case, [SIBLING])
     with pytest.raises(ResponseError, match=r"1 participant\(s\) have not confirmed the advisory"):
-        advance(case, OWNER)
+        advance(case)
     assert case.phase is ResponsePhase.CONTAINMENT
     case.confirmed.add(SIBLING)
-    advance(case, OWNER)
+    advance(case)
     assert case.phase is ResponsePhase.ERADICATION
 
 
@@ -129,47 +119,25 @@ def test_containment_gate_blocks_until_confirms():
 
 
 def test_escalate_sets_parent_coordinator():
-    case = fresh_case()
-    assert escalate(case) == ROOT
-    assert case.coordinator == ROOT
+    """The node a case escalates to, its coordinator, is the owner's parent."""
+    assert escalate(fresh_case()) == ROOT
 
 
 def test_escalate_at_root_rejected():
-    case = launch("dos", store(), ROOT, "1.0.0#c1")
     with pytest.raises(ResponseError, match="1.0.0 has no parent to escalate to"):
-        escalate(case)
-    assert case.coordinator is None
+        escalate(fresh_case(owner=ROOT))
 
 
 def test_escalate_idempotent():
     case = fresh_case()
     assert escalate(case) == escalate(case) == ROOT
-    assert case.coordinator == ROOT
-    assert case.phase is ResponsePhase.IDENTIFICATION
-
-
-def test_enlist_requires_coordinator():
-    case = fresh_case()
-    with pytest.raises(ResponseError, match="1.0.0 does not coordinate 1.1.0#c1"):
-        enlist(case, ROOT, [SIBLING])
-    escalate(case)
-    with pytest.raises(ResponseError, match="1.1.0 does not coordinate 1.1.0#c1"):
-        enlist(case, OWNER, [SIBLING])
-    assert case.participants == set()
-
-
-def test_enlist_rejects_target_outside_subtree():
-    case = fresh_case()
-    escalate(case)
-    with pytest.raises(ResponseError, match="1.0.0 not below coordinator 1.0.0"):
-        enlist(case, ROOT, [ROOT])  # not strictly below itself
+    assert case == fresh_case()
 
 
 def test_enlist_adds_participants_once():
     case = fresh_case()
-    escalate(case)
-    assert enlist(case, ROOT, [SIBLING]) == [SIBLING]
-    assert enlist(case, ROOT, [SIBLING]) == []
+    assert enlist(case, [SIBLING, SIBLING]) == [SIBLING]
+    assert enlist(case, [SIBLING]) == []
     assert case.participants == {SIBLING}
 
 
@@ -177,22 +145,18 @@ def test_enlist_adds_participants_once():
 
 
 def test_phase_log_is_monotone_prefix():
+    """Rejected advances leave the phase where it was; the phases a case
+    takes are a prefix of the phase order, each once."""
     case = fresh_case()
-    escalate(case)
-    phases = []
-    for t in range(4):
-        advance(case, OWNER if t % 2 else ROOT)
-        phases.append(case.phase)
-    assert phases == list(ResponsePhase)[1:]
-
-
-def test_every_advance_actor_was_authorized():
-    case = fresh_case()
-    escalate(case)
-    for actor in (SIBLING, OUTSIDER):
-        with pytest.raises(ResponseError, match=f"{actor} is neither owner nor coordinator"):
-            advance(case, actor)
-    assert case.phase is ResponsePhase.IDENTIFICATION
-    for actor in (ROOT, OWNER, ROOT, OWNER):
-        advance(case, actor)
-    assert case.phase is ResponsePhase.CLOSED
+    enlist(case, [SIBLING])
+    phases = [case.phase]
+    for t in range(8):
+        if t == 4:
+            case.confirmed.add(SIBLING)
+        try:
+            advance(case)
+        except ResponseError:
+            pass
+        if case.phase is not phases[-1]:
+            phases.append(case.phase)
+    assert phases == list(ResponsePhase)

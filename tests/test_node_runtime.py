@@ -9,7 +9,7 @@ from smnsim.device_model import (
     DeviceStatus,
     TransferCondition,
 )
-from smnsim.emergency_response import Counterplan, CounterplanStore
+from smnsim.emergency_response import CounterplanStore, ResponseError, ResponsePhase
 from smnsim.event_pipeline import (
     AssetDb,
     AssetRecord,
@@ -594,16 +594,13 @@ def test_a_launch_logs_the_counterplan_it_chose(plans, chosen):
     """The case line of a launch names the plan resolved for the alert's
     top classification, ``exploit.attempt``: the longest matching prefix,
     else the store's default."""
-    store = CounterplanStore(
-        {cls: Counterplan(cls, "look", "isolate", "clean", "restore") for cls in plans}
-    )
-    owner = make_smn(addr="1.1.0", counterplans=store)
+    owner = make_smn(addr="1.1.0", counterplans=CounterplanStore(plans))
     owner.last_record = SessionRecord(
         "1.1.0#1", "10.0.0.99:4444", "10.0.1.5:80", 20, 60,
         ("1.1.2-1",), ("exploit.attempt",), (4,),
     )
     case = owner.respond_launch(90)
-    assert case.plan.event_class == chosen
+    assert case.plan == chosen
     assert owner.drain_lines() == [f"CASE 1.1.0#c1 90 1.1.0 launch:{chosen}"]
 
 
@@ -669,9 +666,31 @@ def test_the_coordinator_advances_the_owners_case():
     assert out == [Frame(COORD, root.address, owner.address, Advance(case_id))]
     assert owner.on_frame(out[0], 106) == []
     assert owner.drain_lines() == [f"CASE {case_id} 106 1.0.0 advance:Containment"]
-    # from a node that neither owns nor coordinates the case, it is rejected
-    owner.on_frame(Frame(COORD, peer.address, owner.address, Advance(case_id)), 107)
-    assert owner.drain_lines() == [f"CASE {case_id} 107 1.2.0 advance-rejected"]
+
+
+def test_a_node_that_neither_owns_nor_coordinates_a_case_cannot_advance_it():
+    root, owner, peer, case_id = _escalated()
+    assert peer.respond_advance(case_id, 105) == []
+    assert peer.drain_lines() == [f"NODE 1.2.0 105 RESPOND-ERROR unknown case {case_id}"]
+    assert owner.cases[case_id].phase is ResponsePhase.IDENTIFICATION
+
+
+def test_only_the_coordinator_enlists():
+    root, owner, _, case_id = _three_smns()
+    with pytest.raises(ResponseError, match=f"^1.0.0 does not coordinate {case_id}$"):
+        root.respond_enlist(case_id, [A("1.2.0")], 95)  # before the escalation
+    root.on_frame(owner.respond_escalate(case_id, 95)[0], 96)
+    with pytest.raises(ResponseError, match=f"^1.1.0 does not coordinate {case_id}$"):
+        owner.respond_enlist(case_id, [A("1.2.0")], 97)
+    assert [line for line in root.drain_lines() + owner.drain_lines() if "ENLIST" in line] == []
+
+
+def test_the_coordinator_enlists_only_nodes_below_it():
+    root, owner, _, case_id = _escalated()
+    with pytest.raises(ResponseError, match="^1.0.0 not below 1.0.0$"):
+        root.respond_enlist(case_id, [A("1.2.0"), A("1.0.0")], 100)  # not below itself
+    assert root.drain_lines() == []
+    assert owner.cases[case_id].participants == set()
 
 
 # -- device agent behavior -----------------------------------------------------------

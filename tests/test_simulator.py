@@ -265,6 +265,20 @@ def test_actions_on_a_failed_launch_are_logged_and_the_run_goes_on():
     assert "NODE 1.1.0 11 STATE 1.1.2 T7 S211->S22" in report.node_lines
 
 
+def test_an_enlist_before_the_escalation_is_refused_by_the_owners_parent():
+    """The owner's parent is the node an enlist acts at; it coordinates no
+    case it was not escalated, so the enlist is logged as an error and the
+    case stays as it was."""
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    text = (DEMO / "respond.scn").read_text().split("at 92 ")[0]
+    text += "at 92 respond enlist w1 targets=1.2.0\n"
+    report = Simulation(topology, parse_scenario(text)).run()
+    assert [l for l in report.node_lines if "RESPOND-ERROR" in l or "ENLIST" in l] == [
+        "NODE 1.0.0 92 RESPOND-ERROR 1.0.0 does not coordinate 1.1.0#c1",
+    ]
+    assert report.case_lines == ["CASE 1.1.0#c1 90 1.1.0 launch:exploit"]
+
+
 def test_a_discarded_simulation_leaves_no_cycle_to_collect():
     """Nothing a simulation holds refers back to it, the network's loss hook
     included, so dropping a set-up or a finished run frees it at once."""

@@ -142,7 +142,10 @@ def random_respond(rng: random.Random, handles: list[str]) -> str:
     if action == "escalate":
         return f"escalate {handle}"
     if action == "enlist":
-        return f"enlist {handle} targets={','.join(rng.sample(DEVICES + SITES, 2))}"
+        # a drawn device names its site, as only a management node may be
+        # enlisted: the same draws, so the same scenarios otherwise
+        drawn = [t if t in SITES else t[:3] + ".0" for t in rng.sample(DEVICES + SITES, 2)]
+        return f"enlist {handle} targets={','.join(dict.fromkeys(drawn))}"
     actor = rng.choice(SMNS)
     rng.randrange(9)  # the draw of a note the directive no longer takes: same scenarios
     return f"advance {handle} actor={actor}"
