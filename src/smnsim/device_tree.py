@@ -13,10 +13,12 @@ testable byte-for-byte.
 
 Once a run starts, a management node changes its view in three ways: a
 state update, subtree splicing (assemble) and pruning (disassemble). Each
-returns the change records that replay it on a mirror copy, which keeps user
-view and virtual view structurally equal; assemble ships the spliced subtree
-in embedding form, so the mirror runs the very same algorithm. ``add_device``
-only builds a view before the run and records nothing.
+returns the embedding text of the subtree it changed, as that subtree now
+stands (assemble and disassemble as a change set of that one text). A mirror
+copy replays every change by splicing that text with ``assemble``, the same
+algorithm a parent runs on a child's topology report, which keeps user view
+and virtual view structurally equal.
+``add_device`` only builds a view before the run and records nothing.
 
 Each record caches the embedding text of its subtree, and the invariant is
 that a cached text always equals what ``serialize_node`` would build now.
@@ -54,10 +56,6 @@ class EmbeddingSyntaxError(TreeError):
         self.pos = pos
 
 
-class StaleChangeSet(TreeError):
-    """A change set that does not replay on this tree (``apply_changeset``)."""
-
-
 _STATE_BY_CODE = {s.value: s for s in DeviceState}
 
 
@@ -85,17 +83,8 @@ class DeviceNodeRecord:
         return self.address.segments[self.address.level - 1]
 
 
-@dataclass(frozen=True)
-class ChangeRecord:
-    """One replayable mutation of a device tree."""
-
-    op: str  # update | assemble | disassemble
-    address: NodeAddress | None = None
-    state: DeviceState | None = None
-    embedding: str | None = None
-
-
-ChangeSet = tuple[ChangeRecord, ...]
+#: a change to a view: the embedding text of each subtree it left, in order
+ChangeSet = tuple[str, ...]
 
 
 def serialize_node(node: DeviceNodeRecord) -> str:
@@ -185,9 +174,6 @@ class AddressedDeviceTree:
             stack.extend(reversed(node.children.values()))
         return out
 
-    def addresses(self) -> set[NodeAddress]:
-        return {n.address for n in self.nodes()}
-
     def find(self, addr: NodeAddress) -> DeviceNodeRecord | None:
         """The node at ``addr`` by segment descent, or None."""
         root_level = self.root.address.level
@@ -233,12 +219,13 @@ class AddressedDeviceTree:
             raise TreeError(f"{record.address} already present")
         parent.children[record.segment] = record
 
-    def set_state(self, addr: NodeAddress, state: DeviceState) -> ChangeRecord:
+    def set_state(self, addr: NodeAddress, state: DeviceState) -> str:
+        """Set the state of the node at ``addr``; the node's subtree text."""
         node = self._touch(addr)
         if node is None:
             raise TreeError(f"{addr} not in tree")
         node.state = state
-        return ChangeRecord(op="update", address=addr, state=state)
+        return serialize_node(node)
 
     def assemble(self, embedding: str) -> ChangeSet:
         """Splice a reported subtree over its stub in this tree.
@@ -274,40 +261,26 @@ class AddressedDeviceTree:
             parent = self._touch(new_root.address.parent())
             assert parent is not None
             parent.children[new_root.segment] = new_root
-        return (ChangeRecord(op="assemble", embedding=serialize_node(new_root)),)
+        return (serialize_node(new_root),)
 
     def disassemble(self, addr: NodeAddress, offline_state: DeviceState) -> ChangeSet:
         """Mark a silent node offline and drop its whole subtree, keeping the
-        node itself as a stub."""
+        node itself as a stub; the change set is the stub's text."""
         node = self._touch(addr)
         if node is None:
             raise TreeError(f"{addr} not in tree")
         node.state = offline_state
         node.children.clear()
-        return (ChangeRecord(op="disassemble", address=addr, state=offline_state),)
+        return (serialize_node(node),)
 
     def apply_changeset(self, changes: ChangeSet) -> None:
-        """Replay changes produced against another copy of this tree."""
-        for rec in changes:
+        """Replay changes made to another copy of this tree, splicing each
+        subtree text with :meth:`assemble`."""
+        for text in changes:
             try:
-                self._apply_one(rec)
+                self.assemble(text)
             except (TreeError, AddressError) as exc:
-                if isinstance(exc, StaleChangeSet):
-                    raise
-                raise StaleChangeSet(f"cannot apply {rec.op}: {exc}") from exc
-
-    def _apply_one(self, rec: ChangeRecord) -> None:
-        if rec.op == "update":
-            assert rec.address is not None and rec.state is not None
-            self.set_state(rec.address, rec.state)
-        elif rec.op == "assemble":
-            assert rec.embedding is not None
-            self.assemble(rec.embedding)
-        elif rec.op == "disassemble":
-            assert rec.address is not None and rec.state is not None
-            self.disassemble(rec.address, rec.state)
-        else:
-            raise StaleChangeSet(f"unknown change op {rec.op!r}")
+                raise TreeError(f"cannot apply {text}: {exc}") from exc
 
     def validate(self) -> None:
         """Check every structural invariant; raises TreeError on violation."""

@@ -483,11 +483,17 @@ def parse_event_line(line: str, shape: TreeShape) -> NormalizedEvent:
     if kind is None:
         raise EventLineError(f"unknown analyzer kind {attrs['kind']!r}")
     try:
-        return NormalizedEvent(
+        ev = NormalizedEvent(
             attrs["id"], NodeAddress.parse(attrs["analyzer"], shape), kind,
             int(attrs["time"]), attrs["class"], attrs["src"], int(attrs["sport"]),
             attrs["dst"], int(attrs["dport"]), int(attrs["sev"]), int(attrs["count"]),
             ConnectionMarker(attrs["conn"]),
         )
+        # bounded as a scenario bounds an emit's sev= and its tick
+        if not 1 <= ev.severity <= 5:
+            raise ValueError(f"sev {ev.severity} outside 1..5")
+        if ev.create_time < 0:
+            raise ValueError(f"time must be >= 0, got {ev.create_time}")
     except ValueError as exc:
         raise EventLineError(f"bad event line {line!r}: {exc}") from exc
+    return ev

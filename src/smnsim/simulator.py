@@ -199,9 +199,10 @@ class Simulation:
         """Check what each directive names against the topology, and each
         emit's ports and severity, so a bad address or value is a ConfigError
         here, never a failure mid-run, and file the directives by tick, and
-        the agent and slot of each emit's device. Every node a respond action
-        names is a management node, and an action other than launch must name
-        a handle that an earlier launch binds."""
+        the agent and slot of each emit's device. A loss window lies on a tree
+        link, every node a respond action names is a management node, and an
+        action other than launch must name a handle that an earlier launch
+        binds."""
         launched: set[str] = set()
         for d in self.scenario.directives:
             self._by_tick.setdefault(d.tick, []).append(d)
@@ -226,8 +227,10 @@ class Simulation:
                 if not self.root.address.is_ancestor(target):
                     raise ConfigError(f"command target {target} is not below the root", line_no)
             elif isinstance(d, InjectLoss):
-                self._addr(d.src, line_no)
-                self._addr(d.dst, line_no)
+                # frames cross only tree links, so a window off them drops none
+                src, dst = self._addr(d.src, line_no), self._addr(d.dst, line_no)
+                if src.parent() != dst and dst.parent() != src:
+                    raise ConfigError(f"inject-loss {src}->{dst} is not a tree link", line_no)
             else:
                 # an enlisted device would drop its advisory and never confirm
                 named = [("target", t) for t in d.targets]

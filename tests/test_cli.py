@@ -123,6 +123,24 @@ def test_correlate_malformed_event_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('sev="5"', 'sev="99"', "sev 99 outside 1..5"),
+        ('sev="5"', 'sev="0"', "sev 0 outside 1..5"),
+        ('time="25"', 'time="-9"', "time must be >= 0, got -9"),
+    ],
+)
+def test_correlate_an_out_of_range_event_line_exits_1(old, new, message, tmp_path, capsys):
+    events = tmp_path / "bad.events"
+    events.write_text(CONNECT + "\n" + HIT.replace(old, new) + "\n")
+    argv = ["correlate", "--events", str(events), "--depth", "3", "--degree", "9"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: bad event line") and err.endswith(f": {message}\n")
+
+
+@pytest.mark.parametrize(
     "text,message",
     [
         ("[1.0.0:S211:[1.2.0:S211]", "expected ']' at position 24"),
@@ -295,6 +313,8 @@ def test_simulate_non_integer_pipeline_value(tmp_path, capsys):
         ("at 5 inject-loss 1.1.0->1.0.0 until 4", "until 4 is not after tick 5"),
         ("at 5 inject-loss 1.1.0->1.0.0 until 9 rate=7", "rate 7 outside (0, 1]"),
         ("at 5 inject-loss 1.1.0->1.0.0 until 9 rate=0", "rate 0 outside (0, 1]"),
+        ("at 5 inject-loss 1.0.0->1.0.0 until 9", "inject-loss 1.0.0->1.0.0 is not a tree link"),
+        ("at 5 inject-loss 1.1.1->1.2.0 until 9", "inject-loss 1.1.1->1.2.0 is not a tree link"),
         ("at 5 respond dance w1", "unknown respond action 'dance'"),
         ("at 5 respond launch w1 owner=1.1.0 ownr=1.1.0",
          "unknown respond launch field 'ownr'"),

@@ -10,7 +10,6 @@ from smnsim.device_model import DeviceKind, DeviceState
 from smnsim.device_tree import (
     DeviceNodeRecord,
     EmbeddingSyntaxError,
-    StaleChangeSet,
     TreeError,
     build_tree,
 )
@@ -37,7 +36,7 @@ def twelve():
 
 def test_build_twelve_node_tree(twelve):
     assert len(twelve.nodes()) == 12
-    assert {str(a) for a in twelve.addresses()} == {
+    assert {str(n.address) for n in twelve.nodes()} == {
         "1.0.0.0",
         "1.1.0.0",
         "1.1.1.0",
@@ -190,7 +189,7 @@ def test_disassemble_keeps_stub(twelve):
     twelve.disassemble(A("1.1.0.0"), DeviceState.NET_DOWN)
     stub = twelve.find(A("1.1.0.0"))
     assert stub is not None and stub.state is DeviceState.NET_DOWN
-    remaining = {str(a) for a in twelve.addresses()}
+    remaining = {str(n.address) for n in twelve.nodes()}
     assert {"1.1.1.0", "1.1.1.1", "1.1.1.2", "1.1.1.3", "1.1.2.0"}.isdisjoint(remaining)
     twelve.validate()
 
@@ -228,6 +227,7 @@ def test_changeset_mirror_assemble():
     tree = stub_main_tree()
     mirror = mirror_of(tree)
     changes = tree.assemble("[1.1.0.0:S211:[1.1.1.0:S211]]")
+    assert changes == ("[1.1.0.0:S211:[1.1.1.0:S211]]",)
     mirror.apply_changeset(changes)
     assert mirror.serialize() == tree.serialize()
 
@@ -235,6 +235,7 @@ def test_changeset_mirror_assemble():
 def test_changeset_mirror_disassemble(twelve):
     mirror = mirror_of(twelve)
     changes = twelve.disassemble(A("1.1.0.0"), DeviceState.NET_DOWN)
+    assert changes == ("[1.1.0.0:S11]",)
     mirror.apply_changeset(changes)
     assert mirror.serialize() == twelve.serialize()
 
@@ -245,6 +246,7 @@ def test_changeset_mirror_update(twelve):
         twelve.set_state(A("1.1.1.1"), DeviceState.HANDLING_ALERT),
         twelve.set_state(A("1.2.2.0"), DeviceState.UNREACHABLE),
     )
+    assert changes == ("[1.1.1.1:S22]", "[1.2.2.0:S12:[1.2.2.1:S211]:[1.2.2.2:S211]]")
     mirror.apply_changeset(changes)
     assert mirror.serialize() == twelve.serialize()
 
@@ -256,14 +258,8 @@ def test_empty_changeset_is_noop(twelve):
 
 
 def test_stale_changeset_detected(twelve):
-    from smnsim.device_tree import ChangeRecord
-
-    with pytest.raises(StaleChangeSet):
-        twelve.apply_changeset(
-            (ChangeRecord(op="update", address=A("1.3.0.0"), state=DeviceState.NET_DOWN),)
-        )
-    with pytest.raises(StaleChangeSet, match="unknown change op 'full'"):
-        twelve.apply_changeset((ChangeRecord(op="full", embedding=twelve.serialize()),))
+    with pytest.raises(TreeError, match=r"^cannot apply \[1\.3\.0\.0:S22\]: 1.3.0.0 not in"):
+        twelve.apply_changeset(("[1.3.0.0:S22]",))
 
 
 # -- randomized round trips ---------------------------------------------------
@@ -309,11 +305,14 @@ def uncached(node):
 
 
 def assert_cache_sound(tree):
-    """Every cached text equals a fresh build, and so does serialize()."""
+    """Every cached text equals a fresh build, and so does serialize(), whose
+    text is returned."""
     for node in tree.nodes():
         assert node.text is None or node.text == uncached(node)
     # serialize a copy, so the check leaves the tree's cache as it found it
-    assert copy.deepcopy(tree).serialize() == uncached(tree.root)
+    text = copy.deepcopy(tree).serialize()
+    assert text == uncached(tree.root)
+    return text
 
 
 REPORTED = "[1.1.0.0:S211:[1.1.1.0:S211:[1.1.1.1:S22]]]"
@@ -348,8 +347,7 @@ def test_a_report_after_a_local_change_is_spliced_again(change):
     tree = reported_tree()
     change(tree)
     assert_cache_sound(tree)
-    changes = tree.assemble(REPORTED)
-    assert [rec.op for rec in changes] == ["assemble"]
+    assert tree.assemble(REPORTED) == (REPORTED,)
     assert tree.serialize() == "[1.0.0.0:S211:" + REPORTED + ":[1.2.0.0:S11]]"
     assert_cache_sound(tree)
 
@@ -402,7 +400,7 @@ def test_cached_text_survives_every_change(seed, ops):
         elif op == "same":
             cached = node.text is not None
             changes = tree.assemble(uncached(node))
-            assert (changes == ()) if cached else ([r.op for r in changes] == ["assemble"])
+            assert changes == (() if cached else (uncached(node),))
         elif op == "changed":
             changes = tree.assemble(_report_for(node, tree.shape, rng))
         elif op == "nested":
@@ -417,5 +415,4 @@ def test_cached_text_survives_every_change(seed, ops):
         mirror.apply_changeset(changes)
         for view in (tree, mirror):
             view.validate()
-            assert_cache_sound(view)
-        assert uncached(mirror.root) == uncached(tree.root)
+        assert assert_cache_sound(mirror) == assert_cache_sound(tree)

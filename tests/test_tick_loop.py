@@ -12,6 +12,7 @@ import pytest
 from reference_loop import USAGE, ReferenceSimulation
 from smnsim.addressing import NodeAddress
 from smnsim.config import InjectLoss, load_topology, parse_scenario, parse_topology
+from smnsim.device_model import ARROWS_FROM, TransferCondition
 from smnsim.simulator import Simulation
 
 TOPOLOGY = Path(__file__).resolve().parent.parent / "demo" / "topology.cfg"
@@ -210,15 +211,70 @@ def assert_reports_arrive(topology, script, nodes: str) -> None:
         assert (str(parent), tick + 1, str(sender)) in received, f"NODE {sender} {tick} REPORT"
 
 
+#: the conditions of the heartbeats a device sends outside an abnormal
+#: window: T1 for a network test, T3 and T6 for a state package
+STEADY_HEARTBEAT_CONDS = frozenset(
+    c.value for c in (TransferCondition.T1, TransferCondition.T3, TransferCondition.T6)
+)
+
+
+def watch_steady_records(sim: Simulation) -> list[int]:
+    """Check, at the end of every tick of ``sim.run()``, the parent's record
+    of each steady device against the closed form of its heartbeat cadence.
+
+    A device is steady from a tick on while its buffer and pending acks are
+    empty, no silence, abnormal or loss window covers it or its hop to its
+    parent, and no condition of its heartbeats has an arrow from the parent's
+    record of its state. A heartbeat sent while steady then moves only the
+    deadline it renews, so each deadline is the last multiple of its interval
+    (sent while steady), plus one tick of travel, plus its timeout. Returns a
+    list whose one item counts the deadlines checked."""
+    checked = [0]
+    since: dict[NodeAddress, int] = {}
+    network = sim.network
+    step = network.step
+
+    def check_then_step() -> None:
+        now = network.now
+        for addr, agent in sim.agents.items():
+            record = sim.smns[agent.parent].children[addr]
+            hop = {addr, agent.parent}
+            if (
+                agent.buffer or agent.pending_acks
+                or now < agent.silent_until or now < agent.abnormal_until
+                or any({src, dst} == hop for src, dst, _, _ in network.loss_windows)
+                or STEADY_HEARTBEAT_CONDS & ARROWS_FROM[record.status.state.value]
+            ):
+                since.pop(addr, None)
+                continue
+            start = since.setdefault(addr, now)
+            hb = agent.hb
+            for interval, timeout, deadline in (
+                (hb.network_test_interval, hb.network_test_timeout, record.net_deadline),
+                (hb.state_pkg_interval, hb.state_pkg_timeout, record.pkg_deadline),
+            ):
+                sent = now - now % interval
+                if sent >= start:
+                    assert deadline == sent + 1 + timeout, f"{addr} at tick {now}"
+                    checked[0] += 1
+        step()
+
+    network.step = check_then_step
+    return checked
+
+
 @pytest.mark.parametrize("seed", range(SCENARIOS))
 def test_agenda_matches_reference_loop(seed, topologies):
     topology = topologies[seed % 3]
     text = random_scenario(random.Random(seed))
     script = parse_scenario(text)
     want = ReferenceSimulation(topology, parse_scenario(text), debug=True).run()
-    have = Simulation(topology, script, debug=True).run()
+    sim = Simulation(topology, script, debug=True)
+    checked = watch_steady_records(sim)
+    have = sim.run()
     assert have.files() == want.files(), text
     assert_reports_arrive(topology, script, have.files()["nodes.txt"])
+    assert checked[0] > 0
 
 
 @pytest.mark.parametrize("seed", range(EMIT_DENSE_SCENARIOS))
