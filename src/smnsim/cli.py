@@ -5,7 +5,7 @@ Subcommands::
     smnsim simulate --topology FILE --scenario FILE [--seed N] --out DIR
     smnsim tree parse FILE --depth N --degree D
     smnsim tree serialize FILE --depth N --degree D
-    smnsim correlate --events FILE [--config FILE]
+    smnsim correlate --events FILE [--config FILE | --depth N --degree D]
     smnsim statemachine trace --conditions T1,T3,...
 
 Exit status: 0 on success, 1 when a run violates an invariant or the input
@@ -66,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cor = sub.add_parser("correlate", help="run correlation over an event file")
     cor.add_argument("--events", required=True)
     cor.add_argument("--config", default=None, help="topology file for pipeline settings")
-    cor.add_argument("--depth", type=int, default=4)
-    cor.add_argument("--degree", type=int, default=9)
+    cor.add_argument("--depth", type=int, default=None, help="tree depth without --config (4)")
+    cor.add_argument("--degree", type=int, default=None, help="node degree without --config (9)")
 
     sm = sub.add_parser("statemachine", help="device state machine utilities")
     sm_sub = sm.add_subparsers(dest="sm_cmd", required=True)
@@ -112,12 +112,17 @@ def _cmd_tree(args) -> int:
 def _cmd_correlate(args) -> int:
     """Validate and correlate the event lines in file order on one engine,
     swept to each event's time before it; print the sessions that ended, in
-    that order, then those still open."""
+    that order, then those still open. A topology given by ``--config``
+    fixes the tree shape, so ``--depth`` and ``--degree`` are refused
+    beside it."""
     if args.config:
+        if args.depth is not None or args.degree is not None:
+            raise UsageError("--depth and --degree cannot be given with --config")
         topology = _load_topology(args.config)
         shape, settings, assets = topology.shape, topology.pipeline, topology.assets
     else:
-        shape = _shape(args.depth, args.degree)
+        shape = _shape(4 if args.depth is None else args.depth,
+                       9 if args.degree is None else args.degree)
         settings, assets = PipelineSettings(), AssetDb()
     events = []
     with open(args.events, encoding="utf-8") as fh:

@@ -17,10 +17,10 @@ nodes and tunables::
     asset_value = 3
     vulnerabilities = CVE-7
 
-The parser reads each topology line once, with plain string operations,
-and that one path raises every error. Every node that overrides no
-heartbeat key shares one ``HeartbeatConfig``, unmodified: the class is
-frozen, so no node can change it under the others.
+A ``[node …]`` section gives a node's kind and asset record; the
+``[heartbeat]`` section gives the one cadence every node shares, so a node
+section takes no heartbeat key. The parser reads each topology line once,
+with plain string operations, and that one path raises every error.
 
 A scenario file is a time-ordered directive list::
 
@@ -63,24 +63,15 @@ class ConfigError(Exception):
 _HB_KEYS = tuple(f.name for f in fields(HeartbeatConfig))
 
 #: the keys of a ``[node …]`` section; ``label`` is accepted and ignored
-_NODE_KEYS = {"kind", "ip", "asset_value", "vulnerabilities", "label", *_HB_KEYS}
-
-
-@dataclass
-class NodeDecl:
-    """What a run reads of a ``[node …]`` section. Its address is the key
-    ``TopologyConfig.nodes`` files it under, and its ``ip``,
-    ``asset_value`` and ``vulnerabilities`` go to the asset database."""
-
-    kind: DeviceKind
-    hb: HeartbeatConfig = field(default_factory=HeartbeatConfig)
+_NODE_KEYS = {"kind", "ip", "asset_value", "vulnerabilities", "label"}
 
 
 @dataclass
 class TopologyConfig:
     shape: TreeShape
-    nodes: dict[NodeAddress, NodeDecl]
+    nodes: dict[NodeAddress, DeviceKind]
     root: NodeAddress
+    heartbeat: HeartbeatConfig
     pipeline: PipelineSettings
     filter_rules: list[FilterRule]
     mapping: ClassificationMap
@@ -150,7 +141,7 @@ _ONCE_SECTIONS = ("tree", "heartbeat", "pipeline", "vulnmap")
 def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
     shape: TreeShape | None = None
     depth = degree = None
-    hb_defaults: dict[str, int] = {}
+    heartbeat_kv: dict[str, int] = {}
     pipeline_kv: dict[str, tuple[str, int]] = {}
     node_sections: list[tuple[str, dict[str, str], int]] = []
     filter_rules: list[FilterRule] = []
@@ -226,7 +217,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         elif section == "heartbeat":
             if key not in _HB_KEYS:
                 raise ConfigError(f"unknown heartbeat key {key!r}", line_no)
-            hb_defaults[key] = _int(value, line_no, key, low=1)
+            heartbeat_kv[key] = _int(value, line_no, key, low=1)
         elif section == "pipeline":
             if key in _IGNORED_PIPELINE_KEYS:
                 _ignore(ignored_keys, key)
@@ -258,12 +249,14 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
     if depth is None or degree is None:
         raise ConfigError("[tree] section with depth and degree is required")
     shape = TreeShape(depth=depth, max_degree=degree)
+    try:
+        heartbeat = HeartbeatConfig(**heartbeat_kv)
+    except ValueError as exc:
+        raise ConfigError(f"[heartbeat]: {exc}") from exc
 
     pipeline = _build_pipeline(pipeline_kv)
-    nodes: dict[NodeAddress, NodeDecl] = {}
+    nodes: dict[NodeAddress, DeviceKind] = {}
     assets = AssetDb(class_vulns=class_vulns)
-    #: the one heartbeat configuration of every node that overrides no key
-    default_hb: HeartbeatConfig | None = None
     for addr_text, kv, line_no in node_sections:
         try:
             address = NodeAddress.parse(addr_text, shape)
@@ -275,17 +268,8 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         kind = KIND_BY_NAME.get(kind_name)
         if kind is None:
             raise ConfigError(f"node {addr_text}: unknown kind {kind_name!r}", line_no)
-        overrides = {k: _int(kv[k], line_no, k, low=1) for k in _HB_KEYS if k in kv}
-        hb = default_hb
-        if overrides or hb is None:
-            try:
-                hb = HeartbeatConfig(**{**hb_defaults, **overrides})
-            except ValueError as exc:
-                raise ConfigError(f"node {addr_text}: {exc}", line_no) from exc
-            if not overrides:
-                default_hb = hb
         asset_value = _int(kv.get("asset_value", "1"), line_no, "asset_value", 1, 5)
-        nodes[address] = NodeDecl(kind, hb)
+        nodes[address] = kind
         ip = kv.get("ip", "")
         if ip:
             assets.records[ip] = AssetRecord(asset_value, _vuln_set(kv.get("vulnerabilities", "")))
@@ -294,7 +278,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
     if len(roots) != 1:
         raise ConfigError(f"expected exactly one root node, found {len(roots)}")
     root = roots[0]
-    if nodes[root].kind is not DeviceKind.SMN:
+    if nodes[root] is not DeviceKind.SMN:
         raise ConfigError(f"root {root} must be a management node")
     for addr in nodes:
         parent = addr.parent()
@@ -302,7 +286,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
             continue
         if parent not in nodes:
             raise ConfigError(f"node {addr} declared without its parent {parent}")
-        if nodes[parent].kind is not DeviceKind.SMN:
+        if nodes[parent] is not DeviceKind.SMN:
             raise ConfigError(f"parent of {addr} is not a management node")
 
     for ip, (asset_value, vulns) in asset_entries.items():
@@ -312,6 +296,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         shape=shape,
         nodes=nodes,
         root=root,
+        heartbeat=heartbeat,
         pipeline=pipeline,
         filter_rules=filter_rules,
         mapping=ClassificationMap(rules=mapping_rules),

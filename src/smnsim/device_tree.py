@@ -29,11 +29,10 @@ records, so nothing below a replaced node can go stale. Serialization thus
 rebuilds only what changed, and ``assemble`` takes a report equal to the
 cached text at its address as a no-op with an empty change set. That is
 exact: splicing a subtree's own text over it leaves every text, and so the
-mirror, as it was. Kinds stay too, since a splice keeps the assembling
-node's kind and the nodes below it came from an earlier splice, as they
-would from this one. (A record that ``add_device`` put below the assembling
-node would keep a kind the wire does not carry; a management node adds only
-its own children, so in a run that does not happen.)
+mirror, as it was.
+
+A record holds only what the text carries, an address and a state: the
+topology alone says a node's kind (see ``config``).
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .addressing import AddressError, NodeAddress, TreeShape
-from .device_model import DeviceKind, DeviceState
+from .device_model import DeviceState
 
 
 class TreeError(Exception):
@@ -63,17 +62,14 @@ _STATE_BY_CODE = {s.value: s for s in DeviceState}
 class DeviceNodeRecord:
     """One node of an addressed device tree.
 
-    ``kind`` is None for nodes learned from the wire: the embedding text
-    carries only address and state, so a leaf's kind is not locally known.
-    Nodes with children are always management nodes. ``children`` maps each
-    child's segment to the child, in embedding order. ``text`` is the cached
-    embedding text of the subtree, or None until ``serialize_node`` builds
-    it; the tree's changes clear it, so change a record through its tree.
+    ``children`` maps each child's segment to the child, in embedding order.
+    ``text`` is the cached embedding text of the subtree, or None until
+    ``serialize_node`` builds it; the tree's changes clear it, so change a
+    record through its tree.
     """
 
     address: NodeAddress
     state: DeviceState
-    kind: DeviceKind | None = None
     children: dict[int, "DeviceNodeRecord"] = field(default_factory=dict)
     text: str | None = field(default=None, init=False, repr=False)
 
@@ -137,8 +133,6 @@ def _parse_node(
         node.children[child.segment] = child
     if pos >= len(text) or text[pos] != "]":
         raise EmbeddingSyntaxError("expected ']'", pos)
-    if node.children:
-        node.kind = DeviceKind.SMN
     return node, pos + 1
 
 
@@ -209,12 +203,6 @@ class AddressedDeviceTree:
         parent = self._touch(parent_addr)
         if parent is None:
             raise TreeError(f"parent {parent_addr} not in tree")
-        if parent.kind is None:
-            # wire-learned leaf gaining a child: that proves it is a
-            # management node
-            parent.kind = DeviceKind.SMN
-        elif parent.kind is not DeviceKind.SMN:
-            raise TreeError(f"parent {parent_addr} is not a management node")
         if record.segment in parent.children:
             raise TreeError(f"{record.address} already present")
         parent.children[record.segment] = record
@@ -252,9 +240,6 @@ class AddressedDeviceTree:
         assembling = self.find(new_root.address)
         if assembling is None:
             raise TreeError(f"{new_root.address} not in main tree")
-        # Wire-built nodes carry no kind; keep what the stub knew.
-        if new_root.kind is None:
-            new_root.kind = assembling.kind
         if assembling is self.root:
             self.root = new_root
         else:
@@ -291,8 +276,6 @@ class AddressedDeviceTree:
             if node.address in seen:
                 raise TreeError(f"{node.address} appears twice")
             seen.add(node.address)
-            if node.children and node.kind is not DeviceKind.SMN:
-                raise TreeError(f"{node.address} has children but kind {node.kind}")
             for seg, child in node.children.items():
                 if child.address.parent() != node.address or child.segment != seg:
                     raise TreeError(

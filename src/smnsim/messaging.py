@@ -8,10 +8,10 @@ coordination overtakes bulk telemetry.
 
 Frames stay Python objects end to end: ``SimNetwork`` moves them hop by hop
 and nothing encodes them to bytes. A frame's payload is the object its
-receiver reads: the ``NormalizedEvent`` of a ``DEVICE_EVENT``, an ``Order``
-for a ``COMMAND``, one of the coordination messages below for a
-``RESPONSE_COORD``, and text for the other types. A frame's priority
-follows from its message type alone.
+receiver reads: the ``NormalizedEvent`` of a ``DEVICE_EVENT``, the
+``SessionRecord`` of a ``SESSION_ALERT``, an ``Order`` for a ``COMMAND``, one
+of the coordination messages below for a ``RESPONSE_COORD``, and text for
+the other types. A frame's priority follows from its message type alone.
 
 Nodes return their frames unnumbered (``seq`` 0). The harness numbers a
 frame with its sender's ``FrameBuilder`` when it hands it to the network,
@@ -32,6 +32,7 @@ from enum import Enum
 
 from .addressing import NodeAddress
 from .event_pipeline import NormalizedEvent
+from .session_correlation import SessionRecord, format_session_line
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +84,8 @@ class Advance:
     case_id: str
 
 
-Payload = str | NormalizedEvent | Order | Escalate | Advisory | Confirm | Enlisted | Advance
+Payload = (str | NormalizedEvent | SessionRecord | Order | Escalate | Advisory | Confirm
+           | Enlisted | Advance)
 
 
 class Unroutable(Exception):
@@ -125,8 +127,11 @@ class Frame:
     seq: int = 0
 
     def text(self) -> Payload:
-        """The payload. Only ``perfbench/tracer.py`` still calls this; the
-        program reads ``payload``."""
+        """The payload, a ``SESSION_ALERT``'s record as its session line.
+        Only ``perfbench/tracer.py`` still calls this; the program reads
+        ``payload``."""
+        if self.msg_type is MsgType.SESSION_ALERT:
+            return format_session_line(self.payload)
         return self.payload
 
 

@@ -140,8 +140,9 @@ class HeartbeatConfig:
     """Cadence of liveness traffic and when silence counts as loss.
 
     The state-package timeout is the shorter one so a silent node first
-    degrades to unreachable and only then to network-down. Frozen, so that
-    every node without an override of its own shares one.
+    degrades to unreachable and only then to network-down. Every node of a
+    run shares one, and a parent times its children by its own; frozen, so
+    that no node can change it under the others.
     """
 
     network_test_interval: int = 5
@@ -175,7 +176,6 @@ class ChildRecord:
 
     address: NodeAddress
     kind: DeviceKind
-    hb: HeartbeatConfig
     status: DeviceStatus = INITIAL_STATUS
     net_deadline: int = 0
     pkg_deadline: int = 0
@@ -215,13 +215,13 @@ def _heartbeat_conds(msg_type: MsgType, payload: object) -> tuple[TransferCondit
     return _ABNORMAL_PKG_CONDS if payload == "abnormal" else _NORMAL_PKG_CONDS
 
 
-def _renew(child: ChildRecord, msg_type: MsgType, now: int) -> None:
+def _renew(child: ChildRecord, hb: HeartbeatConfig, msg_type: MsgType, now: int) -> None:
     """Move the deadline that a heartbeat of ``msg_type`` heard at ``now``
-    renews."""
+    renews, by the timeout ``hb`` gives it."""
     if msg_type is _NETWORK_TEST:
-        child.net_deadline = now + child.hb.network_test_timeout
+        child.net_deadline = now + hb.network_test_timeout
     else:
-        child.pkg_deadline = now + child.hb.state_pkg_timeout
+        child.pkg_deadline = now + hb.state_pkg_timeout
 
 
 class _Node:
@@ -316,9 +316,7 @@ class SmnNode(_Node):
         super().__init__(address, hb, settings)
         self.virtual_view = AddressedDeviceTree(
             shape=address.shape,
-            root=DeviceNodeRecord(
-                address=address, state=DeviceState.RUNNING_OK, kind=DeviceKind.SMN
-            ),
+            root=DeviceNodeRecord(address=address, state=DeviceState.RUNNING_OK),
         )
         self.children: dict[NodeAddress, ChildRecord] = {}
         s = self.settings
@@ -344,13 +342,10 @@ class SmnNode(_Node):
 
     # -- bookkeeping -------------------------------------------------------
 
-    def add_child(
-        self, address: NodeAddress, kind: DeviceKind, hb: HeartbeatConfig | None = None
-    ) -> None:
-        hb = hb or HeartbeatConfig()
-        record = ChildRecord(address=address, kind=kind, hb=hb)
-        record.net_deadline = hb.network_test_timeout
-        record.pkg_deadline = hb.state_pkg_timeout
+    def add_child(self, address: NodeAddress, kind: DeviceKind) -> None:
+        record = ChildRecord(address=address, kind=kind)
+        record.net_deadline = self.hb.network_test_timeout
+        record.pkg_deadline = self.hb.state_pkg_timeout
         # on_tick visits children in address order, which fixes the order of
         # their STATE lines. A child added after its last sibling in address
         # order, as a topology in address order adds every one, is appended;
@@ -360,9 +355,7 @@ class SmnNode(_Node):
         children[address] = record
         if last is not None and address.segments < last.segments:
             self.children = dict(sorted(children.items(), key=lambda kv: kv[0].segments))
-        self.virtual_view.add_device(
-            DeviceNodeRecord(address=address, state=record.status.state, kind=kind)
-        )
+        self.virtual_view.add_device(DeviceNodeRecord(address, record.status.state))
 
     def _case_line(self, case_id: str, now: int, actor: object, action: str) -> None:
         self.lines.append(er.format_case_line(case_id, now, str(actor), action))
@@ -409,7 +402,7 @@ class SmnNode(_Node):
         if mt is _NETWORK_TEST or mt is _STATE_PKG:
             for cond in _heartbeat_conds(mt, frame.payload):
                 self._apply_cond(child, cond, now)
-            _renew(child, mt, now)
+            _renew(child, self.hb, mt, now)
             return []
         if mt is _DEVICE_EVENT:
             return self._on_device_event(child, frame, now)
@@ -417,9 +410,8 @@ class SmnNode(_Node):
             return self._on_topology_report(child, frame, now)
         return self._on_session_alert(frame)
 
-    @staticmethod
-    def heard(child: ChildRecord, msg_type: MsgType, payload: str, now: int) -> bool:
-        """Take a heartbeat of ``child`` (one of a node's records; a network
+    def heard(self, child: ChildRecord, msg_type: MsgType, payload: str, now: int) -> bool:
+        """Take a heartbeat of ``child`` (one of this node's records; a network
         test, or a state package carrying ``payload``) as arriving at ``now``
         when ``on_frame`` would only move the deadline it renews, because
         none of its conditions has an arrow from the child's state: move that
@@ -429,7 +421,7 @@ class SmnNode(_Node):
         for cond in _heartbeat_conds(msg_type, payload):
             if cond._value_ in arrows:
                 return False
-        _renew(child, msg_type, now)
+        _renew(child, self.hb, msg_type, now)
         return True
 
     def _on_device_event(self, child: ChildRecord, frame: Frame, now: int) -> list[Frame]:
@@ -449,13 +441,12 @@ class SmnNode(_Node):
             self._log(now, "DROP", ev.event_id)
         else:
             for action in self.engine.on_event(kept[0][0], now):
-                self.last_record = action.record
+                record = self.last_record = action.record
                 if action.kind == "ending":
-                    line = format_session_line(action.record)
-                    self.session_lines.append(line)
-                    self._log(now, "ALERT", action.record.session_id)
+                    self.session_lines.append(format_session_line(record))
+                    self._log(now, "ALERT", record.session_id)
                     if self.parent is not None:
-                        out.append(Frame(_SESSION_ALERT, self.address, self.parent, line))
+                        out.append(Frame(_SESSION_ALERT, self.address, self.parent, record))
         if paired:
             self._log(now, "STATE", f"{child.address} T8 {_ALERT}->{state.value}")
             child.status = _AFTER_ALERT[state]
@@ -472,11 +463,11 @@ class SmnNode(_Node):
         return self._emit_report(now)
 
     def _on_session_alert(self, frame: Frame) -> list[Frame]:
-        line = frame.payload
-        self.session_lines.append(line)
+        record = self.last_record = frame.payload
+        self.session_lines.append(format_session_line(record))
         if self.parent is None:
             return []
-        return [Frame(_SESSION_ALERT, self.address, self.parent, line)]
+        return [Frame(_SESSION_ALERT, self.address, self.parent, record)]
 
     def _on_command(self, frame: Frame, now: int) -> list[Frame]:
         order: Order = frame.payload
@@ -510,6 +501,9 @@ class SmnNode(_Node):
     # -- emergency response ------------------------------------------------
 
     def respond_launch(self, now: int) -> ResponseCase:
+        """Open a case on ``last_record``, the latest session record to reach
+        this node: one its own engine emitted (an update or an ending), or
+        one a child forwarded (a session that ended below it)."""
         record = self.last_record
         if record is None:
             raise ResponseError(f"{self.address} has no alert to respond to")
@@ -588,13 +582,14 @@ class SmnNode(_Node):
 
     def on_tick(self, now: int) -> list[Frame]:
         out: list[Frame] = []
+        hb = self.hb
         for child in self.children.values():
             if now >= child.pkg_deadline:
                 self._apply_cond(child, _T.T4, now)
-                child.pkg_deadline = now + child.hb.state_pkg_timeout
+                child.pkg_deadline = now + hb.state_pkg_timeout
             if now >= child.net_deadline:
                 changed = self._apply_cond(child, _T.T2, now)
-                child.net_deadline = now + child.hb.network_test_timeout
+                child.net_deadline = now + hb.network_test_timeout
                 if (
                     changed
                     and child.status.state is DeviceState.NET_DOWN
@@ -606,8 +601,8 @@ class SmnNode(_Node):
                     self._log(now, "DISASSEMBLE", str(child.address))
                     out.extend(self._emit_report(now))
         if self.parent is not None:
-            net_due = now % self.hb.network_test_interval == 0
-            pkg_due = now % self.hb.state_pkg_interval == 0
+            net_due = now % hb.network_test_interval == 0
+            pkg_due = now % hb.state_pkg_interval == 0
             if (net_due or pkg_due) and not self.silenced(now):
                 self._heartbeats(out, now, net_due, pkg_due, "normal")
             if now % self.settings.report_interval == 0:

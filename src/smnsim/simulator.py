@@ -18,13 +18,14 @@ the network, numbers each one there with the sender's ``FrameBuilder``
 (one per node, kept here), so frames that never travel take no number (see
 ``messaging``).
 
-A heartbeat that would change nothing at its parent but a deadline is never
+Every node runs on the topology's one cadence, ``topology.heartbeat``. A
+heartbeat that would change nothing at its parent but a deadline is never
 built: its sender offers it to its ``hear`` hook, which ``__init__`` binds
-to the parent's ``ChildRecord`` of the sender and to the network's loss
+to the parent, its ``ChildRecord`` of the sender and the network's loss
 windows, and the parent takes it by ``SmnNode.heard`` as arriving at the
-next tick, as the frame would. That is exact. Slots follow address order,
-so when a node runs, its parent has already run at this tick or does not
-run at it, and the record stands as it will when the tick's frames land.
+next tick, as the frame would. That is exact. Slots follow address order, so when a node
+runs, its parent has already run at this tick or does not run at it, and
+the record stands as it will when the tick's frames land.
 Until the frame's turn in the parent's mailbox nothing touches that child's
 record: the frames before it there are acknowledgements, reports, alerts
 and frames from other children, and the child's own events follow its
@@ -106,11 +107,12 @@ class RunReport:
                 fh.write(content)
 
 
-def _hearing(record: ChildRecord, parent: NodeAddress, windows: list[LossWindow]):
-    """A node's ``hear`` hook: its parent takes a heartbeat sent at ``now``
+def _hearing(record: ChildRecord, parent: SmnNode, windows: list[LossWindow]):
+    """A node's ``hear`` hook: ``parent`` takes a heartbeat sent at ``now``
     by ``SmnNode.heard`` on ``record``, its record of the node, as arriving
     at ``now + 1``, unless one of ``windows``, the network's list of loss
-    windows, covers the hop.
+    windows, covers the hop. The deadline moves by the parent's cadence,
+    the run's one, as ``on_frame`` would move it.
 
     The hook's state is bound as defaults, not closed over: that makes two
     objects per node for the garbage collector to scan while a simulation
@@ -121,13 +123,13 @@ def _hearing(record: ChildRecord, parent: NodeAddress, windows: list[LossWindow]
         payload: str,
         now: int,
         record: ChildRecord = record,
-        parent: NodeAddress = parent,
+        parent: SmnNode = parent,
         windows: list[LossWindow] = windows,
         heard=SmnNode.heard,
     ) -> bool:
-        if windows and covering_rates(windows, record.address, parent):
+        if windows and covering_rates(windows, record.address, parent.address):
             return False
-        return heard(record, msg_type, payload, now + 1)
+        return heard(parent, record, msg_type, payload, now + 1)
 
     return hear
 
@@ -155,20 +157,20 @@ class Simulation:
         self._nodes: list[SmnNode | DeviceAgent] = []
         # in address order, so that each node's parent is built before it
         for addr in self.order:
-            decl = topology.nodes[addr]
-            if decl.kind is DeviceKind.SMN:
+            kind = topology.nodes[addr]
+            if kind is DeviceKind.SMN:
                 node = self.smns[addr] = SmnNode(
                     address=addr,
                     settings=topology.pipeline,
-                    hb=decl.hb,
+                    hb=topology.heartbeat,
                     assets=topology.assets,
                     counterplans=counterplans,
                 )
             else:
                 node = self.agents[addr] = DeviceAgent(
                     address=addr,
-                    kind=decl.kind,
-                    hb=decl.hb,
+                    kind=kind,
+                    hb=topology.heartbeat,
                     settings=topology.pipeline,
                     filter_rules=topology.filter_rules,
                     mapping=topology.mapping,
@@ -176,8 +178,8 @@ class Simulation:
             self._nodes.append(node)
             if node.parent is not None:
                 smn = self.smns[node.parent]
-                smn.add_child(addr, decl.kind, decl.hb)
-                node.hear = _hearing(smn.children[addr], node.parent, self.network.loss_windows)
+                smn.add_child(addr, kind)
+                node.hear = _hearing(smn.children[addr], smn, self.network.loss_windows)
         self._builders = {addr: FrameBuilder() for addr in self.order}
         self._smn_slots = frozenset(self.network.slots[addr] for addr in self.smns)
         # The timing wheel: tick -> slots of the nodes due then, and per slot

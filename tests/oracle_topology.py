@@ -4,14 +4,18 @@ and in ``smnsim.config`` must give equal configurations, or raise
 ``ConfigError``s with the same message and line.
 
 The code below is the old parser and its helpers, copied unchanged but for
-two points. An ``[assets]`` entry with an empty value raised ``IndexError``
-there, and raises ``ConfigError`` ("not an integer: ''") here, as it now
-does in ``smnsim.config``. And the records are built as they are now
-declared: a ``NodeDecl`` holds a node's kind and heartbeat configuration,
-so the node loop keeps each node's ip, asset value and vulnerabilities
-beside it for the asset database, and an ``AssetRecord`` holds no ip. Only
-the record types and the error class are imported, so that the two
-parsers' results compare equal.
+three points. An ``[assets]`` entry with an empty value raised
+``IndexError`` there, and raises ``ConfigError`` ("not an integer: ''")
+here, as it now does in ``smnsim.config``. The records are built as they
+are now declared: ``nodes`` maps each address to its kind, so the node loop
+keeps each node's ip, asset value and vulnerabilities beside it for the
+asset database, and an ``AssetRecord`` holds no ip. And a run has one
+heartbeat cadence: a ``[node …]`` section that gives a heartbeat key is
+refused as an unknown node key, and the ``[heartbeat]`` section builds one
+``HeartbeatConfig`` right after the ``[tree]`` check, where each node built
+its own, with its overrides, in the node loop. Only the record types and
+the error class are imported, so that the two parsers' results compare
+equal.
 """
 
 from __future__ import annotations
@@ -20,14 +24,14 @@ import os
 from dataclasses import fields
 
 from smnsim.addressing import MAX_DEPTH, AddressError, NodeAddress, TreeShape
-from smnsim.config import ConfigError, NodeDecl, TopologyConfig
+from smnsim.config import ConfigError, TopologyConfig
 from smnsim.device_model import KIND_BY_NAME, DeviceKind
 from smnsim.event_pipeline import AssetDb, AssetRecord, ClassificationMap, FilterRule
 from smnsim.node_runtime import HeartbeatConfig, PipelineSettings
 
 _HB_KEYS = tuple(f.name for f in fields(HeartbeatConfig))
 
-_NODE_KEYS = {"kind", "ip", "asset_value", "vulnerabilities", *_HB_KEYS}
+_NODE_KEYS = {"kind", "ip", "asset_value", "vulnerabilities"}
 
 
 def _split_kv(line: str, line_no: int) -> tuple[str, str]:
@@ -171,9 +175,13 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
     if depth is None or degree is None:
         raise ConfigError("[tree] section with depth and degree is required")
     shape = TreeShape(depth=depth, max_degree=degree)
+    try:
+        heartbeat = HeartbeatConfig(**hb_defaults)
+    except ValueError as exc:
+        raise ConfigError(f"[heartbeat]: {exc}") from exc
 
     pipeline = _build_pipeline(pipeline_kv)
-    nodes: dict[NodeAddress, NodeDecl] = {}
+    nodes: dict[NodeAddress, DeviceKind] = {}
     #: per node, (ip, asset value, vulnerabilities) as declared
     node_assets: dict[NodeAddress, tuple[str, int, frozenset[str]]] = {}
     for addr_text, kv, line_no in node_sections:
@@ -187,34 +195,26 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         kind = KIND_BY_NAME.get(kind_name)
         if kind is None:
             raise ConfigError(f"node {addr_text}: unknown kind {kind_name!r}", line_no)
-        hb_kv = dict(hb_defaults)
-        for hb_key in _HB_KEYS:
-            if hb_key in kv:
-                hb_kv[hb_key] = _int(kv[hb_key], line_no, hb_key, low=1)
-        try:
-            hb = HeartbeatConfig(**hb_kv)
-        except ValueError as exc:
-            raise ConfigError(f"node {addr_text}: {exc}", line_no) from exc
         node_assets[address] = (
             kv.get("ip", ""),
             _int(kv.get("asset_value", "1"), line_no, "asset_value", 1, 5),
             _vuln_set(kv.get("vulnerabilities", "")),
         )
-        nodes[address] = NodeDecl(kind=kind, hb=hb)
+        nodes[address] = kind
 
     roots = [a for a in nodes if a.level == 1]
     if len(roots) != 1:
         raise ConfigError(f"expected exactly one root node, found {len(roots)}")
     root = roots[0]
-    if nodes[root].kind is not DeviceKind.SMN:
+    if nodes[root] is not DeviceKind.SMN:
         raise ConfigError(f"root {root} must be a management node")
-    for addr, decl in nodes.items():
+    for addr in nodes:
         parent = addr.parent()
         if parent is None:
             continue
         if parent not in nodes:
             raise ConfigError(f"node {addr} declared without its parent {parent}")
-        if nodes[parent].kind is not DeviceKind.SMN:
+        if nodes[parent] is not DeviceKind.SMN:
             raise ConfigError(f"parent of {addr} is not a management node")
 
     assets = AssetDb(class_vulns=class_vulns)
@@ -228,6 +228,7 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
         shape=shape,
         nodes=nodes,
         root=root,
+        heartbeat=heartbeat,
         pipeline=pipeline,
         filter_rules=filter_rules,
         mapping=ClassificationMap(rules=mapping_rules),

@@ -177,6 +177,38 @@ def test_simulate_unknown_topology_key(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: line 6: unknown pipeline key 'bogus'\n"
 
 
+def test_a_child_declared_under_a_device_is_a_config_error(tmp_path, capsys):
+    """Only a management node has children: a topology whose site 1.2.0 is
+    a firewall exits 2 before the run, naming its first child."""
+    text = demo_topology_text()
+    site = "[node 1.2.0]\n# site-b\nkind = SMN\n"
+    assert text.count(site) == 1
+    topology = tmp_path / "topology.cfg"
+    topology.write_text(text.replace(site, "[node 1.2.0]\nkind = Firewall\n"))
+    assert cli.main(simulate_argv(topology, tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "config error: parent of 1.2.1 is not a management node\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--depth", "4"], ["--degree", "9"], ["--depth", "3", "--degree", "4"]]
+)
+def test_correlate_refuses_a_shape_beside_a_config(flags, tmp_path, capsys):
+    """The topology of ``--config`` fixes the tree shape, so a shape flag
+    beside it is a usage error, not silently ignored."""
+    events = tmp_path / "f.events"
+    events.write_text(CONNECT + "\n" + HIT + "\n")
+    argv = ["correlate", "--events", str(events), "--config", str(DEMO / "topology.cfg")]
+    assert cli.main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --depth and --degree cannot be given with --config\n"
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("SESSION cli#1 ")
+
+
 def test_simulate_threaded_is_usage_error(tmp_path, capsys):
     argv = simulate_argv(DEMO / "topology.cfg", tmp_path / "out", "--threaded")
     assert cli.main(argv) == 2
@@ -380,6 +412,9 @@ def test_simulate_bad_scenario_key_fails_before_the_run(head, line, message, tmp
         ("depth = 3", "depth = 65", 5, "depth must be <= 64, got 65"),
         # keys the simulator does not know name their own line
         ("asset_value = 4", "asset_vlaue = 4", 42, "unknown node key 'asset_vlaue'"),
+        # a run has one cadence, the [heartbeat] section's
+        ("asset_value = 4", "asset_value = 4\nnetwork_test_interval = 7", 43,
+         "unknown node key 'network_test_interval'"),
         ("[classify]\n", "[classify]\nstrict = true\n", 65,
          "expected '<Kind> <native> = <class>'"),
         # so does the second of two values for one key

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smnsim.addressing import NodeAddress, TreeShape
-from smnsim.device_model import DeviceKind, DeviceState
+from smnsim.device_model import DeviceState
 from smnsim.device_tree import (
     DeviceNodeRecord,
     EmbeddingSyntaxError,
@@ -119,19 +119,9 @@ def test_subtree_serialization_is_substring(twelve):
 
 
 def test_add_device(twelve):
-    twelve.add_device(
-        DeviceNodeRecord(address=A("1.1.2.1"), state=DeviceState.NET_DOWN, kind=DeviceKind.IDS)
-    )
+    twelve.add_device(DeviceNodeRecord(address=A("1.1.2.1"), state=DeviceState.NET_DOWN))
     assert twelve.find(A("1.1.2.1")) is not None
     twelve.validate()
-
-
-def test_add_device_rejects_non_smn_parent(twelve):
-    twelve.find(A("1.1.2.0")).kind = DeviceKind.HOST_MONITOR
-    with pytest.raises(TreeError, match="parent 1.1.2.0 is not a management node"):
-        twelve.add_device(
-            DeviceNodeRecord(address=A("1.1.2.1"), state=DeviceState.NET_DOWN)
-        )
 
 
 def test_add_device_rejects_duplicates(twelve):
@@ -176,13 +166,6 @@ def test_assemble_unknown_root_rejected():
     tree = stub_main_tree()
     with pytest.raises(TreeError, match="1.3.0.0 not in main tree"):
         tree.assemble("[1.3.0.0:S211]")
-
-
-def test_assemble_preserves_stub_kind():
-    tree = stub_main_tree()
-    tree.find(A("1.1.0.0")).kind = DeviceKind.SMN
-    tree.assemble("[1.1.0.0:S211]")
-    assert tree.find(A("1.1.0.0")).kind is DeviceKind.SMN
 
 
 def test_disassemble_keeps_stub(twelve):
@@ -364,7 +347,6 @@ def _report_for(node, shape, rng):
     if target.address.level < shape.depth:
         free = [k for k in range(1, shape.max_degree + 1) if k not in target.children]
         if free:
-            target.kind = DeviceKind.SMN
             copy_tree.add_device(
                 DeviceNodeRecord(
                     address=target.address.child(rng.choice(free)), state=rng.choice(LEAVES)
@@ -394,9 +376,7 @@ def test_cached_text_survives_every_change(seed, ops):
                 addr = node.address.child(rng.choice(free))
                 state = rng.choice(LEAVES)
                 for view in (tree, mirror):
-                    view.add_device(
-                        DeviceNodeRecord(address=addr, state=state, kind=DeviceKind.SMN)
-                    )
+                    view.add_device(DeviceNodeRecord(address=addr, state=state))
         elif op == "same":
             cached = node.text is not None
             changes = tree.assemble(uncached(node))

@@ -63,7 +63,7 @@ def make_smn(addr="1.1.0", children=(), **kwargs):
         **kwargs,
     )
     for child_addr, kind in children:
-        node.add_child(A(child_addr), kind, hb=HB)
+        node.add_child(A(child_addr), kind)
     return node
 
 
@@ -307,33 +307,83 @@ def test_an_event_from_an_offline_child_changes_no_state(state):
     assert node.drain_changesets() == []
 
 
+def _session_frames(node):
+    """(frame, tick) of a connect from 1.1.1 to site ``node`` at tick 21, an
+    event from 1.1.2 at 31 and the disconnect from 1.1.1 at 41."""
+    fw, ids = A("1.1.1"), A("1.1.2")
+    return [
+        (Frame(MsgType.DEVICE_EVENT, fw, node.address,
+               event(cls="fw.connect", t=20, conn=ConnectionMarker.CONNECT)), 21),
+        (Frame(MsgType.DEVICE_EVENT, ids, node.address,
+               event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30)), 31),
+        (Frame(MsgType.DEVICE_EVENT, fw, node.address,
+               event(eid="1.1.1-2", cls="fw.disconnect", t=40,
+                     conn=ConnectionMarker.DISCONNECT)), 41),
+    ]
+
+
+def _connect_event_disconnect(node):
+    """What site ``node`` returns for each of ``_session_frames``."""
+    return [node.on_frame(frame, now) for frame, now in _session_frames(node)]
+
+
+ENDED_LINE = "SESSION 1.1.0#1 10.0.0.9:4242 10.0.1.5:80 20 40 1 [1.1.2-1]"
+
+
 def test_connect_then_event_forwards_session_alert():
     node = make_smn(children=[("1.1.1", DeviceKind.FIREWALL), ("1.1.2", DeviceKind.IDS)])
-    fw, ids = A("1.1.1"), A("1.1.2")
-    out = node.on_frame(
-        Frame(MsgType.DEVICE_EVENT, fw, node.address,
-                 event(cls="fw.connect", t=20, conn=ConnectionMarker.CONNECT)),
-        21,
+    connect, update, end = _connect_event_disconnect(node)
+    assert connect == [] and update == []  # update emissions stay local
+    assert len(end) == 1
+    assert end[0].msg_type is MsgType.SESSION_ALERT
+    assert end[0].dst == A("1.0.0")
+    record = end[0].payload
+    assert record is node.last_record
+    assert (record.session_id, record.start_time, record.end_time, record.event_ids) == (
+        "1.1.0#1", 20, 40, ("1.1.2-1",)
     )
-    assert out == []
-    out = node.on_frame(
-        Frame(MsgType.DEVICE_EVENT, ids, node.address,
-                  event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30)),
-        31,
+    assert node.session_lines == [ENDED_LINE]
+    assert end[0].text() == ENDED_LINE
+
+
+def test_an_upper_node_launches_on_a_session_that_ended_below_it():
+    """A session alert carries the site's record: the root keeps it as its
+    ``last_record`` and its session line, and can launch a case on it."""
+    site = make_smn(children=[("1.1.1", DeviceKind.FIREWALL), ("1.1.2", DeviceKind.IDS)])
+    alert = _connect_event_disconnect(site)[2][0]
+    root = make_smn(addr="1.0.0", children=[("1.1.0", DeviceKind.SMN)])
+    with pytest.raises(ResponseError, match="1.0.0 has no alert to respond to"):
+        root.respond_launch(40)
+    assert root.on_frame(alert, 42) == []
+    assert root.last_record is alert.payload
+    assert root.session_lines == [ENDED_LINE]
+    assert root.respond_launch(90).case_id == "1.0.0#c1"
+    assert root.drain_lines() == ["CASE 1.0.0#c1 90 1.0.0 launch:default"]
+
+
+def test_last_record_is_the_latest_record_to_reach_the_node():
+    """``last_record`` is replaced by each record that reaches the node,
+    whether its own engine emitted it or a child forwarded it; a forwarded
+    record goes on upward as it came."""
+    node = make_smn(children=[
+        ("1.1.1", DeviceKind.FIREWALL), ("1.1.2", DeviceKind.IDS), ("1.1.3", DeviceKind.SMN)
+    ])
+    connect, update, disconnect = _session_frames(node)
+    node.on_frame(*connect)
+    node.on_frame(*update)
+    own = node.last_record
+    assert (own.session_id, own.end_time) == ("1.1.0#1", None)
+    below = SessionRecord(
+        "1.1.3#1", "10.0.0.7:1", "10.0.1.9:22", 25, 33, ("x-1",), ("exploit.attempt",), (4,)
     )
-    assert out == []  # update emissions stay local
-    out = node.on_frame(
-        Frame(MsgType.DEVICE_EVENT, fw, node.address,
-                 event(eid="1.1.1-2", cls="fw.disconnect", t=40,
-                       conn=ConnectionMarker.DISCONNECT)),
-        41,
-    )
-    assert len(out) == 1
-    assert out[0].msg_type is MsgType.SESSION_ALERT
-    assert out[0].dst == A("1.0.0")
-    line = out[0].payload
-    assert line.startswith("SESSION 1.1.0#1 10.0.0.9:4242 10.0.1.5:80 20 40 1")
-    assert node.session_lines == [line]
+    out = node.on_frame(Frame(MsgType.SESSION_ALERT, A("1.1.3"), node.address, below), 34)
+    assert out == [Frame(MsgType.SESSION_ALERT, node.address, A("1.0.0"), below)]
+    assert node.last_record is below
+    node.on_frame(*disconnect)
+    assert (node.last_record.session_id, node.last_record.end_time) == ("1.1.0#1", 40)
+    assert node.session_lines == [
+        "SESSION 1.1.3#1 10.0.0.7:1 10.0.1.9:22 25 33 1 [x-1]", ENDED_LINE
+    ]
 
 
 def test_child_passes_through_handling_alert_state():

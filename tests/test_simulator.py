@@ -17,7 +17,7 @@ from smnsim.config import (
 from smnsim.device_model import DeviceKind
 from smnsim.event_pipeline import NormalizedEvent
 from smnsim.messaging import FrameBuilder, MsgType, SimNetwork
-from smnsim.node_runtime import SmnNode
+from smnsim.node_runtime import HeartbeatConfig, SmnNode
 from smnsim.session_correlation import CorrelationEngine
 from smnsim.simulator import InvariantViolation, Simulation
 
@@ -39,7 +39,7 @@ GEN0 = GOLDEN / "gen0"
 GOLDEN_RUNS = {
     **{
         name: (DEMO / "topology.cfg", DEMO / f"{name}.scn", GOLDEN / name)
-        for name in ("attack", "devices", "heartbeat", "respond", "windows")
+        for name in ("attack", "central", "devices", "heartbeat", "respond", "windows")
     },
     # the benchmark's generated seed-0 tree of 91 nodes under the first 100
     # ticks of its attack load (see the head of gen0/attack.scn)
@@ -312,6 +312,23 @@ def _spy_heartbeat_sends(sim: Simulation) -> list[tuple[int, str, MsgType]]:
     return sent
 
 
+def test_every_node_shares_the_topology_heartbeat():
+    """The ``[heartbeat]`` section is the run's one cadence: every node of a
+    ``Simulation`` sends by that one object, and every parent starts its
+    children's deadlines at its timeouts."""
+    text = (DEMO / "topology.cfg").read_text().replace(
+        "network_test_timeout = 30", "network_test_timeout = 45"
+    )
+    topology = parse_topology(text, base_dir=str(DEMO))
+    assert topology.heartbeat == HeartbeatConfig(5, 8, 45, 20)
+    sim = Simulation(topology, parse_scenario("drain = 0\n"))
+    assert len(sim._nodes) == len(topology.nodes) == 9
+    assert all(node.hb is topology.heartbeat for node in sim._nodes)
+    records = [record for smn in sim.smns.values() for record in smn.children.values()]
+    assert len(records) == 8
+    assert {(r.net_deadline, r.pkg_deadline) for r in records} == {(45, 20)}
+
+
 def test_an_idle_run_sends_only_the_tick_0_heartbeats():
     """At tick 0 every child is NET_DOWN at its parent, so its network test
     changes a state and goes as a frame, and its state package after it;
@@ -412,7 +429,8 @@ def test_a_silenced_smn_offers_no_heartbeat_and_its_parent_renews_nothing():
     assert [t for t in offers if t in silent] == []
     assert [t for t in built if t in silent] == []
     assert min(offers) < 40 and max(offers) >= 120
-    timeouts = (record.hb.network_test_timeout, record.hb.state_pkg_timeout)
+    hb = topology.heartbeat
+    timeouts = (hb.network_test_timeout, hb.state_pkg_timeout)
     for t in silent:
         for old, new, timeout in zip(deadlines[t - 1], deadlines[t], timeouts):
             assert new == old or (t >= old and new == t + timeout), t
@@ -442,8 +460,8 @@ def test_a_heartbeat_after_one_that_travels_travels_unoffered():
     assert offers == [(0, MsgType.NETWORK_TEST)]
     assert [(t, m) for t, src, m in sent if src == "1.1.1"] == [(0, m) for m in HEARTBEATS]
     assert (record.net_deadline, record.pkg_deadline) == (
-        record.hb.network_test_timeout,
-        record.hb.state_pkg_timeout,
+        topology.heartbeat.network_test_timeout,
+        topology.heartbeat.state_pkg_timeout,
     )
 
 

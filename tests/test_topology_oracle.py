@@ -147,8 +147,3 @@ EDGE_CASES = [
 @pytest.mark.parametrize("text", EDGE_CASES, ids=[f"edge{i}" for i in range(len(EDGE_CASES))])
 def test_edge_cases(text):
     assert_agrees(text)
-
-
-def test_nodes_share_the_default_heartbeat():
-    config = parse_topology(GEN0_TEXT)
-    assert len({id(decl.hb) for decl in config.nodes.values()}) == 1

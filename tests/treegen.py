@@ -3,7 +3,7 @@
 import random
 
 from smnsim.addressing import NodeAddress, TreeShape
-from smnsim.device_model import DeviceKind, DeviceState
+from smnsim.device_model import DeviceState
 from smnsim.device_tree import AddressedDeviceTree, DeviceNodeRecord
 
 LEAVES = [
@@ -24,16 +24,13 @@ def random_tree(
     or, with probability ``chain``, to the node attached last, which grows
     deep trees.
 
-    Every node is a management node so any node may gain children; states
-    are random leaf states.
+    Any node may gain children; states are random leaf states.
     """
     shape = TreeShape(depth=depth, max_degree=degree)
     root_addr = NodeAddress((1,) + (0,) * (depth - 1), shape)
     tree = AddressedDeviceTree(
         shape=shape,
-        root=DeviceNodeRecord(
-            address=root_addr, state=rng.choice(LEAVES), kind=DeviceKind.SMN
-        ),
+        root=DeviceNodeRecord(address=root_addr, state=rng.choice(LEAVES)),
     )
     nodes = [tree.root]
     for _ in range(rng.randrange(max_nodes)):
@@ -46,7 +43,6 @@ def random_tree(
         child = DeviceNodeRecord(
             address=parent.address.child(rng.choice(free)),
             state=rng.choice(LEAVES),
-            kind=DeviceKind.SMN,
         )
         tree.add_device(child)
         nodes.append(child)
