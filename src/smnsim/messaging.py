@@ -13,13 +13,19 @@ receiver reads: the ``NormalizedEvent`` of a ``DEVICE_EVENT``, the
 of the coordination messages below for a ``RESPONSE_COORD``, and text for
 the other types. A frame's priority follows from its message type alone.
 
+A route follows the destination's address alone (``next_hop``), so
+``SimNetwork.send`` refuses a destination that is not a declared node:
+a frame for a foreign root would otherwise climb to the root and land
+there. A frame is lost in one way only: a loss window drops it on a hop,
+and the network writes it down as a dead letter (see ``SimNetwork``).
+
 Nodes return their frames unnumbered (``seq`` 0). The harness numbers a
 frame with its sender's ``FrameBuilder`` when it hands it to the network,
 and only then, so the frames of one type a sender puts on the network are
 numbered 1, 2, ... without a gap: a frame that never travels (a silenced
 node's) takes no number, and a heartbeat its parent takes directly is never
-built (see ``simulator``). A number shows only in a ``DEADLETTER`` line, so
-where frames are numbered changes no report without a dead letter.
+built (see ``simulator``). No report shows a number: a loop that builds
+every heartbeat numbers the same frame otherwise, and must report the same.
 """
 
 from __future__ import annotations
@@ -88,10 +94,6 @@ Payload = (str | NormalizedEvent | SessionRecord | Order | Escalate | Advisory |
            | Enlisted | Advance)
 
 
-class Unroutable(Exception):
-    """No tree link leads from a node toward a frame's destination."""
-
-
 class MsgType(Enum):
     NETWORK_TEST = 1
     DEVICE_STATE_PKG = 2
@@ -154,25 +156,14 @@ class FrameBuilder:
 # Routing
 
 
-def next_hop(
-    current: NodeAddress, dst: NodeAddress, parents: dict[NodeAddress, NodeAddress | None]
-) -> NodeAddress | None:
-    """The neighbor to forward through, or None when already at ``dst``.
-    ``parents`` holds the parent of every node of the tree."""
-    if current not in parents:
-        raise Unroutable(f"{current} has no link entry")
-    if current == dst:
+def next_hop(current: NodeAddress, dst: NodeAddress) -> NodeAddress | None:
+    """The neighbor to forward through, or None when already at ``dst``: the
+    child whose subtree holds ``dst``, otherwise the parent."""
+    if current is dst:
         return None
     if current.is_ancestor(dst):
-        # the child's parent is ``current`` by construction
-        child = current.child(dst.segments[current.level])
-        if child not in parents:
-            raise Unroutable(f"{dst} not reachable below {current}")
-        return child
-    parent = parents[current]
-    if parent is None:
-        raise Unroutable(f"{dst} not in tree below root {current}")
-    return parent
+        return current.child(dst.segments[current.level])
+    return current.parent()
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +190,6 @@ class Mailbox:
         return len(self._heap)
 
 
-@dataclass(frozen=True)
-class DeadLetter:
-    frame: Frame
-
-    def line(self) -> str:
-        f = self.frame
-        return f"DEADLETTER {f.src} {f.dst} {f.msg_type.name} {f.seq}"
-
-
 #: (from, to, end, rate): a loss window on the hop from one node to the next
 LossWindow = tuple[NodeAddress, NodeAddress, int, float]
 
@@ -231,30 +213,40 @@ class SimNetwork:
     rate. The first window that drops the frame ends the tries. A hop no
     window covers draws nothing, so the draws follow from the seed and the
     frames on covered hops alone.
+
+    Each dropped frame is a dead letter: one line in ``dead_letters``,
+    ``DEADLETTER <tick> <at>-><hop> <TYPE> <src> <dst>``, where the tick is
+    the step that dropped it. The line carries no ``seq`` (see the module
+    docstring).
     """
 
     def __init__(self, addresses: Iterable[NodeAddress], seed: int = 0) -> None:
-        #: the tree links: every node's parent; every parent must be a node
-        self.parents = {addr: addr.parent() for addr in addresses}
-        for addr, parent in self.parents.items():
-            if parent is not None and parent not in self.parents:
+        self.mailboxes: dict[NodeAddress, Mailbox] = {a: Mailbox() for a in addresses}
+        #: every node in address order; a node's index here is its slot
+        self.order = sorted(self.mailboxes, key=lambda a: a.segments)
+        for addr in self.order:
+            parent = addr.parent()
+            if parent is not None and parent not in self.mailboxes:
                 raise ValueError(f"{addr} declared without its parent {parent}")
+        self.slots = {addr: slot for slot, addr in enumerate(self.order)}
         #: the loss windows begun and not yet ended, in the order they began
         self.loss_windows: list[LossWindow] = []
         self._rng = random.Random(seed)
-        #: every node in address order; a node's index here is its slot
-        self.order = sorted(self.parents, key=lambda a: a.segments)
-        self.slots = {addr: slot for slot, addr in enumerate(self.order)}
-        self.mailboxes: dict[NodeAddress, Mailbox] = {a: Mailbox() for a in self.parents}
         #: slots whose mailbox a step filled; the reader empties the set
         self.arrived: set[int] = set()
         self.transit: list[tuple[NodeAddress, Frame]] = []
-        self.dead_letters: list[DeadLetter] = []
-        self.dropped = 0
+        self.dead_letters: list[str] = []
         #: steps taken so far
         self.now = 0
 
+    @property
+    def dropped(self) -> int:
+        """The frames loss windows dropped."""
+        return len(self.dead_letters)
+
     def send(self, frame: Frame) -> None:
+        if frame.dst not in self.mailboxes:
+            raise ValueError(f"{frame.msg_type.name} to {frame.dst}, which is not a declared node")
         self.transit.append((frame.src, frame))
 
     def _lost(self, at: NodeAddress, hop: NodeAddress) -> bool:
@@ -267,22 +259,17 @@ class SimNetwork:
 
     def step(self) -> None:
         moving, self.transit = self.transit, []
-        parents, windows = self.parents, self.loss_windows
+        windows = self.loss_windows
         for at, frame in moving:
             dst = frame.dst
-            if dst is parents.get(at):
-                # one hop up to the parent, as every heartbeat goes
-                hop = dst
-            else:
-                try:
-                    hop = next_hop(at, dst, parents)
-                except Unroutable:
-                    self.dead_letters.append(DeadLetter(frame))
-                    continue
+            # one hop up to the parent, as every heartbeat goes, or routed
+            hop = dst if dst is at.parent() else next_hop(at, dst)
             if hop is None:
                 hop = at
             elif windows and self._lost(at, hop):
-                self.dropped += 1
+                self.dead_letters.append(
+                    f"DEADLETTER {self.now} {at}->{hop} {frame.msg_type.name} {frame.src} {dst}"
+                )
                 continue
             elif hop is not dst:
                 self.transit.append((hop, frame))

@@ -18,6 +18,13 @@ the network, numbers each one there with the sender's ``FrameBuilder``
 (one per node, kept here), so frames that never travel take no number (see
 ``messaging``).
 
+``deadletters.txt`` lists the frames loss windows dropped, one line each
+in the order the network dropped them, with the tick, the hop, the type,
+the sender and the destination (see ``SimNetwork``). It names no ``seq``:
+a heartbeat its parent takes is never built and takes no number, so the
+visit-every-node reference loop, which builds every heartbeat, numbers the
+same dropped frame otherwise, and the two loops must report the same.
+
 Every node runs on the topology's one cadence, ``topology.heartbeat``. A
 heartbeat that would change nothing at its parent but a deadline is never
 built: its sender offers it to its ``hear`` hook, which ``__init__`` binds
@@ -445,6 +452,6 @@ class Simulation:
             mirror_text=self.mirror.serialize(),
             node_lines=[l for l in self.collected if l.startswith("NODE ")],
             case_lines=[l for l in self.collected if l.startswith("CASE ")],
-            dead_letters=[dl.line() for dl in self.network.dead_letters],
+            dead_letters=list(self.network.dead_letters),
         )
 

@@ -67,9 +67,6 @@ class ReferenceSimulation(Simulation):
                 self.mirror.apply_changeset(changes)
             if self.debug:
                 self._check_mirror()
-            for addr in self.smns:
-                if addr != self.root.address:
-                    self.smns[addr].drain_changesets()
             self.network.step()
             if self.debug:
                 self._check_invariants()

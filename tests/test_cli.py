@@ -312,6 +312,25 @@ def test_simulate_seed_overrides_the_scenario_seed(tmp_path):
     assert _simulate_windows(copy, tmp_path / "copy12") == reseeded
 
 
+def test_simulate_reports_a_command_a_loss_window_drops(tmp_path):
+    """A rate-1 window on the second hop of a command from the root to a
+    device drops it there, one step after it left: ``deadletters.txt``
+    names the frame, and the root, which never hears its ack, ends the
+    run with the command still unacked."""
+    scenario = tmp_path / "lost.scn"
+    scenario.write_text(
+        "drain = 20\n"
+        "at 5 inject-loss 1.1.0->1.1.1 until 10 rate=1.0\n"
+        "at 5 command policy 1.1.1\n"
+    )
+    files = _simulate_windows(scenario, tmp_path / "out")
+    assert files["deadletters.txt"] == b"DEADLETTER 6 1.1.0->1.1.1 COMMAND 1.0.0 1.1.1\n"
+    assert files["nodes.txt"].decode().splitlines()[-2:] == [
+        "NODE 1.0.0 5 COMMAND 1.0.0!1 policy 1.1.1",
+        "NODE 1.0.0 25 UNACKED 1.0.0!1",
+    ]
+
+
 def test_simulate_non_integer_pipeline_value(tmp_path, capsys):
     text = (DEMO / "topology.cfg").read_text().replace("grace = 60", "grace = sixty")
     topology = tmp_path / "topology.cfg"

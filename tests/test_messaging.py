@@ -9,7 +9,6 @@ from smnsim.messaging import (
     Mailbox,
     MsgType,
     SimNetwork,
-    Unroutable,
     next_hop,
 )
 
@@ -47,49 +46,33 @@ TREE = ["1.0.0.0", "1.1.0.0", "1.2.0.0", "1.1.1.0", "1.1.2.0", "1.2.2.0", "1.2.2
 NODES = [A(t) for t in TREE]
 
 
-@pytest.fixture
-def parents():
-    return SimNetwork(NODES).parents
-
-
-def test_network_parents(parents):
-    assert parents == {a: a.parent() for a in NODES}
-    assert parents[A("1.0.0.0")] is None
-    assert A("1.2.2.1") in parents and A("1.3.0.0") not in parents
+def test_network_parents():
     with pytest.raises(ValueError, match="1.2.2.1 declared without its parent 1.2.2.0"):
         SimNetwork([a for a in NODES if a != A("1.2.2.0")])
 
 
-def test_next_hop_climbs_toward_common_ancestor(parents):
-    assert next_hop(A("1.1.1.0"), A("1.2.0.0"), parents) == A("1.1.0.0")
+def test_next_hop_climbs_toward_common_ancestor():
+    assert next_hop(A("1.1.1.0"), A("1.2.0.0")) == A("1.1.0.0")
 
 
-def test_next_hop_descends_into_subtree(parents):
-    assert next_hop(A("1.0.0.0"), A("1.2.2.1"), parents) == A("1.2.0.0")
+def test_next_hop_descends_into_subtree():
+    assert next_hop(A("1.0.0.0"), A("1.2.2.1")) == A("1.2.0.0")
 
 
-def test_next_hop_deliver(parents):
-    assert next_hop(A("1.1.1.0"), A("1.1.1.0"), parents) is None
+def test_next_hop_deliver():
+    assert next_hop(A("1.1.1.0"), A("1.1.1.0")) is None
 
 
-def test_next_hop_unroutable_outside_tree(parents):
-    with pytest.raises(Unroutable):
-        next_hop(A("1.0.0.0"), A("1.3.0.0"), parents)
-    # below a declared node, toward an undeclared child
-    with pytest.raises(Unroutable, match="1.1.3.0 not reachable below 1.1.0.0"):
-        next_hop(A("1.1.0.0"), A("1.1.3.0"), parents)
-
-
-def route(parents, src, dst):
+def route(src, dst):
     path = [src]
     while True:
-        hop = next_hop(path[-1], dst, parents)
+        hop = next_hop(path[-1], dst)
         if hop is None:
             return path
         path.append(hop)
 
 
-def test_route_matches_ancestor_chain_oracle(parents):
+def test_route_matches_ancestor_chain_oracle():
     # Oracle: climb from src to the common ancestor, then walk the reversed
     # climb from dst.
     rng = random.Random(7)
@@ -104,7 +87,7 @@ def test_route_matches_ancestor_chain_oracle(parents):
         while down[-1] != ca:
             down.append(down[-1].parent())
         expected = up + list(reversed(down))[1:]
-        assert route(parents, src, dst) == expected
+        assert route(src, dst) == expected
         assert len(expected) - 1 <= 2 * SHAPE.depth
 
 
@@ -171,13 +154,14 @@ def test_network_per_stream_fifo():
     assert got == [1, 2, 3, 4, 5]
 
 
-def test_network_dead_letter_for_unknown_destination():
+def test_network_send_refuses_an_undeclared_destination():
+    """Routing follows addresses alone, so a frame for a node outside the
+    tree would climb to the root and land there: ``send`` refuses it."""
     net = SimNetwork(NODES)
-    f = frame(src="1.0.0.0", dst="1.3.0.0")
-    net.send(f)
-    net.step()
-    assert len(net.dead_letters) == 1
-    assert net.dead_letters[0].line() == "DEADLETTER 1.0.0.0 1.3.0.0 DEVICE_EVENT 1"
+    for dst in ("1.3.0.0", "1.1.3.0", "2.0.0.0"):
+        with pytest.raises(ValueError, match=f"DEVICE_EVENT to {dst}, which is not a declared"):
+            net.send(frame(src="1.0.0.0", dst=dst))
+    assert net.transit == []
 
 
 def test_network_loss_window_drops():
@@ -193,15 +177,10 @@ def test_network_loss_window_drops():
         net.step()
     assert net.poll(A("1.1.0.0")) is kept
     assert net.poll(A("1.1.0.0")) is None
+    assert net.dead_letters == ["DEADLETTER 0 1.1.1.0->1.1.0.0 DEVICE_EVENT 1.1.1.0 1.1.0.0"]
     assert net.dropped == 1
     assert net.transit == []
     assert net._rng.getstate() == state
-
-
-def test_network_parents_are_the_declared_addresses():
-    declared = {t: A(t) for t in TREE}
-    for parent in SimNetwork(list(declared.values())).parents.values():
-        assert parent is None or parent is declared[str(parent)]
 
 
 def test_a_loss_window_drops_a_routed_frame_at_the_hop_it_covers():
@@ -209,22 +188,26 @@ def test_a_loss_window_drops_a_routed_frame_at_the_hop_it_covers():
     hop by hop. A window covers either on its hop: the routed frame from
     1.1.1.0 to 1.2.0.0 is dropped at the step that takes it over the
     covered hop, and the frame up from 1.1.1.0 only when the window covers
-    its one hop. ``now`` counts the steps taken."""
+    its one hop. Each drop's line names that step, which ``now`` counts,
+    and that hop."""
     route = [("1.1.1.0", "1.1.0.0"), ("1.1.0.0", "1.0.0.0"), ("1.0.0.0", "1.2.0.0")]
+    routed = "DEVICE_EVENT 1.1.1.0 1.2.0.0"
     for covered, (src, dst) in enumerate(route):
         net = SimNetwork(NODES)
         net.loss_windows.append((A(src), A(dst), 99, 1.0))
         up = frame(MsgType.NETWORK_TEST, src="1.1.1.0", dst="1.1.0.0")
         net.send(up)
         net.send(frame(src="1.1.1.0", dst="1.2.0.0", seq=2))
-        dropped_at = []
         for step in range(4):
             assert net.now == step
-            before = net.dropped
             net.step()
-            dropped_at += [step] * (net.dropped - before)
         assert net.now == 4
-        assert dropped_at == ([0, 0] if covered == 0 else [covered])
+        assert net.dead_letters == (
+            ["DEADLETTER 0 1.1.1.0->1.1.0.0 NETWORK_TEST 1.1.1.0 1.1.0.0",
+             f"DEADLETTER 0 1.1.1.0->1.1.0.0 {routed}"]
+            if covered == 0 else [f"DEADLETTER {covered} {src}->{dst} {routed}"]
+        )
+        assert net.dropped == len(net.dead_letters)
         assert net.poll(A("1.1.0.0")) is (None if covered == 0 else up)
         assert net.poll(A("1.2.0.0")) is None
         assert net.transit == []
@@ -233,19 +216,24 @@ def test_a_loss_window_drops_a_routed_frame_at_the_hop_it_covers():
 def test_partial_loss_windows_draw_once_per_covered_frame_in_the_order_they_began():
     """Each window with a rate below 1 on a frame's hop draws once from the
     source the seed fixes, in the order the windows began, until one drops
-    the frame; a frame on a hop no window covers draws nothing."""
+    the frame; a frame on a hop no window covers draws nothing. Each drop
+    is one dead letter, stamped with the step that made it."""
     hop = (A("1.2.2.1"), A("1.2.2.0"), 99)
     for seed in range(20):
         net = SimNetwork(NODES, seed=seed)
         net.loss_windows += [(*hop, 0.5), (*hop, 0.25)]
         rng = random.Random(seed)
-        want = 0
+        want = []
         for seq in range(1, 11):
             net.send(frame(src="1.1.1.0", dst="1.1.0.0", seq=seq))
             net.send(frame(src="1.2.2.1", dst="1.2.2.0", seq=seq))
-            want += rng.random() < 0.5 or rng.random() < 0.25
+            if rng.random() < 0.5 or rng.random() < 0.25:
+                want.append(
+                    f"DEADLETTER {seq - 1} 1.2.2.1->1.2.2.0 DEVICE_EVENT 1.2.2.1 1.2.2.0"
+                )
             net.step()
-        assert net.dropped == want
+        assert net.dead_letters == want
+        assert net.dropped == len(want)
         assert net._rng.random() == rng.random()
         assert len(net.mailboxes[A("1.1.0.0")]) == 10
 

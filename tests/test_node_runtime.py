@@ -557,7 +557,10 @@ def test_dispatch_command_routes_and_acks():
     )
     assert agent.on_frame(frames[0], 42) == []
     assert agent.status.state is DeviceState.HANDLING_POLICY
-    assert agent.step(43) != [] or True  # heartbeats may or may not be due
+    # the command is due at 42 + 3 = 45: a step before then sends no ack
+    early = agent.step(43)
+    assert [f for f in early if f.msg_type is MsgType.COMMAND_ACK] == []
+    assert agent.status.state is DeviceState.HANDLING_POLICY
     out = agent.step(45)
     acks = [f for f in out if f.msg_type is MsgType.COMMAND_ACK]
     assert len(acks) == 1 and acks[0].dst == A("1.0.0") and acks[0].payload == cmd_id

@@ -11,7 +11,7 @@ import pytest
 
 from reference_loop import USAGE, ReferenceSimulation
 from smnsim.addressing import NodeAddress
-from smnsim.config import InjectLoss, load_topology, parse_scenario, parse_topology
+from smnsim.config import load_topology, parse_scenario, parse_topology
 from smnsim.device_model import ARROWS_FROM, TransferCondition
 from smnsim.simulator import Simulation
 
@@ -182,33 +182,32 @@ def topologies():
     return [parse_topology(t, base_dir=str(TOPOLOGY.parent)) for t in (text, odd, short)]
 
 
-def assert_reports_arrive(topology, script, nodes: str) -> None:
+def assert_reports_arrive(topology, script, files: dict[str, str]) -> None:
     """Every topology report a node logs before the last tick reaches its
     parent at the next tick, which logs ``ASSEMBLE`` or ``BADREPORT`` for
-    it, unless a loss window covers the hop at the tick it is sent."""
+    it, or a loss window drops it on its hop at the tick it is sent, which
+    ``deadletters.txt`` says; and every report it says was dropped was
+    logged and never received."""
     shape = topology.shape
     last_tick = script.last_tick + script.drain
-    losses = [
-        (NodeAddress.parse(d.src, shape), NodeAddress.parse(d.dst, shape), d.tick, d.until)
-        for d in script.directives
-        if isinstance(d, InjectLoss)
-    ]
     reports, received = [], set()
-    for line in nodes.splitlines():
+    for line in files["nodes.txt"].splitlines():
         _, addr, tick, action, *detail = line.split()
         if action == "REPORT":
             reports.append((NodeAddress.parse(addr, shape), int(tick)))
         elif action in ("ASSEMBLE", "BADREPORT"):
             received.add((addr, int(tick), detail[0]))
+    dead = set(files["deadletters.txt"].splitlines())
     assert reports
+    lost = set()
     for sender, tick in reports:
         parent = sender.parent()
-        if tick >= last_tick or any(
-            (src, dst) == (sender, parent) and start <= tick < until
-            for src, dst, start, until in losses
-        ):
+        if (str(parent), tick + 1, str(sender)) in received:
             continue
-        assert (str(parent), tick + 1, str(sender)) in received, f"NODE {sender} {tick} REPORT"
+        line = f"DEADLETTER {tick} {sender}->{parent} TOPOLOGY_REPORT {sender} {parent}"
+        lost.add(line)
+        assert tick >= last_tick or line in dead, f"NODE {sender} {tick} REPORT"
+    assert {line for line in dead if " TOPOLOGY_REPORT " in line} <= lost
 
 
 #: the conditions of the heartbeats a device sends outside an abnormal
@@ -273,7 +272,7 @@ def test_agenda_matches_reference_loop(seed, topologies):
     checked = watch_steady_records(sim)
     have = sim.run()
     assert have.files() == want.files(), text
-    assert_reports_arrive(topology, script, have.files()["nodes.txt"])
+    assert_reports_arrive(topology, script, have.files())
     assert checked[0] > 0
 
 
@@ -285,7 +284,7 @@ def test_agenda_matches_reference_loop_under_dense_emits(seed, topologies):
     want = ReferenceSimulation(topology, parse_scenario(text), debug=True).run()
     have = Simulation(topology, script, debug=True).run()
     assert have.files() == want.files(), text
-    assert_reports_arrive(topology, script, have.files()["nodes.txt"])
+    assert_reports_arrive(topology, script, have.files())
 
 
 @pytest.mark.parametrize("args", [[], [str(TOPOLOGY)]])
