@@ -8,9 +8,11 @@ no node runs. Connection begin/end markers sorted out of
 firewall traffic are sacred throughout: they delimit sessions, so no stage
 may merge or drop them.
 
-Inside a run, uniform records travel in ``DEVICE_EVENT`` frames as objects.
-Their one text form, the ``smnsim correlate`` input, is one XML element per
-line modelled on IDMEF (RFC 4765), with a fixed attribute order, e.g.::
+Inside a run, uniform records travel as objects: each flush of a device
+is one ``DEVICE_EVENT`` frame whose payload is the tuple of its aggregated
+records, in time order. Their one text form, the ``smnsim correlate``
+input, is one XML element per line modelled on IDMEF (RFC 4765), with a
+fixed attribute order, e.g.::
 
     <event id="1.1.1-4" analyzer="1.1.1" kind="Firewall" time="20"
            class="fw.connect" src="10.0.0.9" sport="4242" dst="10.0.1.5"
@@ -210,16 +212,56 @@ def normalize(
 PORTSCAN_CLASS = "recon.portscan"
 
 _BY_TIME = attrgetter("create_time")
+_NO_MARKER = ConnectionMarker.NONE
 
 
 def _merged(
-    ev: NormalizedEvent, classification: str, dst_port: int, severity: int, count: int
+    group: list[NormalizedEvent], classification: str, dst_port: int
 ) -> NormalizedEvent:
-    """``ev`` carrying a merge's class, target port, severity and count."""
+    """The first of ``group`` carrying a merge's class and target port, the
+    group's highest severity and its summed count."""
+    ev = group[0]
     return NormalizedEvent(
         ev.event_id, ev.analyzer_address, ev.analyzer_kind, ev.create_time, classification,
-        ev.src_ip, ev.src_port, ev.dst_ip, dst_port, severity, count,
+        ev.src_ip, ev.src_port, ev.dst_ip, dst_port,
+        max(e.severity for e in group), sum(e.count for e in group),
     )
+
+
+def _aggregate_bucket(
+    bucket: list[NormalizedEvent], portscan_threshold: int, out: list[NormalizedEvent]
+) -> None:
+    """Append to ``out`` what one bucket of time-ordered events leaves: its
+    port-scan records, then its merged and unmerged plain events, then its
+    connection markers, each kind in the order its first event came."""
+    scans: list[NormalizedEvent] = []
+    rest: list[NormalizedEvent] = []
+    markers: list[NormalizedEvent] = []
+    pairs: dict[tuple[str, str], list[NormalizedEvent]] = {}
+    for ev in bucket:
+        if ev.connection_marker is _NO_MARKER:
+            pairs.setdefault((ev.src_ip, ev.dst_ip), []).append(ev)
+        else:
+            markers.append(ev)
+    for group in pairs.values():
+        if (len(group) >= portscan_threshold
+                and len({e.dst_port for e in group}) >= portscan_threshold):
+            scans.append(_merged(group, PORTSCAN_CLASS, 0))
+        elif len(group) == 1:
+            rest.append(group[0])
+        else:
+            same: dict[str, list[NormalizedEvent]] = {}
+            for ev in group:
+                same.setdefault(ev.classification, []).append(ev)
+            for merge in same.values():
+                first = merge[0]
+                rest.append(
+                    first if len(merge) == 1
+                    else _merged(merge, first.classification, first.dst_port)
+                )
+    out += scans
+    out += rest
+    out += markers
 
 
 def aggregate_single_device(
@@ -232,54 +274,33 @@ def aggregate_single_device(
     Events are bucketed into tumbling spans of ``window_ticks``. Within a
     bucket, a source hitting at least ``portscan_threshold`` distinct target
     ports collapses into one port-scan record first; remaining events that
-    agree on (classification, source ip, target ip) merge with summed counts
-    and the earliest time. Connection markers pass through untouched.
+    agree on (classification, source ip, target ip) merge with summed counts,
+    the highest severity and the earliest time. Connection markers pass
+    through untouched, and so does any event nothing merges with. The
+    records come out in time order.
     """
     if window_ticks < 1:
         raise ValueError("window_ticks must be >= 1")
-    buckets: dict[int, list[NormalizedEvent]] = {}
-    for ev in sorted(window, key=_BY_TIME):
-        buckets.setdefault(ev.create_time // window_ticks, []).append(ev)
-
+    if len(window) == 1:
+        ev = window[0]
+        if portscan_threshold > 1 or ev.connection_marker is not _NO_MARKER:
+            return [ev]
+    events = sorted(window, key=_BY_TIME)
     out: list[NormalizedEvent] = []
-    for key in sorted(buckets):
-        bucket = buckets[key]
-        markers = [e for e in bucket if e.connection_marker is not ConnectionMarker.NONE]
-        plain = [e for e in bucket if e.connection_marker is ConnectionMarker.NONE]
-
-        scan_groups: dict[tuple[str, str], list[NormalizedEvent]] = {}
-        for ev in plain:
-            scan_groups.setdefault((ev.src_ip, ev.dst_ip), []).append(ev)
-        rest: list[NormalizedEvent] = []
-        for group in scan_groups.values():
-            ports = {e.dst_port for e in group}
-            if len(ports) >= portscan_threshold:
-                out.append(
-                    _merged(
-                        group[0], PORTSCAN_CLASS, 0,
-                        max(e.severity for e in group), sum(e.count for e in group),
-                    )
-                )
-            else:
-                rest.extend(group)
-
-        same: dict[tuple[str, str, str], NormalizedEvent] = {}
-        order: list[tuple[str, str, str]] = []
-        for ev in rest:
-            sig = (ev.classification, ev.src_ip, ev.dst_ip)
-            prev = same.get(sig)
-            if prev is None:
-                same[sig] = ev
-                order.append(sig)
-            else:
-                same[sig] = _merged(
-                    prev, prev.classification, prev.dst_port,
-                    max(prev.severity, ev.severity), prev.count + ev.count,
-                )
-        out.extend(same[sig] for sig in order)
-        out.extend(markers)
-
-    out.sort(key=_BY_TIME)
+    if not events:
+        return out
+    if events[0].create_time // window_ticks == events[-1].create_time // window_ticks:
+        _aggregate_bucket(events, portscan_threshold, out)
+    else:
+        buckets: dict[int, list[NormalizedEvent]] = {}
+        for ev in events:
+            buckets.setdefault(ev.create_time // window_ticks, []).append(ev)
+        # in time order, as the events came
+        for bucket in buckets.values():
+            _aggregate_bucket(bucket, portscan_threshold, out)
+    if len(out) > 1:
+        # records of one time come from one bucket, in its order
+        out.sort(key=_BY_TIME)
     return out
 
 

@@ -8,10 +8,11 @@ coordination overtakes bulk telemetry.
 
 Frames stay Python objects end to end: ``SimNetwork`` moves them hop by hop
 and nothing encodes them to bytes. A frame's payload is the object its
-receiver reads: the ``NormalizedEvent`` of a ``DEVICE_EVENT``, the
-``SessionRecord`` of a ``SESSION_ALERT``, an ``Order`` for a ``COMMAND``, one
-of the coordination messages below for a ``RESPONSE_COORD``, and text for
-the other types. A frame's priority follows from its message type alone.
+receiver reads: for a ``DEVICE_EVENT``, the tuple of ``NormalizedEvent``s
+one flush of a device aggregated, in time order; the ``SessionRecord`` of a
+``SESSION_ALERT``; an ``Order`` for a ``COMMAND``; one of the coordination
+messages below for a ``RESPONSE_COORD``; and text for the other types. A
+frame's priority follows from its message type alone.
 
 A route follows the destination's address alone (``next_hop``), so
 ``SimNetwork.send`` refuses a destination that is not a declared node:
@@ -90,8 +91,8 @@ class Advance:
     case_id: str
 
 
-Payload = (str | NormalizedEvent | SessionRecord | Order | Escalate | Advisory | Confirm
-           | Enlisted | Advance)
+Payload = (str | tuple[NormalizedEvent, ...] | SessionRecord | Order | Escalate | Advisory
+           | Confirm | Enlisted | Advance)
 
 
 class MsgType(Enum):
@@ -212,7 +213,9 @@ class SimNetwork:
     source, seeded with ``seed``, and drops it when the draw is below the
     rate. The first window that drops the frame ends the tries. A hop no
     window covers draws nothing, so the draws follow from the seed and the
-    frames on covered hops alone.
+    frames on covered hops alone. The draw is per frame, whatever it
+    carries: a device's flush is one ``DEVICE_EVENT`` frame, so a window
+    keeps or drops all its events with one draw.
 
     Each dropped frame is a dead letter: one line in ``dead_letters``,
     ``DEADLETTER <tick> <at>-><hop> <TYPE> <src> <dst>``, where the tick is

@@ -6,9 +6,14 @@ rates device events against the asset database and correlates the kept ones
 into session alerts, splices child topology reports into its own view, and
 executes or forwards commands. A device agent mirrors the managed-device
 side: it emits heartbeats and scripted events and answers policy and
-vulnerability commands. A scripted event waits in the agent's buffer as the
-scenario's ``Emit`` directive until its window flushes; then it is
-filtered, normalized with the agent's address and kind, and aggregated.
+vulnerability commands. A harness files a device's scripted events on its
+agent before the run: the agent's ``buffer`` is its script of the
+scenario's ``Emit`` directives not yet flushed, in tick order. An emit
+waits there until the first window boundary after its tick at which the
+device is not silenced; that flush filters the emits whose tick is before
+it, normalizes them with the agent's address and kind, aggregates them and
+sends them to the parent as one ``DEVICE_EVENT`` frame, whose payload is
+the tuple of the aggregated events.
 
 Neither kind of node needs its clock run on every tick. ``next_wake`` names
 the first tick at which a node's clock (``SmnNode.on_tick``,
@@ -41,7 +46,8 @@ a management node builds and logs no topology report, and a device defers
 its flush until the silence ends.
 
 A device event takes its sender's record through T7 into HANDLING_ALERT and
-T8 back out, with the event's rating and correlation in between. Nothing in
+T8 back out, with the event's rating and correlation in between; a frame's
+events take their pairs one after the other, in order. Nothing in
 between reads the record, the view or the root's change sets, so from a
 waiting state the pair is closed: the node logs both ``STATE`` lines and
 leaves the record in the status T8 would, the waiting state it started
@@ -75,6 +81,7 @@ which the scenario harness collects into golden-comparable reports.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING
@@ -133,6 +140,8 @@ _T = TransferCondition
 
 #: A wake tick past the end of any run.
 NEVER = sys.maxsize
+
+_TICK = attrgetter("tick")
 
 
 @dataclass(frozen=True)
@@ -199,6 +208,8 @@ _NORMAL_PKG_CONDS = (_T.T3, _T.T6)
 _ABNORMAL_PKG_CONDS = (_T.T3, _T.T5)
 
 
+#: bound once, as the message types are
+_NO_MARKER = ConnectionMarker.NONE
 _ALERT = DeviceState.HANDLING_ALERT.value
 #: the status T8 leaves a record in, by the waiting state T7 took it from
 _AFTER_ALERT = {state: DeviceStatus(state, state) for state in WAITING_STATES}
@@ -425,30 +436,38 @@ class SmnNode(_Node):
         return True
 
     def _on_device_event(self, child: ChildRecord, frame: Frame, now: int) -> list[Frame]:
-        # From a waiting state T7 and T8 are a closed pair (see the module
-        # docstring): log both and leave the status T8 would.
+        # The frame carries one flush's events, in order. From a waiting state
+        # T7 and T8 are a closed pair around each (see the module docstring):
+        # log both and leave the status T8 would.
+        events: tuple[NormalizedEvent, ...] = frame.payload
         state = child.status.state
         paired = _T.T7._value_ in ARROWS_FROM[state._value_]
         if paired:
-            self._log(now, "STATE", f"{child.address} T7 {state.value}->{_ALERT}")
-        out: list[Frame] = []
-        ev: NormalizedEvent = frame.payload
-        if ev.connection_marker is ConnectionMarker.NONE:
-            self.events_received += 1
-        kept = validate([ev], self.assets, self.settings.validation_threshold)
-        if not kept:
-            self.events_dropped += 1
-            self._log(now, "DROP", ev.event_id)
-        else:
-            for action in self.engine.on_event(kept[0][0], now):
-                record = self.last_record = action.record
-                if action.kind == "ending":
-                    self.session_lines.append(format_session_line(record))
-                    self._log(now, "ALERT", record.session_id)
-                    if self.parent is not None:
-                        out.append(Frame(_SESSION_ALERT, self.address, self.parent, record))
+            t7 = f"{child.address} T7 {state.value}->{_ALERT}"
+            t8 = f"{child.address} T8 {_ALERT}->{state.value}"
+        log, out = self._log, []
+        kept = iter(validate(events, self.assets, self.settings.validation_threshold))
+        take = next(kept, None)
+        for ev in events:
+            if paired:
+                log(now, "STATE", t7)
+            if ev.connection_marker is _NO_MARKER:
+                self.events_received += 1
+            if take is None or take[0] is not ev:
+                self.events_dropped += 1
+                log(now, "DROP", ev.event_id)
+            else:
+                take = next(kept, None)
+                for action in self.engine.on_event(ev, now):
+                    record = self.last_record = action.record
+                    if action.kind == "ending":
+                        self.session_lines.append(format_session_line(record))
+                        log(now, "ALERT", record.session_id)
+                        if self.parent is not None:
+                            out.append(Frame(_SESSION_ALERT, self.address, self.parent, record))
+            if paired:
+                log(now, "STATE", t8)
         if paired:
-            self._log(now, "STATE", f"{child.address} T8 {_ALERT}->{state.value}")
             child.status = _AFTER_ALERT[state]
         return out
 
@@ -645,7 +664,10 @@ class DeviceAgent(_Node):
         self.mapping = mapping or ClassificationMap()
         #: events this device has normalized; the last one's id ends in it
         self.event_seq = 0
-        #: emitted events waiting for their window to flush, in emit order
+        #: what each event id starts with, before the sequence number
+        self._id_prefix = f"{address}-"
+        #: the emits not yet flushed, in tick order: the device's script,
+        #: which a harness files before the run
         self.buffer: list[Emit] = []
         #: the end of the latest abnormal window, as ``silent_until``
         self.abnormal_until = 0
@@ -653,16 +675,6 @@ class DeviceAgent(_Node):
 
     def mark_abnormal(self, until: int) -> None:
         self.abnormal_until = max(self.abnormal_until, until)
-
-    def inject(self, emit: Emit) -> int:
-        """Buffer ``emit`` until its window flushes. Returns the tick of that
-        flush when ``emit`` is the first to wait, else ``NEVER``: a buffer
-        that already waits has set the agent's wake (``next_wake``)."""
-        self.buffer.append(emit)
-        if len(self.buffer) > 1:
-            return NEVER
-        window = self.settings.window_ticks
-        return emit.tick - emit.tick % window + window
 
     def on_frame(self, frame: Frame, now: int) -> list[Frame]:
         if frame.msg_type is not _COMMAND:
@@ -679,13 +691,15 @@ class DeviceAgent(_Node):
 
     def next_wake(self, now: int) -> int:
         """The first tick after ``now`` at which ``step`` can act, given no new
-        frame or event: the next heartbeat, the next window flush while events
-        wait, or the earliest pending ack."""
+        frame: the next heartbeat, the flush of the first emit in the buffer
+        (the first window boundary after its tick, or after ``now`` when a
+        silence deferred it), or the earliest pending ack."""
         net, pkg = self.hb.network_test_interval, self.hb.state_pkg_interval
         wake = min(now - now % net + net, now - now % pkg + pkg)
         if self.buffer:
             window = self.settings.window_ticks
-            wake = min(wake, now - now % window + window)
+            u = max(self.buffer[0].tick, now)
+            wake = min(wake, u - u % window + window)
         for due, *_ in self.pending_acks:
             wake = min(wake, due)
         return wake
@@ -711,18 +725,23 @@ class DeviceAgent(_Node):
         if net_due or pkg_due:
             abnormal = pkg_due and now < self.abnormal_until
             self._heartbeats(out, now, net_due, pkg_due, "abnormal" if abnormal else "normal")
-        if now % self.settings.window_ticks == 0 and self.buffer:
-            ready = [e for e in self.buffer if e.tick < now]
-            if ready:
-                self.buffer = [e for e in self.buffer if e.tick >= now]
-                out.extend(self._flush(ready))
+        buffer = self.buffer
+        if buffer and buffer[0].tick < now and now % self.settings.window_ticks == 0:
+            # the emits before this tick, a prefix of the tick-ordered buffer
+            cut = bisect_left(buffer, now, key=_TICK)
+            self.buffer = buffer[cut:]
+            out.extend(self._flush(buffer[:cut]))
         return out
 
     def _flush(self, ready: list[Emit]) -> list[Frame]:
-        address, kind, mapping, seq = self.address, self.kind, self.mapping, self.event_seq
-        kept = [e for e in ready if filter_event(e, kind, self.filter_rules)]
-        kept.sort(key=attrgetter("tick"))
-        prefix = f"{address}-"
+        """The one ``DEVICE_EVENT`` frame of the emits ``ready``, in tick
+        order: those the filter keeps, normalized and aggregated; no frame
+        when the filter keeps none."""
+        address, kind, rules = self.address, self.kind, self.filter_rules
+        kept = [e for e in ready if filter_event(e, kind, rules)] if rules else ready
+        if not kept:
+            return []
+        mapping, prefix, seq = self.mapping, self._id_prefix, self.event_seq
         normalized = [
             normalize(e, address, kind, mapping, prefix, seq + n) for n, e in enumerate(kept, 1)
         ]
@@ -730,4 +749,4 @@ class DeviceAgent(_Node):
         aggregated = aggregate_single_device(
             normalized, self.settings.window_ticks, self.settings.portscan_threshold
         )
-        return [Frame(_DEVICE_EVENT, self.address, self.parent, ev) for ev in aggregated]
+        return [Frame(_DEVICE_EVENT, address, self.parent, tuple(aggregated))]

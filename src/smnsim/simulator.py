@@ -45,6 +45,16 @@ record of the child, or when a loss window covers its hop (it keeps its
 draw from the network's random source); and a sender offers no heartbeat
 after one of its tick went as a frame (see ``node_runtime``).
 
+A scenario's emits are no tick's directives: set-up files each one on its
+device's agent, whose ``buffer`` is then the device's script of emits not
+yet flushed, in tick order (see ``node_runtime``), and the agent's
+``next_wake`` names the flush of the first. A hand-built script whose emits
+are out of tick order runs as its stably time-ordered form, as the parser
+would have required it. A flush travels as one ``DEVICE_EVENT`` frame
+carrying its events, so a loss window with a rate below 1 on the device's
+hop draws once per flush and keeps or drops all its events together, with
+one dead letter for a dropped flush.
+
 A scenario window is applied at its start tick, before any node runs, so
 a window held has begun: a node keeps only the end of its latest silence or
 abnormal window, and the network holds each loss window, which covers its
@@ -59,6 +69,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .addressing import AddressError, NodeAddress
 from .config import (
@@ -197,9 +208,8 @@ class Simulation:
         self.mirror = build_tree(self.root.virtual_view.serialize(), self.shape)
         self.handles: dict[str, tuple[NodeAddress, str]] = {}
         self.collected: list[str] = []
+        #: the directives other than emits, by tick
         self._by_tick: dict[int, list[Directive]] = {}
-        #: per device text an emit names, the agent and its slot
-        self._emit_targets: dict[str, tuple[DeviceAgent, int]] = {}
         self._validate_directives()
 
     # -- setup helpers -----------------------------------------------------
@@ -207,27 +217,36 @@ class Simulation:
     def _validate_directives(self) -> None:
         """Check what each directive names against the topology, and each
         emit's ports and severity, so a bad address or value is a ConfigError
-        here, never a failure mid-run, and file the directives by tick, and
-        the agent and slot of each emit's device. A loss window lies on a tree
-        link, every node a respond action names is a management node, and an
-        action other than launch must name a handle that an earlier launch
-        binds."""
+        here, never a failure mid-run. File each emit on its device's agent,
+        appending it to the agent's ``buffer``, and the other directives by
+        tick; each buffer ends in stable tick order, sorted only when the
+        script is out of it. A loss window lies on a tree link, every node a
+        respond action names is a management node, and an action other than
+        launch must name a handle that an earlier launch binds."""
         launched: set[str] = set()
+        #: per device text an emit names, its agent's buffer
+        buffers: dict[str, list[Emit]] = {}
+        last, ordered = 0, True
         for d in self.scenario.directives:
-            self._by_tick.setdefault(d.tick, []).append(d)
-            line_no = d.line_no
+            line_no, tick = d.line_no, d.tick
+            if tick < last:
+                ordered = False
+            last = tick
             if isinstance(d, Emit):
                 # the parser bounds what it reads; this bounds a hand-built one
                 if not (0 <= d.src_port <= 65535 and 0 <= d.dst_port <= 65535
                         and 1 <= d.severity <= 5):
                     raise ConfigError(f"emit port or sev out of range in {d}", line_no)
-                if d.device in self._emit_targets:
-                    continue
-                addr = self._addr(d.device, line_no)
-                if addr not in self.agents:
-                    raise ConfigError(f"emit target {addr} is not a device", line_no)
-                self._emit_targets[d.device] = (self.agents[addr], self.network.slots[addr])
-            elif isinstance(d, Window):
+                buffer = buffers.get(d.device)
+                if buffer is None:
+                    addr = self._addr(d.device, line_no)
+                    if addr not in self.agents:
+                        raise ConfigError(f"emit target {addr} is not a device", line_no)
+                    buffer = buffers[d.device] = self.agents[addr].buffer
+                buffer.append(d)
+                continue
+            self._by_tick.setdefault(tick, []).append(d)
+            if isinstance(d, Window):
                 addr = self._addr(d.node, line_no)
                 if d.abnormal and addr not in self.agents:
                     raise ConfigError(f"abnormal target {addr} is not a device", line_no)
@@ -256,6 +275,9 @@ class Simulation:
                     launched.add(d.handle)
                 elif d.handle not in launched:
                     raise ConfigError(f"no earlier respond launch binds {d.handle!r}", line_no)
+        if not ordered:
+            for buffer in buffers.values():
+                buffer.sort(key=attrgetter("tick"))
 
     def _addr(self, text: str, line_no: int) -> NodeAddress:
         """The declared node ``text`` names."""
@@ -276,9 +298,7 @@ class Simulation:
     def _apply_directives(self, tick: int, outbound: list[Frame]) -> None:
         logged, windows = False, self.network.loss_windows
         for d in self._by_tick.get(tick, ()):
-            if isinstance(d, Emit):
-                self._do_emit(d)
-            elif isinstance(d, Window):
+            if isinstance(d, Window):
                 node = self._node(d.node)
                 if d.abnormal:
                     self.agents[node].mark_abnormal(d.until)
@@ -302,13 +322,6 @@ class Simulation:
             for slot in self._smn_slots:
                 if self._nodes[slot].lines:
                     self._schedule(slot, tick)
-
-    def _do_emit(self, d: Emit) -> None:
-        # the flush is filed unless the agent wakes earlier (maybe this tick)
-        agent, slot = self._emit_targets[d.device]
-        flush = agent.inject(d)
-        if flush < self._wake[slot]:
-            self._schedule(slot, flush)
 
     def _do_respond(self, d: Respond, tick: int, outbound: list[Frame]) -> None:
         try:

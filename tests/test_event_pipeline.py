@@ -1,5 +1,7 @@
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smnsim.addressing import NodeAddress, TreeShape
@@ -128,10 +130,9 @@ def test_normalizer_sequences_per_device():
     fw_agent = DeviceAgent(FW, DeviceKind.FIREWALL)
 
     def flush(agent, now, *targets):
-        for dst in targets:
-            agent.inject(raw(t=now - 1, dst=dst))
-        frames = [f for f in agent.step(now) if f.msg_type is MsgType.DEVICE_EVENT]
-        return [f.payload.event_id for f in frames]
+        agent.buffer += [raw(t=now - 1, dst=dst) for dst in targets]
+        (frame,) = [f for f in agent.step(now) if f.msg_type is MsgType.DEVICE_EVENT]
+        return [e.event_id for e in frame.payload]
 
     # one window flushes every ten ticks; each device numbers its own events
     assert flush(ids_agent, 10, "10.0.0.2", "10.0.0.3") == ["1.1.2-1", "1.1.2-2"]
@@ -287,6 +288,84 @@ def test_aggregate_conserves_counts(times):
     out = aggregate_single_device(events, window_ticks=10)
     assert sum(e.count for e in out) == len(events)
     assert [e.create_time for e in out] == sorted(e.create_time for e in out)
+
+
+def _aggregate_step_by_step(window, window_ticks, portscan_threshold):
+    """The aggregation as one merge step per event: sorted and bucketed
+    always, port scans found in every bucket, and a repeat folded into the
+    record before it."""
+    buckets = {}
+    for e in sorted(window, key=lambda e: e.create_time):
+        buckets.setdefault(e.create_time // window_ticks, []).append(e)
+    out = []
+    for key in sorted(buckets):
+        plain = [e for e in buckets[key] if e.connection_marker is ConnectionMarker.NONE]
+        groups = {}
+        for e in plain:
+            groups.setdefault((e.src_ip, e.dst_ip), []).append(e)
+        rest = []
+        for group in groups.values():
+            if len({e.dst_port for e in group}) >= portscan_threshold:
+                out.append(replace(
+                    group[0], classification="recon.portscan", dst_port=0,
+                    severity=max(e.severity for e in group), count=sum(e.count for e in group),
+                ))
+            else:
+                rest.extend(group)
+        same = {}
+        for e in rest:
+            sig = (e.classification, e.src_ip, e.dst_ip)
+            prev = same.get(sig)
+            same[sig] = e if prev is None else replace(
+                prev, severity=max(prev.severity, e.severity), count=prev.count + e.count
+            )
+        out.extend(same.values())
+        out.extend(e for e in buckets[key] if e.connection_marker is not ConnectionMarker.NONE)
+    out.sort(key=lambda e: e.create_time)
+    return out
+
+
+_MARKERS = (ConnectionMarker.NONE, ConnectionMarker.CONNECT, ConnectionMarker.DISCONNECT)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 40), st.sampled_from(("a.x", "a.y", "b.z")),
+            st.sampled_from(("10.0.0.1", "10.0.0.2")), st.sampled_from(("10.0.1.1", "10.0.1.2")),
+            st.integers(0, 6), st.integers(1, 5), st.integers(1, 3), st.sampled_from(_MARKERS),
+        ),
+        max_size=25,
+    ),
+    st.integers(1, 15),
+    st.sampled_from((0, 1, 2, 3, 4, 10)),
+)
+# a port scan and an unmerged event of one time: the scan comes first
+@example([(5, "a.x", "10.0.0.1", "10.0.1.1", 1, 1, 1, ConnectionMarker.NONE)]
+         + [(5, "a.x", "10.0.0.2", "10.0.1.2", p, 1, 1, ConnectionMarker.NONE) for p in (1, 2)],
+         10, 2)
+@settings(max_examples=300)
+def test_aggregate_equals_the_step_by_step_merge(rows, window_ticks, threshold):
+    """One record per merge group, the bucketing and sorting skipped where
+    they cannot matter, a one-event window passed on: the same records in
+    the same order as merging step by step."""
+    events = [
+        ev(eid=f"e{i}", cls=cls, t=t, src=src, dst=dst, dport=dport, sev=sev, count=count,
+           conn=conn, kind=DeviceKind.FIREWALL if conn is not ConnectionMarker.NONE else
+           DeviceKind.IDS)
+        for i, (t, cls, src, dst, dport, sev, count, conn) in enumerate(rows)
+    ]
+    want = _aggregate_step_by_step(events, window_ticks, threshold)
+    assert aggregate_single_device(events, window_ticks, threshold) == want
+
+
+def test_a_lone_event_passes_through_unless_it_is_a_scan_of_one():
+    plain, connect = ev(), ev(conn=ConnectionMarker.CONNECT, kind=DeviceKind.FIREWALL, addr=FW)
+    for threshold in (0, 1, 2, 10):
+        assert aggregate_single_device([connect], 10, threshold)[0] is connect
+    assert aggregate_single_device([plain], 10, 2)[0] is plain
+    (scan,) = aggregate_single_device([plain], 10, 1)
+    assert (scan.classification, scan.dst_port) == ("recon.portscan", 0)
 
 
 # -- rating and validation -------------------------------------------------------

@@ -262,9 +262,9 @@ def test_heard_declines_a_stranger():
 
 
 def _child_event(node, eid, **kwargs):
-    """A device event frame from ``node``'s child 1.1.0."""
+    """A one-event device event frame from ``node``'s child 1.1.0."""
     ev = event(eid=eid, analyzer="1.1.0", **kwargs)
-    return Frame(MsgType.DEVICE_EVENT, A("1.1.0"), node.address, ev)
+    return Frame(MsgType.DEVICE_EVENT, A("1.1.0"), node.address, (ev,))
 
 
 @pytest.mark.parametrize(
@@ -313,12 +313,12 @@ def _session_frames(node):
     fw, ids = A("1.1.1"), A("1.1.2")
     return [
         (Frame(MsgType.DEVICE_EVENT, fw, node.address,
-               event(cls="fw.connect", t=20, conn=ConnectionMarker.CONNECT)), 21),
+               (event(cls="fw.connect", t=20, conn=ConnectionMarker.CONNECT),)), 21),
         (Frame(MsgType.DEVICE_EVENT, ids, node.address,
-               event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30)), 31),
+               (event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30),)), 31),
         (Frame(MsgType.DEVICE_EVENT, fw, node.address,
-               event(eid="1.1.1-2", cls="fw.disconnect", t=40,
-                     conn=ConnectionMarker.DISCONNECT)), 41),
+               (event(eid="1.1.1-2", cls="fw.disconnect", t=40,
+                      conn=ConnectionMarker.DISCONNECT),)), 41),
     ]
 
 
@@ -393,7 +393,7 @@ def test_child_passes_through_handling_alert_state():
     node.on_frame(Frame(MsgType.DEVICE_STATE_PKG, src, node.address, "normal"), 9)
     node.on_frame(
         Frame(MsgType.DEVICE_EVENT, src, node.address,
-                event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30)),
+              (event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS, t=30),)),
         31,
     )
     joined = " ".join(node.lines)
@@ -407,8 +407,8 @@ def test_low_scoring_event_dropped_and_accounted():
     src = A("1.1.2")
     node.on_frame(
         Frame(MsgType.DEVICE_EVENT, src, node.address,
-                event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS,
-                      t=30, dst="10.9.9.9", sev=1)),
+              (event(eid="1.1.2-1", analyzer="1.1.2", kind=DeviceKind.IDS,
+                     t=30, dst="10.9.9.9", sev=1),)),
         31,
     )
     assert node.events_received == 1
@@ -426,12 +426,40 @@ def test_event_accounting_adds_up():
         event(eid="1.1.2-3", analyzer="1.1.2", kind=DeviceKind.IDS, t=32),
     ]
     for i, ev in enumerate(events):
-        node.on_frame(Frame(MsgType.DEVICE_EVENT, src, node.address, ev), 33 + i)
+        node.on_frame(Frame(MsgType.DEVICE_EVENT, src, node.address, (ev,)), 33 + i)
     assert node.events_received == 3
     accounted = (
         node.events_dropped + node.engine.joined_events + node.engine.independent_events
     )
     assert accounted == 3
+
+
+def test_a_flush_of_three_events_is_one_frame_taken_event_by_event():
+    """A device flushes its window as one frame, and its parent takes the
+    events in order, each between its own T7 and T8 lines, with its DROP or
+    ALERT line between them, as one frame per event would have it."""
+    agent = make_agent(kind=DeviceKind.IDS, addr="1.1.2")
+    agent.buffer += [
+        raw(agent, "sig.1", t=31, sev=3),
+        raw(agent, "sig.2", t=32, sev=1, dst="10.9.9.9"),  # scores below the threshold
+        raw(agent, "sig.3", t=33, sev=5, dst="10.0.1.6"),
+    ]
+    node = make_smn(children=[("1.1.2", DeviceKind.IDS)])
+    _bring_online(node, "1.1.2")
+    node.drain_lines()
+    (frame,) = [f for f in agent.step(40) if f.msg_type is MsgType.DEVICE_EVENT]
+    assert [e.event_id for e in frame.payload] == ["1.1.2-1", "1.1.2-2", "1.1.2-3"]
+    before = node.children[A("1.1.2")].status
+    alerts = node.on_frame(frame, 41)
+    assert [line.split(" ", 3)[3] for line in node.drain_lines()] == [
+        "STATE 1.1.2 T7 S211->S22", "ALERT 1.1.0#1", "STATE 1.1.2 T8 S22->S211",
+        "STATE 1.1.2 T7 S211->S22", "DROP 1.1.2-2", "STATE 1.1.2 T8 S22->S211",
+        "STATE 1.1.2 T7 S211->S22", "ALERT 1.1.0#2", "STATE 1.1.2 T8 S22->S211",
+    ]
+    assert [a.payload.event_ids for a in alerts] == [("1.1.2-1",), ("1.1.2-3",)]
+    assert node.children[A("1.1.2")].status == before
+    assert (node.events_received, node.events_dropped) == (3, 1)
+    assert node.engine.joined_events + node.engine.independent_events == 2
 
 
 # -- topology reports -------------------------------------------------------------
@@ -772,12 +800,11 @@ def raw(agent, native, t, dport=80, sev=2, src="10.0.0.9", dst="10.0.1.5"):
 
 def test_agent_aggregates_portscan_burst():
     agent = make_agent()
-    for i in range(12):
-        agent.inject(raw(agent, "fw.deny", t=22, dport=i + 1))
-    frames = [f for f in agent.step(30) if f.msg_type is MsgType.DEVICE_EVENT]
-    assert len(frames) == 1
-    assert frames[0].payload.classification == "recon.portscan"
-    assert frames[0].payload.count == 12
+    agent.buffer += [raw(agent, "fw.deny", t=22, dport=i + 1) for i in range(12)]
+    (frame,) = [f for f in agent.step(30) if f.msg_type is MsgType.DEVICE_EVENT]
+    (scan,) = frame.payload
+    assert scan.classification == "recon.portscan"
+    assert scan.count == 12
 
 
 def test_agent_idle_tick_heartbeats_only():
@@ -793,30 +820,49 @@ def test_agent_idle_tick_heartbeats_only():
 
 def test_agent_window_holds_current_tick_events():
     agent = make_agent()
-    agent.inject(raw(agent, "fw.connect", t=30))
+    agent.buffer.append(raw(agent, "fw.connect", t=30))
     frames = [f for f in agent.step(30) if f.msg_type is MsgType.DEVICE_EVENT]
     assert frames == []  # flushes with the next window
-    frames = [f for f in agent.step(40) if f.msg_type is MsgType.DEVICE_EVENT]
-    assert len(frames) == 1
-    assert frames[0].payload.connection_marker is ConnectionMarker.CONNECT
+    (frame,) = [f for f in agent.step(40) if f.msg_type is MsgType.DEVICE_EVENT]
+    (connect,) = frame.payload
+    assert connect.connection_marker is ConnectionMarker.CONNECT
 
 
-def test_inject_names_the_flush_only_of_the_first_emit_to_wait():
+def test_agent_next_wake_files_the_flush_of_the_first_emit_in_its_script():
+    """An agent's buffer is its script of emits not yet flushed, in tick
+    order: ``next_wake`` names the first window boundary after the first
+    emit's tick, or after ``now`` when a silence held that flush back, and
+    ``step`` flushes the emits before its tick and keeps the rest."""
     agent = make_agent()  # window 10
-    assert agent.inject(raw(agent, "fw.deny", t=30)) == 40
-    assert agent.inject(raw(agent, "fw.deny", t=31)) == NEVER
-    agent.step(40)
-    assert agent.buffer == []
-    assert agent.inject(raw(agent, "fw.deny", t=47)) == 50
+    # heartbeats far apart, so that only the flushes set the wake
+    agent.hb = HeartbeatConfig(97, 98, 200, 199)
+    agent.buffer += [raw(agent, "fw.deny", t=t, dport=t) for t in (30, 31, 40, 47, 63)]
+    assert agent.next_wake(0) == 40  # not woken before the first emit's flush
+    assert agent.next_wake(30) == 40
+    assert agent.next_wake(39) == 40
+    (frame,) = agent.step(40)
+    assert [(e.create_time, e.count) for e in frame.payload] == [(30, 2)]  # merged
+    assert [e.tick for e in agent.buffer] == [40, 47, 63]
+    assert agent.next_wake(40) == 50  # the emit at 40 waits for the window after it
+    agent.silence(55)
+    assert agent.step(50) == []  # silenced: the flush waits
+    assert [e.tick for e in agent.buffer] == [40, 47, 63]
+    assert agent.next_wake(50) == 60
+    assert agent.next_wake(52) == 60  # deferred: the next boundary after now
+    (frame,) = agent.step(60)
+    assert [(e.create_time, e.count) for e in frame.payload] == [(40, 2)]
+    assert agent.next_wake(60) == 70
+    assert agent.step(61) == [] and agent.step(70) != []
+    assert agent.buffer == [] and agent.next_wake(70) == 97
 
 
 def test_agent_silence_mutes_everything():
     agent = make_agent()
     agent.silence(60)
-    agent.inject(raw(agent, "fw.deny", t=36))
+    agent.buffer.append(raw(agent, "fw.deny", t=36))
     assert agent.step(40) == []
     frames = agent.step(70)
-    assert any(f.msg_type is MsgType.DEVICE_EVENT for f in frames)
+    assert [f.payload[0].create_time for f in frames if f.msg_type is MsgType.DEVICE_EVENT] == [36]
 
 
 def test_agent_abnormal_window_flags_state_pkg():
@@ -835,7 +881,7 @@ def test_agent_next_wake_covers_heartbeats_window_and_acks():
     assert agent.next_wake(0) == 5
     assert agent.next_wake(5) == 8
     assert agent.next_wake(17) == 20
-    agent.inject(raw(agent, "fw.deny", t=11))
+    agent.buffer.append(raw(agent, "fw.deny", t=11))
     agent.hb = HeartbeatConfig(network_test_interval=7, state_pkg_interval=9)
     assert agent.next_wake(11) == 14  # next network test
     assert agent.next_wake(18) == 20  # the window flush comes first

@@ -1,4 +1,5 @@
 import gc
+import random
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from smnsim.simulator import InvariantViolation, Simulation
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "demo"
+DEMO_TOPOLOGY = DEMO / "topology.cfg"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORT_FILES = [
     "cases.txt",
@@ -112,7 +114,7 @@ def test_a_flushed_emit_keeps_each_ip_with_its_own_port():
     sim.network.send = lambda frame: sent.append(frame) or send(frame)
     sim.run()
     assert ids.buffer == []
-    assert [f.payload for f in sent if f.msg_type is MsgType.DEVICE_EVENT] == [
+    assert [f.payload for f in sent if f.msg_type is MsgType.DEVICE_EVENT] == [(
         NormalizedEvent(
             event_id="1.1.2-1",
             analyzer_address=ids.address,
@@ -124,8 +126,8 @@ def test_a_flushed_emit_keeps_each_ip_with_its_own_port():
             dst_ip="10.0.0.8",
             dst_port=2222,
             severity=4,
-        )
-    ]
+        ),
+    )]
 
 
 def _hand_built(**fields) -> ScenarioScript:
@@ -162,6 +164,57 @@ def test_a_hand_built_emit_at_the_bounds_is_flushed():
         sim.run()
         ids = sim.agents[NodeAddress.parse("1.1.2", sim.shape)]
         assert (ids.buffer, ids.event_seq) == ([], 1)
+
+
+@pytest.mark.parametrize("name", ["attack", "gen0"])
+def test_a_hand_built_script_out_of_tick_order_runs_as_the_ordered_one(name):
+    """Set-up files each emit on its device in stable tick order, so a
+    hand-built script whose ticks are shuffled, the directives of each tick
+    kept in their order, flushes as the parsed, time-ordered one: the same
+    reports. The last directive stays last, as the run's length is read
+    from it."""
+    topology, script, golden = GOLDEN_RUNS[name]
+    ordered = parse_scenario(script.read_text())
+    *head, last = ordered.directives
+    by_tick = {}
+    for d in head:
+        by_tick.setdefault(d.tick, []).append(d)
+    ticks = list(by_tick)
+    random.Random(name).shuffle(ticks)
+    head = [d for tick in ticks for d in by_tick[tick]]
+    assert [d.tick for d in head] != sorted(d.tick for d in head)
+    shuffled = ScenarioScript(ordered.seed, ordered.drain, head + [last])
+    files = Simulation(load_topology(str(topology)), shuffled).run().files()
+    for report in REPORT_FILES:
+        assert files[report].encode() == (golden / report).read_bytes(), report
+
+
+def test_a_loss_window_draws_once_per_flush_and_drops_it_whole():
+    """A flush is one frame, so a rate-0.5 window on the device's hop draws
+    once for its three events: a draw below the rate drops all three with
+    one dead letter, any other lets all three reach the parent."""
+    text = DEMO_TOPOLOGY.read_text().replace("window_ticks = 10", "window_ticks = 7")
+    topology = parse_topology(text, base_dir=str(DEMO))
+    # flushed at 21, a tick on which 1.1.1 sends no heartbeat
+    scenario = (
+        "at 15 emit 1.1.1 class=fw.deny src=10.0.0.9:1 dst=10.0.1.5:80 sev=5\n"
+        "at 16 emit 1.1.1 class=fw.deny src=10.0.0.9:1 dst=10.0.1.6:80 sev=5\n"
+        "at 17 emit 1.1.1 class=fw.deny src=10.0.0.9:1 dst=10.0.1.7:80 sev=5\n"
+        "at 21 inject-loss 1.1.1->1.1.0 until 22 rate=0.5\n"
+    )
+    for seed, lost in ((1, True), (0, False)):  # first draws 0.134 and 0.844
+        sim = Simulation(topology, parse_scenario(f"seed = {seed}\ndrain = 10\n" + scenario))
+        rng, draws = sim.network._rng, []
+        draw = rng.random
+        rng.random = lambda: draws.append(sim.network.now) or draw()
+        files = sim.run().files()
+        assert draws == [21]
+        assert files["deadletters.txt"] == (
+            "DEADLETTER 21 1.1.1->1.1.0 DEVICE_EVENT 1.1.1 1.1.0\n" if lost else ""
+        )
+        taken = [line for line in files["nodes.txt"].splitlines()
+                 if line.startswith("NODE 1.1.0 22 STATE 1.1.1 T7 ")]
+        assert len(taken) == (0 if lost else 3)
 
 
 ROOT_DEVICES_TOPOLOGY = """\
