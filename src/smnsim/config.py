@@ -408,7 +408,9 @@ class ScenarioScript:
 
     @property
     def last_tick(self) -> int:
-        return self.directives[-1].tick if self.directives else 0
+        """The latest tick a directive names; a hand-built script need not
+        be in tick order."""
+        return max((d.tick for d in self.directives), default=0)
 
 
 #: The fields each respond action takes; launch and enlist require the first.

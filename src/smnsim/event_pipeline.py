@@ -18,7 +18,9 @@ fixed attribute order, e.g.::
            class="fw.connect" src="10.0.0.9" sport="4242" dst="10.0.1.5"
            dport="80" sev="1" count="1" conn="connect"/>
 
-(shown wrapped; in the file it is a single line).
+(shown wrapped; in the file it is a single line). ``parse_event_line``
+reads a line in that spelling with no entity in one match, and any other
+line, attributes in any order and spacing, through its general parser.
 
 On the device an event is the scenario's ``Emit`` directive, bounded by
 the parser (or by the simulator's set-up, for a hand-built one), which
@@ -490,7 +492,41 @@ def format_event_line(ev: NormalizedEvent) -> str:
     )
 
 
+#: A line as ``format_event_line`` writes it, its values free of ``&`` (so
+#: unescaped) and of newlines (which the general parser's ``.`` refuses), with
+#: its groups in field order: the general parser reads the same attributes.
+_VALUE = r'([^"&\n]*)'
+_CANONICAL_EVENT = re.compile(
+    f'<event id="{_VALUE}" analyzer="{_VALUE}" '
+    f'kind="({"|".join(map(re.escape, KIND_BY_NAME))})" time="([0-9]+)" '
+    f'class="{_VALUE}" src="{_VALUE}" sport="([0-9]+)" dst="{_VALUE}" dport="([0-9]+)" '
+    f'sev="([1-5])" count="([0-9]+)" conn="({"|".join(m.value for m in ConnectionMarker)})"/>'
+)
+_MARKERS = {m.value: m for m in ConnectionMarker}
+
+
 def parse_event_line(line: str, shape: TreeShape) -> NormalizedEvent:
+    """The event ``line`` holds. A line in the spelling ``format_event_line``
+    writes, with no ``&``, is read in one match; any other line, or a value
+    that match does not bound (an address, a port, a count, a marker from a
+    device other than a firewall), goes to the general parser, which alone
+    raises ``EventLineError``."""
+    m = _CANONICAL_EVENT.fullmatch(line)
+    if m is not None:
+        event_id, analyzer, kind, time, cls, src, sport, dst, dport, sev, count, conn = m.groups()
+        try:
+            return NormalizedEvent(
+                event_id, NodeAddress.parse(analyzer, shape), KIND_BY_NAME[kind], int(time),
+                cls, src, int(sport), dst, int(dport), int(sev), int(count), _MARKERS[conn],
+            )
+        except ValueError:
+            pass  # the general parser says what is wrong
+    return _parse_event_attrs(line, shape)
+
+
+def _parse_event_attrs(line: str, shape: TreeShape) -> NormalizedEvent:
+    """The general parser: the attributes in any order and spacing, entities
+    unescaped, a repeated one read at its last."""
     m = _EVENT_LINE_RE.match(line.strip())
     if m is None:
         raise EventLineError(f"not an event line: {line!r}")

@@ -261,7 +261,14 @@ class SimNetwork:
         return False
 
     def step(self) -> None:
-        moving, self.transit = self.transit, []
+        """Move every frame in transit one hop: into its destination's
+        mailbox, on toward it, or into ``dead_letters``. With nothing in
+        transit a step only advances ``now``."""
+        moving = self.transit
+        if not moving:
+            self.now += 1
+            return
+        self.transit = []
         windows = self.loss_windows
         for at, frame in moving:
             dst = frame.dst

@@ -13,6 +13,13 @@ the collected outbound frames, replays the root's change sets onto the
 console mirror, and advances the network one hop. Identical inputs and
 seed give byte-identical reports.
 
+Each step is skipped where it has nothing to do. The directive pass runs on
+a tick with directives or while a loss window is held, which it prunes once
+ended; it comes before the wheel is read, since a directive that logs at a
+management node files the node for the same tick. A quiet tick, with no
+node due, no frame arrived and no frame outbound, only steps the network,
+which still moves the frames in transit. Every tick steps the network once.
+
 Nodes return their frames unnumbered, and ``_send``, which hands them to
 the network, numbers each one there with the sender's ``FrameBuilder``
 (one per node, kept here), so frames that never travel take no number (see
@@ -222,16 +229,18 @@ class Simulation:
         tick; each buffer ends in stable tick order, sorted only when the
         script is out of it. A loss window lies on a tree link, every node a
         respond action names is a management node, and an action other than
-        launch must name a handle that an earlier launch binds."""
+        launch must name a handle that an earlier launch binds. The run ends
+        ``drain`` ticks after the latest directive, wherever it stands."""
         launched: set[str] = set()
         #: per device text an emit names, its agent's buffer
         buffers: dict[str, list[Emit]] = {}
-        last, ordered = 0, True
+        latest, ordered = 0, True
         for d in self.scenario.directives:
             line_no, tick = d.line_no, d.tick
-            if tick < last:
+            if tick < latest:
                 ordered = False
-            last = tick
+            else:
+                latest = tick
             if isinstance(d, Emit):
                 # the parser bounds what it reads; this bounds a hand-built one
                 if not (0 <= d.src_port <= 65535 and 0 <= d.dst_port <= 65535
@@ -278,6 +287,8 @@ class Simulation:
         if not ordered:
             for buffer in buffers.values():
                 buffer.sort(key=attrgetter("tick"))
+        #: the run's last tick: the drain after the latest directive
+        self.end_tick = latest + self.scenario.drain
 
     def _addr(self, text: str, line_no: int) -> NodeAddress:
         """The declared node ``text`` names."""
@@ -388,26 +399,40 @@ class Simulation:
             send(frame)
 
     def run(self) -> RunReport:
-        end_tick = self.scenario.last_tick + self.scenario.drain
-        for tick in range(end_tick + 1):
+        network, root, wheel, nodes = self.network, self.root, self._wheel, self._nodes
+        by_tick, windows, debug = self._by_tick, network.loss_windows, self.debug
+        for tick in range(self.end_tick + 1):
             outbound: list[Frame] = []
-            self._apply_directives(tick, outbound)
-            arrived, self.network.arrived = self.network.arrived, set()
-            ran = sorted(arrived.union(self._wheel.pop(tick, ())))
+            # first, as a directive that logs at a management node files it
+            # for this tick; pruning an ended loss window needs the pass too
+            if windows or tick in by_tick:
+                self._apply_directives(tick, outbound)
+            due = wheel.pop(tick, ())
+            arrived = network.arrived
+            if not (due or arrived or outbound):
+                # a quiet tick: no node to run, so only the network moves
+                network.step()
+                continue
+            if arrived:
+                network.arrived = set()
+                due = arrived.union(due)
+            ran = sorted(due)
             for slot in ran:
                 outbound.extend(self._run_node(slot, tick, slot in arrived))
-                node = self._nodes[slot]
+                node = nodes[slot]
                 if node.lines:
                     self.collected.extend(node.drain_lines())
-            self._send(outbound)
-            changesets = self.root.drain_changesets()
-            for changes in changesets:
-                self.mirror.apply_changeset(changes)
-            if self.debug and changesets:
-                self._check_mirror()
-            self.network.step()
-            if self.debug:
-                self._check_invariants(ran, bool(changesets))
+            if outbound:
+                self._send(outbound)
+            mirrored = bool(root.changesets)
+            if mirrored:
+                for changes in root.drain_changesets():
+                    self.mirror.apply_changeset(changes)
+                if debug:
+                    self._check_mirror()
+            network.step()
+            if debug:
+                self._check_invariants(ran, mirrored)
         return self._report()
 
     def _check_mirror(self) -> None:
@@ -452,11 +477,10 @@ class Simulation:
         their ACK at the last tick and list their alerts still open after
         the ended sessions the root holds."""
         self._check_accounting()
-        end_tick = self.scenario.last_tick + self.scenario.drain
         sessions = list(self.root.session_lines)
         for slot in sorted(self._smn_slots):
             node = self._nodes[slot]
-            node.log_unacked(end_tick)
+            node.log_unacked(self.end_tick)
             self.collected.extend(node.drain_lines())
             sessions.extend(node.engine.open_session_lines())
         return RunReport(

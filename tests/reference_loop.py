@@ -50,8 +50,7 @@ class ReferenceSimulation(Simulation):
         return out
 
     def run(self) -> RunReport:
-        end_tick = self.scenario.last_tick + self.scenario.drain
-        for tick in range(end_tick + 1):
+        for tick in range(self.end_tick + 1):
             self._tick = tick
             outbound: list[Frame] = []
             self._apply_directives(tick, outbound)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from smnsim import cli
 from smnsim.addressing import MAX_DEPTH
+from test_topology_oracle import GEN
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "demo"
@@ -111,6 +112,30 @@ def test_correlate_two_connects_at_one_tick(tmp_path, capsys):
         "SESSION cli#1 10.0.0.9:4243 10.0.1.5:80 20 30 1 [1.1.2-1]\n"
         "SESSION cli#2 10.0.0.9:4242 10.0.1.5:80 20 open 1 [1.1.2-2]\n"
     )
+
+
+def _reordered(line: str) -> str:
+    """``line`` with its attributes in reverse order, one tab apart."""
+    return "<event\t" + "\t".join(reversed(re.findall(r'\w+="[^"]*"', line))) + "/>"
+
+
+def test_correlate_reads_reordered_attributes_as_the_canonical_order(tmp_path, capsys):
+    """The generated storm gives the same sessions when every other line
+    has its attributes reordered, so that it is read by the general parser."""
+    config = tmp_path / "topology.cfg"
+    config.write_text(GEN.topology(0))
+    lines = GEN.storm_events(0).splitlines()
+    sessions = []
+    for name, text in (
+        ("plain", lines),
+        ("mixed", [_reordered(t) if i % 2 else t for i, t in enumerate(lines)]),
+    ):
+        events = tmp_path / f"{name}.events"
+        events.write_text("\n".join(text) + "\n")
+        assert cli.main(["correlate", "--events", str(events), "--config", str(config)]) == 0
+        sessions.append(capsys.readouterr().out)
+    assert sessions[0] == sessions[1]
+    assert " open " in sessions[0] and sessions[0].count("\n") > sessions[0].count(" open ")
 
 
 def test_correlate_malformed_event_line(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Arbitrary text into each input parser: only the parser's own error type
 may escape, never a ValueError, KeyError, IndexError or RecursionError from
 inside it. Emit lines near the canonical spelling must read the same through
-the scenario parser's one-match path as through its general parser."""
+the scenario parser's one-match path as through its general parser, and
+event lines near theirs the same through ``parse_event_line`` as through
+its general parser."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,13 @@ from smnsim.config import (
     parse_topology,
 )
 from smnsim.device_tree import TreeError, build_tree
-from smnsim.event_pipeline import EventLineError, parse_event_line
+from smnsim.event_pipeline import (
+    _CANONICAL_EVENT,
+    EventLineError,
+    _parse_event_attrs,
+    format_event_line,
+    parse_event_line,
+)
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 GEN0_ATTACK = Path(__file__).resolve().parent / "golden" / "gen0" / "attack.scn"
@@ -189,3 +198,108 @@ def test_generated_scenario_emits_take_the_canonical_match_unchanged():
         parts = line.split()
         assert directive == _parse_directive(
             parts[2], parts[3:], int(parts[1]), directive.line_no)
+
+
+# -- canonical event lines against the general parser -------------------------
+
+#: The shape the analyzers of ``event_lines`` are declared in.
+EVENT_SHAPE = TreeShape(depth=3, max_degree=9)
+
+#: Ways a line can leave the canonical spelling, or stay in it with a value
+#: at the edge of a bound.
+EVENT_EDGES = ("port", "time", "sev", "count", "kind", "conn", "analyzer", "entity",
+               "markup", "reorder", "duplicate", "missing", "extra", "spacing", "ends")
+
+
+@st.composite
+def event_lines(draw):
+    """A canonical event line, changed at none to three of ``EVENT_EDGES``."""
+    pick = lambda *options: draw(st.sampled_from(options))  # noqa: E731
+    kind = pick("Firewall", "IDS")
+    attrs = [
+        ("id", "1.1.1-4"), ("analyzer", "1.1.1"), ("kind", kind), ("time", pick("0", "20")),
+        ("class", "fw.connect"), ("src", "10.0.0.9"), ("sport", pick("0", "4242", "65535")),
+        ("dst", "10.0.1.5"), ("dport", pick("0", "80", "65535")), ("sev", pick("1", "5")),
+        ("count", pick("1", "3")),
+        ("conn", pick("none", "connect", "disconnect") if kind == "Firewall" else "none"),
+    ]
+    seps, head, tail = [" "] * len(attrs), "<event", "/>"
+
+    def put(name: str, *values: str) -> None:
+        attrs[[a for a, _ in attrs].index(name)] = (name, pick(*values))
+
+    for edge in draw(st.lists(st.sampled_from(EVENT_EDGES), max_size=3)):
+        names = [a for a, _ in attrs]
+        if edge == "port" and "sport" in names and "dport" in names:
+            put(pick("sport", "dport"), "65536", "99999", "080", "-1", "\u0668\u0660", "")
+        elif edge == "time" and "time" in names:
+            put("time", "-1", "+3", "007", "1_0", "\u0661", "", "9" * 5000)
+        elif edge == "sev" and "sev" in names:
+            put("sev", "0", "6", "05", "\u0665", "")
+        elif edge == "count" and "count" in names:
+            put("count", "0", "01", "")
+        elif edge == "kind" and "kind" in names:
+            put("kind", "Firewall", "IDS", "SMN", "ids", "")
+        elif edge == "conn" and "conn" in names:
+            put("conn", "none", "connect", "disconnect", "NONE", "")
+        elif edge == "analyzer" and "analyzer" in names:
+            put("analyzer", "1.0.0", "1.1.0", "1.9.9", "1.1.10", "1.x.1", "1.1", "")
+        elif edge in ("entity", "markup"):
+            name = pick(*(a for a in ("id", "class", "src", "dst") if a in names) or names)
+            if edge == "entity":
+                put(name, "a&amp;b", "&lt;x&gt;", "&quot;", "&", "&amp;lt;")
+            else:
+                put(name, "a<b", "x/>y", "a=b", "b c", "\t", "a\nb", "a\rb", "\u00e9", "")
+        elif edge == "reorder":
+            attrs = draw(st.permutations(attrs))
+        elif edge == "duplicate":
+            name, value = pick(*attrs)
+            attrs.insert(draw(st.integers(0, len(attrs))), (name, value + "1"))
+            seps.append(" ")
+        elif edge == "missing" and attrs:
+            attrs.remove(pick(*attrs))
+        elif edge == "extra":
+            attrs.insert(draw(st.integers(0, len(attrs))), ("note", "x"))
+            seps.append(" ")
+        elif edge == "spacing" and seps:
+            seps[draw(st.integers(0, len(seps) - 1))] = pick("\t", "  ", "")
+        elif edge == "ends":
+            head, tail = pick((" <event", "/>"), ("<event", " />"), ("<event", "/> "),
+                              ("<event", "/>\n"), ("<event", ">"), ("<event", "/>/>"))
+    return head + "".join(sep + f'{name}="{value}"' for sep, (name, value) in zip(seps, attrs)) \
+        + tail
+
+
+def event_outcome(parse, line: str):
+    """The event ``parse`` reads from ``line``, or the text of its error."""
+    try:
+        return parse(line, EVENT_SHAPE)
+    except EventLineError as exc:
+        return str(exc)
+
+
+CANONICAL_LINE = (
+    '<event id="1.1.1-4" analyzer="1.1.1" kind="Firewall" time="20" class="fw.connect" '
+    'src="10.0.0.9" sport="4242" dst="10.0.1.5" dport="80" sev="1" count="1" conn="connect"/>'
+)
+
+
+@given(event_lines())
+@example(CANONICAL_LINE)
+@example(CANONICAL_LINE.replace('kind="Firewall"', 'kind="IDS"'))
+@example(CANONICAL_LINE.replace('dport="80"', 'dport="65536"'))
+@example(CANONICAL_LINE.replace('count="1"', 'count="0"'))
+@example(CANONICAL_LINE.replace('analyzer="1.1.1"', 'analyzer="1.1.10"'))
+@example(CANONICAL_LINE.replace('time="20"', f'time="{"9" * 5000}"'))
+@settings(max_examples=800)
+def test_canonical_event_match_agrees_with_the_general_parser(line):
+    assert event_outcome(parse_event_line, line) == event_outcome(_parse_event_attrs, line)
+
+
+@given(st.text(alphabet='a1.&"<>;/=lt', max_size=12))
+@settings(max_examples=200)
+def test_a_formatted_event_takes_the_canonical_match_unless_a_value_escapes(text):
+    ev = replace(_parse_event_attrs(CANONICAL_LINE, EVENT_SHAPE), classification=text)
+    line = format_event_line(ev)
+    assert (_CANONICAL_EVENT.fullmatch(line) is not None) == ("&" not in line)
+    assert parse_event_line(line, EVENT_SHAPE) == ev

@@ -171,22 +171,24 @@ def test_a_hand_built_script_out_of_tick_order_runs_as_the_ordered_one(name):
     """Set-up files each emit on its device in stable tick order, so a
     hand-built script whose ticks are shuffled, the directives of each tick
     kept in their order, flushes as the parsed, time-ordered one: the same
-    reports. The last directive stays last, as the run's length is read
-    from it."""
+    reports. The latest tick goes first, so the run's length must come from
+    the latest directive, not the last one."""
     topology, script, golden = GOLDEN_RUNS[name]
     ordered = parse_scenario(script.read_text())
-    *head, last = ordered.directives
     by_tick = {}
-    for d in head:
+    for d in ordered.directives:
         by_tick.setdefault(d.tick, []).append(d)
     ticks = list(by_tick)
     random.Random(name).shuffle(ticks)
-    head = [d for tick in ticks for d in by_tick[tick]]
-    assert [d.tick for d in head] != sorted(d.tick for d in head)
-    shuffled = ScenarioScript(ordered.seed, ordered.drain, head + [last])
+    ticks.remove(ordered.last_tick)
+    ticks.insert(0, ordered.last_tick)
+    directives = [d for tick in ticks for d in by_tick[tick]]
+    shuffled = ScenarioScript(ordered.seed, ordered.drain, directives)
+    assert directives[-1].tick < ordered.last_tick
     files = Simulation(load_topology(str(topology)), shuffled).run().files()
     for report in REPORT_FILES:
         assert files[report].encode() == (golden / report).read_bytes(), report
+    assert shuffled.last_tick == ordered.last_tick
 
 
 def test_a_loss_window_draws_once_per_flush_and_drops_it_whole():
@@ -538,6 +540,45 @@ def test_an_ended_loss_window_is_dropped():
     assert sim.network.loss_windows == []
     for name in REPORT_FILES:
         assert files[name].encode() == (golden / name).read_bytes(), name
+
+
+#: A command from the root to 1.1.1 at tick 12 is sent that tick, crosses
+#: 1.1.0 at tick 13, on which no node of the demo tree runs, and lands at 14.
+#: A loss window on its last hop ends at 13, so it does not drop it; a
+#: silence window ends the only other directive.
+QUIET_HOP = (
+    "drain = 40\n"
+    "at 5 inject-loss 1.1.0->1.1.1 until 13\n"
+    "at 12 command policy 1.1.1\n"
+    "at 30 silence 1.2.1 until 40\n"
+)
+
+
+def test_directives_are_applied_only_on_their_ticks_or_while_a_loss_window_holds():
+    sim = Simulation(load_topology(str(DEMO_TOPOLOGY)), parse_scenario(QUIET_HOP))
+    applied = []
+    apply = sim._apply_directives
+    sim._apply_directives = lambda tick, outbound: applied.append(tick) or apply(tick, outbound)
+    sim.run()
+    # the loss window is held from 5 and dropped at 13; a silence keeps none
+    assert applied == list(range(5, 14)) + [30]
+
+
+def test_a_command_crossing_a_hop_on_a_quiet_tick_lands_as_the_window_ends():
+    """On a tick no node runs, only the network moves: the command in
+    transit still takes its hop, after the ended window is pruned."""
+    topology = load_topology(str(DEMO_TOPOLOGY))
+    sim = Simulation(topology, parse_scenario(QUIET_HOP), debug=True)
+    ran = set()
+    run_node = sim._run_node
+    sim._run_node = lambda slot, tick, addressed: ran.add(tick) or run_node(slot, tick, addressed)
+    files = sim.run().files()
+    assert 13 not in ran and {12, 14} <= ran
+    assert files["deadletters.txt"] == ""
+    assert "NODE 1.0.0 12 COMMAND 1.0.0!1 policy 1.1.1\n" in files["nodes.txt"]
+    assert "UNACKED" not in files["nodes.txt"]
+    want = ReferenceSimulation(topology, parse_scenario(QUIET_HOP), debug=True).run()
+    assert files == want.files()
 
 
 def test_every_run_checks_the_event_accounting():
