@@ -13,11 +13,11 @@ testable byte-for-byte.
 
 Once a run starts, a management node changes its view in three ways: a
 state update, subtree splicing (assemble) and pruning (disassemble). Each
-returns the embedding text of the subtree it changed, as that subtree now
-stands (assemble and disassemble as a change set of that one text). A mirror
-copy replays every change by splicing that text with ``assemble``, the same
-algorithm a parent runs on a child's topology report, which keeps user view
-and virtual view structurally equal.
+returns one text, the change: the embedding text of the subtree it changed,
+as that subtree now stands. A mirror copy replays every change by splicing
+that text with ``assemble`` (``apply_changeset``), the same algorithm a
+parent runs on a child's topology report, which keeps user view and virtual
+view structurally equal.
 ``add_device`` only builds a view before the run and records nothing.
 
 Each record caches the embedding text of its subtree, and the invariant is
@@ -27,7 +27,7 @@ and so ``apply_changeset``) clears the text of each node on the path from
 the root to the node it changes; a spliced subtree comes in as fresh
 records, so nothing below a replaced node can go stale. Serialization thus
 rebuilds only what changed, and ``assemble`` takes a report equal to the
-cached text at its address as a no-op with an empty change set. That is
+cached text at its address as a no-op, which returns no change. That is
 exact: splicing a subtree's own text over it leaves every text, and so the
 mirror, as it was.
 
@@ -77,10 +77,6 @@ class DeviceNodeRecord:
     def segment(self) -> int:
         """This node's number under its parent."""
         return self.address.segments[self.address.level - 1]
-
-
-#: a change to a view: the embedding text of each subtree it left, in order
-ChangeSet = tuple[str, ...]
 
 
 def serialize_node(node: DeviceNodeRecord) -> str:
@@ -215,17 +211,17 @@ class AddressedDeviceTree:
         node.state = state
         return serialize_node(node)
 
-    def assemble(self, embedding: str) -> ChangeSet:
+    def assemble(self, embedding: str) -> str | None:
         """Splice a reported subtree over its stub in this tree.
 
         The subtree root's address names the assembling node, which must
         already exist; the incoming subtree takes the stub's position in its
         parent's children, so repeated report/splice cycles keep the
-        serialization stable.
+        serialization stable. Returns the spliced subtree's text.
 
         A report equal to the cached text of the subtree at its address
-        changes nothing: it is neither parsed nor spliced, and the change set
-        is empty.
+        changes nothing: it is neither parsed nor spliced, and the return is
+        None.
         """
         colon = embedding.find(":")
         if colon > 0 and embedding[0] == "[":
@@ -234,7 +230,7 @@ class AddressedDeviceTree:
             except AddressError:
                 node = None  # the parse below says what is wrong
             if node is not None and node.text == embedding:
-                return ()
+                return None
         subtree = build_tree(embedding, self.shape)
         new_root = subtree.root
         assembling = self.find(new_root.address)
@@ -246,26 +242,25 @@ class AddressedDeviceTree:
             parent = self._touch(new_root.address.parent())
             assert parent is not None
             parent.children[new_root.segment] = new_root
-        return (serialize_node(new_root),)
+        return serialize_node(new_root)
 
-    def disassemble(self, addr: NodeAddress, offline_state: DeviceState) -> ChangeSet:
+    def disassemble(self, addr: NodeAddress, offline_state: DeviceState) -> str:
         """Mark a silent node offline and drop its whole subtree, keeping the
-        node itself as a stub; the change set is the stub's text."""
+        node itself as a stub; returns the stub's text."""
         node = self._touch(addr)
         if node is None:
             raise TreeError(f"{addr} not in tree")
         node.state = offline_state
         node.children.clear()
-        return (serialize_node(node),)
+        return serialize_node(node)
 
-    def apply_changeset(self, changes: ChangeSet) -> None:
-        """Replay changes made to another copy of this tree, splicing each
+    def apply_changeset(self, text: str) -> None:
+        """Replay a change made to another copy of this tree, splicing its
         subtree text with :meth:`assemble`."""
-        for text in changes:
-            try:
-                self.assemble(text)
-            except (TreeError, AddressError) as exc:
-                raise TreeError(f"cannot apply {text}: {exc}") from exc
+        try:
+            self.assemble(text)
+        except (TreeError, AddressError) as exc:
+            raise TreeError(f"cannot apply {text}: {exc}") from exc
 
     def validate(self) -> None:
         """Check every structural invariant; raises TreeError on violation."""

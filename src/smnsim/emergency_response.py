@@ -15,11 +15,12 @@ participants must confirm receipt of the containment advisory before the
 case may move past Containment.
 
 This module holds the rules of the case itself: phase order, the
-Containment gate, that escalation needs a parent, and adding participants.
-Who may act on a case, its owner or, after escalation, the coordinator, is
-decided by the node that acts (see ``node_runtime``): the owner holds the
-case, and the coordinator alone records that it coordinates it. Each step a
-node takes on a case is recorded once, as the ``CASE`` line the node logs.
+Containment gate and adding participants. Who may act on a case, its owner
+or, after escalation, the coordinator, is decided by the node that acts
+(see ``node_runtime``): the owner holds the case and escalates it to its
+own parent, and the coordinator alone records that it coordinates it. Each
+step a node takes on a case is recorded once, as the ``CASE`` line the node
+logs.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ class ResponseCase:
 
     case_id: str
     plan: str
-    owner: NodeAddress
     phase: ResponsePhase = ResponsePhase.IDENTIFICATION
     participants: set[NodeAddress] = field(default_factory=set)
     confirmed: set[NodeAddress] = field(default_factory=set)
@@ -116,14 +116,6 @@ def advance(case: ResponseCase) -> None:
                 f"{len(waiting)} participant(s) have not confirmed the advisory"
             )
     case.phase = _PHASES[_PHASES.index(case.phase) + 1]
-
-
-def escalate(case: ResponseCase) -> NodeAddress:
-    """The node the case escalates to: its owner's parent."""
-    parent = case.owner.parent()
-    if parent is None:
-        raise ResponseError(f"{case.owner} has no parent to escalate to")
-    return parent
 
 
 def enlist(case: ResponseCase, targets: Iterable[NodeAddress]) -> list[NodeAddress]:

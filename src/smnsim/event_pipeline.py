@@ -464,8 +464,10 @@ _EVENT_ATTRS = (
     "conn",
 )
 
-#: What an attribute value escapes, ``&`` first so no escape is escaped twice.
-_ESCAPES = (("&", "&amp;"), ('"', "&quot;"), ("<", "&lt;"), (">", "&gt;"))
+#: What an attribute value escapes, ``&`` first so no escape is escaped twice;
+#: a line break as a character reference, so that an event stays one line.
+_ESCAPES = (("&", "&amp;"), ('"', "&quot;"), ("<", "&lt;"), (">", "&gt;"),
+            ("\n", "&#10;"), ("\r", "&#13;"))
 
 
 def _escape(text: str) -> str:
@@ -481,8 +483,9 @@ def _unescape(text: str) -> str:
 
 
 def format_event_line(ev: NormalizedEvent) -> str:
-    """The event as one line; the text fields escape ``&``, ``"``, ``<`` and
-    ``>`` as XML does, so any event reads back as itself."""
+    """The event as one line; the text fields escape ``&``, ``"``, ``<``,
+    ``>``, newline and carriage return as XML does, so any event reads back
+    as itself."""
     return (
         f'<event id="{_escape(ev.event_id)}" analyzer="{ev.analyzer_address}" '
         f'kind="{ev.analyzer_kind.value}" time="{ev.create_time}" '

@@ -206,16 +206,18 @@ class SimNetwork:
 
     Delivery is reliable and in order per sender stream, except on a hop
     that one of ``loss_windows`` covers, which is how heartbeat timeout
-    paths get exercised. A harness appends each window as it begins and
-    removes it once it has ended. A frame on a covered hop is tried against
-    each covering window in the order they began: a rate of 1 drops it
-    without a draw, any other rate draws once from the network's own random
-    source, seeded with ``seed``, and drops it when the draw is below the
-    rate. The first window that drops the frame ends the tries. A hop no
-    window covers draws nothing, so the draws follow from the seed and the
-    frames on covered hops alone. The draw is per frame, whatever it
-    carries: a device's flush is one ``DEVICE_EVENT`` frame, so a window
-    keeps or drops all its events with one draw.
+    paths get exercised. A harness appends each window as it begins, and
+    the network removes it at the step that advances ``now`` to its end,
+    so it covers the steps from its start up to, not including, its end.
+    A frame on a covered hop is tried against each covering window in the
+    order they began: a rate of 1 drops it without a draw, any other rate
+    draws once from the network's own random source, seeded with ``seed``,
+    and drops it when the draw is below the rate. The first window that
+    drops the frame ends the tries. A hop no window covers draws nothing, so
+    the draws follow from the seed and the frames on covered hops alone. The
+    draw is per frame, whatever it carries: a device's flush is one
+    ``DEVICE_EVENT`` frame, so a window keeps or drops all its events with
+    one draw.
 
     Each dropped frame is a dead letter: one line in ``dead_letters``,
     ``DEADLETTER <tick> <at>-><hop> <TYPE> <src> <dst>``, where the tick is
@@ -262,31 +264,33 @@ class SimNetwork:
 
     def step(self) -> None:
         """Move every frame in transit one hop: into its destination's
-        mailbox, on toward it, or into ``dead_letters``. With nothing in
-        transit a step only advances ``now``."""
+        mailbox, on toward it, or into ``dead_letters``. Then advance ``now``
+        and drop the loss windows ended by it, in place: hooks hold the list."""
         moving = self.transit
-        if not moving:
-            self.now += 1
-            return
-        self.transit = []
         windows = self.loss_windows
-        for at, frame in moving:
-            dst = frame.dst
-            # one hop up to the parent, as every heartbeat goes, or routed
-            hop = dst if dst is at.parent() else next_hop(at, dst)
-            if hop is None:
-                hop = at
-            elif windows and self._lost(at, hop):
-                self.dead_letters.append(
-                    f"DEADLETTER {self.now} {at}->{hop} {frame.msg_type.name} {frame.src} {dst}"
-                )
-                continue
-            elif hop is not dst:
-                self.transit.append((hop, frame))
-                continue
-            self.mailboxes[hop].push(frame)
-            self.arrived.add(self.slots[hop])
+        if moving:
+            self.transit = []
+            for at, frame in moving:
+                dst = frame.dst
+                # one hop up to the parent, as every heartbeat goes, or routed
+                hop = dst if dst is at.parent() else next_hop(at, dst)
+                if hop is None:
+                    hop = at
+                elif windows and self._lost(at, hop):
+                    self.dead_letters.append(
+                        f"DEADLETTER {self.now} {at}->{hop} "
+                        f"{frame.msg_type.name} {frame.src} {dst}"
+                    )
+                    continue
+                elif hop is not dst:
+                    self.transit.append((hop, frame))
+                    continue
+                self.mailboxes[hop].push(frame)
+                self.arrived.add(self.slots[hop])
         self.now += 1
+        if windows:
+            # a default: before 3.12 a comprehension makes ``self`` a cell, slowing every step
+            windows[:] = filter(lambda w, now=self.now: w[2] > now, windows)
 
     def poll(self, addr: NodeAddress) -> Frame | None:
         return self.mailboxes[addr].pop()

@@ -48,7 +48,7 @@ its flush until the silence ends.
 A device event takes its sender's record through T7 into HANDLING_ALERT and
 T8 back out, with the event's rating and correlation in between; a frame's
 events take their pairs one after the other, in order. Nothing in
-between reads the record, the view or the root's change sets, so from a
+between reads the record, the view or the root's changes, so from a
 waiting state the pair is closed: the node logs both ``STATE`` lines and
 leaves the record in the status T8 would, the waiting state it started
 from, and the view, its cached embedding text and the console mirror are
@@ -58,7 +58,7 @@ heartbeats and timeouts alone, so outside this pair a record is never in a
 busy state.
 
 A topology report equal to the subtree a management node already holds for
-that child splices nothing (see ``device_tree``) and records no change set,
+that child splices nothing (see ``device_tree``) and records no change,
 so the console mirror replays only real changes. The node still logs
 ``ASSEMBLE`` and, below the root, still reports upward.
 
@@ -98,12 +98,7 @@ from .device_model import (
     WAITING_STATES,
     step,
 )
-from .device_tree import (
-    AddressedDeviceTree,
-    ChangeSet,
-    DeviceNodeRecord,
-    TreeError,
-)
+from .device_tree import AddressedDeviceTree, DeviceNodeRecord, TreeError
 from .emergency_response import CounterplanStore, ResponseCase, ResponseError
 from .event_pipeline import (
     AssetDb,
@@ -343,9 +338,9 @@ class SmnNode(_Node):
         #: ids of the commands sent and not yet acked, in issue order
         self.pending_commands: dict[str, None] = {}
         self.command_counter = 0
-        #: the view's changes for the console mirror, which replays the
-        #: root's view alone, so only the root records them
-        self.changesets: list[ChangeSet] = []
+        #: the view's changes, each a subtree's text, for the console mirror,
+        #: which replays the root's view alone, so only the root records them
+        self.changesets: list[str] = []
         self.session_lines: list[str] = []
         self.last_record: SessionRecord | None = None
         self.events_received = 0  # non-marker events
@@ -371,16 +366,16 @@ class SmnNode(_Node):
     def _case_line(self, case_id: str, now: int, actor: object, action: str) -> None:
         self.lines.append(er.format_case_line(case_id, now, str(actor), action))
 
-    def drain_changesets(self) -> list[ChangeSet]:
+    def drain_changesets(self) -> list[str]:
         out, self.changesets = self.changesets, []
         return out
 
-    def _record(self, changes: ChangeSet) -> None:
-        if self.parent is None and changes:
-            self.changesets.append(changes)
+    def _record(self, change: str | None) -> None:
+        if self.parent is None and change is not None:
+            self.changesets.append(change)
 
     def _state_changed(self, holder) -> None:
-        self._record((self.virtual_view.set_state(holder.address, holder.status.state),))
+        self._record(self.virtual_view.set_state(holder.address, holder.status.state))
 
     def _emit_report(self, now: int) -> list[Frame]:
         """The topology report to the parent, logged; none at the root or
@@ -473,11 +468,11 @@ class SmnNode(_Node):
 
     def _on_topology_report(self, child: ChildRecord, frame: Frame, now: int) -> list[Frame]:
         try:
-            changes = self.virtual_view.assemble(frame.payload)
+            change = self.virtual_view.assemble(frame.payload)
         except (TreeError, AddressError) as exc:
             self._log(now, "BADREPORT", f"{frame.src} {exc}")
             return []
-        self._record(changes)
+        self._record(change)
         self._log(now, "ASSEMBLE", str(frame.src))
         return self._emit_report(now)
 
@@ -528,18 +523,17 @@ class SmnNode(_Node):
             raise ResponseError(f"{self.address} has no alert to respond to")
         self.case_counter += 1
         case_id = f"{self.address}#c{self.case_counter}"
-        case = ResponseCase(
-            case_id, self.counterplans.resolve(record.top_classification), self.address
-        )
+        case = ResponseCase(case_id, self.counterplans.resolve(record.top_classification))
         self.cases[case_id] = case
         self._case_line(case_id, now, self.address, f"launch:{case.plan}")
         return case
 
     def respond_escalate(self, case_id: str, now: int) -> list[Frame]:
-        case = self.cases[case_id]
-        coordinator = er.escalate(case)
+        """Send the case to this node's parent, which coordinates it."""
+        if self.parent is None:
+            raise ResponseError(f"{self.address} has no parent to escalate to")
         self._case_line(case_id, now, self.address, "escalate")
-        return [Frame(_RESPONSE_COORD, self.address, coordinator, Escalate(case_id))]
+        return [Frame(_RESPONSE_COORD, self.address, self.parent, Escalate(case_id))]
 
     def respond_enlist(
         self, case_id: str, targets: list[NodeAddress], now: int

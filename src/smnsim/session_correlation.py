@@ -6,7 +6,9 @@ window. Firewall connect markers queue up globally; the first ordinary event
 that matches a queued connect turns it into a live session alert, later
 events join by endpoint rules, and the disconnect marker stamps the end time
 and schedules the alert for destruction after a grace period so stragglers
-can still be filed.
+can still be filed. An alert is one record, ``SessionAlert``: the endpoints
+and time of the connect that opened it, the end its disconnect stamps, its
+queued events, its status and its deadline.
 
 An event joins an alert when its time falls inside the session span and one
 of three endpoint clauses holds: it travels the session's source-to-target
@@ -68,19 +70,14 @@ class SessionStatus(Enum):
 
 
 @dataclass(slots=True)
-class SessionInfo:
+class SessionAlert:
+    session_id: str
     src_ip: str
     src_port: int
     dst_ip: str
     dst_port: int
     start_time: int
     end_time: int | None = None  # None while the connection is still up
-
-
-@dataclass(slots=True)
-class SessionAlert:
-    session_id: str
-    info: SessionInfo
     event_queue: list[NormalizedEvent] = field(default_factory=list)
     status: SessionStatus = SessionStatus.OPEN
     destroy_deadline: int | None = None  # set together with DESTROY_PENDING
@@ -172,13 +169,12 @@ class CorrelationEngine:
     # -- helpers ----------------------------------------------------------
 
     def snapshot(self, alert: SessionAlert) -> SessionRecord:
-        info = alert.info
         return SessionRecord(
             alert.session_id,
-            f"{info.src_ip}:{info.src_port}",
-            f"{info.dst_ip}:{info.dst_port}",
-            info.start_time,
-            info.end_time,
+            f"{alert.src_ip}:{alert.src_port}",
+            f"{alert.dst_ip}:{alert.dst_port}",
+            alert.start_time,
+            alert.end_time,
             tuple(e.event_id for e in alert.event_queue),
             tuple(e.classification for e in alert.event_queue),
             tuple(e.severity for e in alert.event_queue),
@@ -210,14 +206,13 @@ class CorrelationEngine:
             self._by_queued_dst.get(ev.src_ip, {}).values(),
         ):
             for alert in bucket:
-                info = alert.info
-                start = info.start_time
-                if start > t or (info.end_time is not None and t > info.end_time):
+                start = alert.start_time
+                if start > t or (alert.end_time is not None and t > alert.end_time):
                     continue
                 if (
                     best is None
-                    or start < best.info.start_time
-                    or (start == best.info.start_time and alert.ordinal < best.ordinal)
+                    or start < best.start_time
+                    or (start == best.start_time and alert.ordinal < best.ordinal)
                 ):
                     best = alert
         return best
@@ -236,15 +231,13 @@ class CorrelationEngine:
         return best
 
     def _index(self, alert: SessionAlert) -> None:
-        info = alert.info
-        self._by_pair.setdefault((info.src_ip, info.dst_ip), []).append(alert)
-        self._by_dst.setdefault(info.dst_ip, []).append(alert)
+        self._by_pair.setdefault((alert.src_ip, alert.dst_ip), []).append(alert)
+        self._by_dst.setdefault(alert.dst_ip, []).append(alert)
 
     def _unindex(self, alert: SessionAlert) -> None:
-        info = alert.info
         for index, key in (
-            (self._by_pair, (info.src_ip, info.dst_ip)),
-            (self._by_dst, info.dst_ip),
+            (self._by_pair, (alert.src_ip, alert.dst_ip)),
+            (self._by_dst, alert.dst_ip),
         ):
             bucket = index[key]
             bucket.remove(alert)
@@ -291,15 +284,8 @@ class CorrelationEngine:
             # connect binds after the first alert ended, within grace
             ordinal = self.store.next_id
             alert = SessionAlert(
-                session_id=self._new_id(),
-                info=SessionInfo(
-                    src_ip=entry.src_ip,
-                    src_port=entry.src_port,
-                    dst_ip=entry.dst_ip,
-                    dst_port=entry.dst_port,
-                    start_time=entry.create_time,
-                ),
-                ordinal=ordinal,
+                self._new_id(), entry.src_ip, entry.src_port, entry.dst_ip, entry.dst_port,
+                entry.create_time, ordinal=ordinal,
             )
             self.conn_queue.entries.remove(entry)
             self.store.alerts.append(alert)
@@ -316,11 +302,11 @@ class CorrelationEngine:
                 for a in self._by_pair.get((ev.src_ip, ev.dst_ip), ())
                 if a.status is SessionStatus.OPEN
             ),
-            key=lambda a: (a.info.start_time, a.ordinal),
+            key=lambda a: (a.start_time, a.ordinal),
             default=None,
         )
         if best is not None:
-            best.info.end_time = ev.create_time
+            best.end_time = ev.create_time
             best.status = SessionStatus.DESTROY_PENDING
             best.destroy_deadline = now + self.config.grace
             return [EmitAction("ending", self.snapshot(best))]

@@ -9,16 +9,16 @@ node a ``command`` or ``respond`` directive logged on. A node skipped on a
 tick has nothing to do on it, management nodes included: the harness does
 not drive correlation, since a correlation engine sweeps itself when an
 event reaches it (see ``session_correlation``). The harness then injects
-the collected outbound frames, replays the root's change sets onto the
+the collected outbound frames, replays the root's changes onto the
 console mirror, and advances the network one hop. Identical inputs and
 seed give byte-identical reports.
 
-Each step is skipped where it has nothing to do. The directive pass runs on
-a tick with directives or while a loss window is held, which it prunes once
-ended; it comes before the wheel is read, since a directive that logs at a
-management node files the node for the same tick. A quiet tick, with no
-node due, no frame arrived and no frame outbound, only steps the network,
-which still moves the frames in transit. Every tick steps the network once.
+Each step is skipped where it has nothing to do. The directive pass runs
+only on a tick with directives, before the wheel is read, since a directive
+that logs at a management node files the node for the same tick. A quiet
+tick, with no node due, no frame arrived and no frame outbound, only steps
+the network, which still moves the frames in transit. Every tick steps the
+network once.
 
 Nodes return their frames unnumbered, and ``_send``, which hands them to
 the network, numbers each one there with the sender's ``FrameBuilder``
@@ -65,9 +65,9 @@ one dead letter for a dropped flush.
 A scenario window is applied at its start tick, before any node runs, so
 a window held has begun: a node keeps only the end of its latest silence or
 abnormal window, and the network holds each loss window, which covers its
-hop until the first tick it has ended, when ``_apply_directives`` drops it
-from the network's list. The network alone decides a loss, with its own
-random source seeded with the scenario's ``seed`` (see ``SimNetwork``).
+hop until the first tick it has ended: the network's step into that tick
+drops it. The network alone decides a loss, with its own random source
+seeded with the scenario's ``seed`` (see ``SimNetwork``).
 ``_run_node`` alone drops a silenced node's frames, so they take no
 number.
 """
@@ -215,8 +215,8 @@ class Simulation:
         self.mirror = build_tree(self.root.virtual_view.serialize(), self.shape)
         self.handles: dict[str, tuple[NodeAddress, str]] = {}
         self.collected: list[str] = []
-        #: the directives other than emits, by tick
-        self._by_tick: dict[int, list[Directive]] = {}
+        #: the directives other than emits by tick, each with what it names
+        self._by_tick: dict[int, list[tuple[Directive, object]]] = {}
         self._validate_directives()
 
     # -- setup helpers -----------------------------------------------------
@@ -226,11 +226,14 @@ class Simulation:
         emit's ports and severity, so a bad address or value is a ConfigError
         here, never a failure mid-run. File each emit on its device's agent,
         appending it to the agent's ``buffer``, and the other directives by
-        tick; each buffer ends in stable tick order, sorted only when the
-        script is out of it. A loss window lies on a tree link, every node a
-        respond action names is a management node, and an action other than
-        launch must name a handle that an earlier launch binds. The run ends
-        ``drain`` ticks after the latest directive, wherever it stands."""
+        tick with what they name: a window's node, a command's target, a
+        ``LossWindow``, and a respond's owner, targets and actor. Each buffer
+        ends in stable tick order, sorted only when the script is out of it.
+        As the parser requires, a loss window ends after its tick and a
+        launch names its owner; a loss window lies on a tree link, every node
+        a respond action names is a management node, and an action other
+        than launch must name a handle that an earlier launch binds. The run
+        ends ``drain`` ticks after the latest directive, wherever it stands."""
         launched: set[str] = set()
         #: per device text an emit names, its agent's buffer
         buffers: dict[str, list[Emit]] = {}
@@ -254,36 +257,36 @@ class Simulation:
                     buffer = buffers[d.device] = self.agents[addr].buffer
                 buffer.append(d)
                 continue
-            self._by_tick.setdefault(tick, []).append(d)
             if isinstance(d, Window):
                 addr = self._addr(d.node, line_no)
                 if d.abnormal and addr not in self.agents:
                     raise ConfigError(f"abnormal target {addr} is not a device", line_no)
+                named = self._nodes[self.network.slots[addr]]
             elif isinstance(d, Command):
-                target = self._addr(d.target, line_no)
-                if not self.root.address.is_ancestor(target):
-                    raise ConfigError(f"command target {target} is not below the root", line_no)
+                named = self._addr(d.target, line_no)
+                if not self.root.address.is_ancestor(named):
+                    raise ConfigError(f"command target {named} is not below the root", line_no)
             elif isinstance(d, InjectLoss):
                 # frames cross only tree links, so a window off them drops none
                 src, dst = self._addr(d.src, line_no), self._addr(d.dst, line_no)
                 if src.parent() != dst and dst.parent() != src:
                     raise ConfigError(f"inject-loss {src}->{dst} is not a tree link", line_no)
+                if d.until <= tick:
+                    raise ConfigError(f"until {d.until} is not after tick {tick}", line_no)
+                named = (src, dst, d.until, d.rate)
             else:
                 # an enlisted device would drop its advisory and never confirm
-                named = [("target", t) for t in d.targets]
-                named += (("owner", d.owner), ("actor", d.actor))
-                for name, text in named:
-                    if not text:
-                        continue
-                    addr = self._addr(text, line_no)
-                    if addr not in self.smns:
-                        raise ConfigError(
-                            f"respond {name} {addr} is not a management node", line_no
-                        )
+                targets = [self._smn("target", t, line_no) for t in d.targets]
+                owner = self._smn("owner", d.owner, line_no) if d.owner else None
+                actor = self._smn("actor", d.actor, line_no) if d.actor else None
                 if d.action == "launch":
+                    if owner is None:
+                        raise ConfigError("respond launch needs owner=", line_no)
                     launched.add(d.handle)
                 elif d.handle not in launched:
                     raise ConfigError(f"no earlier respond launch binds {d.handle!r}", line_no)
+                named = (owner, targets, actor)
+            self._by_tick.setdefault(tick, []).append((d, named))
         if not ordered:
             for buffer in buffers.values():
                 buffer.sort(key=attrgetter("tick"))
@@ -300,33 +303,31 @@ class Simulation:
             raise ConfigError(f"unknown node {text}", line_no)
         return addr
 
-    def _node(self, text: str) -> NodeAddress:
-        """The node a directive names; ``_validate_directives`` checked it."""
-        return NodeAddress.parse(text, self.shape)
+    def _smn(self, name: str, text: str, line_no: int) -> NodeAddress:
+        """The management node ``text`` names as a respond ``name``."""
+        addr = self._addr(text, line_no)
+        if addr not in self.smns:
+            raise ConfigError(f"respond {name} {addr} is not a management node", line_no)
+        return addr
 
     # -- directives --------------------------------------------------------
 
     def _apply_directives(self, tick: int, outbound: list[Frame]) -> None:
-        logged, windows = False, self.network.loss_windows
-        for d in self._by_tick.get(tick, ()):
+        logged = False
+        for d, named in self._by_tick.get(tick, ()):
             if isinstance(d, Window):
-                node = self._node(d.node)
                 if d.abnormal:
-                    self.agents[node].mark_abnormal(d.until)
+                    named.mark_abnormal(d.until)
                 else:
-                    (self.smns.get(node) or self.agents[node]).silence(d.until)
+                    named.silence(d.until)
             elif isinstance(d, Command):
-                _, frames = self.root.dispatch_command(self._node(d.target), d.kind, tick)
-                outbound.extend(frames)
+                outbound.extend(self.root.dispatch_command(named, d.kind, tick)[1])
                 logged = True
             elif isinstance(d, Respond):
-                self._do_respond(d, tick, outbound)
+                self._do_respond(d, named, tick, outbound)
                 logged = True
             else:
-                windows.append((self._node(d.src), self._node(d.dst), d.until, d.rate))
-        if windows:
-            # a window ended by this tick covers no hop again
-            windows[:] = [w for w in windows if w[2] > tick]
+                self.network.loss_windows.append(named)
         if logged:
             # a node leaves the lines a directive logged on it at its own
             # slot of this tick, so it runs now
@@ -334,10 +335,12 @@ class Simulation:
                 if self._nodes[slot].lines:
                     self._schedule(slot, tick)
 
-    def _do_respond(self, d: Respond, tick: int, outbound: list[Frame]) -> None:
+    def _do_respond(self, d: Respond, named: tuple, tick: int, outbound: list[Frame]) -> None:
+        """Act on ``d``; ``named`` is its owner, targets and actor, as set-up
+        resolved them."""
+        owner, targets, actor = named
         try:
             if d.action == "launch":
-                owner = self._node(d.owner)
                 case = self.smns[owner].respond_launch(tick)
                 self.handles[d.handle] = (owner, case.case_id)
                 return
@@ -345,17 +348,14 @@ class Simulation:
                 self.root._log(tick, "RESPOND-ERROR", f"{d.handle} has no case: its launch failed")
                 return
             owner, case_id = self.handles[d.handle]
-            owner_node = self.smns[owner]
             if d.action == "escalate":
-                outbound.extend(owner_node.respond_escalate(case_id, tick))
+                outbound.extend(self.smns[owner].respond_escalate(case_id, tick))
             elif d.action == "enlist":
                 # the node the case escalates to, which alone may enlist
-                actor = owner.parent() or owner
-                targets = [self._node(t) for t in d.targets]
-                outbound.extend(self.smns[actor].respond_enlist(case_id, targets, tick))
+                enlister = self.smns[owner.parent() or owner]
+                outbound.extend(enlister.respond_enlist(case_id, targets, tick))
             else:
-                actor = self._node(d.actor) if d.actor else owner
-                outbound.extend(self.smns[actor].respond_advance(case_id, tick))
+                outbound.extend(self.smns[actor or owner].respond_advance(case_id, tick))
         except ResponseError as exc:
             self.root._log(tick, "RESPOND-ERROR", str(exc))
 
@@ -400,12 +400,12 @@ class Simulation:
 
     def run(self) -> RunReport:
         network, root, wheel, nodes = self.network, self.root, self._wheel, self._nodes
-        by_tick, windows, debug = self._by_tick, network.loss_windows, self.debug
+        by_tick, debug = self._by_tick, self.debug
         for tick in range(self.end_tick + 1):
             outbound: list[Frame] = []
             # first, as a directive that logs at a management node files it
-            # for this tick; pruning an ended loss window needs the pass too
-            if windows or tick in by_tick:
+            # for this tick
+            if tick in by_tick:
                 self._apply_directives(tick, outbound)
             due = wheel.pop(tick, ())
             arrived = network.arrived
@@ -426,8 +426,8 @@ class Simulation:
                 self._send(outbound)
             mirrored = bool(root.changesets)
             if mirrored:
-                for changes in root.drain_changesets():
-                    self.mirror.apply_changeset(changes)
+                for change in root.drain_changesets():
+                    self.mirror.apply_changeset(change)
                 if debug:
                     self._check_mirror()
             network.step()
@@ -444,8 +444,8 @@ class Simulation:
     def _check_invariants(self, ran: list[int] | None = None, mirrored: bool = True) -> None:
         """Validate the views of the management nodes in the slots ``ran``
         (all of them when None), since the view of a node that did not run
-        cannot have changed, and the mirror when ``mirrored`` (change sets
-        were applied to it); check every node's event accounting."""
+        cannot have changed, and the mirror when ``mirrored`` (changes were
+        applied to it); check every node's event accounting."""
         smns = self.smns.values() if ran is None else [
             self._nodes[slot] for slot in ran if slot in self._smn_slots
         ]

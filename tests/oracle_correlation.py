@@ -49,14 +49,13 @@ def _member(ev, sess):
 def belongs_to(ev: NormalizedEvent, alert: SessionAlert) -> bool:
     """Endpoint-and-time membership test against one of the engine's
     alerts: the clauses of ``_member``, read off a ``SessionAlert``."""
-    info = alert.info
-    if ev.create_time < info.start_time:
+    if ev.create_time < alert.start_time:
         return False
-    if info.end_time is not None and ev.create_time > info.end_time:
+    if alert.end_time is not None and ev.create_time > alert.end_time:
         return False
-    if ev.src_ip == info.src_ip and ev.dst_ip == info.dst_ip:
+    if ev.src_ip == alert.src_ip and ev.dst_ip == alert.dst_ip:
         return True
-    if ev.src_ip == info.dst_ip:
+    if ev.src_ip == alert.dst_ip:
         return True
     return any(ev.src_ip == queued.dst_ip for queued in alert.event_queue)
 

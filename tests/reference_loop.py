@@ -62,8 +62,8 @@ class ReferenceSimulation(Simulation):
             for frame in outbound:
                 self._builders[frame.src].build(frame)
                 self.network.send(frame)
-            for changes in self.root.drain_changesets():
-                self.mirror.apply_changeset(changes)
+            for change in self.root.drain_changesets():
+                self.mirror.apply_changeset(change)
             if self.debug:
                 self._check_mirror()
             self.network.step()

@@ -1,5 +1,6 @@
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smnsim import cli
-from smnsim.addressing import MAX_DEPTH
+from smnsim.addressing import MAX_DEPTH, TreeShape
+from smnsim.event_pipeline import format_event_line, parse_event_line
 from test_topology_oracle import GEN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,6 +113,26 @@ def test_correlate_two_connects_at_one_tick(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "SESSION cli#1 10.0.0.9:4243 10.0.1.5:80 20 30 1 [1.1.2-1]\n"
         "SESSION cli#2 10.0.0.9:4242 10.0.1.5:80 20 open 1 [1.1.2-2]\n"
+    )
+
+
+def test_correlate_reads_an_event_with_line_breaks_in_its_values_as_itself(tmp_path, capsys):
+    """``format_event_line`` writes a newline or carriage return in a value
+    as a character reference, so the event stays on its line, which
+    ``correlate`` reads, in universal-newline mode, as the event written."""
+    shape = TreeShape(depth=3, max_degree=9)
+    hit = replace(
+        parse_event_line(HIT, shape), event_id="1.1.2-1\r\nx\ry\n", classification="a\nb"
+    )
+    line = format_event_line(hit)
+    assert "\n" not in line and "\r" not in line
+    assert parse_event_line(line, shape) == hit
+    events = tmp_path / "f.events"
+    events.write_text(CONNECT + "\n" + line + "\n")
+    argv = ["correlate", "--events", str(events), "--depth", "3", "--degree", "9"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (
+        "SESSION cli#1 10.0.0.9:4242 10.0.1.5:80 20 open 1 [1.1.2-1\r\nx\ry\n]\n"
     )
 
 

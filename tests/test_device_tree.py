@@ -199,7 +199,7 @@ def test_disassemble_absent_rejected(twelve):
         twelve.disassemble(A("1.3.0.0"), DeviceState.NET_DOWN)
 
 
-# -- change sets & mirror -----------------------------------------------------
+# -- changes & mirror ---------------------------------------------------------
 
 
 def mirror_of(tree):
@@ -209,17 +209,17 @@ def mirror_of(tree):
 def test_changeset_mirror_assemble():
     tree = stub_main_tree()
     mirror = mirror_of(tree)
-    changes = tree.assemble("[1.1.0.0:S211:[1.1.1.0:S211]]")
-    assert changes == ("[1.1.0.0:S211:[1.1.1.0:S211]]",)
-    mirror.apply_changeset(changes)
+    change = tree.assemble("[1.1.0.0:S211:[1.1.1.0:S211]]")
+    assert change == "[1.1.0.0:S211:[1.1.1.0:S211]]"
+    mirror.apply_changeset(change)
     assert mirror.serialize() == tree.serialize()
 
 
 def test_changeset_mirror_disassemble(twelve):
     mirror = mirror_of(twelve)
-    changes = twelve.disassemble(A("1.1.0.0"), DeviceState.NET_DOWN)
-    assert changes == ("[1.1.0.0:S11]",)
-    mirror.apply_changeset(changes)
+    change = twelve.disassemble(A("1.1.0.0"), DeviceState.NET_DOWN)
+    assert change == "[1.1.0.0:S11]"
+    mirror.apply_changeset(change)
     assert mirror.serialize() == twelve.serialize()
 
 
@@ -230,19 +230,22 @@ def test_changeset_mirror_update(twelve):
         twelve.set_state(A("1.2.2.0"), DeviceState.UNREACHABLE),
     )
     assert changes == ("[1.1.1.1:S22]", "[1.2.2.0:S12:[1.2.2.1:S211]:[1.2.2.2:S211]]")
-    mirror.apply_changeset(changes)
+    for change in changes:
+        mirror.apply_changeset(change)
     assert mirror.serialize() == twelve.serialize()
 
 
-def test_empty_changeset_is_noop(twelve):
+def test_a_change_the_tree_already_holds_is_a_noop(twelve):
     before = twelve.serialize()
-    twelve.apply_changeset(())
+    node = twelve.find(A("1.2.0.0"))
+    twelve.apply_changeset(node.text)
     assert twelve.serialize() == before
+    assert twelve.find(A("1.2.0.0")) is node
 
 
 def test_stale_changeset_detected(twelve):
     with pytest.raises(TreeError, match=r"^cannot apply \[1\.3\.0\.0:S22\]: 1.3.0.0 not in"):
-        twelve.apply_changeset(("[1.3.0.0:S22]",))
+        twelve.apply_changeset("[1.3.0.0:S22]")
 
 
 # -- randomized round trips ---------------------------------------------------
@@ -268,11 +271,11 @@ def test_random_disassemble_assemble_round_trip(seed):
     original = tree.serialize()
     prior = serialize_node(victim)
     mirror = mirror_of(tree)
-    changes = tree.disassemble(victim.address, DeviceState.NET_DOWN)
-    mirror.apply_changeset(changes)
+    mirror.apply_changeset(tree.disassemble(victim.address, DeviceState.NET_DOWN))
     assert mirror.serialize() == tree.serialize()
-    changes = tree.assemble(prior)
-    mirror.apply_changeset(changes)
+    change = tree.assemble(prior)
+    if change is not None:
+        mirror.apply_changeset(change)
     assert mirror.serialize() == tree.serialize()
     assert tree.serialize() == original
     tree.validate()
@@ -311,7 +314,7 @@ def reported_tree():
 def test_an_identical_report_changes_nothing():
     tree = reported_tree()
     spliced = tree.find(A("1.1.0.0"))
-    assert tree.assemble(REPORTED) == ()
+    assert tree.assemble(REPORTED) is None
     assert tree.find(A("1.1.0.0")) is spliced
     assert tree.serialize() == "[1.0.0.0:S211:" + REPORTED + ":[1.2.0.0:S11]]"
 
@@ -330,7 +333,7 @@ def test_a_report_after_a_local_change_is_spliced_again(change):
     tree = reported_tree()
     change(tree)
     assert_cache_sound(tree)
-    assert tree.assemble(REPORTED) == (REPORTED,)
+    assert tree.assemble(REPORTED) == REPORTED
     assert tree.serialize() == "[1.0.0.0:S211:" + REPORTED + ":[1.2.0.0:S11]]"
     assert_cache_sound(tree)
 
@@ -367,9 +370,9 @@ def test_cached_text_survives_every_change(seed, ops):
     mirror = mirror_of(tree)
     for op in ops:
         node = rng.choice(tree.nodes())
-        changes: tuple = ()
+        change: str | None = None
         if op == "set_state":
-            changes = (tree.set_state(node.address, rng.choice(LEAVES)),)
+            change = tree.set_state(node.address, rng.choice(LEAVES))
         elif op == "add_device":
             free = [k for k in range(1, tree.shape.max_degree + 1) if k not in node.children]
             if node.address.level < tree.shape.depth and free:
@@ -379,20 +382,21 @@ def test_cached_text_survives_every_change(seed, ops):
                     view.add_device(DeviceNodeRecord(address=addr, state=state))
         elif op == "same":
             cached = node.text is not None
-            changes = tree.assemble(uncached(node))
-            assert changes == (() if cached else (uncached(node),))
+            change = tree.assemble(uncached(node))
+            assert change == (None if cached else uncached(node))
         elif op == "changed":
-            changes = tree.assemble(_report_for(node, tree.shape, rng))
+            change = tree.assemble(_report_for(node, tree.shape, rng))
         elif op == "nested":
             deeper = [n for n in tree.nodes() if n.address.level > node.address.level + 1]
             if deeper:
-                changes = tree.assemble(_report_for(rng.choice(deeper), tree.shape, rng))
+                change = tree.assemble(_report_for(rng.choice(deeper), tree.shape, rng))
         elif op == "disassemble":
-            changes = tree.disassemble(node.address, rng.choice(LEAVES))
+            change = tree.disassemble(node.address, rng.choice(LEAVES))
         else:
             tree.serialize()
             mirror.serialize()
-        mirror.apply_changeset(changes)
+        if change is not None:
+            mirror.apply_changeset(change)
         for view in (tree, mirror):
             view.validate()
         assert assert_cache_sound(mirror) == assert_cache_sound(tree)

@@ -8,12 +8,9 @@ from smnsim.emergency_response import (
     ResponsePhase,
     advance,
     enlist,
-    escalate,
 )
 
 SHAPE = TreeShape(depth=3, max_degree=4)
-ROOT = NodeAddress.parse("1.0.0", SHAPE)
-OWNER = NodeAddress.parse("1.1.0", SHAPE)
 SIBLING = NodeAddress.parse("1.2.0", SHAPE)
 
 PLAN_TEXT = (
@@ -28,8 +25,8 @@ def store():
     return CounterplanStore({"dos", "dos.synflood"})
 
 
-def fresh_case(owner=OWNER):
-    return ResponseCase(f"{owner}#c1", "dos.synflood", owner)
+def fresh_case():
+    return ResponseCase("1.1.0#c1", "dos.synflood")
 
 
 # -- counterplan resolution ------------------------------------------------------
@@ -77,7 +74,7 @@ def test_a_plan_file_missing_a_section_is_refused(tmp_path):
 def test_launch_starts_in_identification():
     case = fresh_case()
     assert case.phase is ResponsePhase.IDENTIFICATION
-    assert (case.case_id, case.plan, case.owner) == ("1.1.0#c1", "dos.synflood", OWNER)
+    assert (case.case_id, case.plan) == ("1.1.0#c1", "dos.synflood")
     assert case.participants == case.confirmed == set()
 
 
@@ -93,11 +90,11 @@ def test_advance_walks_phases_in_order():
 
 
 def test_advance_by_coordinator_after_escalation():
-    """An escalation leaves the case's phase alone, and the case still
-    advances from it; who may send the advance is checked by the node
+    """The case keeps no record of an escalation, which the owner sends to
+    its own parent, and advances from its phase; who may send the advance
+    is checked by the node
     (``tests.test_node_runtime::test_the_coordinator_advances_the_owners_case``)."""
     case = fresh_case()
-    assert escalate(case) == ROOT
     assert case.phase is ResponsePhase.IDENTIFICATION
     advance(case)
     assert case.phase is ResponsePhase.CONTAINMENT
@@ -115,23 +112,7 @@ def test_containment_gate_blocks_until_confirms():
     assert case.phase is ResponsePhase.ERADICATION
 
 
-# -- escalate / enlist --------------------------------------------------------------
-
-
-def test_escalate_sets_parent_coordinator():
-    """The node a case escalates to, its coordinator, is the owner's parent."""
-    assert escalate(fresh_case()) == ROOT
-
-
-def test_escalate_at_root_rejected():
-    with pytest.raises(ResponseError, match="1.0.0 has no parent to escalate to"):
-        escalate(fresh_case(owner=ROOT))
-
-
-def test_escalate_idempotent():
-    case = fresh_case()
-    assert escalate(case) == escalate(case) == ROOT
-    assert case == fresh_case()
+# -- enlist ---------------------------------------------------------------------------
 
 
 def test_enlist_adds_participants_once():

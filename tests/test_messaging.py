@@ -183,6 +183,28 @@ def test_network_loss_window_drops():
     assert net._rng.getstate() == state
 
 
+def test_a_loss_window_covers_the_steps_before_its_end_and_the_network_drops_it():
+    """A window until 3 drops the frames stepped at 0, 1 and 2 and none at
+    3: the step that brings ``now`` to 3 removes it from the list, in place,
+    whether or not a frame was in transit."""
+    hop = (A("1.1.1.0"), A("1.1.0.0"))
+    busy, quiet = SimNetwork(NODES), SimNetwork(NODES)
+    held = quiet.loss_windows
+    for net in (busy, quiet):
+        net.loss_windows.append((*hop, 3, 1.0))
+    for step in range(4):
+        assert len(busy.loss_windows) == len(quiet.loss_windows) == (step < 3)
+        busy.send(frame(src="1.1.1.0", dst="1.1.0.0", seq=step + 1))
+        busy.step()
+        quiet.step()
+    assert busy.now == quiet.now == 4
+    assert busy.dead_letters == [
+        f"DEADLETTER {t} 1.1.1.0->1.1.0.0 DEVICE_EVENT 1.1.1.0 1.1.0.0" for t in range(3)
+    ]
+    assert busy.poll(A("1.1.0.0")).seq == 4
+    assert busy.loss_windows == quiet.loss_windows == [] and quiet.loss_windows is held
+
+
 def test_a_loss_window_drops_a_routed_frame_at_the_hop_it_covers():
     """A frame to the declared parent takes the one-hop path; any other goes
     hop by hop. A window covers either on its hop: the routed frame from

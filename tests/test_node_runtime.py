@@ -483,7 +483,7 @@ def test_only_the_root_records_change_sets():
     _bring_online(root, "1.1.0")
     _bring_online(site)
     assert site.drain_changesets() == []
-    assert root.drain_changesets() == [("[1.1.0:S12]",), ("[1.1.0:S211]",)]
+    assert root.drain_changesets() == ["[1.1.0:S12]", "[1.1.0:S211]"]
 
 
 def test_root_smn_report_reaches_no_parent():
@@ -506,7 +506,7 @@ def test_an_unchanged_report_records_no_change_set():
     leaf_report = Frame(MsgType.TOPOLOGY_REPORT, A("1.1.1"), site.address, "[1.1.1:S211]")
     root.on_frame(report, 11)
     site.on_frame(leaf_report, 11)
-    assert root.drain_changesets() == [("[1.1.0:S211:[1.1.1:S211]]",)]
+    assert root.drain_changesets() == ["[1.1.0:S211:[1.1.1:S211]]"]
     root.on_frame(report, 12)
     out = site.on_frame(leaf_report, 12)
     assert root.drain_changesets() == []
@@ -679,6 +679,18 @@ def test_a_launch_logs_the_counterplan_it_chose(plans, chosen):
     case = owner.respond_launch(90)
     assert case.plan == chosen
     assert owner.drain_lines() == [f"CASE 1.1.0#c1 90 1.1.0 launch:{chosen}"]
+
+
+def test_escalate_at_root_rejected():
+    """The root has no parent to send a case to: its escalation is refused
+    and logs no case line."""
+    root, owner, _, _ = _three_smns()
+    root.last_record = owner.last_record
+    case_id = root.respond_launch(90).case_id
+    root.drain_lines()
+    with pytest.raises(ResponseError, match="1.0.0 has no parent to escalate to"):
+        root.respond_escalate(case_id, 95)
+    assert root.lines == []
 
 
 def _escalated():

@@ -296,7 +296,7 @@ def test_canonical_event_match_agrees_with_the_general_parser(line):
     assert event_outcome(parse_event_line, line) == event_outcome(_parse_event_attrs, line)
 
 
-@given(st.text(alphabet='a1.&"<>;/=lt', max_size=12))
+@given(st.text(alphabet='a1.&"<>;/=lt#0\n\r', max_size=12))
 @settings(max_examples=200)
 def test_a_formatted_event_takes_the_canonical_match_unless_a_value_escapes(text):
     ev = replace(_parse_event_attrs(CANONICAL_LINE, EVENT_SHAPE), classification=text)

@@ -9,7 +9,6 @@ from smnsim.session_correlation import (
     CorrelationConfig,
     CorrelationEngine,
     SessionAlert,
-    SessionInfo,
     SessionStatus,
     format_session_line,
 )
@@ -46,10 +45,8 @@ def ev(eid, t, src, dst, marker=ConnectionMarker.NONE, cls="exploit.attempt", se
 
 def alert(src="10.0.0.1", dst="10.0.0.2", start=10, end=None):
     return SessionAlert(
-        session_id="t#1",
-        info=SessionInfo(
-            src_ip=src, src_port=4242, dst_ip=dst, dst_port=80, start_time=start, end_time=end
-        ),
+        session_id="t#1", src_ip=src, src_port=4242, dst_ip=dst, dst_port=80,
+        start_time=start, end_time=end,
     )
 
 
@@ -100,7 +97,7 @@ def test_connect_then_event_builds_session():
     assert [a.kind for a in actions] == ["update"]
     assert len(e.store.alerts) == 1
     a = e.store.alerts[0]
-    assert a.info.start_time == 10
+    assert a.start_time == 10
     assert [x.event_id for x in a.event_queue] == ["x"]
     assert e.conn_queue.entries == []
 
@@ -122,7 +119,7 @@ def test_disconnect_ends_session():
     actions = e.on_event(ev("d", 40, "A", "B", ConnectionMarker.DISCONNECT), 40)
     assert [a.kind for a in actions] == ["ending"]
     a = e.store.alerts[0]
-    assert a.info.end_time == 40
+    assert a.end_time == 40
     assert a.status is SessionStatus.DESTROY_PENDING
     assert a.destroy_deadline == 100
 
@@ -241,7 +238,7 @@ def test_two_connects_at_one_tick_give_two_sessions():
     assert [(a.kind, a.record.session_id, a.record.event_ids) for a in actions] == [
         ("update", "t#2", ("y",))
     ]
-    assert [(a.session_id, a.info.start_time) for a in e.store.alerts] == [
+    assert [(a.session_id, a.start_time) for a in e.store.alerts] == [
         ("t#1", 20), ("t#2", 20)
     ]
     assert engine_assignments(trace) == oracle_assignments(trace) == {"x": 1, "y": 2}
@@ -300,7 +297,7 @@ def test_disconnect_ends_the_earliest_started_of_two_open_alerts():
     e.on_event(ev("c2", 20, "A", "B", ConnectionMarker.CONNECT), 20)
     e.on_event(ev("x", 21, "A", "B"), 21)
     e.on_event(ev("late", 15, "A", "B"), 22)
-    assert [(a.session_id, a.info.start_time) for a in e.store.alerts] == [
+    assert [(a.session_id, a.start_time) for a in e.store.alerts] == [
         ("t#1", 20), ("t#2", 10)
     ]
     (action,) = e.on_event(ev("d", 30, "A", "B", ConnectionMarker.DISCONNECT), 30)
@@ -399,9 +396,9 @@ def fed_against_scan(trace, sweep_first=True):
                 if a.destroy_deadline is None or a.destroy_deadline > horizon
             ]
             accepted = [a for a in live if belongs_to(x, a)]
-            want = min(accepted, key=lambda a: a.info.start_time, default=None)
+            want = min(accepted, key=lambda a: a.start_time, default=None)
             if want is not None:
-                ties += sum(a.info.start_time == want.info.start_time for a in accepted) > 1
+                ties += sum(a.start_time == want.start_time for a in accepted) > 1
             known = {a.session_id for a in e.store.alerts}
         actions = e.on_event(x, now)
         if ordinary:

@@ -10,6 +10,8 @@ from smnsim.addressing import NodeAddress
 from smnsim.config import (
     ConfigError,
     Emit,
+    InjectLoss,
+    Respond,
     ScenarioScript,
     load_topology,
     parse_scenario,
@@ -252,6 +254,38 @@ def test_abnormal_on_management_node_rejected():
     Simulation(topology, parse_scenario("at 5 abnormal 1.1.1 until 10\n"))
     with pytest.raises(ConfigError, match="line 1: abnormal target 1.1.0 is not a device"):
         Simulation(topology, parse_scenario("at 5 abnormal 1.1.0 until 10\n"))
+
+
+@pytest.mark.parametrize(
+    "text, directive, message",
+    [
+        ("at 5 inject-loss 1.1.0->1.1.1 until 5", InjectLoss(5, 1, "1.1.0", "1.1.1", 5, 1.0),
+         "until 5 is not after tick 5"),
+        ("at 5 inject-loss 1.1.0->1.1.1 until 3", InjectLoss(5, 1, "1.1.0", "1.1.1", 3, 1.0),
+         "until 3 is not after tick 5"),
+        ("at 5 respond launch w1", Respond(5, 1, "launch", "w1"), "respond launch needs owner="),
+    ],
+)
+def test_a_hand_built_directive_the_parser_refuses_is_refused_at_set_up(text, directive, message):
+    """A loss window that does not end after its tick, which would cover one
+    tick, and a launch without an owner, which would fail mid-run, are
+    refused at set-up with the parser's message for their text."""
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    with pytest.raises(ConfigError, match=f"line 1: {message}"):
+        parse_scenario(text + "\n")
+    with pytest.raises(ConfigError, match=f"line 1: {message}"):
+        Simulation(topology, ScenarioScript(directives=[directive]))
+
+
+def test_an_empty_enlist_target_is_refused_at_set_up():
+    """``targets=1.2.0,`` names an empty address, which the parser passes on
+    and set-up refuses, before the run could fail to parse it."""
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    scenario = parse_scenario(
+        "at 5 respond launch w1 owner=1.1.0\nat 6 respond enlist w1 targets=1.2.0,\n"
+    )
+    with pytest.raises(ConfigError, match="line 2: bad address ''"):
+        Simulation(topology, scenario)
 
 
 @pytest.mark.parametrize("loop", [Simulation, ReferenceSimulation])
@@ -554,14 +588,15 @@ QUIET_HOP = (
 )
 
 
-def test_directives_are_applied_only_on_their_ticks_or_while_a_loss_window_holds():
+def test_directives_are_applied_only_on_their_ticks():
     sim = Simulation(load_topology(str(DEMO_TOPOLOGY)), parse_scenario(QUIET_HOP))
     applied = []
     apply = sim._apply_directives
     sim._apply_directives = lambda tick, outbound: applied.append(tick) or apply(tick, outbound)
     sim.run()
-    # the loss window is held from 5 and dropped at 13; a silence keeps none
-    assert applied == list(range(5, 14)) + [30]
+    # the network, not the directive pass, drops the loss window at 13
+    assert applied == [5, 12, 30]
+    assert sim.network.loss_windows == []
 
 
 def test_a_command_crossing_a_hop_on_a_quiet_tick_lands_as_the_window_ends():
