@@ -154,8 +154,7 @@ def _cmd_statemachine(args) -> int:
         try:
             cond = TransferCondition(name)
         except ValueError:
-            print(f"unknown condition {name!r}", file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown condition {name!r}") from None
         status, _ = step(status, cond)
         sequence.append(status.state.value)
     print(" ".join(sequence))

@@ -135,7 +135,7 @@ def _parse_filter_rule(value: str, line_no: int) -> FilterRule:
 #: ``[assets]``, which find a repeat in the dict they fill. ``[classify]``
 #: compares its parsed (kind, native) keys instead, and ``[filter] drop``
 #: repeats.
-_ONCE_SECTIONS = ("tree", "heartbeat", "pipeline", "vulnmap")
+_ONCE_SECTIONS = ("tree", "heartbeat", "pipeline", "vulnmap", "counterplans")
 
 
 def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
@@ -309,8 +309,9 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
 #: every field of PipelineSettings is an integer
 _PIPELINE_KEYS = {f.name for f in fields(PipelineSettings)}
 
-#: Least values: a run takes each tick modulo the two intervals, and
-#: ``validate`` refuses a negative threshold.
+#: Least values, checked here alone: a run divides each tick by the two
+#: intervals, and every score is at least 1, so a threshold below 0 is a
+#: mistake.
 _PIPELINE_MINIMA = {"validation_threshold": 0, "window_ticks": 1, "report_interval": 1}
 
 

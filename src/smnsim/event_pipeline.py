@@ -121,8 +121,14 @@ class AssetDb:
 # Filtering
 
 
-#: Native classes that must always reach the correlation stage.
-PROTECTED_CLASSES = frozenset({"fw.connect", "fw.disconnect"})
+_MARKER_BY_NATIVE = {
+    "fw.connect": ConnectionMarker.CONNECT,
+    "fw.disconnect": ConnectionMarker.DISCONNECT,
+}
+
+#: Native classes that must always reach the correlation stage: the
+#: connection markers.
+PROTECTED_CLASSES = frozenset(_MARKER_BY_NATIVE)
 
 
 @dataclass(frozen=True)
@@ -163,12 +169,6 @@ def filter_event(ev: Emit, kind: DeviceKind, rules: list[FilterRule]) -> bool:
 
 # ---------------------------------------------------------------------------
 # Normalization
-
-
-_MARKER_BY_NATIVE = {
-    "fw.connect": ConnectionMarker.CONNECT,
-    "fw.disconnect": ConnectionMarker.DISCONNECT,
-}
 
 
 @dataclass
@@ -279,10 +279,9 @@ def aggregate_single_device(
     agree on (classification, source ip, target ip) merge with summed counts,
     the highest severity and the earliest time. Connection markers pass
     through untouched, and so does any event nothing merges with. The
-    records come out in time order.
+    records come out in time order. ``window_ticks`` is at least 1, as the
+    topology parser requires.
     """
-    if window_ticks < 1:
-        raise ValueError("window_ticks must be >= 1")
     if len(window) == 1:
         ev = window[0]
         if portscan_threshold > 1 or ev.connection_marker is not _NO_MARKER:
@@ -328,8 +327,6 @@ def validate(
 ) -> list[tuple[NormalizedEvent, int]]:
     """Score events and drop those below the threshold. Connection markers
     always survive; the correlation stage cannot work without them."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
     kept = []
     for ev in events:
         score = rate_event(ev, assets)

@@ -331,10 +331,11 @@ class SmnNode(_Node):
         )
         self.assets = assets or AssetDb()
         self.counterplans = counterplans or CounterplanStore()
+        #: the cases this node launched, by id; none is ever removed, so
+        #: their count numbers the next
         self.cases: dict[str, ResponseCase] = {}
         #: per case escalated to this node for coordination, its owner
         self.coordinated: dict[str, NodeAddress] = {}
-        self.case_counter = 0
         #: ids of the commands sent and not yet acked, in issue order
         self.pending_commands: dict[str, None] = {}
         self.command_counter = 0
@@ -498,8 +499,8 @@ class SmnNode(_Node):
     def dispatch_command(
         self, target: NodeAddress, kind: str, now: int
     ) -> tuple[str, list[Frame]]:
-        if not self.address.is_ancestor(target):
-            raise AddressError(f"{target} not below {self.address}")
+        """Log and send a ``kind`` command to ``target``, below this node as
+        set-up requires (``Simulation``); return its id and the frame."""
         self.command_counter += 1
         cmd_id = f"{self.address}!{self.command_counter}"
         self.pending_commands[cmd_id] = None
@@ -521,8 +522,7 @@ class SmnNode(_Node):
         record = self.last_record
         if record is None:
             raise ResponseError(f"{self.address} has no alert to respond to")
-        self.case_counter += 1
-        case_id = f"{self.address}#c{self.case_counter}"
+        case_id = f"{self.address}#c{len(self.cases) + 1}"
         case = ResponseCase(case_id, self.counterplans.resolve(record.top_classification))
         self.cases[case_id] = case
         self._case_line(case_id, now, self.address, f"launch:{case.plan}")

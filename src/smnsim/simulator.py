@@ -231,9 +231,10 @@ class Simulation:
         ends in stable tick order, sorted only when the script is out of it.
         As the parser requires, a loss window ends after its tick and a
         launch names its owner; a loss window lies on a tree link, every node
-        a respond action names is a management node, and an action other
-        than launch must name a handle that an earlier launch binds. The run
-        ends ``drain`` ticks after the latest directive, wherever it stands."""
+        a respond action names is a management node, an enlist names each
+        target once, and an action other than launch must name a handle that
+        an earlier launch binds. The run ends ``drain`` ticks after the
+        latest directive, wherever it stands."""
         launched: set[str] = set()
         #: per device text an emit names, its agent's buffer
         buffers: dict[str, list[Emit]] = {}
@@ -275,8 +276,14 @@ class Simulation:
                     raise ConfigError(f"until {d.until} is not after tick {tick}", line_no)
                 named = (src, dst, d.until, d.rate)
             else:
-                # an enlisted device would drop its advisory and never confirm
-                targets = [self._smn("target", t, line_no) for t in d.targets]
+                # an enlisted device would drop its advisory and never confirm,
+                # and a target named twice would be advised twice
+                targets: list[NodeAddress] = []
+                for text in d.targets:
+                    target = self._smn("target", text, line_no)
+                    if target in targets:
+                        raise ConfigError(f"respond enlist target {target} given twice", line_no)
+                    targets.append(target)
                 owner = self._smn("owner", d.owner, line_no) if d.owner else None
                 actor = self._smn("actor", d.actor, line_no) if d.actor else None
                 if d.action == "launch":
@@ -416,44 +423,35 @@ class Simulation:
             if arrived:
                 network.arrived = set()
                 due = arrived.union(due)
-            ran = sorted(due)
-            for slot in ran:
+            for slot in sorted(due):
                 outbound.extend(self._run_node(slot, tick, slot in arrived))
                 node = nodes[slot]
                 if node.lines:
                     self.collected.extend(node.drain_lines())
             if outbound:
                 self._send(outbound)
-            mirrored = bool(root.changesets)
-            if mirrored:
+            if root.changesets:
                 for change in root.drain_changesets():
                     self.mirror.apply_changeset(change)
-                if debug:
-                    self._check_mirror()
             network.step()
             if debug:
-                self._check_invariants(ran, mirrored)
+                self._check_invariants()
         return self._report()
 
-    def _check_mirror(self) -> None:
+    def _check_invariants(self) -> None:
+        """The ``--debug`` pass, whole on every tick a node runs on (a quiet
+        tick runs none, so it changes nothing checked here): the console
+        mirror equals the root's view, the view of every management node and
+        the mirror are valid trees, and every management node accounts for
+        its events."""
         have = self.mirror.serialize()
         want = self.root.virtual_view.serialize()
         if have != want:
             raise InvariantViolation(f"mirror diverged:\n  {have}\n  {want}")
-
-    def _check_invariants(self, ran: list[int] | None = None, mirrored: bool = True) -> None:
-        """Validate the views of the management nodes in the slots ``ran``
-        (all of them when None), since the view of a node that did not run
-        cannot have changed, and the mirror when ``mirrored`` (changes were
-        applied to it); check every node's event accounting."""
-        smns = self.smns.values() if ran is None else [
-            self._nodes[slot] for slot in ran if slot in self._smn_slots
-        ]
         try:
-            for smn in smns:
+            for smn in self.smns.values():
                 smn.virtual_view.validate()
-            if mirrored:
-                self.mirror.validate()
+            self.mirror.validate()
         except TreeError as exc:
             raise InvariantViolation(str(exc)) from exc
         self._check_accounting()

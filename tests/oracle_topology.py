@@ -81,7 +81,7 @@ def _parse_filter_rule(value: str, line_no: int) -> FilterRule:
 
 #: Sections whose keys may each be given once; ``[classify]`` compares its
 #: parsed (kind, native) keys instead, and ``[filter] drop`` repeats.
-_ONCE_SECTIONS = ("tree", "heartbeat", "pipeline", "assets", "vulnmap")
+_ONCE_SECTIONS = ("tree", "heartbeat", "pipeline", "assets", "vulnmap", "counterplans")
 
 
 def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
@@ -241,8 +241,9 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
 #: every field of PipelineSettings is an integer
 _PIPELINE_KEYS = {f.name for f in fields(PipelineSettings)}
 
-#: Least values: a run takes each tick modulo the two intervals, and
-#: ``validate`` refuses a negative threshold.
+#: Least values, checked here alone: a run divides each tick by the two
+#: intervals, and every score is at least 1, so a threshold below 0 is a
+#: mistake.
 _PIPELINE_MINIMA = {"validation_threshold": 0, "window_ticks": 1, "report_interval": 1}
 
 

@@ -64,8 +64,6 @@ class ReferenceSimulation(Simulation):
                 self.network.send(frame)
             for change in self.root.drain_changesets():
                 self.mirror.apply_changeset(change)
-            if self.debug:
-                self._check_mirror()
             self.network.step()
             if self.debug:
                 self._check_invariants()

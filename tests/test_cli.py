@@ -85,7 +85,7 @@ def test_statemachine_trace(capsys):
     assert cli.main(["statemachine", "trace", "--conditions", "T1,T3,T7,T8"]) == 0
     assert capsys.readouterr().out == "S11 S12 S211 S22 S211\n"
     assert cli.main(["statemachine", "trace", "--conditions", "T1,T99"]) == 2
-    assert capsys.readouterr().err == "unknown condition 'T99'\n"
+    assert capsys.readouterr().err == "usage error: unknown condition 'T99'\n"
 
 
 def test_correlate_reports_open_session(tmp_path, capsys):
@@ -436,6 +436,21 @@ def test_simulate_bad_directive_value_fails_before_the_run(directive, message, t
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_refuses_an_enlist_target_given_twice(tmp_path, capsys):
+    """Each enlisted node is sent the advisory once, so naming one twice is a
+    config error before the run, not a doubled advisory and confirmation."""
+    text = (DEMO / "respond.scn").read_text()
+    assert text.count("targets=1.2.0\n") == 1
+    scenario = tmp_path / "respond.scn"
+    scenario.write_text(text.replace("targets=1.2.0\n", "targets=1.2.0,1.2.0\n"))
+    argv = simulate_argv(DEMO / "topology.cfg", tmp_path / "out")
+    argv[argv.index("--scenario") + 1] = str(scenario)
+    assert cli.main(argv) == 2
+    want = "config error: line 18: respond enlist target 1.2.0 given twice\n"
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "out").exists()
+
+
 EMITS_AT_5_AND_20 = (
     "at 5 emit 1.1.1 class=fw.connect src=10.0.0.9:4242 dst=10.0.1.5:80 sev=1\n"
     "at 20 emit 1.1.1 class=fw.disconnect src=10.0.0.9:4242 dst=10.0.1.5:80 sev=1\n"
@@ -498,6 +513,9 @@ def test_simulate_bad_scenario_key_fails_before_the_run(head, line, message, tmp
          "key '10.0.0.1' given twice in [assets]"),
         ("exploit.attempt = CVE-2014-7", "exploit.attempt = CVE-2014-7\nexploit.attempt = CVE-1",
          71, "key 'exploit.attempt' given twice in [vulnmap]"),
+        # the first of two plan directories would be dropped unread
+        ("[counterplans]", "[counterplans]\ndir = a", 74,
+         "key 'dir' given twice in [counterplans]"),
         # [classify] compares the (kind, native) pair, not the text
         ("Firewall fw.deny = access.denied",
          "Firewall fw.deny = access.denied\nFirewall  fw.deny = access.other", 68,

@@ -77,3 +77,14 @@ def test_filter_drop_repeats():
         "[filter]\ndrop = class=a\ndrop = class=b\n"
     )
     assert [rule.native_class for rule in topology.filter_rules] == ["a", "b"]
+
+
+def test_a_node_declared_without_its_parent_is_refused():
+    """Routes climb through parents, so the parser refuses a node whose
+    parent is not declared; nothing behind it checks again."""
+    with pytest.raises(ConfigError) as raised:
+        parse_topology(
+            "[tree]\ndepth = 4\ndegree = 3\n[node 1.0.0.0]\nkind = SMN\n"
+            "[node 1.2.0.0]\nkind = SMN\n[node 1.2.2.1]\nkind = Firewall\n"
+        )
+    assert str(raised.value) == "node 1.2.2.1 declared without its parent 1.2.2.0"

@@ -288,6 +288,19 @@ def test_an_empty_enlist_target_is_refused_at_set_up():
         Simulation(topology, scenario)
 
 
+def test_an_enlist_target_given_twice_is_refused_at_set_up():
+    """Each target would be sent the advisory once per time it is named,
+    doubling its confirmation, so set-up refuses the repeat, in a hand-built
+    script as in a parsed one."""
+    topology = load_topology(str(DEMO / "topology.cfg"))
+    directives = [
+        Respond(5, 1, "launch", "w1", owner="1.1.0"),
+        Respond(6, 2, "enlist", "w1", targets=("1.2.0", "1.2.00")),
+    ]
+    with pytest.raises(ConfigError, match="line 2: respond enlist target 1.2.0 given twice"):
+        Simulation(topology, ScenarioScript(directives=directives))
+
+
 @pytest.mark.parametrize("loop", [Simulation, ReferenceSimulation])
 def test_silenced_device_answers_no_command(loop):
     topology = load_topology(str(DEMO / "topology.cfg"))
@@ -614,6 +627,44 @@ def test_a_command_crossing_a_hop_on_a_quiet_tick_lands_as_the_window_ends():
     assert "UNACKED" not in files["nodes.txt"]
     want = ReferenceSimulation(topology, parse_scenario(QUIET_HOP), debug=True).run()
     assert files == want.files()
+
+
+def test_debug_checks_the_view_of_a_management_node_that_did_not_run():
+    """``--debug`` checks every view on every tick a node runs on, so a view
+    broken on a tick its own node does not run on fails that very tick."""
+    topology = load_topology(str(DEMO_TOPOLOGY))
+    scenario = parse_scenario((DEMO / "attack.scn").read_text())
+    site = NodeAddress.parse("1.2.0", topology.shape)
+    sim = Simulation(topology, scenario, debug=True)
+    slot = sim.network.slots[site]
+    busy, site_ran = set(), set()
+    run_node = sim._run_node
+
+    def recording(s, now, addressed):
+        busy.add(now)
+        if s == slot:
+            site_ran.add(now)
+        return run_node(s, now, addressed)
+
+    sim._run_node = recording
+    sim.run()
+    tick = min(busy - site_ran)
+
+    sim = Simulation(topology, scenario, debug=True)
+    run_node = sim._run_node
+
+    def breaking(s, now, addressed):
+        if now == tick:
+            # file the site's second child under the first one's segment too
+            children = sim.smns[site].virtual_view.root.children
+            a, b = list(children)[:2]
+            children[a] = children[b]
+        return run_node(s, now, addressed)
+
+    sim._run_node = breaking
+    with pytest.raises(InvariantViolation, match="filed under 1.2.0"):
+        sim.run()
+    assert sim.network.now == tick + 1
 
 
 def test_every_run_checks_the_event_accounting():
