@@ -32,13 +32,17 @@ A scenario file is a time-ordered directive list::
     at 90 respond launch w1 owner=1.1.0
     at 30 inject-loss 1.1.0->1.0.0 until 80 rate=1.0
 
-Each ``at`` line parses to one typed directive (``Emit``, ``Window``,
-``Command``, ``Respond``, ``InjectLoss``) with its numbers parsed and
-bounded; node addresses stay text for the simulator to resolve. Ticks and
-``drain`` are ``>= 0``, and ``seed`` and ``drain`` are given at most once.
-An emit spelled as above (single spaces, fields in that order, both ports,
-no comment) is read by one match; any other spelling takes the general
-parser to the same directive, and only that parser raises errors.
+The parser only reads: each ``at`` line becomes one typed directive
+(``Emit``, ``Window``, ``Command``, ``Respond``, ``InjectLoss``) with its
+numbers parsed, and node addresses stay text. It refuses a line of the wrong
+form, a value that is not a number, an unknown directive or key, and a
+repeated ``seed`` or ``drain``. Set-up checks every rule on the values once,
+for a parsed and a hand-built script alike: ranges, time order, the fields
+each respond action takes and what each address names (see
+``Simulation._validate_directives``). An emit spelled as above
+(single spaces, fields in that order, both ports, no comment) is read by
+one match; any other spelling takes the general parser to the same
+directive, and only that parser raises errors.
 """
 
 from __future__ import annotations
@@ -306,13 +310,14 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
     )
 
 
-#: every field of PipelineSettings is an integer
-_PIPELINE_KEYS = {f.name for f in fields(PipelineSettings)}
-
-#: Least values, checked here alone: a run divides each tick by the two
-#: intervals, and every score is at least 1, so a threshold below 0 is a
-#: mistake.
-_PIPELINE_MINIMA = {"validation_threshold": 0, "window_ticks": 1, "report_interval": 1}
+#: The least value of each field of PipelineSettings, all integers, and so
+#: the known keys; checked here alone. A run divides each tick by the two
+#: intervals, a port scan takes at least one port, and every score is at
+#: least 1, so a threshold below 0 is a mistake, as is a negative delay.
+_PIPELINE_MINIMA = {
+    "validation_threshold": 0, "window_ticks": 1, "portscan_threshold": 1, "grace": 0,
+    "connect_ttl": 0, "report_interval": 1, "command_delay": 0,
+}
 
 
 #: Cross-device clustering keys: still accepted, but no node clusters.
@@ -329,9 +334,9 @@ def _build_pipeline(kv: dict[str, tuple[str, int]]) -> PipelineSettings:
     """Settings from the ``[pipeline]`` keys (value and line number)."""
     settings = PipelineSettings()
     for key, (value, line_no) in kv.items():
-        if key not in _PIPELINE_KEYS:
+        if key not in _PIPELINE_MINIMA:
             raise ConfigError(f"unknown pipeline key {key!r}", line_no)
-        setattr(settings, key, _int(value, line_no, key, _PIPELINE_MINIMA.get(key)))
+        setattr(settings, key, _int(value, line_no, key, _PIPELINE_MINIMA[key]))
     return settings
 
 
@@ -382,13 +387,14 @@ class Command(Directive):
 
 @dataclass(slots=True)
 class Respond(Directive):
-    """``respond <action> <handle> [owner=N] [targets=N,...] [actor=N]``"""
+    """``respond <action> <handle> [owner=N] [targets=N,...] [actor=N]``; a
+    field not given is None."""
 
     action: str
     handle: str
-    owner: str = ""
-    targets: tuple[str, ...] = ()
-    actor: str = ""
+    owner: str | None = None
+    targets: tuple[str, ...] | None = None
+    actor: str | None = None
 
 
 @dataclass(slots=True)
@@ -409,18 +415,9 @@ class ScenarioScript:
 
     @property
     def last_tick(self) -> int:
-        """The latest tick a directive names; a hand-built script need not
-        be in tick order."""
+        """The latest tick a directive names: the last directive's in a
+        script that set-up accepts, which must be time-ordered."""
         return max((d.tick for d in self.directives), default=0)
-
-
-#: The fields each respond action takes; launch and enlist require the first.
-_RESPOND_FIELDS = {
-    "launch": ("owner",),
-    "escalate": (),
-    "enlist": ("targets",),
-    "advance": ("actor",),
-}
 
 
 #: The canonical emit spelling. No field holds ``#`` or whitespace, so the
@@ -428,27 +425,24 @@ _RESPOND_FIELDS = {
 #: it never looks like a field.
 _CANONICAL_EMIT = re.compile(
     r"at ([0-9]+) emit ([^\s#=]+) class=([^\s#]+)"
-    r" src=([^\s#:]+):([0-9]+) dst=([^\s#:]+):([0-9]+) sev=([1-5])"
+    r" src=([^\s#:]+):([0-9]+) dst=([^\s#:]+):([0-9]+) sev=([0-9]+)"
 )
 
 
 def parse_scenario(text: str) -> ScenarioScript:
-    """``text``'s directives, each value that needs no topology parsed and bounded."""
+    """``text``'s directives, their numbers parsed; set-up checks their values."""
     script = ScenarioScript()
-    last_tick = 0
     given: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         match = _CANONICAL_EMIT.fullmatch(raw)
         if match is not None:
             tick, device, cls, src_ip, src_port, dst_ip, dst_port, sev = match.groups()
-            tick, src_port, dst_port = int(tick), int(src_port), int(dst_port)
-            if tick >= last_tick and src_port <= 65535 and dst_port <= 65535:
-                last_tick = tick
-                script.directives.append(
-                    Emit(tick, line_no, device, cls, src_ip, src_port, dst_ip, dst_port, int(sev))
-                )
-                continue
-        # any other line, or a value out of range: the general parser decides
+            script.directives.append(Emit(
+                int(tick), line_no, device, cls, src_ip, int(src_port), dst_ip, int(dst_port),
+                int(sev),
+            ))
+            continue
+        # any other line: the general parser decides
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -460,15 +454,12 @@ def parse_scenario(text: str) -> ScenarioScript:
             if key == "seed":
                 script.seed = _int(value, line_no)
             elif key == "drain":
-                script.drain = _int(value, line_no, key, low=0)
+                script.drain = _int(value, line_no)
             else:
                 raise ConfigError(f"unknown scenario key {key!r}", line_no)
             continue
         parts = line.split()
-        tick = _int(parts[1], line_no, "tick", low=0)
-        if tick < last_tick:
-            raise ConfigError("directives must be time-ordered", line_no)
-        last_tick = tick
+        tick = _int(parts[1], line_no)
         op = parts[2] if len(parts) > 2 else ""
         script.directives.append(_parse_directive(op, parts[3:], tick, line_no))
     return script
@@ -483,15 +474,14 @@ def _parse_directive(op: str, rest: list[str], tick: int, line_no: int) -> Direc
             if required not in given:
                 raise ConfigError(f"emit missing {required}=", line_no)
         severity = _number(int, given.get("sev", "1"), "sev", line_no)
-        if not 1 <= severity <= 5:
-            raise ConfigError(f"sev {severity} outside 1..5", line_no)
         src = _endpoint(given["src"], "src", line_no)
         dst = _endpoint(given["dst"], "dst", line_no)
         return Emit(tick, line_no, rest[0], given["class"], *src, *dst, severity)
     if op in ("silence", "abnormal"):
         if len(rest) != 3 or rest[1] != "until":
             raise ConfigError(f"{op} form: {op} <node> until <tick>", line_no)
-        return Window(tick, line_no, rest[0], _until(rest[2], tick, line_no), op == "abnormal")
+        until = _number(int, rest[2], "until", line_no)
+        return Window(tick, line_no, rest[0], until, op == "abnormal")
     if op == "command":
         if len(rest) != 2:
             raise ConfigError("command form: command <kind> <target>", line_no)
@@ -499,16 +489,10 @@ def _parse_directive(op: str, rest: list[str], tick: int, line_no: int) -> Direc
     if op == "respond":
         if len(rest) < 2:
             raise ConfigError("respond form: respond <action> <handle> [k=v...]", line_no)
-        action = rest[0]
-        known = _RESPOND_FIELDS.get(action)
-        if known is None:
-            raise ConfigError(f"unknown respond action {action!r}", line_no)
-        given = _key_values(rest[2:], known, f"respond {action}", line_no)
-        if action in ("launch", "enlist") and known[0] not in given:
-            raise ConfigError(f"respond {action} needs {known[0]}=", line_no)
+        given = _key_values(rest[2:], ("owner", "targets", "actor"), "respond", line_no)
         if "targets" in given:
             given["targets"] = tuple(given["targets"].split(","))
-        return Respond(tick, line_no, action, rest[1], **given)
+        return Respond(tick, line_no, rest[0], rest[1], **given)
     if op != "inject-loss":
         raise ConfigError(f"unknown directive {op!r}", line_no)
     if len(rest) < 3 or "->" not in rest[0] or rest[1] != "until":
@@ -519,9 +503,7 @@ def _parse_directive(op: str, rest: list[str], tick: int, line_no: int) -> Direc
     src, _, dst = rest[0].partition("->")
     rate_text = _key_values(rest[3:], ("rate",), "inject-loss", line_no).get("rate", "1.0")
     rate = _number(float, rate_text, "rate", line_no)
-    if not 0 < rate <= 1:
-        raise ConfigError(f"rate {rate_text} outside (0, 1]", line_no)
-    until = _until(rest[2], tick, line_no)
+    until = _number(int, rest[2], "until", line_no)
     return InjectLoss(tick, line_no, src, dst, until, rate)
 
 
@@ -532,22 +514,11 @@ def _number(convert, text: str, name: str, line_no: int):
         raise ConfigError(f"{name} is not a number: {text!r}", line_no) from None
 
 
-def _until(text: str, tick: int, line_no: int) -> int:
-    """The end tick of a window that starts at ``tick``, which it must follow."""
-    until = _number(int, text, "until", line_no)
-    if until <= tick:
-        raise ConfigError(f"until {until} is not after tick {tick}", line_no)
-    return until
-
-
 def _endpoint(text: str, name: str, line_no: int) -> tuple[str, int]:
     ip, _, port = text.partition(":")
     if not port:
         return ip, 0
-    number = _number(int, port, f"{name} port", line_no)
-    if not 0 <= number <= 65535:
-        raise ConfigError(f"{name} port {number} outside 0..65535", line_no)
-    return ip, number
+    return ip, _number(int, port, f"{name} port", line_no)
 
 
 def load_scenario(path: str) -> ScenarioScript:

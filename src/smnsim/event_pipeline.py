@@ -23,7 +23,7 @@ reads a line in that spelling with no entity in one match, and any other
 line, attributes in any order and spacing, through its general parser.
 
 On the device an event is the scenario's ``Emit`` directive, bounded by
-the parser (or by the simulator's set-up, for a hand-built one), which
+the simulator's set-up, whether parsed or built by hand, which
 ``filter_event`` and ``normalize`` read with the emitting device's address
 and kind. ``NormalizedEvent`` is slotted, not frozen: a frozen
 twelve-field record costs some 4 µs more to build, every assignment going
@@ -126,8 +126,8 @@ _MARKER_BY_NATIVE = {
     "fw.disconnect": ConnectionMarker.DISCONNECT,
 }
 
-#: Native classes that must always reach the correlation stage: the
-#: connection markers.
+#: Native classes that a firewall's filter never drops: the ones
+#: ``normalize`` makes connection markers of.
 PROTECTED_CLASSES = frozenset(_MARKER_BY_NATIVE)
 
 
@@ -158,8 +158,9 @@ class FilterRule:
 
 
 def filter_event(ev: Emit, kind: DeviceKind, rules: list[FilterRule]) -> bool:
-    """True to keep the event a device of ``kind`` emitted, False to drop it."""
-    if ev.native_class in PROTECTED_CLASSES:
+    """True to keep the event a device of ``kind`` emitted, False to drop it.
+    A firewall's connection markers always reach correlation."""
+    if kind is DeviceKind.FIREWALL and ev.native_class in PROTECTED_CLASSES:
         return True
     for rule in rules:
         if rule.matches(ev, kind):

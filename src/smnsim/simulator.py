@@ -55,12 +55,12 @@ after one of its tick went as a frame (see ``node_runtime``).
 A scenario's emits are no tick's directives: set-up files each one on its
 device's agent, whose ``buffer`` is then the device's script of emits not
 yet flushed, in tick order (see ``node_runtime``), and the agent's
-``next_wake`` names the flush of the first. A hand-built script whose emits
-are out of tick order runs as its stably time-ordered form, as the parser
-would have required it. A flush travels as one ``DEVICE_EVENT`` frame
-carrying its events, so a loss window with a rate below 1 on the device's
-hop draws once per flush and keeps or drops all its events together, with
-one dead letter for a dropped flush.
+``next_wake`` names the flush of the first. Set-up alone checks a script's
+values, parsed or built by hand, and refuses one out of tick order, so each
+buffer is in tick order as filed. A flush travels as one ``DEVICE_EVENT``
+frame carrying its events, so a loss window with a rate below 1 on the
+device's hop draws once per flush and keeps or drops all its events
+together, with one dead letter for a dropped flush.
 
 A scenario window is applied at its start tick, before any node runs, so
 a window held has begun: a node keeps only the end of its latest silence or
@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .addressing import AddressError, NodeAddress
 from .config import (
@@ -99,6 +98,15 @@ from .node_runtime import ChildRecord, DeviceAgent, SmnNode
 
 class InvariantViolation(Exception):
     pass
+
+
+#: The fields each respond action takes; launch and enlist require the first.
+_RESPOND_FIELDS = {
+    "launch": ("owner",),
+    "escalate": (),
+    "enlist": ("targets",),
+    "advance": ("actor",),
+}
 
 
 @dataclass
@@ -157,6 +165,14 @@ def _hearing(record: ChildRecord, parent: SmnNode, windows: list[LossWindow]):
         return heard(parent, record, msg_type, payload, now + 1)
 
     return hear
+
+
+def _emit_range_error(d: Emit) -> ConfigError:
+    """The error for an emit whose ``sev`` or a port is out of range."""
+    if not 1 <= d.severity <= 5:
+        return ConfigError(f"sev {d.severity} outside 1..5", d.line_no)
+    name, port = ("src", d.src_port) if not 0 <= d.src_port <= 65535 else ("dst", d.dst_port)
+    return ConfigError(f"{name} port {port} outside 0..65535", d.line_no)
 
 
 class Simulation:
@@ -222,34 +238,39 @@ class Simulation:
     # -- setup helpers -----------------------------------------------------
 
     def _validate_directives(self) -> None:
-        """Check what each directive names against the topology, and each
-        emit's ports and severity, so a bad address or value is a ConfigError
-        here, never a failure mid-run. File each emit on its device's agent,
+        """The one gate for a script's rules, parsed or built by hand: a value
+        or name that breaks one is a ConfigError on its line (``drain`` has
+        none), never a failure mid-run or a directive ignored. ``drain`` and
+        ticks are ``>= 0``, and ticks in order. An emit's ports lie in
+        0..65535 and its ``sev`` in 1..5. A window or loss window ends after
+        its tick; a loss window's rate lies in (0, 1], on a tree link. A
+        respond action is known and given only the fields it takes, a launch
+        its owner and an enlist its targets, each once; every node it names
+        is a management node, and an action other than launch names a handle
+        an earlier launch binds. File each emit on its device's agent,
         appending it to the agent's ``buffer``, and the other directives by
         tick with what they name: a window's node, a command's target, a
-        ``LossWindow``, and a respond's owner, targets and actor. Each buffer
-        ends in stable tick order, sorted only when the script is out of it.
-        As the parser requires, a loss window ends after its tick and a
-        launch names its owner; a loss window lies on a tree link, every node
-        a respond action names is a management node, an enlist names each
-        target once, and an action other than launch must name a handle that
-        an earlier launch binds. The run ends ``drain`` ticks after the
-        latest directive, wherever it stands."""
+        ``LossWindow``, and a respond's owner, targets and actor. The run
+        ends ``drain`` ticks after the latest directive."""
+        if self.scenario.drain < 0:
+            raise ConfigError(f"drain must be >= 0, got {self.scenario.drain}")
         launched: set[str] = set()
         #: per device text an emit names, its agent's buffer
         buffers: dict[str, list[Emit]] = {}
-        latest, ordered = 0, True
+        latest = 0
         for d in self.scenario.directives:
             line_no, tick = d.line_no, d.tick
             if tick < latest:
-                ordered = False
-            else:
-                latest = tick
+                raise ConfigError(
+                    f"tick must be >= 0, got {tick}" if tick < 0
+                    else "directives must be time-ordered",
+                    line_no,
+                )
+            latest = tick
             if isinstance(d, Emit):
-                # the parser bounds what it reads; this bounds a hand-built one
-                if not (0 <= d.src_port <= 65535 and 0 <= d.dst_port <= 65535
-                        and 1 <= d.severity <= 5):
-                    raise ConfigError(f"emit port or sev out of range in {d}", line_no)
+                if not (1 <= d.severity <= 5 and 0 <= d.src_port <= 65535
+                        and 0 <= d.dst_port <= 65535):
+                    raise _emit_range_error(d)
                 buffer = buffers.get(d.device)
                 if buffer is None:
                     addr = self._addr(d.device, line_no)
@@ -258,6 +279,11 @@ class Simulation:
                     buffer = buffers[d.device] = self.agents[addr].buffer
                 buffer.append(d)
                 continue
+            if isinstance(d, InjectLoss) and not 0 < d.rate <= 1:
+                rate = str(d.rate).removesuffix(".0")
+                raise ConfigError(f"rate {rate} outside (0, 1]", line_no)
+            if isinstance(d, (Window, InjectLoss)) and d.until <= tick:
+                raise ConfigError(f"until {d.until} is not after tick {tick}", line_no)
             if isinstance(d, Window):
                 addr = self._addr(d.node, line_no)
                 if d.abnormal and addr not in self.agents:
@@ -272,31 +298,32 @@ class Simulation:
                 src, dst = self._addr(d.src, line_no), self._addr(d.dst, line_no)
                 if src.parent() != dst and dst.parent() != src:
                     raise ConfigError(f"inject-loss {src}->{dst} is not a tree link", line_no)
-                if d.until <= tick:
-                    raise ConfigError(f"until {d.until} is not after tick {tick}", line_no)
                 named = (src, dst, d.until, d.rate)
             else:
+                takes = _RESPOND_FIELDS.get(d.action)
+                if takes is None:
+                    raise ConfigError(f"unknown respond action {d.action!r}", line_no)
+                for name in ("owner", "targets", "actor"):
+                    if getattr(d, name) is not None and name not in takes:
+                        raise ConfigError(f"unknown respond {d.action} field {name!r}", line_no)
+                if d.action in ("launch", "enlist") and getattr(d, takes[0]) is None:
+                    raise ConfigError(f"respond {d.action} needs {takes[0]}=", line_no)
                 # an enlisted device would drop its advisory and never confirm,
                 # and a target named twice would be advised twice
                 targets: list[NodeAddress] = []
-                for text in d.targets:
+                for text in d.targets or ():
                     target = self._smn("target", text, line_no)
                     if target in targets:
                         raise ConfigError(f"respond enlist target {target} given twice", line_no)
                     targets.append(target)
-                owner = self._smn("owner", d.owner, line_no) if d.owner else None
-                actor = self._smn("actor", d.actor, line_no) if d.actor else None
+                owner = None if d.owner is None else self._smn("owner", d.owner, line_no)
+                actor = None if d.actor is None else self._smn("actor", d.actor, line_no)
                 if d.action == "launch":
-                    if owner is None:
-                        raise ConfigError("respond launch needs owner=", line_no)
                     launched.add(d.handle)
                 elif d.handle not in launched:
                     raise ConfigError(f"no earlier respond launch binds {d.handle!r}", line_no)
                 named = (owner, targets, actor)
             self._by_tick.setdefault(tick, []).append((d, named))
-        if not ordered:
-            for buffer in buffers.values():
-                buffer.sort(key=attrgetter("tick"))
         #: the run's last tick: the drain after the latest directive
         self.end_tick = latest + self.scenario.drain
 

@@ -4,7 +4,7 @@ and in ``smnsim.config`` must give equal configurations, or raise
 ``ConfigError``s with the same message and line.
 
 The code below is the old parser and its helpers, copied unchanged but for
-three points. An ``[assets]`` entry with an empty value raised
+four points. An ``[assets]`` entry with an empty value raised
 ``IndexError`` there, and raises ``ConfigError`` ("not an integer: ''")
 here, as it now does in ``smnsim.config``. The records are built as they
 are now declared: ``nodes`` maps each address to its kind, so the node loop
@@ -13,9 +13,10 @@ asset database, and an ``AssetRecord`` holds no ip. And a run has one
 heartbeat cadence: a ``[node …]`` section that gives a heartbeat key is
 refused as an unknown node key, and the ``[heartbeat]`` section builds one
 ``HeartbeatConfig`` right after the ``[tree]`` check, where each node built
-its own, with its overrides, in the node loop. Only the record types and
-the error class are imported, so that the two parsers' results compare
-equal.
+its own, with its overrides, in the node loop. Finally, every ``[pipeline]``
+key has a least value, as in ``smnsim.config``, where three keys had one.
+Only the record types and the error class are imported, so that the two
+parsers' results compare equal.
 """
 
 from __future__ import annotations
@@ -242,9 +243,12 @@ def parse_topology(text: str, base_dir: str = ".") -> TopologyConfig:
 _PIPELINE_KEYS = {f.name for f in fields(PipelineSettings)}
 
 #: Least values, checked here alone: a run divides each tick by the two
-#: intervals, and every score is at least 1, so a threshold below 0 is a
-#: mistake.
-_PIPELINE_MINIMA = {"validation_threshold": 0, "window_ticks": 1, "report_interval": 1}
+#: intervals, a port scan takes at least one port, and every score is at
+#: least 1, so a threshold below 0 is a mistake, as is a negative delay.
+_PIPELINE_MINIMA = {
+    "validation_threshold": 0, "window_ticks": 1, "portscan_threshold": 1, "grace": 0,
+    "connect_ttl": 0, "report_interval": 1, "command_delay": 0,
+}
 
 
 #: Cross-device clustering keys: still accepted, but no node clusters.

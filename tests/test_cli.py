@@ -396,6 +396,13 @@ def test_simulate_non_integer_pipeline_value(tmp_path, capsys):
             "at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:99999 dst=10.0.1.5:80",
             "src port 99999 outside 0..65535",
         ),
+        # canonical spellings, read by one match, with a value out of range
+        ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:65536 dst=10.0.1.5:80 sev=1",
+         "src port 65536 outside 0..65535"),
+        ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:65536 sev=1",
+         "dst port 65536 outside 0..65535"),
+        ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:80 sev=6",
+         "sev 6 outside 1..5"),
         ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:80 sev=high",
          "sev is not a number: 'high'"),
         ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:80 sev=9",
@@ -414,16 +421,17 @@ def test_simulate_non_integer_pipeline_value(tmp_path, capsys):
         ("at 5 inject-loss 1.0.0->1.0.0 until 9", "inject-loss 1.0.0->1.0.0 is not a tree link"),
         ("at 5 inject-loss 1.1.1->1.2.0 until 9", "inject-loss 1.1.1->1.2.0 is not a tree link"),
         ("at 5 respond dance w1", "unknown respond action 'dance'"),
-        ("at 5 respond launch w1 owner=1.1.0 ownr=1.1.0",
-         "unknown respond launch field 'ownr'"),
+        ("at 5 respond launch w1 owner=1.1.0 ownr=1.1.0", "unknown respond field 'ownr'"),
         ("at 5 respond launch w1 owner=1.1.1", "respond owner 1.1.1 is not a management node"),
         ("at 5 respond advance w1 actor=1.2.1", "respond actor 1.2.1 is not a management node"),
-        ("at 5 respond advance w1 actor=1.1.0 note=done", "unknown respond advance field 'note'"),
+        ("at 5 respond advance w1 actor=1.1.0 note=done", "unknown respond field 'note'"),
         ("at 5 respond enlist w1", "respond enlist needs targets="),
         ("at 5 respond enlist w1 targets=1.2.0,1.3.0", "unknown node 1.3.0"),
         ("at 5 respond enlist w1 targets=1.2.0,1.2.1",
          "respond target 1.2.1 is not a management node"),
         ("at 5 respond escalate w1", "no earlier respond launch binds 'w1'"),
+        ("at 5 respond escalate w1 owner=1.1.0", "unknown respond escalate field 'owner'"),
+        ("at 0 silence 1.1.1 until 5", "directives must be time-ordered"),
     ],
 )
 def test_simulate_bad_directive_value_fails_before_the_run(directive, message, tmp_path, capsys):
@@ -460,8 +468,9 @@ EMITS_AT_5_AND_20 = (
 @pytest.mark.parametrize(
     "head, line, message",
     [
-        ("drain = -15\n", 1, "drain must be >= 0, got -15"),
-        ("drain = -50\n", 1, "drain must be >= 0, got -50"),
+        # set-up checks the drain, which keeps no line
+        ("drain = -15\n", None, "drain must be >= 0, got -15"),
+        ("drain = -50\n", None, "drain must be >= 0, got -50"),
         ("seed = 1\nseed = 2\n", 2, "key 'seed' given twice"),
         ("seed = 1\ndrain = 30\n\ndrain = 40\n", 4, "key 'drain' given twice"),
     ],
@@ -472,7 +481,8 @@ def test_simulate_bad_scenario_key_fails_before_the_run(head, line, message, tmp
     argv = simulate_argv(DEMO / "topology.cfg", tmp_path / "out")
     argv[argv.index("--scenario") + 1] = str(scenario)
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"config error: line {line}: {message}\n"
+    where = "" if line is None else f"line {line}: "
+    assert capsys.readouterr().err == f"config error: {where}{message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -489,6 +499,11 @@ def test_simulate_bad_scenario_key_fails_before_the_run(head, line, message, tmp
          "report_interval must be >= 1, got 0"),
         ("validation_threshold = 5", "validation_threshold = -1", 15,
          "validation_threshold must be >= 0, got -1"),
+        ("portscan_threshold = 10", "portscan_threshold = 0", 17,
+         "portscan_threshold must be >= 1, got 0"),
+        ("grace = 60", "grace = -1", 18, "grace must be >= 0, got -1"),
+        ("connect_ttl = 600", "connect_ttl = -1", 19, "connect_ttl must be >= 0, got -1"),
+        ("command_delay = 3", "command_delay = -1", 21, "command_delay must be >= 0, got -1"),
         ("depth = 3", "depth = 0", 5, "depth must be >= 1, got 0"),
         ("depth = 3", "depth = 65", 5, "depth must be <= 64, got 65"),
         # keys the simulator does not know name their own line

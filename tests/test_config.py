@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
 from smnsim.config import (
+    _PIPELINE_MINIMA,
     Command,
     ConfigError,
     Emit,
@@ -10,6 +13,7 @@ from smnsim.config import (
     parse_scenario,
     parse_topology,
 )
+from smnsim.node_runtime import PipelineSettings
 
 
 def test_parse_scenario_types_each_directive():
@@ -31,29 +35,6 @@ def test_parse_scenario_types_each_directive():
     ]
 
 
-@pytest.mark.parametrize(
-    "directive, message",
-    [
-        ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:80 sev=9",
-         "sev 9 outside 1..5"),
-        ("at 5 silence 1.1.1 until 5", "until 5 is not after tick 5"),
-        ("at 5 abnormal 1.1.1 until 2", "until 2 is not after tick 5"),
-        ("at 5 inject-loss 1.1.0->1.0.0 until 9 rate=7", "rate 7 outside (0, 1]"),
-        # canonical emit spellings with a value out of range
-        ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:65536 dst=10.0.1.5:80 sev=1",
-         "src port 65536 outside 0..65535"),
-        ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:65536 sev=1",
-         "dst port 65536 outside 0..65535"),
-        ("at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:80 sev=6",
-         "sev 6 outside 1..5"),
-    ],
-)
-def test_parse_scenario_bounds_values_without_a_topology(directive, message):
-    with pytest.raises(ConfigError) as raised:
-        parse_scenario("drain = 10\nat 1 silence 1.1.2 until 3\n" + directive + "\n")
-    assert str(raised.value) == f"line 3: {message}"
-
-
 CANONICAL = "at 5 emit 1.1.1 class=fw.deny src=1.2.3.4:1 dst=10.0.1.5:80 sev=2"
 
 
@@ -69,6 +50,12 @@ def test_an_emit_spelling_gives_the_canonical_directive(line):
     assert parse_scenario(line + "\n").directives == [
         Emit(5, 1, "1.1.1", "fw.deny", "1.2.3.4", 1, "10.0.1.5", 80, 2)
     ]
+
+
+def test_every_pipeline_key_has_a_least_value():
+    """``_PIPELINE_MINIMA`` is the set of known ``[pipeline]`` keys, so a
+    setting without a bound would be an unknown key."""
+    assert set(_PIPELINE_MINIMA) == {f.name for f in fields(PipelineSettings)}
 
 
 def test_filter_drop_repeats():

@@ -96,6 +96,10 @@ def test_filter_never_drops_connection_markers():
     rule = FilterRule(native_class="fw.*")
     assert filter_event(raw(native="fw.connect"), DeviceKind.FIREWALL, [rule]) is True
     assert filter_event(raw(native="fw.deny"), DeviceKind.FIREWALL, [rule]) is False
+    # only a firewall's fw.connect is a connection marker (see ``normalize``)
+    ids_rule = FilterRule(device_kind=DeviceKind.IDS, native_class="fw.*")
+    assert filter_event(raw(native="fw.connect"), DeviceKind.IDS, [ids_rule]) is False
+    assert filter_event(raw(native="fw.connect"), DeviceKind.FIREWALL, [ids_rule]) is True
 
 
 # -- normalization -------------------------------------------------------------

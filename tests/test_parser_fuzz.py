@@ -109,7 +109,8 @@ def test_parse_scenario_raises_only_config_errors(text):
 
 # -- canonical emit lines against the general parser --------------------------
 
-#: Each emit line follows one at this tick, so a lower tick goes back in time.
+#: Each emit line follows this one, so that it is read on line 2. The parser
+#: only reads: set-up checks the order of ticks and the bounds of values.
 BEFORE = "at 10 silence 1.1.2 until 12\n"
 
 
@@ -119,16 +120,13 @@ def general(line: str):
     canonical match."""
     parts = line.split("#", 1)[0].split()
     try:
-        tick = _int(parts[1], 2, "tick", low=0)
-        if tick < 10:
-            raise ConfigError("directives must be time-ordered", 2)
-        return _parse_directive(parts[2], parts[3:], tick, 2)
+        return _parse_directive(parts[2], parts[3:], _int(parts[1], 2), 2)
     except ConfigError as exc:
         return str(exc)
 
 
 #: Ways a line can leave the canonical spelling, or stay in it with a value
-#: at the edge of a bound.
+#: at or past a bound, which set-up checks.
 EDGES = ("port", "no port", "sev", "no sev", "tick", "# in a value", "= or : in a value",
          "device", "reorder", "duplicate", "tab or double space", "leading space", "comment")
 

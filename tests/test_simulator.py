@@ -9,10 +9,12 @@ from smnsim import cli
 from smnsim.addressing import NodeAddress
 from smnsim.config import (
     ConfigError,
+    Directive,
     Emit,
     InjectLoss,
     Respond,
     ScenarioScript,
+    Window,
     load_topology,
     parse_scenario,
     parse_topology,
@@ -141,21 +143,33 @@ def _hand_built(**fields) -> ScenarioScript:
     return ScenarioScript(drain=20, directives=[Emit(**{**emit, **fields})])
 
 
+#: the error for an emit field out of range, as the CLI prints it for the text
+OUT_OF_RANGE = {
+    "src_port": "src port {} outside 0..65535",
+    "dst_port": "dst port {} outside 0..65535",
+    "severity": "sev {} outside 1..5",
+}
+
+
 @pytest.mark.parametrize(
     "fields",
     [{"src_port": 70000}, {"dst_port": 70000}, {"src_port": -1}, {"severity": 9},
      {"severity": 0}],
 )
 def test_a_hand_built_emit_out_of_range_fails_the_run(fields, tmp_path):
-    """The scenario parser bounds ports and ``sev``; an ``Emit`` built by hand
-    is bounded when the run is set up, so it never reaches a flush or a
-    report, even on a device whose filter would drop it."""
+    """Set-up bounds the ports and ``sev`` of every ``Emit``, parsed or built
+    by hand, so none out of range reaches a flush or a report, even on a
+    device whose filter would drop it."""
     topology = load_topology(str(DEMO / "topology.cfg"))
-    with pytest.raises(ConfigError, match="line 1: emit .* out of range"):
+    ((name, value),) = fields.items()
+    message = "line 1: " + OUT_OF_RANGE[name].format(value)
+    with pytest.raises(ConfigError) as raised:
         Simulation(topology, _hand_built(**fields)).run()
-    with pytest.raises(ConfigError, match="out of range"):
+    assert str(raised.value) == message
+    with pytest.raises(ConfigError) as raised:
         Simulation(topology, _hand_built(device="1.1.3", native_class="hm.heartbeat",
                                          **fields)).run()
+    assert str(raised.value) == message
 
 
 def test_a_hand_built_emit_at_the_bounds_is_flushed():
@@ -169,13 +183,12 @@ def test_a_hand_built_emit_at_the_bounds_is_flushed():
 
 
 @pytest.mark.parametrize("name", ["attack", "gen0"])
-def test_a_hand_built_script_out_of_tick_order_runs_as_the_ordered_one(name):
-    """Set-up files each emit on its device in stable tick order, so a
-    hand-built script whose ticks are shuffled, the directives of each tick
-    kept in their order, flushes as the parsed, time-ordered one: the same
-    reports. The latest tick goes first, so the run's length must come from
-    the latest directive, not the last one."""
-    topology, script, golden = GOLDEN_RUNS[name]
+def test_a_hand_built_script_out_of_tick_order_is_refused(name):
+    """Set-up refuses a hand-built script whose ticks are shuffled, the
+    directives of each tick kept in their order, as the CLI refuses its text,
+    at the first directive before an earlier one's tick. The latest tick
+    goes first, and ``last_tick`` is still the latest."""
+    topology, script, _ = GOLDEN_RUNS[name]
     ordered = parse_scenario(script.read_text())
     by_tick = {}
     for d in ordered.directives:
@@ -186,11 +199,11 @@ def test_a_hand_built_script_out_of_tick_order_runs_as_the_ordered_one(name):
     ticks.insert(0, ordered.last_tick)
     directives = [d for tick in ticks for d in by_tick[tick]]
     shuffled = ScenarioScript(ordered.seed, ordered.drain, directives)
-    assert directives[-1].tick < ordered.last_tick
-    files = Simulation(load_topology(str(topology)), shuffled).run().files()
-    for report in REPORT_FILES:
-        assert files[report].encode() == (golden / report).read_bytes(), report
     assert shuffled.last_tick == ordered.last_tick
+    first_back = next(d for d in directives if d.tick < ordered.last_tick)
+    with pytest.raises(ConfigError) as raised:
+        Simulation(load_topology(str(topology)), shuffled)
+    assert str(raised.value) == f"line {first_back.line_no}: directives must be time-ordered"
 
 
 def test_a_loss_window_draws_once_per_flush_and_drops_it_whole():
@@ -256,25 +269,79 @@ def test_abnormal_on_management_node_rejected():
         Simulation(topology, parse_scenario("at 5 abnormal 1.1.0 until 10\n"))
 
 
+def _script(*directives: Directive, drain: int = 120) -> ScenarioScript:
+    return ScenarioScript(drain=drain, directives=list(directives))
+
+
+LAUNCH_W1 = Respond(4, 1, "launch", "w1", owner="1.1.0")
+EMIT_FIELDS = ("1.1.2", "sig.7", "10.0.0.7", 1111, "10.0.0.8", 2222)
+HOP = ("1.1.0", "1.1.1")
+
+
 @pytest.mark.parametrize(
-    "text, directive, message",
+    "text, script, message",
     [
-        ("at 5 inject-loss 1.1.0->1.1.1 until 5", InjectLoss(5, 1, "1.1.0", "1.1.1", 5, 1.0),
-         "until 5 is not after tick 5"),
-        ("at 5 inject-loss 1.1.0->1.1.1 until 3", InjectLoss(5, 1, "1.1.0", "1.1.1", 3, 1.0),
-         "until 3 is not after tick 5"),
-        ("at 5 respond launch w1", Respond(5, 1, "launch", "w1"), "respond launch needs owner="),
+        ("drain = -10", _script(drain=-10), "drain must be >= 0, got -10"),
+        ("at -3 silence 1.1.1 until 5", _script(Window(-3, 1, "1.1.1", 5, False)),
+         "line 1: tick must be >= 0, got -3"),
+        ("at 5 silence 1.1.1 until 9\nat 4 silence 1.1.2 until 9",
+         _script(Window(5, 1, "1.1.1", 9, False), Window(4, 2, "1.1.2", 9, False)),
+         "line 2: directives must be time-ordered"),
+        ("at 5 emit 1.1.2 class=sig.7 src=10.0.0.7:70000 dst=10.0.0.8:2222 sev=4",
+         _script(Emit(5, 1, "1.1.2", "sig.7", "10.0.0.7", 70000, "10.0.0.8", 2222, 4)),
+         "line 1: src port 70000 outside 0..65535"),
+        ("at 5 emit 1.1.2 class=sig.7 src=10.0.0.7:1111 dst=10.0.0.8:-1 sev=4",
+         _script(Emit(5, 1, "1.1.2", "sig.7", "10.0.0.7", 1111, "10.0.0.8", -1, 4)),
+         "line 1: dst port -1 outside 0..65535"),
+        ("at 5 emit 1.1.2 class=sig.7 src=10.0.0.7:1111 dst=10.0.0.8:2222 sev=9",
+         _script(Emit(5, 1, *EMIT_FIELDS, 9)), "line 1: sev 9 outside 1..5"),
+        ("at 5 emit 1.1.2 class=sig.7 src=10.0.0.7:1111 dst=10.0.0.8:2222 sev=0",
+         _script(Emit(5, 1, *EMIT_FIELDS, 0)), "line 1: sev 0 outside 1..5"),
+        ("at 5 silence 1.1.1 until 5", _script(Window(5, 1, "1.1.1", 5, False)),
+         "line 1: until 5 is not after tick 5"),
+        ("at 5 abnormal 1.1.1 until 2", _script(Window(5, 1, "1.1.1", 2, True)),
+         "line 1: until 2 is not after tick 5"),
+        ("at 5 inject-loss 1.1.0->1.1.1 until 5",
+         _script(InjectLoss(5, 1, *HOP, 5, 1.0)), "line 1: until 5 is not after tick 5"),
+        ("at 5 inject-loss 1.1.0->1.1.1 until 3",
+         _script(InjectLoss(5, 1, *HOP, 3, 1.0)), "line 1: until 3 is not after tick 5"),
+        ("at 5 inject-loss 1.1.0->1.1.1 until 9 rate=7",
+         _script(InjectLoss(5, 1, *HOP, 9, 7.0)), "line 1: rate 7 outside (0, 1]"),
+        ("at 5 inject-loss 1.1.0->1.1.1 until 9 rate=0",
+         _script(InjectLoss(5, 1, *HOP, 9, 0.0)), "line 1: rate 0 outside (0, 1]"),
+        ("at 5 inject-loss 1.1.0->1.1.1 until 9 rate=-1",
+         _script(InjectLoss(5, 1, *HOP, 9, -1.0)), "line 1: rate -1 outside (0, 1]"),
+        ("at 4 respond launch w1 owner=1.1.0\nat 5 respond dance w1",
+         _script(LAUNCH_W1, Respond(5, 2, "dance", "w1")),
+         "line 2: unknown respond action 'dance'"),
+        ("at 4 respond launch w1 owner=1.1.0\nat 5 respond escalate w1 owner=1.1.0",
+         _script(LAUNCH_W1, Respond(5, 2, "escalate", "w1", owner="1.1.0")),
+         "line 2: unknown respond escalate field 'owner'"),
+        # a field given empty is given, not left out
+        ("at 4 respond launch w1 owner=1.1.0\nat 5 respond escalate w1 owner=",
+         _script(LAUNCH_W1, Respond(5, 2, "escalate", "w1", owner="")),
+         "line 2: unknown respond escalate field 'owner'"),
+        ("at 4 respond launch w1 owner=1.1.0\nat 5 respond advance w1 actor=",
+         _script(LAUNCH_W1, Respond(5, 2, "advance", "w1", actor="")),
+         "line 2: bad address '': expected 3 segments in '', got 1"),
+        ("at 5 respond launch w1 targets=1.2.0",
+         _script(Respond(5, 1, "launch", "w1", targets=("1.2.0",))),
+         "line 1: unknown respond launch field 'targets'"),
+        ("at 5 respond launch w1", _script(Respond(5, 1, "launch", "w1")),
+         "line 1: respond launch needs owner="),
+        ("at 4 respond launch w1 owner=1.1.0\nat 5 respond enlist w1",
+         _script(LAUNCH_W1, Respond(5, 2, "enlist", "w1")),
+         "line 2: respond enlist needs targets="),
     ],
 )
-def test_a_hand_built_directive_the_parser_refuses_is_refused_at_set_up(text, directive, message):
-    """A loss window that does not end after its tick, which would cover one
-    tick, and a launch without an owner, which would fail mid-run, are
-    refused at set-up with the parser's message for their text."""
-    topology = load_topology(str(DEMO / "topology.cfg"))
-    with pytest.raises(ConfigError, match=f"line 1: {message}"):
-        parse_scenario(text + "\n")
-    with pytest.raises(ConfigError, match=f"line 1: {message}"):
-        Simulation(topology, ScenarioScript(directives=[directive]))
+def test_a_hand_built_script_is_refused_at_set_up_as_its_text(text, script, message):
+    """Set-up is the one gate for a script's rules: the parser reads the
+    text to the very script built by hand, and set-up refuses that with the
+    message the CLI prints for the text."""
+    assert parse_scenario(text + "\n") == script
+    with pytest.raises(ConfigError) as raised:
+        Simulation(load_topology(str(DEMO_TOPOLOGY)), script)
+    assert str(raised.value) == message
 
 
 def test_an_empty_enlist_target_is_refused_at_set_up():
